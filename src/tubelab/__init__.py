@@ -1,193 +1,6 @@
-"""tubelab: exact dyadic tube incidence geometry and maximal-operator experiments."""
+"""tubelab: exact dyadic tube incidence geometry and maximal-operator experiments.
 
-from tubelab.acceptance import CriterionResult, run_criterion, run_suite
-from tubelab.core import (
-    Box,
-    CellSet,
-    CoveringCount,
-    DyadicScale,
-    DyadicSquare,
-    DyadicTube,
-    Line,
-    OrdinaryTube,
-    covering_number,
-    dual_line,
-    dump_rationals,
-    dump_tubes,
-    dyadic_cubes,
-    load_rationals,
-    load_tubes,
-    rasterize_tube,
-    tube_point_test,
-)
-from tubelab.domains import (
-    BoundaryPiece,
-    Cap,
-    CapCount,
-    CapCover,
-    GcsDomain,
-    MultiplicityOverflow,
-    additive_energy_estimate,
-    affine_dim_estimate,
-    cap_count,
-    cap_cover,
-    cap_cover_csv,
-    direction_set,
-    domain_from_config,
-    dump_domain,
-    gcs_domain,
-    k_delta,
-    map_F,
-    map_F_inverse,
-    slope_set,
-)
-from tubelab.incidence import (
-    RichPointSet,
-    SharpExample,
-    TubeFamily,
-    cantor_slope_family,
-    cantor_slope_indices,
-    incidence_profile,
-    rich_points,
-    sharp_example,
-    verify_incidence_bound,
-)
-from tubelab.maximal import (
-    BushCore,
-    BushPair,
-    DirectionSet,
-    ExponentFit,
-    GridFunction,
-    MeasuredNorm,
-    aim_at_origin_assignment,
-    bush_construction,
-    digital_tube_cells,
-    direction_average_grid,
-    dual_sum_norm,
-    exponent_fit,
-    kakeya_apply,
-    nikodym_apply,
-    norm_ratio,
-    row_tiling_assignment,
-    tube_sum_norm,
-)
-from tubelab.setgen import (
-    BallCounter1D,
-    IntervalFamily,
-    MoranSet,
-    MoranSpec,
-    ProfileValue,
-    ball_count_1d,
-    box_dim_ratio,
-    build_moran,
-    cached_family,
-    check_gcs,
-    constant_branch_spec,
-    doubling_branch_spec,
-    dump_set,
-    family_offsets,
-    frostman_constant,
-    katz_tao_constant,
-    middle_thirds_spec,
-    moran_spec_from_config,
-    moran_sum_multiplicity_bound,
-    qa_profile,
-    regularity_constant,
-    search_interval_family,
-    sum_multiplicity,
-)
-from tubelab.svg import svg_loglog
+Names are imported from their module, e.g. ``from tubelab.core import DyadicScale``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BallCounter1D",
-    "BoundaryPiece",
-    "Box",
-    "BushCore",
-    "BushPair",
-    "Cap",
-    "CapCount",
-    "CapCover",
-    "CellSet",
-    "CoveringCount",
-    "CriterionResult",
-    "DirectionSet",
-    "DyadicScale",
-    "DyadicSquare",
-    "DyadicTube",
-    "ExponentFit",
-    "GcsDomain",
-    "GridFunction",
-    "IntervalFamily",
-    "Line",
-    "MeasuredNorm",
-    "MoranSet",
-    "MoranSpec",
-    "MultiplicityOverflow",
-    "OrdinaryTube",
-    "ProfileValue",
-    "RichPointSet",
-    "SharpExample",
-    "TubeFamily",
-    "additive_energy_estimate",
-    "affine_dim_estimate",
-    "aim_at_origin_assignment",
-    "ball_count_1d",
-    "box_dim_ratio",
-    "build_moran",
-    "bush_construction",
-    "cached_family",
-    "cantor_slope_family",
-    "cantor_slope_indices",
-    "cap_count",
-    "cap_cover",
-    "cap_cover_csv",
-    "check_gcs",
-    "constant_branch_spec",
-    "covering_number",
-    "digital_tube_cells",
-    "direction_average_grid",
-    "direction_set",
-    "domain_from_config",
-    "doubling_branch_spec",
-    "dual_line",
-    "dual_sum_norm",
-    "dump_domain",
-    "dump_rationals",
-    "dump_set",
-    "dump_tubes",
-    "dyadic_cubes",
-    "exponent_fit",
-    "family_offsets",
-    "frostman_constant",
-    "gcs_domain",
-    "incidence_profile",
-    "k_delta",
-    "kakeya_apply",
-    "katz_tao_constant",
-    "load_rationals",
-    "load_tubes",
-    "map_F",
-    "map_F_inverse",
-    "middle_thirds_spec",
-    "moran_spec_from_config",
-    "moran_sum_multiplicity_bound",
-    "nikodym_apply",
-    "norm_ratio",
-    "qa_profile",
-    "rasterize_tube",
-    "regularity_constant",
-    "rich_points",
-    "row_tiling_assignment",
-    "run_criterion",
-    "run_suite",
-    "search_interval_family",
-    "sharp_example",
-    "slope_set",
-    "sum_multiplicity",
-    "svg_loglog",
-    "tube_point_test",
-    "tube_sum_norm",
-    "verify_incidence_bound",
-]

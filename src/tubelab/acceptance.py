@@ -69,7 +69,7 @@ from tubelab.setgen import (
 
 S_LOG23 = math.log(2) / math.log(3)
 
-__all__ = ["CriterionResult", "SUITES", "criterion_names", "run_criterion", "run_suite"]
+__all__ = ["CriterionResult", "SUITES", "run_criterion", "run_suite"]
 
 
 @dataclass
@@ -481,10 +481,6 @@ SUITES = {
 }
 
 _CACHE: dict[str, CriterionResult] = {}
-
-
-def criterion_names() -> list[str]:
-    return list(CRITERIA)
 
 
 def run_criterion(name: str, cache: bool = True) -> CriterionResult:

@@ -11,8 +11,9 @@ Subcommands:
 Config files are plain ``key = value`` text in ``[section]`` blocks: an
 ``[experiment]`` block with the sweep parameters, an optional ``[moran]``
 block holding an inline nested-interval construction, and an optional
-``[manifest]`` block (written by ``run``, ignored on re-parse). Identical
-config + seed produces byte-identical artifacts.
+``[manifest]`` block (written by ``run``, ignored on re-parse). An
+``[experiment]`` key that ``parse_config`` does not read is rejected.
+Identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 from pathlib import Path
@@ -75,11 +75,9 @@ class ExperimentConfig:
     m: int = 3
     gamma: float = 0.25
     eta: float = 0.05
-    seeds: list = field(default_factory=lambda: [0])
     preset: str = "middle-thirds"
     depth: int = 4
     moran_text: str = ""
-    threads: int = 1
     max_cells: int = DEFAULT_MAX_CELLS
 
     def validate(self):
@@ -95,12 +93,8 @@ class ExperimentConfig:
             raise UsageError(f"kind '{self.kind}' needs a nonempty p list")
         if self.kind == "incidence" and not self.r_list:
             raise UsageError("kind 'incidence' needs a nonempty r list")
-        if not self.seeds:
-            raise UsageError("seed list is empty")
         if not self.moran_text and self.preset not in PRESETS:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         if self.depth < 1:
             raise UsageError("depth must be >= 1")
         return self
@@ -135,12 +129,21 @@ def _parse_list(text: str, conv):
     return [conv(x) for x in items]
 
 
+EXPERIMENT_KEYS = frozenset(
+    "kind deltas delta_exps delta_min_exp delta_max_exp delta_step "
+    "p r s m gamma eta preset depth max_cells".split()
+)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections = split_sections(text)
     try:
         kv = parse_keyvals(sections.get("experiment", "") or sections.get("", ""))
     except ValueError as e:
         raise UsageError(str(e)) from e
+    unknown = sorted(kv.keys() - EXPERIMENT_KEYS)
+    if unknown:
+        raise UsageError(f"unknown [experiment] key(s): {', '.join(unknown)}")
     if "kind" not in kv:
         raise UsageError("config missing 'kind'")
 
@@ -165,11 +168,9 @@ def parse_config(text: str) -> ExperimentConfig:
         m=int(kv.get("m", "3")),
         gamma=float(kv.get("gamma", "0.25")),
         eta=float(kv.get("eta", "0.05")),
-        seeds=_parse_list(kv.get("seeds", "0"), int),
         preset=kv.get("preset", "middle-thirds"),
         depth=int(kv.get("depth", "4")),
         moran_text=sections.get("moran", "").strip(),
-        threads=int(kv.get("threads", "1")),
         max_cells=int(kv.get("max_cells", str(DEFAULT_MAX_CELLS))),
     )
     return cfg.validate()
@@ -187,10 +188,8 @@ def config_text(cfg: ExperimentConfig) -> str:
     lines.append(f"m = {cfg.m}")
     lines.append(f"gamma = {_fmt(cfg.gamma)}")
     lines.append(f"eta = {_fmt(cfg.eta)}")
-    lines.append("seeds = " + ", ".join(str(x) for x in cfg.seeds))
     lines.append(f"preset = {cfg.preset}")
     lines.append(f"depth = {cfg.depth}")
-    lines.append(f"threads = {cfg.threads}")
     lines.append(f"max_cells = {cfg.max_cells}")
     if cfg.moran_text:
         lines += ["", "[moran]", cfg.moran_text]
@@ -228,12 +227,6 @@ def _grid_guard(cfg: ExperimentConfig, delta: F) -> None:
         )
 
 
-def _sweep(cfg: ExperimentConfig, work, items):
-    """Run per-item work in submission order under the thread budget."""
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(work, items))
-
-
 # ------------------------------------------------------- kind runners
 
 
@@ -248,7 +241,7 @@ def _run_incidence(cfg: ExperimentConfig):
             out.append([delta, cfg.s, r, len(ex.family), rich, rho])
         return out
 
-    rows = [row for chunk in _sweep(cfg, work, cfg.deltas) for row in chunk]
+    rows = [row for d in cfg.deltas for row in work(d)]
     plots = {}
     for r in cfg.r_list:
         samples = [(row[0], row[5]) for row in rows if row[2] == r and row[5] > 0]
@@ -273,7 +266,7 @@ def _maximal_rows(cfg: ExperimentConfig, operator: str):
             out.append([delta, cfg.s, p, float(ratio)])
         return out
 
-    rows = [row for chunk in _sweep(cfg, work, cfg.deltas) for row in chunk]
+    rows = [row for d in cfg.deltas for row in work(d)]
     header = ["delta", "s", "p", "ratio", "beta_hat"]
     plots = {}
     for p in cfg.p_list:
@@ -311,7 +304,7 @@ def _run_domain(cfg: ExperimentConfig):
         cc = cap_count(dom, delta, eta=cfg.eta)
         return [delta, cfg.eta, cc.k_delta, cc.lower, cc.upper, math.sqrt(cc.lower * cc.upper)]
 
-    rows = _sweep(cfg, work, cfg.deltas)
+    rows = [work(d) for d in cfg.deltas]
     samples = [(row[0], row[5]) for row in rows]
     beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
     for row in rows:
@@ -330,7 +323,7 @@ def _run_energy(cfg: ExperimentConfig):
             rec["Xi_bound"], rec["energy_exponent"],
         ]
 
-    rows = _sweep(cfg, work, cfg.deltas)
+    rows = [work(d) for d in cfg.deltas]
     samples = [(row[0], row[6]) for row in rows]
     plots = {"energy": (samples, f"{cfg.m}-fold interaction count", "log2(count)")}
     return ["delta", "m", "eta", "k_delta", "M0", "M1", "Xi_bound", "energy_exponent"], rows, plots
@@ -345,7 +338,7 @@ def _run_dualsum(cfg: ExperimentConfig):
         v = float(dual_sum_norm(aim_at_origin_assignment(th), pprime))
         return [delta, cfg.s, pprime, v]
 
-    rows = _sweep(cfg, work, cfg.deltas)
+    rows = [work(d) for d in cfg.deltas]
     samples = [(row[0], row[3]) for row in rows]
     beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
     for row in rows:
@@ -399,7 +392,7 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
 
 
 _GEN_DEFAULTS = {
-    "incidence": dict(delta="8:10:1", extra=["r = 4, 16, 64", "s = 0.5"]),
+    "incidence": dict(delta="10:12:1", extra=["r = 4, 16, 64", "s = 0.5"]),
     "nikodym": dict(delta="5:9:1", extra=["p = 1, 2", f"s = {S_LOG23:.12g}"]),
     "kakeya": dict(delta="6:9:1", extra=[f"p = {1 + S_LOG23:.12g}", f"s = {S_LOG23:.12g}"]),
     "dims": dict(delta="8:8:1", extra=["preset = middle-thirds", "depth = 16", "gamma = 0.25"]),
@@ -430,8 +423,6 @@ def generate_config(kind: str, args) -> str:
     if args.depth:
         lines = [ln for ln in lines if not ln.startswith("depth = ")]
         lines.append(f"depth = {args.depth}")
-    lines.append(f"seeds = {args.seed}")
-    lines.append(f"threads = {args.threads}")
     text = "\n".join(lines) + "\n"
     parse_config(text)  # self-check before handing it out
     return text
@@ -481,16 +472,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depth", type=int, default=0, help="construction depth override")
     g.add_argument("--delta-min-exp", type=int, default=None)
     g.add_argument("--delta-max-exp", type=int, default=None)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--threads", type=int, default=1)
 
     r = sub.add_parser("run", help="execute a config file")
     r.add_argument("--spec", required=True, help="config file (or a manifest) to run")
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--threads", type=int, default=None, help="worker budget override")
     r.add_argument("--delta-min-exp", type=int, default=None)
     r.add_argument("--delta-max-exp", type=int, default=None)
-    r.add_argument("--seed", type=int, default=None, help="replaces the seed list")
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("suite", choices=sorted(SUITES))
@@ -516,11 +503,9 @@ def main(argv=None) -> int:
             if not spec_path.exists():
                 raise UsageError(f"no such config: {spec_path}")
             cfg = parse_config(spec_path.read_text(encoding="utf-8"))
-            if args.threads is not None:
-                cfg.threads = args.threads
-            if args.seed is not None:
-                cfg.seeds = [args.seed]
-            if args.delta_min_exp is not None and args.delta_max_exp is not None:
+            if (args.delta_min_exp is None) != (args.delta_max_exp is None):
+                raise UsageError("--delta-min-exp and --delta-max-exp go together")
+            if args.delta_min_exp is not None:
                 cfg.deltas = [
                     F(1, 1 << j) for j in range(args.delta_min_exp, args.delta_max_exp + 1)
                 ]

@@ -566,14 +566,6 @@ def dyadic_cubes(a, scale: DyadicScale):
     return sorted(out)
 
 
-def dyadic_interval_count(points, k: int) -> int:
-    """Number of dyadic 2^-k cells meeting a finite 1-d point set."""
-    s = set()
-    for x in points:
-        s.add((_frac(x) * (1 << k)).__floor__())
-    return len(s)
-
-
 # ---------------------------------------------------------------- serialization
 
 def dump_tubes(tubes: Iterable[DyadicTube]) -> str:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from tubelab.core import DyadicScale, dump_rationals
+from tubelab.core import DyadicScale
 
 F = Fraction
 
@@ -767,14 +767,9 @@ def family_offsets(fam: IntervalFamily) -> list[Fraction]:
 
 # ------------------------------------------------------------------ factories
 
-_FAMILY_CACHE: dict[tuple, IntervalFamily] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def cached_family(n: int, m: int, budget: int = 4000, seed: int = 0) -> IntervalFamily:
-    key = (n, m, budget, seed)
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = search_interval_family(n, m, budget=budget, seed=seed)
-    return _FAMILY_CACHE[key]
+    return search_interval_family(n, m, budget=budget, seed=seed)
 
 
 def middle_thirds_spec() -> MoranSpec:
@@ -883,8 +878,3 @@ def moran_spec_from_config(source) -> MoranSpec:
             return fixed
 
     return MoranSpec(n=n_fn, c=c_rule, offsets=off_fn, label=kv.get("label", "config"))
-
-
-def dump_set(values) -> str:
-    """Sorted rational list, one 'num/den' per line (export format)."""
-    return dump_rationals(values)

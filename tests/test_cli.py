@@ -108,7 +108,7 @@ class TestConfigParsing:
     def test_roundtrip_through_canonical_text(self):
         cfg = parse_config(
             "[experiment]\nkind = nikodym\ndeltas = 1/32, 1/64\np = 1, 2\n"
-            "s = 0.63\nseeds = 0, 1\nthreads = 2\n"
+            "s = 0.63\n"
         )
         again = parse_config(config_text(cfg))
         assert again == cfg
@@ -198,18 +198,24 @@ class TestRun:
         for name in ("energy.csv", "energy.svg", "manifest.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_thread_budget_invariance(self, tmp_path):
+    def test_lone_delta_exp_override_rejected(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text(
-            "[experiment]\nkind = dualsum\ndelta_min_exp = 5\ndelta_max_exp = 8\ns = 0.63\n"
+            "[experiment]\nkind = dualsum\ndelta_min_exp = 5\ndelta_max_exp = 9\ns = 0.63\n"
         )
-        for out, tn in (("t1", "1"), ("t4", "4")):
-            assert main(
-                ["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / out),
-                 "--threads", tn]
-            ) == 0
-        a = (tmp_path / "t1" / "dualsum.csv").read_bytes()
-        b = (tmp_path / "t4" / "dualsum.csv").read_bytes()
-        assert a == b
+        for flag in ("--delta-min-exp", "--delta-max-exp"):
+            rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o"),
+                       flag, "3"])
+            assert rc == 2
+            assert "error: --delta-min-exp and --delta-max-exp" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_generated_incidence_config_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        assert main(["gen", "incidence", "--out", str(cfg)]) == 0
+        assert main(["run", "--spec", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        rows = (tmp_path / "out" / "incidence.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 9  # 2^-10..2^-12 times r = 4, 16, 64
 
     def test_grid_cap_failure_row(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text(
@@ -269,9 +275,21 @@ class TestConfigValidation:
     def test_direct_config_object(self):
         cfg = ExperimentConfig(kind="dims", deltas=[F(1, 4)], depth=2)
         assert cfg.validate() is cfg
-        with pytest.raises(UsageError, match="threads"):
-            ExperimentConfig(kind="dims", deltas=[F(1, 4)], threads=0).validate()
         with pytest.raises(UsageError, match="depth"):
             ExperimentConfig(kind="dims", deltas=[F(1, 4)], depth=0).validate()
-        with pytest.raises(UsageError, match="seed"):
-            ExperimentConfig(kind="dims", deltas=[F(1, 4)], seeds=[]).validate()
+
+    def test_removed_and_unknown_keys_rejected(self, tmp_path, capsys):
+        base = "[experiment]\nkind = dims\ndeltas = 1/4\n"
+        for line in ("seeds = 0, 1", "threads = 2", "sede = 3"):
+            key = line.split(" =")[0]
+            with pytest.raises(UsageError, match=f"unknown \\[experiment\\] key.*{key}"):
+                parse_config(base + line + "\n")
+        (tmp_path / "c.cfg").write_text(base + "threads = 2\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: unknown [experiment] key(s): threads" in capsys.readouterr().err
+        (tmp_path / "c.cfg").write_text(base)
+        with pytest.raises(SystemExit) as e:
+            main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert e.value.code == 2

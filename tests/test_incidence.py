@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from tubelab.acceptance import _brute_cell_counts
 from tubelab.core import (
     BOX_UNIT,
     CellSet,
@@ -39,15 +40,6 @@ def _random_family(rng, k, n_tubes):
         j = rng.randrange(-(1 << k) - 2, (1 << k) + 2)
         seen.add((i, j))
     return TubeFamily.of([DyadicTube(k, i, j) for i, j in sorted(seen)])
-
-
-def _brute_counts(family):
-    """O(|cells| * |tubes|) oracle: per-tube rasterization into a Counter."""
-    c = Counter()
-    for t in family.tubes:
-        for i, j in map(tuple, rasterize_tube(t, family.scale, BOX_UNIT).idx):
-            c[(int(i), int(j))] += 1
-    return c
 
 
 class TestTubeFamily:
@@ -127,7 +119,7 @@ class TestRichPoints:
 
     def test_multiplicity_lookup_matches_oracle(self):
         fam = _random_family(random.Random(11), 5, 25)
-        oracle = _brute_counts(fam)
+        oracle = _brute_cell_counts(fam)
         rp = rich_points(fam, 1)
         for cell, count in oracle.items():
             assert rp.multiplicity(cell) == count
@@ -138,7 +130,7 @@ class TestRichPoints:
         for seed in range(50):
             rng = random.Random(1000 + seed)
             fam = _random_family(rng, 6, rng.randrange(1, 65))
-            oracle = _brute_counts(fam)
+            oracle = _brute_cell_counts(fam)
             rp = rich_points(fam, 1)
             got = {
                 (int(i), int(j)): int(c)
@@ -153,7 +145,7 @@ class TestRichPoints:
         ]
         fam = TubeFamily(DyadicScale(5), tuple(tubes))
         rp = rich_points(fam, 1)
-        oracle = _brute_counts(fam)
+        oracle = _brute_cell_counts(fam)
         got = {
             (int(i), int(j)): int(c) for (i, j), c in zip(rp.cells.idx, rp.counts)
         }
@@ -299,7 +291,7 @@ class TestSharpExample:
 
     def test_small_scale_against_brute_force(self):
         ex = sharp_example(0.5, DyadicScale(6), 4)
-        oracle = _brute_counts(ex.family)
+        oracle = _brute_cell_counts(ex.family)
         n = 1 << 6
         for i in range(int(ex.rect.x1 * n)):
             for j in range(int(ex.rect.y1 * n)):

@@ -6,6 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from tubelab.acceptance import (
+    _brute_frostman,
+    _brute_katz_tao,
+    _brute_regularity,
+    _brute_window_counts,
+)
 from tubelab.core import DyadicScale
 from tubelab.setgen import (
     IntervalFamily,
@@ -252,54 +258,6 @@ class TestBoxDimRatio:
             box_dim_ratio(ms, 1, 4)
         with pytest.raises(ValueError):
             box_dim_ratio(ms, 0, 3)
-
-
-def _brute_window_counts(xs, r, windows, closed_right=False):
-    counts = []
-    for lo, hi in windows:
-        pts = [x for x in xs if lo <= x < hi or (closed_right and x == hi)]
-        covered = None
-        c = 0
-        for x in pts:
-            if covered is None or x > covered:
-                c += 1
-                covered = x + 2 * r
-        counts.append(c)
-    return counts
-
-
-def _brute_regularity(xs, s, amax):
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        for b in range(a + 1):
-            w = 2.0 ** -b
-            cells = sorted({math.floor(x / w) for x in xs})
-            windows = [(c * w, (c + 1) * w) for c in cells]
-            for cnt in _brute_window_counts(xs, r, windows):
-                best = max(best, cnt / 2.0 ** ((a - b) * s))
-    return best
-
-
-def _brute_frostman(xs, s, amax, dv):
-    tot = _brute_window_counts(xs, dv, [(min(xs), max(xs))], closed_right=True)[0]
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        windows = [(x - r, x + r) for x in xs]
-        for cnt in _brute_window_counts(xs, dv, windows, closed_right=True):
-            best = max(best, cnt / (r ** s * tot))
-    return best
-
-
-def _brute_katz_tao(xs, t, amax, dv):
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        windows = [(x - r, x + r) for x in xs]
-        for cnt in _brute_window_counts(xs, dv, windows, closed_right=True):
-            best = max(best, cnt * (dv / r) ** t)
-    return best
 
 
 class TestQaProfile:
