@@ -38,7 +38,9 @@ from tubelab.maximal import (
     bush_construction,
     dual_sum_norm,
     exponent_fit,
-    norm_ratio,
+    kakeya_apply,
+    kakeya_norm,
+    nikodym_apply,
 )
 from tubelab.setgen import (
     build_moran,
@@ -147,10 +149,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if "kind" not in kv:
         raise UsageError("config missing 'kind'")
 
+    has_range = "delta_min_exp" in kv or "delta_max_exp" in kv
+    if has_range and not ("delta_min_exp" in kv and "delta_max_exp" in kv):
+        raise UsageError("delta_min_exp and delta_max_exp go together")
+    if "delta_step" in kv and not has_range:
+        raise UsageError("delta_step needs delta_min_exp and delta_max_exp")
+    if ("deltas" in kv) + ("delta_exps" in kv) + has_range > 1:
+        raise UsageError(
+            "give the sweep one way: deltas, delta_exps, or delta_min_exp/delta_max_exp"
+        )
+
     deltas: list = []
     if "delta_exps" in kv:
         deltas = [F(1, 1 << int(j)) for j in _parse_list(kv["delta_exps"], int)]
-    elif "delta_min_exp" in kv and "delta_max_exp" in kv:
+    elif has_range:
         step = int(kv.get("delta_step", "1"))
         lo, hi = int(kv["delta_min_exp"]), int(kv["delta_max_exp"])
         if step < 1 or hi < lo:
@@ -255,16 +267,16 @@ def _maximal_rows(cfg: ExperimentConfig, operator: str):
         _grid_guard(cfg, delta)
         sc = DyadicScale(delta.denominator.bit_length() - 1)
         th = DirectionSet.cantor(cfg.s, sc)
-        out = []
-        for p in cfg.p_list:
-            if operator == "nikodym":
-                b = bush_construction(th, F(1, 2), F(1, 2))
-                ratio = norm_ratio(b.core.indicator(sc), th, p, "nikodym")
-            else:
-                f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
-                ratio = norm_ratio(f, th, p, "kakeya")
-            out.append([delta, cfg.s, p, float(ratio)])
-        return out
+        # one operator pass per scale, reduced at every p as norm_ratio does
+        if operator == "nikodym":
+            f = bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
+            out = nikodym_apply(f, th)
+            ratios = [out.lp_norm(p) / f.lp_norm(p) for p in cfg.p_list]
+        else:
+            f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
+            values = kakeya_apply(f, th)
+            ratios = [kakeya_norm(values, th, p) / f.lp_norm(p) for p in cfg.p_list]
+        return [[delta, cfg.s, p, float(r)] for p, r in zip(cfg.p_list, ratios)]
 
     rows = [row for d in cfg.deltas for row in work(d)]
     header = ["delta", "s", "p", "ratio", "beta_hat"]
@@ -333,6 +345,7 @@ def _run_dualsum(cfg: ExperimentConfig):
     pprime = cfg.p_list[0] if cfg.p_list else 1 + 1 / cfg.s
 
     def work(delta):
+        _grid_guard(cfg, delta)
         sc = DyadicScale(delta.denominator.bit_length() - 1)
         th = DirectionSet.cantor(cfg.s, sc)
         v = float(dual_sum_norm(aim_at_origin_assignment(th), pprime))

@@ -12,7 +12,7 @@ prefix sum along columns, and an endpoint gather.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -195,44 +195,63 @@ def _check_operator_input(f: GridFunction, scale: DyadicScale):
 
 
 def _vertical_4sums(f: GridFunction) -> np.ndarray:
-    """V4[ix, r] = f[ix, r-2] + f[ix, r-1] + f[ix, r] + f[ix, r+1]."""
-    vals = f.values
-    ncols, nrows = vals.shape
-    P = np.zeros((ncols, nrows + 1))
-    np.cumsum(vals, axis=1, out=P[:, 1:])
-    hi = np.minimum(np.arange(nrows) + 2, nrows)
-    lo = np.maximum(np.arange(nrows) - 2, 0)
-    return P[:, hi] - P[:, lo]
+    """V4[c, y] = f[ix, y-2] + f[ix, y-1] + f[ix, y] + f[ix, y+1], f = 0 off its box.
 
-
-def _averages_from_v4(f: GridFunction, v4: np.ndarray, t: int) -> np.ndarray:
+    Only the 2^(k+1) columns ix = c - 2^(k-1) in [-2^(k-1), 2^k + 2^(k-1))
+    are kept, the ones the [0,1)^2 outputs read. Row y lives at index
+    y + _shear_pad(k): a sheared read for |t| <= 2^k moves a row by at
+    most that pad, so every read of _averages_from_v4 stays in range.
+    """
     k = f.scale.k
     n = 1 << k
     K = n >> 1
-    ncols, nrows = v4.shape
-    ix_abs = np.arange(ncols, dtype=np.int64) + f._col0
-    sig = _sigma(t, ix_abs, k)
-    m = np.arange(n, dtype=np.int64)
-    sig_c = _sigma(t, m, k)
-    # sheared rows r span exactly what the output gather reads
-    r_lo = -f._row0 - int(sig_c.max())
-    r_hi = n - f._row0 - int(sig_c.min())
-    src = np.arange(r_lo, r_hi, dtype=np.int64)[None, :] + sig[:, None]
-    valid = (src >= 0) & (src < nrows)
-    W = np.where(valid, v4[np.arange(ncols)[:, None], np.clip(src, 0, nrows - 1)], 0.0)
-    Q = np.zeros((ncols + 1, W.shape[1]))
-    np.cumsum(W, axis=0, out=Q[1:])
+    pad = _shear_pad(k)
+    y0, y1 = -pad, n + pad
+    src = np.zeros((2 * n, y1 - y0 + 3))  # f on rows [y0 - 2, y1 + 1)
+    r_lo = max(y0 - 2, f._row0)
+    r_hi = min(y1 + 1, f._row0 + f.values.shape[1])
+    src[:, r_lo - y0 + 2 : r_hi - y0 + 2] = f.values[
+        -K - f._col0 : n + K - f._col0, r_lo - f._row0 : r_hi - f._row0
+    ]
+    return src[:, :-3] + src[:, 1:-2] + src[:, 2:-1] + src[:, 3:]
 
-    rows = (np.arange(n, dtype=np.int64)[None, :] - f._row0) - sig_c[:, None] - r_lo
-    lo_c = (m - K - f._col0)[:, None]
-    hi_c = (m + K - f._col0)[:, None]
-    out = Q[hi_c, rows] - Q[lo_c, rows]
-    return out / (8 * K)
+
+def _shear_pad(k: int) -> int:
+    # |sigma(t, ix) - sigma(t, m)| <= 2^k + 2^(k-1) for |t| <= 2^k, ix in
+    # the kept columns and m in [0, 2^k)
+    return (1 << k) + (1 << (k - 1))
+
+
+def _averages_from_v4(v4: np.ndarray, k: int, t: int) -> np.ndarray:
+    """Tube averages in direction t at every center of [0,1)^2, (n, n).
+
+    W[c, r] is V4 at column ix = c - 2^(k-1) and row r + lo + sigma(ix), so
+    with Q the prefix sum of W down the columns, the tube centered at
+    (m, j) sums to one difference of Q at row j - sigma(m) - lo.
+    """
+    n = 1 << k
+    K = n >> 1
+    cols = np.arange(2 * n)
+    sig = _sigma(t, cols - K, k)
+    sig_c = sig[K : K + n]  # centers m in [0, n)
+    lo, hi = -int(sig_c.max()), n - int(sig_c.min())
+    strips = np.lib.stride_tricks.sliding_window_view(v4, hi - lo, axis=1)
+    W = strips[cols, sig + lo + _shear_pad(k)]
+    Q = np.zeros((2 * n + 1, hi - lo))
+    np.cumsum(W, axis=0, out=Q[1:])
+    rows = np.lib.stride_tricks.sliding_window_view(Q, n, axis=1)
+    m = cols[:n]
+    start = -sig_c - lo
+    return (rows[m + n, start] - rows[m, start]) / (8 * K)
 
 
 def direction_average_grid(f: GridFunction, t: int) -> np.ndarray:
     """Tube averages in one direction at every center of [0,1)^2, (n, n)."""
-    return _averages_from_v4(f, _vertical_4sums(f), t)
+    _check_operator_input(f, f.scale)
+    n = 1 << f.scale.k
+    if not -n <= t < n:
+        raise ValueError(f"slope index {t} outside [-2^k, 2^k)")
+    return _averages_from_v4(_vertical_4sums(f), f.scale.k, t)
 
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
@@ -243,7 +262,7 @@ def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     v4 = _vertical_4sums(f)
     out = None
     for t in theta.indices:
-        avg = _averages_from_v4(f, v4, t)
+        avg = _averages_from_v4(v4, theta.scale.k, t)
         out = avg if out is None else np.maximum(out, avg)
     return GridFunction(theta.scale, BOX_UNIT, np.maximum(out, 0.0))
 
@@ -255,7 +274,7 @@ def kakeya_apply(f: GridFunction, theta: DirectionSet) -> dict:
     v4 = _vertical_4sums(f)
     out = {}
     for t in theta.indices:
-        out[t * d] = float(_averages_from_v4(f, v4, t).max())
+        out[t * d] = float(_averages_from_v4(v4, theta.scale.k, t).max())
     return out
 
 
@@ -413,42 +432,43 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str, mu
     if operator == "nikodym":
         return nikodym_apply(f, theta).lp_norm(p) / fnorm
     if operator == "kakeya":
-        values = kakeya_apply(f, theta)
-        if mu_weights is None:
-            w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
-            mu_weights = {slope: w for slope in values}
-        total = sum(values[a] ** p * mu_weights[a] for a in values)
-        return total ** (1.0 / p) / fnorm
+        return kakeya_norm(kakeya_apply(f, theta), theta, p, mu_weights) / fnorm
     raise ValueError(f"unknown operator: {operator!r}")
 
 
-def _sum_indicator_grid(tube_counts: dict, k: int) -> tuple:
-    """Multiplicity grid over the slab x in [0,1), all rows, for weighted tubes.
+def kakeya_norm(values: dict, theta: DirectionSet, p: float, mu_weights=None) -> float:
+    """L^p(mu) norm over directions of kakeya_apply's per-direction values,
+    with mu as in norm_ratio."""
+    if mu_weights is None:
+        w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
+        mu_weights = {slope: w for slope in values}
+    total = sum(values[a] ** p * mu_weights[a] for a in values)
+    return total ** (1.0 / p)
 
-    Returns (grid, col0, row0) with grid[ix - col0, j - row0] the number of
-    assigned tubes (with multiplicity) whose rasterization covers the cell.
+
+def _sum_indicator_grid(t: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Multiplicity grid over the slab x in [0,1), all rows, of the tubes
+    DyadicTube(k, t[q], b[q]), counted with repetition.
+
+    grid[ix, j - row0] is the number of tubes whose rasterization covers
+    cell (ix, j), for row0 the lowest row any tube reaches.
     """
     n = 1 << k
+    t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
+    b0 = int(b.min())
+    span = int(b.max()) - b0 + 1
+    keys, cnt = np.unique((t + n) * span + (b - b0), return_counts=True)
+    # one row per distinct tube, one column per grid column m
+    a, off = (keys // span - n)[:, None], (keys % span + b0)[:, None]
     m = np.arange(n, dtype=np.int64)
-    lows, highs = [], []
-    per_tube = []
-    for tube, cnt in tube_counts.items():
-        a, b = tube.i, tube.j
-        v1, v2, v3, v4 = a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1)
-        lo = (np.minimum(np.minimum(v1, v2), np.minimum(v3, v4)) + (b << k)) >> k
-        up_u = np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) + ((b + 1) << k)
-        hi = -((-up_u) >> k)
-        per_tube.append((lo, hi, cnt))
-        lows.append(int(lo.min()))
-        highs.append(int(hi.max()))
-    row0, row1 = min(lows), max(highs)
-    diff = np.zeros((n, row1 - row0 + 1), dtype=np.int64)
-    cols = np.arange(n)
-    for lo, hi, cnt in per_tube:
-        np.add.at(diff, (cols, lo - row0), cnt)
-        np.add.at(diff, (cols, hi - row0), -cnt)
-    grid = diff.cumsum(axis=1)[:, :-1]
-    return grid, -n, row0
+    v1, v2, v3, v4 = a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1)
+    lo = (np.minimum(np.minimum(v1, v2), np.minimum(v3, v4)) + (off << k)) >> k
+    hi = -((-(np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) + ((off + 1) << k))) >> k)
+    row0 = int(lo.min())
+    diff = np.zeros((n, int(hi.max()) - row0 + 1), dtype=np.int64)
+    # +count where each distinct tube enters a column, -count where it leaves
+    np.add.at(diff, (m, np.stack([lo, hi]) - row0), np.stack([cnt, -cnt])[:, :, None])
+    return diff.cumsum(axis=1)[:, :-1]
 
 
 def _grid_lp(grid: np.ndarray, pprime: float, delta: float) -> float:
@@ -458,38 +478,83 @@ def _grid_lp(grid: np.ndarray, pprime: float, delta: float) -> float:
     return total ** (1.0 / pprime)
 
 
-def dual_sum_norm(assignment: dict, pprime: float) -> MeasuredNorm:
-    """L^p' norm of the summed tube indicators of a cell-to-tube assignment.
+class Assignment(Mapping):
+    """One tube per cell of the unit-square grid, held as two (n, n) arrays.
 
-    The assignment must give one tube for every cell of [0,1)^2 at the tubes'
-    scale. The norm integrates over the slab x in [0,1), all rows. Reports in
-    .details the largest (vertical) cell-to-tube distance in units of delta.
+    Cell (i, j) takes DyadicTube(k, t[i, j], b[i, j]). As a Mapping from
+    (i, j) it builds that tube on access, so len, iteration and lookup
+    behave like the equivalent dict.
     """
-    if pprime < 1:
-        raise ValueError("p' must be >= 1")
+
+    __slots__ = ("k", "t", "b")
+
+    def __init__(self, k: int, t: np.ndarray, b: np.ndarray):
+        n = 1 << k
+        if t.shape != (n, n) or b.shape != (n, n):
+            raise ValueError(f"assignment arrays must have shape {(n, n)}")
+        if t.min() < -n or t.max() >= n:
+            raise ValueError(f"slope indices outside [-2^k, 2^k) at k={k}")
+        self.k, self.t, self.b = k, t, b
+
+    def __getitem__(self, cell) -> DyadicTube:
+        i, j = cell
+        if not (0 <= i < self.t.shape[0] and 0 <= j < self.t.shape[1]):
+            raise KeyError(cell)
+        return DyadicTube(self.k, int(self.t[i, j]), int(self.b[i, j]))
+
+    def __iter__(self):
+        n = self.t.shape[0]
+        return ((i, j) for i in range(n) for j in range(n))
+
+    def __len__(self) -> int:
+        return self.t.size
+
+
+def _as_assignment(assignment) -> Assignment:
+    """An Assignment as is; a mapping of cells to tubes converted to arrays,
+    which must cover the cells of [0,1)^2 at the tubes' scale exactly."""
+    if isinstance(assignment, Assignment):
+        return assignment
     tubes = list(assignment.values())
     if not tubes:
         raise ValueError("empty assignment")
     k = tubes[0].k
     n = 1 << k
+    t = np.zeros((n, n), dtype=np.int64)
+    b = np.zeros((n, n), dtype=np.int64)
     seen = np.zeros((n, n), dtype=bool)
-    for (i, j) in assignment:
+    for (i, j), tube in assignment.items():
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"cell {(i, j)} outside the unit square grid")
         seen[i, j] = True
+        t[i, j], b[i, j] = tube.i, tube.j
     if not seen.all():
         missing = int((~seen).sum())
         raise ValueError(f"assignment missing {missing} cells of the unit square")
+    return Assignment(k, t, b)
 
+
+def dual_sum_norm(assignment, pprime: float) -> MeasuredNorm:
+    """L^p' norm of the summed tube indicators of a cell-to-tube assignment.
+
+    The assignment (an Assignment, or a mapping from cells to tubes) must
+    give one tube for every cell of [0,1)^2 at the tubes' scale. The norm
+    integrates over the slab x in [0,1), all rows. Reports in .details the
+    largest (vertical) cell-to-tube distance in units of delta.
+    """
+    if pprime < 1:
+        raise ValueError("p' must be >= 1")
+    asg = _as_assignment(assignment)
+    k = asg.k
+    n = 1 << k
     # exact vertical distance from each cell center to its tube, in units of
     # delta^2/2: center = ((2i+1)/2, (2j+1)/2) * delta
-    a_max = 0
-    for (i, j), t in assignment.items():
-        lo = min(t.i * (2 * i + 1), (t.i + 1) * (2 * i + 1)) + t.j * (2 << k)
-        up = max(t.i * (2 * i + 1), (t.i + 1) * (2 * i + 1)) + (t.j + 1) * (2 << k)
-        cy = (2 * j + 1) << k
-        a_max = max(a_max, lo - cy, cy - up)
-    grid, _, _ = _sum_indicator_grid(Counter(tubes), k)
+    u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
+    lo = np.minimum(asg.t * u, (asg.t + 1) * u) + asg.b * (2 << k)
+    up = np.maximum(asg.t * u, (asg.t + 1) * u) + (asg.b + 1) * (2 << k)
+    cy = u.T << k
+    a_max = max(0, int((lo - cy).max()), int((cy - up).max()))
+    grid = _sum_indicator_grid(asg.t, asg.b, k)
     value = _grid_lp(grid, pprime, float(F(1, n)))
     return MeasuredNorm(
         value,
@@ -514,7 +579,9 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
     delta = float(family.scale.delta)
     s = 1.0 / (pprime - 1.0)
     p = 1.0 + s
-    grid, _, _ = _sum_indicator_grid(Counter(family.tubes), k)
+    grid = _sum_indicator_grid(
+        np.array([tb.i for tb in family.tubes]), np.array([tb.j for tb in family.tubes]), k
+    )
     value = _grid_lp(grid, pprime, delta)
     c = float(frostman_constant(sorted(set(slopes)), s, family.scale))
     bound = c ** (1.0 / p) * delta ** (2.0 / pprime) * len(family)
@@ -524,22 +591,28 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
     )
 
 
-def aim_at_origin_assignment(theta: DirectionSet) -> dict:
+def aim_at_origin_assignment(theta: DirectionSet) -> Assignment:
     """Adversarial assignment: each unit-square cell takes the tube through
-    its center whose direction points closest back at the origin."""
+    its center whose direction points closest back at the origin.
+
+    Exact integer rule: with n = 2^k, cell (i, j) takes the slope index t in
+    theta minimizing |t(2i+1) - n(2j+1)| (no ties: they would need
+    t + t' = 2n(2j+1)/(2i+1) >= 2n) and the offset
+    b = floor((n(2j+1) - t(2i+1)) / (2n)), the row of the center's line.
+    """
     k = theta.scale.k
     n = 1 << k
     idx = np.asarray(theta.indices, dtype=np.int64)
-    out = {}
-    for i in range(n):
-        cx = F(2 * i + 1, 2 * n)
-        for j in range(n):
-            cy = F(2 * j + 1, 2 * n)
-            target = cy / cx  # slope of the line to the origin
-            t = int(idx[np.argmin(np.abs(idx - float(target) * n))])
-            b = cy - F(t, n) * cx
-            out[(i, j)] = DyadicTube(k, t, math.floor(b * n))
-    return out
+    if not len(idx):
+        raise ValueError("empty direction set")
+    u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
+    v = n * (2 * np.arange(n, dtype=np.int64)[None, :] + 1)
+    # theta[pos - 1] <= floor(v/u) < theta[pos]: the nearest is one of the two
+    pos = np.searchsorted(idx, v // u, side="right")
+    below = idx[np.maximum(pos - 1, 0)]
+    above = idx[np.minimum(pos, len(idx) - 1)]
+    t = np.where(np.abs(above * u - v) < np.abs(below * u - v), above, below)
+    return Assignment(k, t, (v - t * u) // (2 * n))
 
 
 def row_tiling_assignment(scale: DyadicScale) -> dict:

@@ -838,14 +838,20 @@ def _rule_fn(expr: str):
     return lambda k: val
 
 
+MORAN_KEYS = frozenset("n c offsets m budget seed label".split())
+
+
 def moran_spec_from_config(source) -> MoranSpec:
     """Build a MoranSpec from config text or a parsed mapping.
 
     Keys: n, c (closed-form rules or comma lists), offsets (comma list of
     fractions, 'even', or 'searched'), optional m / budget / seed for the
-    searched layout.
+    searched layout, optional label. Any other key is rejected.
     """
     kv = parse_keyvals(source) if isinstance(source, str) else dict(source)
+    unknown = sorted(kv.keys() - MORAN_KEYS)
+    if unknown:
+        raise ValueError(f"unknown [moran] key(s): {', '.join(unknown)}")
     for key in ("n", "c"):
         if key not in kv:
             raise ValueError(f"config missing '{key}'")

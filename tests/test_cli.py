@@ -101,6 +101,20 @@ class TestConfigParsing:
                 "[experiment]\nkind = domain\ndelta_min_exp = 12\ndelta_max_exp = 8\n"
             )
 
+    def test_partial_or_mixed_delta_forms_rejected(self):
+        base = "[experiment]\nkind = dims\n"
+        cases = {
+            "delta_min_exp = 3\ndeltas = 1/4\n": "go together",
+            "delta_max_exp = 3\n": "go together",
+            "delta_step = 2\ndelta_exps = 3, 5\n": "delta_step needs",
+            "delta_step = 2\n": "delta_step needs",
+            "delta_min_exp = 2\ndelta_max_exp = 3\ndeltas = 1/4\n": "one way",
+            "delta_exps = 3\ndeltas = 1/4\n": "one way",
+        }
+        for text, msg in cases.items():
+            with pytest.raises(UsageError, match=msg):
+                parse_config(base + text)
+
     def test_headerless_keyvals_accepted(self):
         cfg = parse_config("kind = dims\ndeltas = 1/4\ndepth = 3\n")
         assert cfg.kind == "dims" and cfg.depth == 3
@@ -121,6 +135,14 @@ class TestConfigParsing:
         ms = cfg.moran()
         assert ms.interval_count(2) == 4
         assert ms.length(2) == F(1, 16)
+
+    def test_unknown_moran_key_rejected(self):
+        cfg = parse_config(
+            "[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n"
+            "[moran]\nn = 2^k\nc = 2^-3k\noffsets = searched\nsede = 5\nlabl = x\n"
+        )
+        with pytest.raises(ValueError, match=r"unknown \[moran\] key\(s\): labl, sede"):
+            cfg.moran()
 
 
 class TestGen:
@@ -226,6 +248,16 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("FAIL,kakeya,delta 1/8192")
         assert "1073741824" in out and "1000000" in out
+
+    def test_dualsum_grid_cap_failure_row(self, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = dualsum\ndeltas = 1/32, 1/64\ns = 0.5\nmax_cells = 20000\n"
+        )
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "FAIL,dualsum,delta 1/64: grid needs 65536 cells > max_cells 20000\n"
+        )
 
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         rc = main(["run", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

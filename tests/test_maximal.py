@@ -18,8 +18,10 @@ from tubelab.core import (
     rasterize_tube,
     tube_point_test,
 )
+from tubelab.acceptance import _brute_aim_assignment, _naive_tube_average
 from tubelab.incidence import TubeFamily
 from tubelab.maximal import (
+    Assignment,
     DirectionSet,
     GridFunction,
     aim_at_origin_assignment,
@@ -165,6 +167,31 @@ class TestNikodymApply:
                 m, n = int(rng.integers(0, 64)), int(rng.integers(0, 64))
                 want = naive_average(f, t, m, n)
                 assert fast[m, n] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_extreme_slopes_exact_on_indicators(self, k):
+        # t = -2^k and 2^k - 1 shear the farthest; on a 0/1 function every
+        # sum is an integer, so the strip pass must equal the per-cell sum
+        sc = DyadicScale(k)
+        n = 1 << k
+        rng = np.random.default_rng(k)
+        c0, c1, r0, r1 = BOX_DEFAULT.grid_range(k)
+        f = GridFunction(sc, BOX_DEFAULT, rng.integers(0, 2, (c1 - c0, r1 - r0)))
+        cells = [(m, j) for m in range(n) for j in range(n)]
+        if k == 6:  # the per-cell oracle is slow: corners shear farthest, plus a sample
+            cells = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)] + [
+                tuple(map(int, rng.integers(0, n, 2))) for _ in range(40)
+            ]
+        for t in (-n, n - 1):
+            fast = direction_average_grid(f, t)
+            for m, j in cells:
+                assert fast[m, j] == _naive_tube_average(f, t, m, j)
+
+    def test_slope_outside_range_rejected(self):
+        f = GridFunction.constant(1.0, DyadicScale(4))
+        for t in (-17, 16):
+            with pytest.raises(ValueError, match="outside"):
+                direction_average_grid(f, t)
 
     def test_linf_contraction(self):
         sc = DyadicScale(6)
@@ -412,6 +439,66 @@ class TestDualSumNorm:
         assert v.details["A"] == 0.0
         allowed = set(th.indices)
         assert all(t.i in allowed for t in asg.values())
+
+
+    def test_dict_and_assignment_inputs_agree(self):
+        rng = np.random.default_rng(12)
+        cases = [aim_at_origin_assignment(DirectionSet.cantor(S_LOG23, DyadicScale(k))) for k in (5, 6)]
+        cases.append(Assignment(4, rng.integers(-16, 16, (16, 16)), rng.integers(-20, 20, (16, 16))))
+        for asg in cases:
+            for pprime in (2.0, 1 + 1 / S_LOG23):
+                a, b = dual_sum_norm(asg, pprime), dual_sum_norm(dict(asg), pprime)
+                assert float(a) == float(b)
+                assert a.details == b.details
+
+
+class TestAimAtOrigin:
+    @staticmethod
+    def _direction_sets(k):
+        sc = DyadicScale(k)
+        n = 1 << k
+        rng = np.random.default_rng(k)
+        return {
+            "cantor": DirectionSet.cantor(S_LOG23, sc),
+            "net-of-arc": DirectionSet.net_of_arc(sc, F(-1, 4), F(3, 4)),
+            "single": DirectionSet(sc, (n // 3,), "explicit"),
+            "random": DirectionSet(
+                sc, tuple(sorted({int(x) for x in rng.integers(-n, n, 12)})), "explicit"
+            ),
+            "negative": DirectionSet(
+                sc, tuple(sorted({int(x) for x in rng.integers(-n, 0, 5)})), "explicit"
+            ),
+        }
+
+    # the Fraction oracle costs ~25 us a cell, so k = 8 runs on Cantor only
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    def test_matches_fraction_oracle(self, k):
+        for name, th in self._direction_sets(k).items():
+            if k == 8 and name != "cantor":
+                continue
+            asg = aim_at_origin_assignment(th)
+            assert dict(asg) == _brute_aim_assignment(th), name
+
+    def test_mapping_interface(self):
+        th = DirectionSet.cantor(S_LOG23, DyadicScale(4))
+        asg = aim_at_origin_assignment(th)
+        assert len(asg) == 256 and next(iter(asg)) == (0, 0)
+        assert next(iter(asg.values())).k == 4
+        assert asg[(3, 5)] == DyadicTube(4, int(asg.t[3, 5]), int(asg.b[3, 5]))
+        assert (3, 5) in asg and (16, 0) not in asg and (0, -1) not in asg
+        with pytest.raises(KeyError):
+            asg[(-1, 0)]
+
+    def test_array_validation(self):
+        z = np.zeros((4, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            Assignment(3, z, z)
+        with pytest.raises(ValueError, match="outside"):
+            Assignment(2, z + 4, z)
+
+    def test_empty_direction_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            aim_at_origin_assignment(DirectionSet(DyadicScale(3), (), "explicit"))
 
 
 class TestTubeSumNorm:
