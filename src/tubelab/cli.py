@@ -30,7 +30,7 @@ from tubelab import __version__
 from tubelab.acceptance import SUITES, run_suite
 from tubelab.core import DyadicScale
 from tubelab.domains import additive_energy_estimate, cap_count, gcs_domain
-from tubelab.incidence import rich_points, sharp_example, verify_incidence_bound
+from tubelab.incidence import sharp_example, verify_incidence_bound
 from tubelab.maximal import (
     DirectionSet,
     GridFunction,
@@ -230,9 +230,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _grid_guard(cfg: ExperimentConfig, delta: F) -> None:
-    k = delta.denominator.bit_length() - 1
-    cells = (4 << k) ** 2  # operator grids cover [-2, 2]^2
+def _grid_guard(cfg: ExperimentConfig, delta: F, cells: int) -> None:
     if cells > cfg.max_cells:
         raise ValueError(
             f"delta {delta}: grid needs {cells} cells > max_cells {cfg.max_cells}"
@@ -245,12 +243,12 @@ def _grid_guard(cfg: ExperimentConfig, delta: F) -> None:
 def _run_incidence(cfg: ExperimentConfig):
     def work(delta):
         sc = DyadicScale(delta.denominator.bit_length() - 1)
+        _grid_guard(cfg, delta, (1 << sc.k) ** 2)  # multiplicity grids cover [0, 1)^2
         out = []
         for r in cfg.r_list:
             ex = sharp_example(cfg.s, sc, r)
-            rho = float(verify_incidence_bound(ex.family, cfg.s, r))
-            rich = len(rich_points(ex.family, r))
-            out.append([delta, cfg.s, r, len(ex.family), rich, rho])
+            rho = verify_incidence_bound(ex.family, cfg.s, r)
+            out.append([delta, cfg.s, r, len(ex.family), rho.details["rich_cells"], float(rho)])
         return out
 
     rows = [row for d in cfg.deltas for row in work(d)]
@@ -264,8 +262,8 @@ def _run_incidence(cfg: ExperimentConfig):
 
 def _maximal_rows(cfg: ExperimentConfig, operator: str):
     def work(delta):
-        _grid_guard(cfg, delta)
         sc = DyadicScale(delta.denominator.bit_length() - 1)
+        _grid_guard(cfg, delta, (4 << sc.k) ** 2)  # operator grids cover [-2, 2]^2
         th = DirectionSet.cantor(cfg.s, sc)
         # one operator pass per scale, reduced at every p as norm_ratio does
         if operator == "nikodym":
@@ -345,8 +343,8 @@ def _run_dualsum(cfg: ExperimentConfig):
     pprime = cfg.p_list[0] if cfg.p_list else 1 + 1 / cfg.s
 
     def work(delta):
-        _grid_guard(cfg, delta)
         sc = DyadicScale(delta.denominator.bit_length() - 1)
+        _grid_guard(cfg, delta, (4 << sc.k) ** 2)
         th = DirectionSet.cantor(cfg.s, sc)
         v = float(dual_sum_norm(aim_at_origin_assignment(th), pprime))
         return [delta, cfg.s, pprime, v]

@@ -15,6 +15,7 @@ slope is the left edge a of p, always a multiple of delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -247,25 +248,23 @@ class CellSet:
     def __init__(self, k: int, idx):
         arr = np.asarray(idx, dtype=np.int64).reshape(-1, 2)
         if len(arr):
-            arr = np.unique(arr, axis=0)
+            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+            arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
         self.k = k
         self.idx = arr
 
     def __len__(self):
         return len(self.idx)
 
-    def __contains__(self, cell) -> bool:
+    def index(self, cell) -> int:
+        """Row of cell in idx, or -1 when the cell is not in the set."""
         i, j = int(cell[0]), int(cell[1])
-        if not len(self.idx):
-            return False
-        # idx is sorted lexicographically by np.unique(axis=0)
-        lo = int(np.searchsorted(self.idx[:, 0], i, side="left"))
-        hi = int(np.searchsorted(self.idx[:, 0], i, side="right"))
-        if lo == hi:
-            return False
-        col = self.idx[lo:hi, 1]
-        p = int(np.searchsorted(col, j))
-        return p < len(col) and int(col[p]) == j
+        lo, hi = np.searchsorted(self.idx[:, 0], (i, i + 1))
+        p = int(lo + np.searchsorted(self.idx[lo:hi, 1], j))
+        return p if p < hi and self.idx[p, 1] == j else -1
+
+    def __contains__(self, cell) -> bool:
+        return self.index(cell) >= 0
 
     def squares(self) -> list[DyadicSquare]:
         return [DyadicSquare(self.k, int(i), int(j)) for i, j in self.idx]
@@ -298,6 +297,65 @@ def _tube_column_rows(tube: DyadicTube, kg: int, m: int) -> tuple[int, int]:
     lo_u = min(vals) + tb * (1 << kg)
     up_u = max(vals) + (tb + 1) * (1 << kg)
     return lo_u >> k, ceil_div(up_u, 1 << k)
+
+
+def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Row ranges [lo, hi) of the tubes DyadicTube(k, t[q], b[q]) (or one b
+    for all) over the grid columns cols at the tube scale: two
+    (len(t), len(cols)) int64 arrays.
+
+    The vectorised _tube_column_rows (its scalar oracle) at kg = k. The
+    offset only shifts rows, so the hull is computed once per distinct slope.
+    """
+    slopes, inv = np.unique(np.ravel(t).astype(np.int64), return_inverse=True)
+    a, m = slopes[:, None], np.asarray(cols, dtype=np.int64)[None, :]
+    vals = (a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1))
+    lo = np.minimum(np.minimum(vals[0], vals[1]), np.minimum(vals[2], vals[3])) >> k
+    up = np.maximum(np.maximum(vals[0], vals[1]), np.maximum(vals[2], vals[3]))
+    off = np.ravel(b).astype(np.int64)[:, None]
+    return lo[inv] + off, 1 - ((-up) >> k)[inv] + off
+
+
+_COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries and difference cells
+
+
+def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Exact tube multiplicities on the slab of columns [0, 2^k), int64.
+
+    grid[m, j - r0] counts the tubes DyadicTube(k, t[q], b[q]), repeats
+    included, whose raster (tube_rows) meets cell (m, j), for rows j in
+    [r0, r1) = rows; by default every row a tube reaches, r0 the lowest.
+    """
+    n = 1 << k
+    t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
+    if not t.size:
+        return np.zeros((n, rows[1] - rows[0] if rows else 0), dtype=np.int64)
+    # distinct tubes with their counts
+    b0 = int(b.min())
+    span = int(b.max()) - b0 + 1
+    keys, cnt = np.unique((t + n) * span + (b - b0), return_counts=True)
+    t, b = keys // span - n, keys % span + b0
+    if rows is None:
+        # the lower hull is concave and the upper convex along x, so each
+        # tube's extreme rows sit in the first or the last column
+        lo, hi = tube_rows(t, b, k, (0, n - 1))
+        rows = int(lo.min()), int(hi.max())
+    r0, r1 = rows
+    w = r1 - r0 + 1  # one spare row absorbs the exits at r1
+    grid = np.empty((n, w - 1), dtype=np.int64)
+    step = max(1, _COUNT_CHUNK // max(len(t), w))
+    for m0 in range(0, n, step):
+        cols = np.arange(m0, min(m0 + step, n))
+        lo, hi = tube_rows(t, b, k, cols)
+        # difference array of the column block: +count where a tube enters
+        # a column, -count where it leaves. A range outside the window is
+        # clipped to one row, where its count is added and removed.
+        base, size = (cols - m0) * w - r0, len(cols) * w
+        wts = np.repeat(cnt, len(cols))  # bincount sums these as exact doubles
+        diff = np.bincount((np.clip(lo, r0, r1) + base).ravel(), wts, size)
+        diff -= np.bincount((np.clip(hi, r0, r1) + base).ravel(), wts, size)
+        grid[m0 : m0 + len(cols)] = diff.reshape(len(cols), w).cumsum(axis=1)[:, :-1]
+    return grid
 
 
 def rasterize_tube(tube, grid: DyadicScale, box: Box = BOX_UNIT, weights: bool = False):
@@ -499,28 +557,21 @@ def covering_number(s, r, dim: int | None = None) -> CoveringCount:
     if not s:
         return CoveringCount(0, "empty")
     if dim is None:
-        first = s[0]
-        if isinstance(first, DyadicSquare):
-            dim = 2
-        elif isinstance(first, (tuple, list)) and len(first) == 2 and not isinstance(first[0], (tuple, list)):
-            # ambiguous: (lo, hi) interval vs (x, y) point; callers pass dim for points
-            dim = 1
-        else:
-            dim = 1
+        # a (lo, hi) interval and an (x, y) point look alike; callers pass dim for points
+        dim = 2 if isinstance(s[0], DyadicSquare) else 1
     if dim == 1:
         return CoveringCount(greedy_ball_cover_1d(s, r), "greedy-balls-1d")
     # dyadic proxy scale: smallest power of two >= r
     r = _frac(r)
     kp = 0
-    while Fraction(1, 1 << kp) < r:
+    while Fraction(2) ** -kp < r:
         kp -= 1
-    while Fraction(1, 1 << (kp + 1)) >= r:
+    while Fraction(2) ** -(kp + 1) >= r:
         kp += 1
+    step = Fraction(2) ** -kp
     cells = set()
     for item in s:
         if isinstance(item, DyadicSquare):
-            pts = [(item.x0, item.y0), (item.x1 - item.delta / 2, item.y1 - item.delta / 2)]
-            step = Fraction(1, 1 << kp) if kp >= 0 else Fraction(1 << (-kp))
             i0, i1 = (item.x0 / step).__floor__(), ((item.x1) / step).__floor__()
             j0, j1 = (item.y0 / step).__floor__(), ((item.y1) / step).__floor__()
             for ii in range(i0, i1 + 1):
@@ -529,7 +580,6 @@ def covering_number(s, r, dim: int | None = None) -> CoveringCount:
                         cells.add((ii, jj))
         else:
             x, y = _frac(item[0]), _frac(item[1])
-            step = Fraction(1, 1 << kp) if kp >= 0 else Fraction(1 << (-kp))
             cells.add(((x / step).__floor__(), (y / step).__floor__()))
     return CoveringCount(len(cells), f"dyadic-proxy(2^{-kp})")
 
@@ -541,7 +591,7 @@ def dyadic_cubes(a, scale: DyadicScale):
     CellSet), or an iterable of numbers / (lo, hi) intervals (1-d, returns
     the sorted cell indices).
     """
-    k = scale.k
+    k, n = scale.k, 1 << scale.k
     if isinstance(a, Box):
         c0, c1, r0, r1 = a.grid_range(k)
         idx = [(i, j) for i in range(c0, c1) for j in range(r0, r1)]
@@ -554,16 +604,8 @@ def dyadic_cubes(a, scale: DyadicScale):
         raise TypeError("unsupported input")
     if isinstance(first, (tuple, list)) and len(first) == 2:
         # ambiguous pairs: points if any coordinate differs in role; here treat as 2-d points
-        idx = set()
-        for x, y in a:
-            fx, fy = _frac(x) * (1 << k), _frac(y) * (1 << k)
-            idx.add((fx.__floor__(), fy.__floor__()))
-        return CellSet(k, sorted(idx))
-    out = set()
-    for item in a:
-        x = _frac(item) * (1 << k)
-        out.add(x.__floor__())
-    return sorted(out)
+        return CellSet(k, [(math.floor(_frac(x) * n), math.floor(_frac(y) * n)) for x, y in a])
+    return sorted({math.floor(_frac(item) * n) for item in a})
 
 
 # ---------------------------------------------------------------- serialization

@@ -104,7 +104,7 @@ class GcsDomain:
         return s * t + c
 
     def _piece_index(self, t: Fraction) -> int:
-        i = bisect.bisect_right([p.lo for p in self.pieces], t) - 1
+        i = bisect.bisect_right(self.pieces, t, key=lambda p: p.lo) - 1
         return max(0, min(i, len(self.pieces) - 1))
 
     def gamma(self, t) -> Fraction:

@@ -1,9 +1,8 @@
 """Rich points of tube families and incidence-bound measurements.
 
 A cell of the delta-grid in [0,1]^2 is r-rich for a family when at least r
-tubes rasterize onto it. Multiplicities are exact 64-bit counts accumulated
-column-wise (difference arrays along rows, summed once at the end), which
-reproduces per-tube rasterization cell for cell.
+tubes rasterize onto it. Multiplicities are exact 64-bit counts from
+core.tube_count_grid, which reproduces per-tube rasterization cell for cell.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from tubelab.core import (
     DyadicTube,
     OrdinaryTube,
     rasterize_tube,
+    tube_count_grid,
 )
 from tubelab.setgen import katz_tao_constant, regularity_constant
 
@@ -81,15 +81,8 @@ class RichPointSet:
         return len(self.cells)
 
     def multiplicity(self, cell) -> int:
-        i, j = int(cell[0]), int(cell[1])
-        idx = self.cells.idx
-        lo = int(np.searchsorted(idx[:, 0], i, side="left"))
-        hi = int(np.searchsorted(idx[:, 0], i, side="right"))
-        col = idx[lo:hi, 1]
-        p = int(np.searchsorted(col, j))
-        if p < len(col) and int(col[p]) == j:
-            return int(self.counts[lo + p])
-        return 0
+        p = self.cells.index(cell)
+        return int(self.counts[p]) if p >= 0 else 0
 
     def total_multiplicity(self) -> int:
         return int(self.counts.sum())
@@ -100,27 +93,14 @@ def _multiplicity_grid(family: TubeFamily) -> np.ndarray:
     k = family.scale.k
     n = 1 << k
     if all(isinstance(t, DyadicTube) for t in family.tubes):
-        diff = np.zeros(n * (n + 1), dtype=np.int64)
-        m = np.arange(n, dtype=np.int64)
-        base = m * (n + 1)
-        for t in family.tubes:
-            a, b = t.i, t.j
-            v1, v2, v3, v4 = a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1)
-            lo_u = np.minimum(np.minimum(v1, v2), np.minimum(v3, v4)) + (b << k)
-            up_u = np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) + ((b + 1) << k)
-            lo = np.clip(lo_u >> k, 0, n)
-            hi = np.clip(-((-up_u) >> k), 0, n)
-            sel = hi > lo
-            np.add.at(diff, base[sel] + lo[sel], 1)
-            np.add.at(diff, base[sel] + hi[sel], -1)
-        grid = diff.reshape(n, n + 1).cumsum(axis=1)[:, :n]
-        return grid
+        return tube_count_grid(
+            [t.i for t in family.tubes], [t.j for t in family.tubes], k, (0, n)
+        )
     # fallback for ordinary tubes: accumulate per-tube rasters
     grid = np.zeros((n, n), dtype=np.int64)
     for t in family.tubes:
         cs = rasterize_tube(t, family.scale, BOX_UNIT)
-        if len(cs):
-            grid[cs.idx[:, 0], cs.idx[:, 1]] += 1
+        grid[cs.idx[:, 0], cs.idx[:, 1]] += 1
     return grid
 
 
@@ -130,10 +110,8 @@ def rich_points(family: TubeFamily, r: int) -> RichPointSet:
         raise ValueError("threshold r must be >= 1")
     grid = _multiplicity_grid(family)
     mask = grid >= r
-    idx = np.argwhere(mask)
-    counts = grid[mask]
-    order = np.lexsort((idx[:, 1], idx[:, 0]))
-    return RichPointSet(r, CellSet(family.scale.k, idx[order]), counts[order])
+    # argwhere and the mask both list cells in row-major, i.e. CellSet, order
+    return RichPointSet(r, CellSet(family.scale.k, np.argwhere(mask)), grid[mask])
 
 
 class IncidenceRatio(float):
@@ -196,13 +174,9 @@ def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[IncidenceRa
     if not (0.5 <= s <= 1.0):
         raise ValueError("s must lie in [1/2, 1]")
     grid = _multiplicity_grid(family)
-    top = int(grid.max()) if grid.size else 0
     if rs is None:
-        rs = []
-        r = 1
-        while r <= max(top, 1):
-            rs.append(r)
-            r *= 2
+        top = int(grid.max()) if grid.size else 0
+        rs = [1 << e for e in range(max(top, 1).bit_length())]
     c_kt, c_reg = _family_constants(family, s)
     out = []
     for r in rs:

@@ -26,7 +26,8 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
-    rasterize_tube,
+    tube_count_grid,
+    tube_rows,
 )
 from tubelab.incidence import TubeFamily, cantor_slope_indices
 from tubelab.setgen import _delta_value, frostman_constant
@@ -373,7 +374,7 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
         if y_half <= 0:
             continue
         cand = BushCore(mid, d / 2, x_half, y_half)
-        if all(t.contains(x, y) for t in tubes.tubes for x, y in cand.vertices()):
+        if all(t.contains(x, y) for x, y in cand.vertices() for t in tubes.tubes):
             rect_ok = (w_half * s_up <= y_half) and (
                 (l_half + w_half * abs(mid)) * r_inv <= x_half
             )
@@ -382,15 +383,26 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
                 break
     if not candidates:
         raise RuntimeError("could not certify a bush core")
-    core, rect_ok = next(
-        ((c, ok) for c, ok in candidates if ok), candidates[0]
-    )
+    # the loop stops at the first certified rectangle
+    core, rect_ok = candidates[-1] if candidates[-1][1] else candidates[0]
 
-    parts = [rasterize_tube(t, scale, BOX_DEFAULT).idx for t in tubes.tubes]
-    union = CellSet(k, np.concatenate(parts))
+    # the window tubes' raster cells in the [-2, 2]^2 box. The tubes share
+    # offset 0, so in each column both ends of a row range are monotone in
+    # the slope: the sorted ends pair up, and starting each range at the
+    # previous end leaves disjoint runs, listed column by column in row order.
+    n = 1 << k
+    cols = np.arange(-2 * n, 2 * n)
+    lo, hi = tube_rows(win.indices, 0, k, cols)
+    lo = np.sort(np.clip(lo, -2 * n, 2 * n), axis=0).T
+    hi = np.sort(np.clip(hi, -2 * n, 2 * n), axis=0).T
+    lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
+    size = np.maximum(hi - lo, 0)
+    first = np.repeat(lo.ravel() - size.cumsum() + size.ravel(), size.ravel())
+    rows = np.arange(len(first)) + first
+    union = CellSet(k, np.stack([np.repeat(cols, size.sum(axis=1)), rows], axis=1))
     # cells from which a unit-length tube in any window direction covers
     # every column of the core
-    central = union.idx[np.abs(2 * union.idx[:, 0] + 1) <= (1 << k) // 2]
+    central = union.idx[np.abs(2 * union.idx[:, 0] + 1) <= n // 2]
     area = core.area()
     meta = {
         "window_slopes": win.slopes(),
@@ -444,31 +456,6 @@ def kakeya_norm(values: dict, theta: DirectionSet, p: float, mu_weights=None) ->
         mu_weights = {slope: w for slope in values}
     total = sum(values[a] ** p * mu_weights[a] for a in values)
     return total ** (1.0 / p)
-
-
-def _sum_indicator_grid(t: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Multiplicity grid over the slab x in [0,1), all rows, of the tubes
-    DyadicTube(k, t[q], b[q]), counted with repetition.
-
-    grid[ix, j - row0] is the number of tubes whose rasterization covers
-    cell (ix, j), for row0 the lowest row any tube reaches.
-    """
-    n = 1 << k
-    t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
-    b0 = int(b.min())
-    span = int(b.max()) - b0 + 1
-    keys, cnt = np.unique((t + n) * span + (b - b0), return_counts=True)
-    # one row per distinct tube, one column per grid column m
-    a, off = (keys // span - n)[:, None], (keys % span + b0)[:, None]
-    m = np.arange(n, dtype=np.int64)
-    v1, v2, v3, v4 = a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1)
-    lo = (np.minimum(np.minimum(v1, v2), np.minimum(v3, v4)) + (off << k)) >> k
-    hi = -((-(np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) + ((off + 1) << k))) >> k)
-    row0 = int(lo.min())
-    diff = np.zeros((n, int(hi.max()) - row0 + 1), dtype=np.int64)
-    # +count where each distinct tube enters a column, -count where it leaves
-    np.add.at(diff, (m, np.stack([lo, hi]) - row0), np.stack([cnt, -cnt])[:, :, None])
-    return diff.cumsum(axis=1)[:, :-1]
 
 
 def _grid_lp(grid: np.ndarray, pprime: float, delta: float) -> float:
@@ -554,7 +541,7 @@ def dual_sum_norm(assignment, pprime: float) -> MeasuredNorm:
     up = np.maximum(asg.t * u, (asg.t + 1) * u) + (asg.b + 1) * (2 << k)
     cy = u.T << k
     a_max = max(0, int((lo - cy).max()), int((cy - up).max()))
-    grid = _sum_indicator_grid(asg.t, asg.b, k)
+    grid = tube_count_grid(asg.t, asg.b, k)
     value = _grid_lp(grid, pprime, float(F(1, n)))
     return MeasuredNorm(
         value,
@@ -579,9 +566,7 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
     delta = float(family.scale.delta)
     s = 1.0 / (pprime - 1.0)
     p = 1.0 + s
-    grid = _sum_indicator_grid(
-        np.array([tb.i for tb in family.tubes]), np.array([tb.j for tb in family.tubes]), k
-    )
+    grid = tube_count_grid([tb.i for tb in family.tubes], [tb.j for tb in family.tubes], k)
     value = _grid_lp(grid, pprime, delta)
     c = float(frostman_constant(sorted(set(slopes)), s, family.scale))
     bound = c ** (1.0 / p) * delta ** (2.0 / pprime) * len(family)

@@ -259,6 +259,16 @@ class TestRun:
             "FAIL,dualsum,delta 1/64: grid needs 65536 cells > max_cells 20000\n"
         )
 
+    def test_incidence_grid_cap_failure_row(self, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = incidence\ndeltas = 1/32, 1/64\nr = 4\nmax_cells = 2000\n"
+        )
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "FAIL,incidence,delta 1/64: grid needs 4096 cells > max_cells 2000\n"
+        )
+
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         rc = main(["run", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert rc == 2

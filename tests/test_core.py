@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tubelab import core
 from tubelab.core import (
     Box,
     CellSet,
@@ -20,8 +22,11 @@ from tubelab.core import (
     greedy_ball_cover_1d,
     load_rationals,
     load_tubes,
+    _tube_column_rows,
     rasterize_tube,
+    tube_count_grid,
     tube_point_test,
+    tube_rows,
 )
 
 F = Fraction
@@ -198,12 +203,69 @@ class TestRasterize:
         assert abs(total - float(F(1, 8) * F(1, 2))) < 2e-4
 
 
+class TestTubeRowKernel:
+    """tube_rows and tube_count_grid against the scalar rule and per-tube rasters."""
+
+    @staticmethod
+    def _random_tubes(rng, k):
+        # slopes over all of [-2^k, 2^k) with both ends, offsets far outside
+        # the unit square, and a few repeated tubes
+        n = 1 << k
+        slopes = [-n, n - 1] + [rng.randrange(-n, n) for _ in range(rng.randrange(1, 24))]
+        tubes = [(t, rng.randrange(-4 * n, 4 * n)) for t in slopes]
+        return tubes + rng.choices(tubes, k=rng.randrange(1, 5))
+
+    def test_rows_match_scalar_rule(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            k = rng.randrange(1, 9)
+            n = 1 << k
+            tubes = self._random_tubes(rng, k)
+            cols = [rng.randrange(-3 * n, 3 * n) for _ in range(12)]
+            lo, hi = tube_rows([t for t, _ in tubes], [b for _, b in tubes], k, cols)
+            assert lo.shape == hi.shape == (len(tubes), len(cols))
+            for q, (t, b) in enumerate(tubes):
+                for c, m in enumerate(cols):
+                    assert (lo[q, c], hi[q, c]) == _tube_column_rows(DyadicTube(k, t, b), k, m)
+
+    # one column block, uneven blocks, one block per column
+    @pytest.mark.parametrize("chunk", [1 << 18, 1 << 9, 7])
+    def test_count_grid_matches_rasters(self, chunk, monkeypatch):
+        monkeypatch.setattr(core, "_COUNT_CHUNK", chunk)
+        rng = random.Random(chunk)
+        for _ in range(8):
+            k = rng.randrange(1, 9)
+            n = 1 << k
+            tubes = self._random_tubes(rng, k)
+            t, b = [t for t, _ in tubes], [b for _, b in tubes]
+            lo, hi = tube_rows(t, b, k, range(n))
+            for rows in ((0, n), None):
+                r0, r1 = rows or (int(lo.min()), int(hi.max()))
+                want = np.zeros((n, r1 - r0), dtype=np.int64)
+                box = Box.of(0, F(r0, n), 1, F(r1, n))
+                for q in range(len(tubes)):
+                    idx = rasterize_tube(DyadicTube(k, t[q], b[q]), DyadicScale(k), box).idx
+                    want[idx[:, 0], idx[:, 1] - r0] += 1
+                grid = tube_count_grid(t, b, k, rows)
+                assert grid.dtype == np.int64 and np.array_equal(grid, want)
+
+    def test_count_grid_without_tubes(self):
+        assert not tube_count_grid([], [], 3, (0, 8)).any()
+        assert tube_count_grid([], [], 3, (0, 8)).shape == (8, 8)
+
+
 class TestCellSet:
     def test_dedup_and_membership(self):
         cs = CellSet(3, [(0, 1), (2, -1), (0, 1)])
         assert len(cs) == 2
         assert (0, 1) in cs and (2, -1) in cs
         assert (1, 1) not in cs and (0, 2) not in cs
+
+    def test_index_is_row_of_sorted_cells(self):
+        cs = CellSet(3, [(2, -1), (0, 5), (0, 1), (-1, 7)])
+        assert cs.idx.tolist() == [[-1, 7], [0, 1], [0, 5], [2, -1]]
+        assert [cs.index(c) for c in cs.idx] == [0, 1, 2, 3]
+        assert cs.index((0, 2)) == cs.index((1, 1)) == CellSet(3, []).index((0, 0)) == -1
 
     def test_area(self):
         cs = CellSet(2, [(0, 0), (1, 0), (5, 5)])
@@ -260,6 +322,13 @@ class TestCovering:
         assert covering_number(pts, F(3, 10), dim=2) == 1
         # r = 1/4 -> proxy scale 1/4, cells 0 and 1 apart
         assert covering_number(pts, F(1, 4), dim=2) == 2
+
+    def test_two_dim_proxy_radius_above_one(self):
+        pts = [(F(0), F(0)), (F(3), F(0))]
+        # r = 2 -> proxy scale 2, cells 0 and 1 apart
+        count = covering_number(pts, 2, dim=2)
+        assert count == 2 and count.method == "dyadic-proxy(2^1)"
+        assert covering_number(pts, 3, dim=2) == 1
 
     def test_squares_counted_via_proxy(self):
         sq = [DyadicSquare(2, 0, 0), DyadicSquare(2, 3, 3)]

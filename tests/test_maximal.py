@@ -299,14 +299,33 @@ class TestBushConstruction:
         assert b.meta["c0_core"] >= 1 / 8
         assert b.meta["c0_union"] >= 1 / 4
 
-    def test_union_is_raster_union(self):
-        sc = DyadicScale(5)
-        th = DirectionSet.cantor(0.7, sc)
-        b = bush_construction(th, F(1, 4), F(1, 4))
+    @pytest.mark.parametrize(
+        "theta,omega,rho",
+        [
+            pytest.param(("cantor", 0.7, 5), F(1, 4), F(1, 4), id="cantor-k5"),
+            pytest.param(("cantor", S_LOG23, 7), F(1, 2), F(1, 2), id="cantor-k7"),
+            pytest.param(("cantor", 0.5, 8), F(1, 4), F(1, 8), id="cantor-k8"),
+            pytest.param(("arc", -1, 1, 6), F(0), F(1), id="arc-k6-full"),
+            pytest.param(("arc", -F(1, 2), F(3, 4), 7), -F(1, 4), F(1, 8), id="arc-k7"),
+            pytest.param(("arc", -1, 1, 4), F(-1), F(1, 16), id="arc-k4-steepest"),
+        ],
+    )
+    def test_union_is_raster_union(self, theta, omega, rho):
+        if theta[0] == "cantor":
+            sc = DyadicScale(theta[2])
+            th = DirectionSet.cantor(theta[1], sc)
+        else:
+            sc = DyadicScale(theta[3])
+            th = DirectionSet.net_of_arc(sc, theta[1], theta[2])
+        b = bush_construction(th, omega, rho)
         seen = set()
         for t in b.tubes.tubes:
             seen.update(map(tuple, rasterize_tube(t, sc, BOX_DEFAULT).idx))
         assert seen == set(map(tuple, b.union.idx))
+        n = 1 << sc.k
+        central = {c for c in seen if abs(2 * c[0] + 1) <= n // 2}
+        assert central == set(map(tuple, b.meta["central_cells"].idx))
+        assert b.meta["c0_union"] == float(len(seen) * sc.delta / len(b.tubes))
 
     def test_single_slope_window(self):
         sc = DyadicScale(6)
