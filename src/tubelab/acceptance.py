@@ -149,6 +149,30 @@ def _brute_katz_tao(xs, t, amax, dv):
     return best
 
 
+def _brute_ball_counts_planar(pts: np.ndarray, r: float, inv_delta: float) -> int:
+    """Max over centers in pts of the delta-cell count of pts ∩ B(x, r), one
+    center at a time over its x-window, in doubles (exact for dyadic points
+    with short numerators)."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    p = pts[order]
+    xs = p[:, 0]
+    cells = np.floor(p * inv_delta).astype(np.int64)
+    keys = (cells[:, 0] << 32) + (cells[:, 1] + (np.int64(1) << 30))
+    all_distinct = len(np.unique(keys)) == len(p)
+    best = 0
+    los = np.searchsorted(xs, xs - r, side="left")
+    his = np.searchsorted(xs, xs + r, side="right")
+    for i in range(len(p)):
+        lo, hi = los[i], his[i]
+        seg = p[lo:hi]
+        mask = (seg[:, 0] - p[i, 0]) ** 2 + (seg[:, 1] - p[i, 1]) ** 2 <= r * r
+        if all_distinct:
+            best = max(best, int(mask.sum()))
+        elif mask.any():
+            best = max(best, len(np.unique(keys[lo:hi][mask])))
+    return best
+
+
 def _brute_aim_assignment(theta: DirectionSet) -> dict:
     """Per-cell Fraction rule: each cell of [0,1)^2 takes the slope of theta
     nearest the slope of the line from the origin to its center, and the

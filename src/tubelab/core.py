@@ -319,17 +319,18 @@ def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
 _COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries and difference cells
 
 
-def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Exact tube multiplicities on the slab of columns [0, 2^k), int64.
+def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None):
+    """tube_count_grid one block of consecutive columns at a time.
 
-    grid[m, j - r0] counts the tubes DyadicTube(k, t[q], b[q]), repeats
-    included, whose raster (tube_rows) meets cell (m, j), for rows j in
-    [r0, r1) = rows; by default every row a tube reaches, r0 the lowest.
+    Yields (m0, block): block[m - m0, j - r0] is grid[m, j - r0] for the
+    columns m of the block, as an int64 array of at most about _COUNT_CHUNK
+    cells. Callers that reduce the grid never hold all of it.
     """
     n = 1 << k
     t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
     if not t.size:
-        return np.zeros((n, rows[1] - rows[0] if rows else 0), dtype=np.int64)
+        yield 0, np.zeros((n, rows[1] - rows[0] if rows else 0), dtype=np.int64)
+        return
     # distinct tubes with their counts
     b0 = int(b.min())
     span = int(b.max()) - b0 + 1
@@ -342,19 +343,39 @@ def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.nda
         rows = int(lo.min()), int(hi.max())
     r0, r1 = rows
     w = r1 - r0 + 1  # one spare row absorbs the exits at r1
-    grid = np.empty((n, w - 1), dtype=np.int64)
     step = max(1, _COUNT_CHUNK // max(len(t), w))
+    slopes, per_slope = np.unique(t, return_counts=True)  # t is sorted
     for m0 in range(0, n, step):
         cols = np.arange(m0, min(m0 + step, n))
-        lo, hi = tube_rows(t, b, k, cols)
         # difference array of the column block: +count where a tube enters
         # a column, -count where it leaves. A range outside the window is
         # clipped to one row, where its count is added and removed.
         base, size = (cols - m0) * w - r0, len(cols) * w
-        wts = np.repeat(cnt, len(cols))  # bincount sums these as exact doubles
-        diff = np.bincount((np.clip(lo, r0, r1) + base).ravel(), wts, size)
-        diff -= np.bincount((np.clip(hi, r0, r1) + base).ravel(), wts, size)
-        grid[m0 : m0 + len(cols)] = diff.reshape(len(cols), w).cumsum(axis=1)[:, :-1]
+        lo, hi = (np.repeat(e, per_slope, axis=0) for e in tube_rows(slopes, 0, k, cols))
+        for e in (lo, hi):  # in place: shift by the offset, clip, index the block
+            e += b[:, None]
+            np.clip(e, r0, r1, out=e)
+            e += base
+        # without weights bincount counts in int64; weighted, it sums the
+        # tube counts as exact doubles, which the int64 prefix sum casts
+        wts = None if cnt.max() == 1 else np.repeat(cnt, len(cols))
+        diff = np.bincount(lo.ravel(), wts, size)
+        diff -= np.bincount(hi.ravel(), wts, size)
+        yield m0, diff.reshape(len(cols), w).cumsum(axis=1, dtype=np.int64)[:, :-1]
+
+
+def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Exact tube multiplicities on the slab of columns [0, 2^k), int64.
+
+    grid[m, j - r0] counts the tubes DyadicTube(k, t[q], b[q]), repeats
+    included, whose raster (tube_rows) meets cell (m, j), for rows j in
+    [r0, r1) = rows; by default every row a tube reaches, r0 the lowest.
+    """
+    grid = None
+    for m0, block in tube_count_blocks(t, b, k, rows):
+        if grid is None:
+            grid = np.empty((1 << k, block.shape[1]), dtype=np.int64)
+        grid[m0 : m0 + len(block)] = block
     return grid
 
 

@@ -22,6 +22,7 @@ from tubelab.core import (
     DyadicTube,
     OrdinaryTube,
     rasterize_tube,
+    tube_count_blocks,
     tube_count_grid,
 )
 from tubelab.setgen import katz_tao_constant, regularity_constant
@@ -125,9 +126,33 @@ class IncidenceRatio(float):
         return obj
 
 
+def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
+    """hist[c] = number of cells of [0,1)^2 with exactly c tubes.
+
+    The same counts as _multiplicity_grid, reduced one column block at a
+    time, so the 4^k grid is never held. hist[-1] is the top multiplicity.
+    """
+    k, tubes = family.scale.k, family.tubes
+    hist = np.zeros(len(tubes) + 1, dtype=np.int64)  # no cell meets more tubes
+    for _, block in tube_count_blocks([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k)):
+        hist += np.bincount(block.ravel(), minlength=len(hist))
+    return hist[: np.flatnonzero(hist)[-1] + 1]
+
+
+def _check_ratio_args(family: TubeFamily, s: float) -> None:
+    if not (0.5 <= s <= 1.0):
+        raise ValueError("s must lie in [1/2, 1]")
+    if not all(isinstance(t, DyadicTube) for t in family.tubes):
+        raise ValueError("incidence ratios need a family of dyadic tubes only")
+
+
 def _family_constants(family: TubeFamily, s: float) -> tuple[float, float]:
-    c_kt = float(katz_tao_constant(family.dual_points(), 1.0, family.scale))
-    c_reg = float(regularity_constant(family.slope_set(), s, family.scale))
+    # the dual points and slopes i / 2^k, j / 2^k as doubles: exact, and
+    # without a Fraction per tube
+    n = 1 << family.scale.k
+    pts = [(t.i / n, t.j / n) for t in family.tubes]
+    c_kt = float(katz_tao_constant(pts, 1.0, family.scale))
+    c_reg = float(regularity_constant(sorted({x for x, _ in pts}), s, family.scale))
     return c_kt, c_reg
 
 
@@ -154,37 +179,32 @@ def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> IncidenceRat
     C_reg the regularity constant of the slope set at exponent s. The
     incidence bound predicts rho = O(delta^-eps) for admissible families;
     r beyond the family size gives rho = 0 (no cell can be that rich).
+    The family must consist of dyadic tubes.
     """
-    if not (0.5 <= s <= 1.0):
-        raise ValueError("s must lie in [1/2, 1]")
+    _check_ratio_args(family, s)
     if r < 1:
         raise ValueError("threshold r must be >= 1")
     c_kt, c_reg = _family_constants(family, s)
-    rich = int((_multiplicity_grid(family) >= r).sum())
+    rich = int(_multiplicity_histogram(family)[r:].sum())
     return _rho(family, s, r, rich, c_kt, c_reg)
 
 
 def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[IncidenceRatio]:
-    """verify_incidence_bound swept over thresholds with shared setup.
+    """verify_incidence_bound at each threshold r in rs, one ratio per r.
 
-    Default thresholds are the powers of two up to the maximum cell
-    multiplicity. The multiplicity grid and the two constants are computed
-    once, so a sweep costs little more than a single verification.
+    By default rs is every power of two up to the top cell multiplicity
+    (just r = 1 when no cell is covered). The multiplicity histogram and
+    the two constants are computed once for the whole sweep.
     """
-    if not (0.5 <= s <= 1.0):
-        raise ValueError("s must lie in [1/2, 1]")
-    grid = _multiplicity_grid(family)
-    if rs is None:
-        top = int(grid.max()) if grid.size else 0
-        rs = [1 << e for e in range(max(top, 1).bit_length())]
+    _check_ratio_args(family, s)
     c_kt, c_reg = _family_constants(family, s)
-    out = []
-    for r in rs:
-        if r < 1:
-            raise ValueError("threshold r must be >= 1")
-        rich = int((grid >= r).sum())
-        out.append(_rho(family, s, int(r), rich, c_kt, c_reg))
-    return out
+    hist = _multiplicity_histogram(family)
+    if rs is None:
+        rs = [1 << e for e in range(max(len(hist) - 1, 1).bit_length())]
+    rs = [int(r) for r in rs]
+    if any(r < 1 for r in rs):
+        raise ValueError("threshold r must be >= 1")
+    return [_rho(family, s, r, int(hist[r:].sum()), c_kt, c_reg) for r in rs]
 
 
 @dataclass(frozen=True)

@@ -453,41 +453,108 @@ def regularity_constant(e, s: float, delta) -> ProfileValue:
     return ProfileValue(best, _PROFILE_NOTE)
 
 
-def _planar_cell_keys(pts: np.ndarray, inv_delta: float) -> np.ndarray:
-    cells = np.floor(pts * inv_delta).astype(np.int64)
-    return (cells[:, 0] << 32) + (cells[:, 1] + (np.int64(1) << 30))
+_PAIR_CHUNK = 1 << 19  # bound on the (center, column) pairs of one center block
 
 
-def _planar_cell_count(pts: np.ndarray, mask: np.ndarray, inv_delta: float) -> int:
-    if not mask.any():
-        return 0
-    return len(np.unique(_planar_cell_keys(pts[mask], inv_delta)))
+def _blocks(weights: np.ndarray, cap: int):
+    """Consecutive index ranges [i0, i1) whose weights sum to at most cap
+    (or one index whose weight alone exceeds it)."""
+    cum = np.cumsum(weights)
+    i0 = 0
+    while i0 < len(cum):
+        done = int(cum[i0 - 1]) if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(cum, done + cap, side="right")))
+        yield i0, i1
+        i0 = i1
 
 
-def _ball_counts_planar(pts: np.ndarray, r: float, inv_delta: float) -> int:
-    """Max over centers in P of the delta-cell count of P ∩ B(x, r).
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(v)) for int64 v in [0, 2^60]: the double root is off
+    by at most one."""
+    h = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    h -= h * h > v
+    h += (h + 1) * (h + 1) <= v
+    return h
 
-    Points are pre-sorted by x so each center only examines its x-window;
-    when all points occupy distinct cells the count is a plain mask sum.
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges [lo[q], hi[q])."""
+    size = hi - lo
+    return np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
+
+
+def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Distinct points of p as int64 numerators X, Y over 2^K, sorted by
+    (X, Y), with delta = 2^-k and K = max(k, finest denominator exponent)."""
+    k = _scale_floor_exponent(delta)
+    d = delta.delta if isinstance(delta, DyadicScale) else F(delta)
+    exact = (F, int, float)  # the types with an exact as_integer_ratio
+    coords = [(c if isinstance(c, exact) else F(c)).as_integer_ratio() for pt in p for c in pt]
+    K = max(k, max(den.bit_length() - 1 for _, den in coords))
+    if d != F(1, 1 << k) or any(den & (den - 1) for _, den in coords):
+        raise ValueError("planar estimators need a dyadic delta and dyadic points")
+    nums = [num << (K + 1 - den.bit_length()) for num, den in coords]
+    if K > 30 or max(map(abs, nums)) >> 60:
+        raise ValueError("planar points need a lattice 2^-K, K <= 30, and |x|, |y| < 2^(60-K)")
+    xy = np.asarray(nums, dtype=np.int64).reshape(-1, 2)
+    xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+    xy = xy[np.r_[True, (xy[1:] != xy[:-1]).any(axis=1)]]
+    return xy[:, 0], xy[:, 1], K, k
+
+
+def _planar_ball_counts(X: np.ndarray, Y: np.ndarray, K: int, k: int) -> tuple[list[int], int]:
+    """For a = 0..k, the max over centers c in P of the delta-cell count of
+    P ∩ B(c, 2^-a), and the delta-cell count of P.
+
+    P is the distinct points (X, Y) / 2^K sorted by (X, Y), delta = 2^-k. The
+    points of one abscissa form a column, sorted by Y; a center meets each
+    column within R = 2^(K-a) of it in the Y-run [Yc - H, Yc + H] with
+    H = isqrt(R^2 - dX^2), read off one sorted table of (column, Y) keys.
     """
-    order = np.argsort(pts[:, 0], kind="stable")
-    p = pts[order]
-    xs = p[:, 0]
-    keys = _planar_cell_keys(p, inv_delta)
-    all_distinct = len(np.unique(keys)) == len(p)
-    r2 = r * r
-    best = 0
-    los = np.searchsorted(xs, xs - r, side="left")
-    his = np.searchsorted(xs, xs + r, side="right")
-    for i in range(len(p)):
-        lo, hi = los[i], his[i]
-        seg = p[lo:hi]
-        mask = (seg[:, 0] - p[i, 0]) ** 2 + (seg[:, 1] - p[i, 1]) ** 2 <= r2
-        if all_distinct:
-            best = max(best, int(mask.sum()))
-        elif mask.any():
-            best = max(best, len(np.unique(keys[lo:hi][mask])))
-    return best
+    cols, size = np.unique(X, return_counts=True)
+    y0 = int(Y.min())
+    width = int(Y.max()) - y0 + 1
+    if len(cols) * width >> 62:
+        raise ValueError("planar points span too many lattice rows for int64 keys")
+    col = np.repeat(np.arange(len(cols)), size)
+    table = col * width + (Y - y0)  # ascending, as P is sorted by (X, Y)
+    # delta-cells, keyed like the table: the rank of X >> sh (at most the
+    # column) times width, plus Y >> sh less its least value (below width)
+    sh = K - k
+    cy = Y >> sh
+    cx = np.unique(X >> sh, return_inverse=True)[1]
+    cells, cell = np.unique(cx * width + (cy - cy.min()), return_inverse=True)
+    distinct = len(cells) == len(X)
+    out = []
+    for a in range(k + 1):
+        R = 1 << (K - a)
+        lo = np.searchsorted(cols, X - R, side="left")
+        npairs = np.searchsorted(cols, X + R, side="right") - lo
+        best = 0
+        for c0, c1 in _blocks(npairs, _PAIR_CHUNK):
+            per = npairs[c0:c1]
+            start = np.cumsum(per) - per  # each center's first pair in the block
+            owner = np.repeat(np.arange(c0, c1), per)
+            cidx = np.arange(len(owner)) - np.repeat(start - lo[c0:c1], per)
+            dx = cols[cidx] - X[owner]
+            h = _isqrt(R * R - dx * dx)
+            yc, base = Y[owner] - y0, cidx * width
+            s = np.searchsorted(table, base + np.maximum(yc - h, 0), side="left")
+            e = np.searchsorted(table, base + np.minimum(yc + h, width - 1), side="right")
+            hits = np.add.reduceat(e - s, start)  # points in each center's ball
+            if distinct:
+                best = max(best, int(hits.max()))
+                continue
+            # cells shared by several points: count distinct cells per
+            # center over its matched runs, a sub-block of centers at a time
+            bounds = np.append(start, len(owner))
+            for u0, u1 in _blocks(hits, _PAIR_CHUNK):
+                q = slice(bounds[u0], bounds[u1])
+                idx = _ranges(s[q], e[q])
+                keys = np.repeat(owner[q] - c0, e[q] - s[q]) * len(cells) + cell[idx]
+                best = max(best, int(np.bincount(np.unique(keys) // len(cells)).max()))
+        out.append(best)
+    return out, len(cells)
 
 
 def _is_planar(p) -> bool:
@@ -513,13 +580,9 @@ def _ball_ratio_constant(p, delta, ratio) -> ProfileValue:
     dv = _delta_value(delta)
     best = 0.0
     if _is_planar(p):
-        pts = np.asarray([[float(a), float(b)] for a, b in p], dtype=np.float64)
-        inv = 1.0 / dv
-        tot = _planar_cell_count(pts, np.ones(len(pts), dtype=bool), inv)
-        for a in range(0, amax + 1):
-            r = 2.0 ** -a
-            count = _ball_counts_planar(pts, r, inv)
-            best = max(best, ratio(count, r, dv, tot))
+        counts, tot = _planar_ball_counts(*_planar_lattice(p, delta))
+        for a, count in enumerate(counts):
+            best = max(best, ratio(count, 2.0 ** -a, dv, tot))
         return ProfileValue(best, "planar dyadic-cell counts at scale delta")
     xs = _sorted_floats(p)
     counter = BallCounter1D(xs, dv)

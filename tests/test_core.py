@@ -141,15 +141,34 @@ class TestRasterize:
         return hits
 
     def test_no_false_negatives_dyadic(self):
-        rng = random.Random(99)
+        # _sample_hits's per_side^2 points per cell, decided in integers over
+        # the common denominator d2 * 2^k, d2 = 2 per_side 2^kg: the point
+        # (m + (2u+1)/(2 per_side)) / 2^kg is X / d2 with X = 2 per_side m + 2u + 1
+        rng, pick = random.Random(99), random.Random(7)
         box = Box.of(-1, -2, 1, 2)
+        per_side = 6
+        u = 2 * np.arange(per_side) + 1
         for _ in range(12):
             k = rng.randrange(1, 4)
             t = DyadicTube(k, rng.randrange(-(1 << k), 1 << k), rng.randrange(-3, 3))
             kg = k + rng.randrange(0, 2)
             raster = rasterize_tube(t, DyadicScale(kg), box)
-            hits = self._sample_hits(t, kg, box)
-            missing = hits - {tuple(c) for c in raster.idx}
+            c0, c1, r0, r1 = box.grid_range(kg)
+            d2 = 2 * per_side << kg
+            X = (2 * per_side * np.arange(c0, c1))[:, None, None, None] + u[:, None, None]
+            Y = (2 * per_side * np.arange(r0, r1))[:, None] + u
+            # in units of 1/(d2 2^k): slope*x = iX, offset = j d2, delta = d2
+            lo = np.minimum(t.i * X, (t.i + 1) * X) + t.j * d2
+            up = np.maximum(t.i * X, (t.i + 1) * X) + (t.j + 1) * d2
+            y = Y << k
+            inside = ((y > lo) | ((y == lo) & (X >= 0))) & (y < up)  # (col, u, row, v)
+            for _ in range(200):
+                m, a, j, b = (pick.randrange(n) for n in inside.shape)
+                x_pt, y_pt = F(int(X[m, a, 0, 0]), d2), F(int(Y[j, b]), d2)
+                assert bool(inside[m, a, j, b]) == t.contains(x_pt, y_pt)
+            cols, rows = np.nonzero(inside.any(axis=(1, 3)))
+            hits = set(zip((cols + c0).tolist(), (rows + r0).tolist()))
+            missing = hits - {tuple(c) for c in raster.idx.tolist()}
             assert not missing
 
     def test_raster_cells_touch_tube_hull(self):

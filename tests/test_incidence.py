@@ -7,7 +7,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubelab import core, incidence
 from tubelab.acceptance import _brute_cell_counts
 from tubelab.core import (
     BOX_UNIT,
@@ -16,11 +19,13 @@ from tubelab.core import (
     DyadicTube,
     OrdinaryTube,
     rasterize_tube,
+    tube_count_grid,
 )
 from tubelab.incidence import (
     IncidenceRatio,
     RichPointSet,
     TubeFamily,
+    _multiplicity_histogram,
     _offset_range,
     cantor_slope_family,
     incidence_profile,
@@ -233,6 +238,51 @@ class TestVerifyIncidenceBound:
         assert [v.details["r"] for v in prof] == [1, 3]
         with pytest.raises(ValueError, match="r must be"):
             incidence_profile(fam, 1.0, rs=[0])
+
+    def test_ordinary_tubes_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("multiplicities computed for a rejected family")
+
+        monkeypatch.setattr(incidence, "tube_count_blocks", no_work)
+        monkeypatch.setattr(incidence, "katz_tao_constant", no_work)
+        fam = TubeFamily(
+            DyadicScale(4), (DyadicTube(4, 1, 0), OrdinaryTube(F(1, 3), F(1, 2), F(1, 2), F(1, 8)))
+        )
+        with pytest.raises(ValueError, match="dyadic tubes"):
+            verify_incidence_bound(fam, 0.5, 1)
+        with pytest.raises(ValueError, match="dyadic tubes"):
+            incidence_profile(fam, 0.5)
+
+
+@st.composite
+def _families_with_repeats(draw):
+    """Random dyadic families at k = 1..6, offsets reaching past the unit
+    square, with repeated tubes so that merged tube counts exceed one."""
+    k = draw(st.integers(1, 6))
+    n = 1 << k
+    tube = st.builds(DyadicTube, st.just(k), st.integers(-n, n - 1), st.integers(-2 * n, 2 * n))
+    tubes = draw(st.lists(tube, min_size=1, max_size=40))
+    return TubeFamily.of(tubes + draw(st.lists(st.sampled_from(tubes), max_size=8)))
+
+
+class TestMultiplicityHistogram:
+    """Thresholds read off the streamed histogram against the dense grid."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_families_with_repeats(), st.sampled_from([7, 300, 1 << 19]))
+    def test_thresholds_match_dense_grid(self, fam, chunk):
+        k = fam.scale.k
+        grid = tube_count_grid([t.i for t in fam.tubes], [t.j for t in fam.tubes], k, (0, 1 << k))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_CHUNK", chunk)  # column-block boundaries
+            hist = _multiplicity_histogram(fam)
+        assert len(hist) - 1 == grid.max()
+        for r in range(1, int(grid.max()) + 2):
+            assert hist[r:].sum() == (grid >= r).sum()
+        prof = incidence_profile(fam, 1.0, rs=range(1, int(grid.max()) + 2))
+        assert [v.details["rich_cells"] for v in prof] == [
+            int((grid >= r).sum()) for r in range(1, int(grid.max()) + 2)
+        ]
 
 
 class TestSharpExample:

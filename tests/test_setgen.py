@@ -4,9 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubelab import setgen
 from tubelab.acceptance import (
+    _brute_ball_counts_planar,
     _brute_frostman,
     _brute_katz_tao,
     _brute_regularity,
@@ -378,6 +383,78 @@ class TestKatzTaoFrostman:
         flat = katz_tao_constant(xs, 1.0, DyadicScale(4))
         planar = katz_tao_constant([(x, F(0)) for x in xs], 1.0, DyadicScale(4))
         assert flat == pytest.approx(planar)
+
+
+@st.composite
+def _planar_sets(draw):
+    """(k, points): dyadic points over 2^-K, K >= k, in a box of half-width
+    1, 2 or 4, or of one or three delta-cells, negative coordinates and
+    repeated points included; K > k puts several points in one delta-cell."""
+    k = draw(st.integers(0, 6))
+    K = k + draw(st.integers(0, 3))
+    span = draw(st.sampled_from([1 << (K - k), 3 << (K - k), 1 << K, 2 << K, 4 << K]))
+    coord = st.integers(-span, span).map(lambda v: F(v, 1 << K))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    return k, pts + draw(st.lists(st.sampled_from(pts), max_size=4))
+
+
+def _brute_planar(k, pts):
+    """Per-radius ball counts (a = 0..k) and the delta-cell count, from the
+    per-center oracle in doubles (exact for these short numerators)."""
+    arr = np.asarray([[float(x), float(y)] for x, y in pts])
+    counts = [_brute_ball_counts_planar(arr, 2.0**-a, float(1 << k)) for a in range(k + 1)]
+    cells = {(math.floor(x * (1 << k)), math.floor(y * (1 << k))) for x, y in pts}
+    return counts, len(cells)
+
+
+class TestPlanarLattice:
+    """The integer-lattice planar ball counts against the per-center oracle."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_planar_sets(), st.sampled_from([1, 3, 64, 1 << 19]))
+    def test_counts_match_oracle_at_every_radius(self, case, chunk):
+        k, pts = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setgen, "_PAIR_CHUNK", chunk)  # block boundaries
+            got = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(k)))
+        assert got == _brute_planar(k, pts)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_planar_sets(), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_constants_match_oracle(self, case, t):
+        k, pts = case
+        counts, tot = _brute_planar(k, pts)
+        dv = 2.0**-k
+        kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
+        fr = max(c / ((2.0**-a) ** (t / 2) * tot) for a, c in enumerate(counts))
+        for delta in (DyadicScale(k), F(1, 1 << k), dv):
+            assert float(katz_tao_constant(pts, t, delta)) == kt
+            assert float(frostman_constant(pts, t / 2, delta)) == fr
+
+    def test_isqrt_exact_near_squares(self):
+        rng = random.Random(60)
+        roots = [0, 1, 2, 3, (1 << 30) - 1, 1 << 30] + [rng.randrange(1 << 30) for _ in range(2000)]
+        v = np.array([m * m + d for m in roots for d in (-1, 0, 1) if 0 <= m * m + d <= 1 << 60])
+        assert setgen._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
+
+    def test_single_point(self):
+        for k in range(4):
+            lattice = setgen._planar_lattice([(F(-3, 8), F(5, 4))], DyadicScale(k))
+            assert setgen._planar_ball_counts(*lattice) == ([1] * (k + 1), 1)
+
+    def test_non_dyadic_input_rejected(self):
+        pts = [(F(1, 4), F(0)), (F(1, 2), F(1, 2))]
+        for bad_pts, delta in (
+            (pts + [(F(1, 3), F(0))], DyadicScale(3)),
+            (pts, F(1, 3)),
+            (pts, 0.3),
+        ):
+            with pytest.raises(ValueError, match="dyadic"):
+                katz_tao_constant(bad_pts, 1.0, delta)
+            with pytest.raises(ValueError, match="dyadic"):
+                frostman_constant(bad_pts, 0.5, delta)
+        with pytest.raises(ValueError, match="lattice"):
+            katz_tao_constant(pts + [(F(1, 1 << 31), F(0))], 1.0, DyadicScale(3))
 
 
 class TestSumMultiplicity:
