@@ -300,7 +300,7 @@ def _run_dims(cfg: ExperimentConfig):
     samples = []
     for K in range(1, ms.K + 1):
         scale = ms.length(K)
-        prof = float(qa_profile(ms.endpoints(K), cfg.gamma, scale)) if K >= 2 else 0.0
+        prof = float(qa_profile(ms.endpoint_values(K), cfg.gamma, scale)) if K >= 2 else 0.0
         rows.append([str(scale), K, ms.interval_count(K), box_dim_ratio(ms, 1, K), prof, cfg.gamma])
         samples.append((scale, ms.interval_count(K)))
     plots = {"dims": (samples, "surviving intervals per generation", "log2(count)")}

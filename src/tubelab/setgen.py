@@ -138,6 +138,7 @@ def _offsets_fn(offsets) -> Callable[[int], tuple]:
 # bound: every numerator of a point of [-1/2, 1/2], and every gap-endpoint
 # sum, is then at most the denominator in magnitude. Past it, Python ints.
 _INT64_DEN_LIMIT = 1 << 62
+_FLOAT_EXACT = 1 << 53  # integers below it are exact doubles
 
 
 class _Level(NamedTuple):
@@ -152,6 +153,14 @@ class _Level(NamedTuple):
 
 def _fractions(nums: np.ndarray, den: int) -> list[Fraction]:
     return [F(v, den) for v in nums.tolist()]
+
+
+def _endpoint_nums(lev: _Level) -> np.ndarray:
+    # siblings are strictly separated, so interleaving is strictly increasing
+    ends = np.empty(2 * len(lev.lefts), dtype=lev.lefts.dtype)
+    ends[0::2] = lev.lefts
+    ends[1::2] = lev.lefts + lev.length
+    return ends
 
 
 class MoranSet:
@@ -187,11 +196,16 @@ class MoranSet:
     def endpoints(self, k: int) -> list[Fraction]:
         """Sorted endpoints of the generation-k intervals."""
         lev = self._level(k)
-        # siblings are strictly separated, so interleaving is strictly increasing
-        ends = np.empty(2 * len(lev.lefts), dtype=lev.lefts.dtype)
-        ends[0::2] = lev.lefts
-        ends[1::2] = lev.lefts + lev.length
-        return _fractions(ends, lev.den)
+        return _fractions(_endpoint_nums(lev), lev.den)
+
+    def endpoint_values(self, k: int) -> np.ndarray:
+        """endpoints(k) as float64, each the double nearest the exact value."""
+        lev = self._level(k)
+        ends = _endpoint_nums(lev)
+        if lev.den < _FLOAT_EXACT:
+            # numerators and den convert exactly, and one division rounds once
+            return ends / lev.den
+        return np.array([v / lev.den for v in ends.tolist()], dtype=np.float64)
 
     def removed_intervals(self, k: int) -> list[tuple[Fraction, Fraction]]:
         lev = self._level(k)
@@ -306,6 +320,8 @@ def box_dim_ratio(m: MoranSet, k_lo: int, K: int) -> float:
 
 
 def _sorted_floats(points) -> np.ndarray:
+    if isinstance(points, np.ndarray):
+        return np.sort(points.astype(np.float64))
     arr = np.asarray([float(p) for p in points], dtype=np.float64)
     arr.sort()
     return arr
@@ -668,6 +684,26 @@ def _index_multisets(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(cols), np.array(weights, dtype=np.int64)
 
 
+def _slot_sum_depth(ts: np.ndarray, m: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The multiset sums of a slot pattern, its exact sum multiplicity g, and
+    the sorted attained starts s0 whose window [s0, s0+m] holds g tuples.
+
+    The sums are in the column order of _index_multisets.
+    """
+    cols, weights = _index_multisets(len(ts), m)
+    sums = ts[cols].sum(axis=0)
+    # sort the sums with their weights (at most m!) packed below them
+    pack = math.factorial(m) + 1
+    key = np.sort(sums * pack + weights)
+    ordered = key // pack
+    wts = key - ordered * pack
+    cum = np.cumsum(wts)
+    end = np.searchsorted(ordered, ordered + m, side="right")
+    depth = cum[end - 1] - cum + wts  # a repeated sum reads its full window at its first copy
+    g = int(depth.max())
+    return sums, g, ordered[depth == g]
+
+
 def _slot_sum_multiplicity(slots: Sequence[int], m: int) -> int:
     """sum_multiplicity for slot-aligned unit intervals [t, t+1], exact.
 
@@ -676,16 +712,48 @@ def _slot_sum_multiplicity(slots: Sequence[int], m: int) -> int:
     in a window [s0, s0+m] that starts at an attained sum s0. Tuples are
     counted through multisets of slot indices, weighted by their orderings.
     """
+    return _slot_sum_depth(np.asarray(slots, dtype=np.int64), m)[1]
+
+
+_STEPS = (-2, -1, 1, 2)  # single-slot moves of the family search
+
+
+def _slot_move_bounds(slots: Sequence[int], m: int) -> np.ndarray:
+    """Lower bounds on the sum multiplicity after each single-slot move.
+
+    Entry [i, j] bounds the g of the pattern with slot i moved by _STEPS[j].
+    The move shifts the sum of each multiset holding slot i mu times by
+    step * mu, at most 2m, and leaves every other sum in place. In each
+    deepest window of the current pattern the moved pattern then counts
+    g - lost + gained tuples; the max of that over the deepest windows is at
+    most the moved g, which is the max over every integer window start. Only
+    multisets whose sums lie within 2m of a deepest window can be lost or
+    gained there.
+    """
     ts = np.asarray(slots, dtype=np.int64)
     cols, weights = _index_multisets(len(ts), m)
-    # sort the sums with their weights (at most m!) packed below them
-    pack = math.factorial(m) + 1
-    key = np.sort(ts[cols].sum(axis=0) * pack + weights)
-    sums = key // pack
-    weights = key - sums * pack
-    cum = np.cumsum(weights)
-    end = np.searchsorted(sums, sums + m, side="right")
-    return int((cum[end - 1] - cum + weights).max())
+    sums, g, deep = _slot_sum_depth(ts, m)
+    order = np.argsort(sums)
+    ordered = sums[order]
+    lo = np.searchsorted(ordered, deep - 2 * m)
+    hi = np.searchsorted(ordered, deep + 3 * m, side="right")
+    near = order[_ranges(lo, hi)]  # (multiset, deepest window) pairs, window by window
+    win = np.repeat(np.arange(len(deep)), hi - lo)
+    # one entry per distinct slot of each multiset; rows are sorted, so repeats are adjacent
+    sub = cols[:, near]
+    first = np.ones(sub.shape, dtype=bool)
+    first[1:] = sub[1:] != sub[:-1]
+    mu = (sub[:, None, :] == sub[None, :, :]).sum(axis=1)[first]
+    win = np.broadcast_to(win, sub.shape)[first]
+    at = sums[np.broadcast_to(near, sub.shape)[first]] - deep[win]  # sum - s0
+    w = np.broadcast_to(weights[near], sub.shape)[first]
+    moved = at[:, None] + np.outer(mu, _STEPS)
+    change = ((moved >= 0) & (moved <= m)).astype(np.int64) - ((at >= 0) & (at <= m))[:, None]
+    cell = (sub[first][:, None] * len(_STEPS) + np.arange(len(_STEPS))) * len(deep) + win[:, None]
+    size = len(ts) * len(_STEPS) * len(deep)
+    table = np.bincount(cell.ravel(), weights=(w[:, None] * change).ravel(), minlength=size)
+    # the per-window sums are integers far below 2^53, so the float table is exact
+    return g + table.reshape(len(ts), len(_STEPS), len(deep)).max(axis=2).astype(np.int64)
 
 
 def moran_sum_multiplicity_bound(m: MoranSet, mfold: int, K: int) -> int:
@@ -718,6 +786,13 @@ def search_interval_family(n: int, m: int, budget: int = 4000, seed: int = 0) ->
     restarts; for small N the interior slots are enumerated exhaustively.
     The achieved multiplicity is certified by exact evaluation and stored in
     meta["g"]; more budget never worsens it.
+
+    Each restart hill-climbs by single-slot moves, and every valid trial
+    counts against the budget. A trial runs the exact kernel only when the
+    exact lower bound of _slot_move_bounds lies below the current g: a trial
+    whose g is at least the current g is neither accepted nor better than
+    the best pattern so far (which is at most the current g), so skipping it
+    leaves the walk, the chosen slots and meta unchanged.
     """
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
@@ -776,20 +851,24 @@ def search_interval_family(n: int, m: int, budget: int = 4000, seed: int = 0) ->
             interior = sorted(rng.sample(range(1, last), n - 2))
             cur = _repair_slots([0, *interior, last], n, gap, last)
             cur_g = evaluate(cur)
+            bounds = _slot_move_bounds(cur, m).tolist()
             improved = True
             while improved and evals < budget:
                 improved = False
                 for idx in range(1, n - 1):
-                    for step in (-2, -1, 1, 2):
-                        trial = list(cur)
-                        trial[idx] += step
-                        tt = tuple(trial)
-                        if not valid(tt):
+                    for j, step in enumerate(_STEPS):
+                        t = cur[idx] + step
+                        if not cur[idx - 1] + gap <= t <= cur[idx + 1] - gap:
                             continue
-                        g = evaluate(tt)
-                        if g < cur_g:
-                            cur, cur_g = tt, g
-                            improved = True
+                        if bounds[idx][j] >= cur_g:
+                            evals += 1  # cannot lower g: counted, not evaluated
+                        else:
+                            tt = (*cur[:idx], t, *cur[idx + 1:])
+                            g = evaluate(tt)
+                            if g < cur_g:
+                                cur, cur_g = tt, g
+                                bounds = _slot_move_bounds(cur, m).tolist()
+                                improved = True
                         if evals >= budget:
                             break
                     if evals >= budget:

@@ -1,12 +1,13 @@
 """Moran constructions, dimension estimators, interval-family search."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubelab import setgen
@@ -38,7 +39,10 @@ from tubelab.setgen import (
     regularity_constant,
     search_interval_family,
     sum_multiplicity,
+    _repair_slots,
+    _slot_move_bounds,
     _slot_sum_multiplicity,
+    _STEPS,
 )
 
 F = Fraction
@@ -213,6 +217,17 @@ class TestIntegerLattice:
         assert ms.contains(F(1, 2) - ms.length(4))
         assert not ms.contains(F(1, 2) - ms.length(3) - F(1, 1 << 90))
 
+    def test_endpoint_values_round_each_endpoint_once(self):
+        # denominators 2*3^(12k): below 2^53 at k <= 2, int64 at k = 3, Python ints at k = 4
+        c = F(1, 3 ** 12)
+        ms = build_moran(MoranSpec(n=2, c=c, offsets=[0, 1 - c]), 4)
+        for k in range(5):
+            vals = ms.endpoint_values(k)
+            assert vals.dtype == np.float64
+            assert vals.tolist() == [float(x) for x in ms.endpoints(k)]
+        mt = build_moran(middle_thirds_spec(), 10)
+        assert mt.endpoint_values(10).tolist() == [float(x) for x in mt.endpoints(10)]
+
     def test_contains_matches_reference_intervals(self):
         ms = build_moran(middle_thirds_spec(), 5)
         for k in range(6):
@@ -300,6 +315,7 @@ class TestQaProfile:
         ms = build_moran(middle_thirds_spec(), 10)
         v = qa_profile(ms.endpoints(10), 0.25, F(3) ** -10)
         assert abs(v - LOG2_3) < 0.08
+        assert qa_profile(ms.endpoint_values(10), 0.25, F(3) ** -10) == v
 
     def test_matches_brute_force_small(self):
         rng = random.Random(11)
@@ -539,6 +555,144 @@ class TestFamilySearch:
             search_interval_family(1, 3)
         with pytest.raises(ValueError):
             search_interval_family(4, 1)
+
+
+# (n, m, budget, seed) -> (meta["g"], meta["slots"]) of the walk that evaluates
+# every trial exactly; skipping trials must not move any of them
+_GOLDEN_WALKS = {
+    (2, 3, 4000, 0): (3, [0, 7]),
+    (4, 3, 4000, 0): (6, [0, 23, 50, 63]),
+    (8, 3, 4000, 0): (9, [0, 32, 52, 88, 171, 219, 418, 511]),
+    (16, 3, 4000, 0): (18, [0, 274, 550, 828, 1108, 1390, 1674, 1960, 2248, 2538, 2830, 3124, 3420,
+                            3718, 4018, 4095]),
+    (32, 3, 4000, 0): (24, [0, 1059, 2122, 3189, 4260, 5335, 6414, 7497, 8584, 9675, 10770, 11869,
+                            12972, 14079, 15190, 16305, 17424, 18547, 19674, 20805, 21940, 23079,
+                            24222, 25369, 26520, 27675, 28834, 29997, 31164, 32335, 32764, 32767]),
+    (8, 3, 60, 0): (12, [0, 74, 150, 228, 308, 390, 474, 511]),
+    (8, 3, 300, 0): (12, [0, 74, 150, 228, 308, 390, 474, 511]),
+    (8, 3, 1500, 0): (9, [0, 32, 52, 88, 171, 219, 418, 511]),
+    (8, 3, 4000, 1): (9, [0, 55, 118, 303, 370, 411, 484, 511]),
+    (16, 3, 4000, 5): (15, [0, 119, 1047, 1469, 2170, 2552, 2671, 2829, 3031, 3040, 3258, 3443, 3447,
+                            3778, 3861, 4095]),
+    (16, 2, 4000, 0): (6, [0, 11, 67, 99, 104, 108, 123, 131, 195, 201, 213, 217, 228, 236, 248, 255]),
+    (8, 4, 4000, 0): (24, [0, 405, 603, 1271, 2466, 3319, 3696, 4095]),
+}
+
+
+def _reference_search(n: int, m: int, budget: int, seed: int) -> tuple[int, list[int]]:
+    """The family search with every trial evaluated exactly: (g, slots)."""
+    slots = n ** m
+    gap = 1 + (m + 1) // 2
+    last = slots - 1
+    rng = random.Random(seed)
+    evals = 0
+    best: list = [None, None]
+
+    def valid(ts):
+        return ts[0] == 0 and ts[-1] == last and len(set(ts)) == n and all(
+            b - a >= gap for a, b in zip(ts, ts[1:])
+        )
+
+    def evaluate(ts):
+        nonlocal evals
+        evals += 1
+        g = _slot_sum_multiplicity(ts, m)
+        if best[0] is None or g < best[0]:
+            best[:] = [g, tuple(ts)]
+        return g
+
+    base = [round(i * last / (n - 1)) for i in range(n)]
+    for c in (0, 1, 2, 3):
+        cand = _repair_slots([base[i] + c * i * i for i in range(n)], n, gap, last)
+        if valid(cand) and evals < budget:
+            evaluate(cand)
+    if n == 2:
+        pass
+    elif (last - 1) <= 64 and math.comb(last - 1, n - 2) <= max(budget, 1):
+        for interior in itertools.combinations(range(1, last), n - 2):
+            if evals >= budget:
+                break
+            cand = (0, *interior, last)
+            if valid(cand):
+                evaluate(cand)
+    else:
+        while evals < budget:
+            interior = sorted(rng.sample(range(1, last), n - 2))
+            cur = _repair_slots([0, *interior, last], n, gap, last)
+            cur_g = evaluate(cur)
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for idx in range(1, n - 1):
+                    for step in (-2, -1, 1, 2):
+                        trial = list(cur)
+                        trial[idx] += step
+                        tt = tuple(trial)
+                        if not valid(tt):
+                            continue
+                        g = evaluate(tt)
+                        if g < cur_g:
+                            cur, cur_g = tt, g
+                            improved = True
+                        if evals >= budget:
+                            break
+                    if evals >= budget:
+                        break
+    if best[1] is None:
+        best[1] = _repair_slots(base, n, gap, last)
+        best[0] = _slot_sum_multiplicity(best[1], m)
+    return best[0], list(best[1])
+
+
+@st.composite
+def _slot_patterns(draw):
+    """A sorted slot pattern with the search's gaps, kept tight so that many
+    multiset sums share windows."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 12))
+    gap = 1 + (m + 1) // 2
+    steps = draw(st.lists(st.integers(gap, gap + 4), min_size=n - 1, max_size=n - 1))
+    return list(itertools.accumulate([0, *steps])), m, gap
+
+
+class TestSkippedEvaluations:
+    """The search skips the exact kernel only where an exact bound rejects the move."""
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_WALKS))
+    def test_walk_is_pinned(self, case):
+        n, m, budget, seed = case
+        fam = search_interval_family(n, m, budget=budget, seed=seed)
+        assert (fam.meta["g"], fam.meta["slots"]) == _GOLDEN_WALKS[case]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_slot_patterns())
+    def test_bound_never_exceeds_moved_multiplicity(self, case):
+        ts, m, gap = case
+        bounds = _slot_move_bounds(ts, m)
+        assert bounds.shape == (len(ts), len(_STEPS))
+        for idx in range(1, len(ts) - 1):
+            for j, step in enumerate(_STEPS):
+                t = ts[idx] + step
+                if ts[idx - 1] + gap <= t <= ts[idx + 1] - gap:
+                    moved = [*ts[:idx], t, *ts[idx + 1:]]
+                    assert bounds[idx, j] <= _slot_sum_multiplicity(moved, m)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 12), st.integers(1, 300), st.integers(0, 50))
+    @example(m=2, n=4, budget=37, seed=0)  # accepts a move whose bound is cur_g - 1
+    @example(m=2, n=9, budget=300, seed=0)  # moves slots onto the minimum gap from both sides
+    def test_search_matches_exhaustive_walk(self, m, n, budget, seed):
+        if m == 4:
+            n = min(n, 8)
+        fam = search_interval_family(n, m, budget=budget, seed=seed)
+        assert (fam.meta["g"], fam.meta["slots"]) == _reference_search(n, m, budget, seed)
+
+    def test_most_trials_skip_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = setgen._slot_sum_multiplicity
+        monkeypatch.setattr(setgen, "_slot_sum_multiplicity", lambda ts, m: calls.append(1) or kernel(ts, m))
+        search_interval_family(32, 3, budget=4000, seed=0)
+        assert len(calls) <= 4000 // 20
 
 
 class TestMoranSumBound:
