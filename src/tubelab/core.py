@@ -1,4 +1,4 @@
-"""Exact dyadic geometry: scales, squares, tubes, duality, covering counts.
+"""Exact dyadic geometry: scales, boxes, cell sets, dyadic tubes and their raster.
 
 Slopes and offsets live on the grid delta*Z for delta = 2^-k, so every
 predicate in this module is decided in exact integer or Fraction
@@ -15,15 +15,10 @@ slope is the left edge a of p, always a multiple of delta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
-
-Rational = Fraction | int
-
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -50,43 +45,6 @@ class DyadicScale:
 
     def __repr__(self):
         return f"DyadicScale(2^-{self.k})"
-
-
-@dataclass(frozen=True, order=True)
-class DyadicSquare:
-    """Half-open square [i*d, (i+1)*d) x [j*d, (j+1)*d), d = 2^-k."""
-
-    k: int
-    i: int
-    j: int
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(1, 1 << self.k)
-
-    @property
-    def x0(self) -> Fraction:
-        return Fraction(self.i, 1 << self.k)
-
-    @property
-    def y0(self) -> Fraction:
-        return Fraction(self.j, 1 << self.k)
-
-    @property
-    def x1(self) -> Fraction:
-        return Fraction(self.i + 1, 1 << self.k)
-
-    @property
-    def y1(self) -> Fraction:
-        return Fraction(self.j + 1, 1 << self.k)
-
-    def contains(self, x, y) -> bool:
-        x, y = _frac(x), _frac(y)
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
-    def center(self) -> tuple[Fraction, Fraction]:
-        d = self.delta
-        return (self.x0 + d / 2, self.y0 + d / 2)
 
 
 @dataclass(frozen=True)
@@ -120,22 +78,6 @@ BOX_UNIT = Box.of(0, 0, 1, 1)
 BOX_DEFAULT = Box.of(-2, -2, 2, 2)  # default working window for grids
 
 
-@dataclass(frozen=True)
-class Line:
-    """Line y = a*x + b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __call__(self, x) -> Fraction:
-        return self.a * _frac(x) + self.b
-
-
-def dual_line(a, b) -> Line:
-    """Point-line duality: the parameter point (a, b) maps to y = a*x + b."""
-    return Line(_frac(a), _frac(b))
-
-
 @dataclass(frozen=True, order=True)
 class DyadicTube:
     """Union of lines y = a'x + b' over the dual square [a, a+d) x [b, b+d).
@@ -164,9 +106,6 @@ class DyadicTube:
     def offset(self) -> Fraction:
         return Fraction(self.j, 1 << self.k)
 
-    def dual_square(self) -> DyadicSquare:
-        return DyadicSquare(self.k, self.i, self.j)
-
     def section(self, x) -> tuple[Fraction, Fraction]:
         """Closure hull [lo, up] of the vertical section at abscissa x."""
         x = _frac(x)
@@ -186,58 +125,6 @@ class DyadicTube:
         if x < 0:
             return lo < y < up
         return lo <= y < up
-
-
-def tube_point_test(tube, x, y) -> bool:
-    """Membership of the point (x, y), exact for either tube kind."""
-    return tube.contains(x, y)
-
-
-@dataclass(frozen=True)
-class OrdinaryTube:
-    """Closed rectangle of dimensions length x width along direction (1, slope).
-
-    slope is rational with |slope| <= 1; the direction is the unit vector
-    (1, slope)/sqrt(1 + slope^2). Corner coordinates are irrational in
-    general, but membership is exact (squared half-plane inequalities).
-    """
-
-    slope: Fraction
-    cx: Fraction
-    cy: Fraction
-    width: Fraction
-    length: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if abs(self.slope) > 1:
-            raise ValueError("ordinary tubes here are near-horizontal: |slope| <= 1")
-        if self.width <= 0 or self.length <= 0:
-            raise ValueError("degenerate tube")
-
-    def contains(self, x, y) -> bool:
-        vx, vy = _frac(x) - self.cx, _frac(y) - self.cy
-        s = self.slope
-        n2 = 1 + s * s
-        along = vx + s * vy      # <v, (1, s)>, scaled by sqrt(n2)
-        across = vy - s * vx     # <v, (-s, 1)>, scaled by sqrt(n2)
-        return (
-            along * along * 4 <= self.length * self.length * n2
-            and across * across * 4 <= self.width * self.width * n2
-        )
-
-    def corners(self) -> list[tuple[float, float]]:
-        s = float(self.slope)
-        n = (1.0 + s * s) ** 0.5
-        ux, uy = 1.0 / n, s / n
-        hx, hy = float(self.length) / 2 * ux, float(self.length) / 2 * uy
-        wx, wy = -float(self.width) / 2 * uy, float(self.width) / 2 * ux
-        cx, cy = float(self.cx), float(self.cy)
-        return [
-            (cx + hx + wx, cy + hy + wy),
-            (cx + hx - wx, cy + hy - wy),
-            (cx - hx - wx, cy - hy - wy),
-            (cx - hx + wx, cy - hy + wy),
-        ]
 
 
 class CellSet:
@@ -265,12 +152,6 @@ class CellSet:
 
     def __contains__(self, cell) -> bool:
         return self.index(cell) >= 0
-
-    def squares(self) -> list[DyadicSquare]:
-        return [DyadicSquare(self.k, int(i), int(j)) for i, j in self.idx]
-
-    def area(self) -> Fraction:
-        return len(self) * Fraction(1, 1 << (2 * self.k))
 
     def __eq__(self, other):
         return (
@@ -379,286 +260,18 @@ def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.nda
     return grid
 
 
-def rasterize_tube(tube, grid: DyadicScale, box: Box = BOX_UNIT, weights: bool = False):
-    """Cells of the grid meeting the tube inside box.
+def rasterize_tube(tube: DyadicTube, grid: DyadicScale, box: Box = BOX_UNIT) -> CellSet:
+    """Cells of the grid meeting the tube inside box, one column at a time.
 
-    Returns a CellSet, or with weights=True a list of ((i, j), area) pairs
-    where area is the exact Leb(tube ∩ cell ∩ box) as a Fraction for
-    DyadicTube (float for OrdinaryTube). The weights partition the total
-    intersection area.
+    The scalar oracle of tube_rows and tube_count_grid.
     """
-    if isinstance(tube, DyadicTube):
-        if grid.k < tube.k:
-            raise ValueError("grid must be at least as fine as the tube scale")
-        return _rasterize_dyadic(tube, grid.k, box, weights)
-    if isinstance(tube, OrdinaryTube):
-        return _rasterize_ordinary(tube, grid.k, box, weights)
-    raise TypeError(f"not a tube: {tube!r}")
-
-
-def _rasterize_dyadic(tube: DyadicTube, kg: int, box: Box, weights: bool):
-    c0, c1, r0, r1 = box.grid_range(kg)
+    if not isinstance(tube, DyadicTube):
+        raise TypeError(f"not a dyadic tube: {tube!r}")
+    if grid.k < tube.k:
+        raise ValueError("grid must be at least as fine as the tube scale")
+    c0, c1, r0, r1 = box.grid_range(grid.k)
     cells = []
     for m in range(c0, c1):
-        lo, hi = _tube_column_rows(tube, kg, m)
-        lo, hi = max(lo, r0), min(hi, r1)
-        for j in range(lo, hi):
-            cells.append((m, j))
-    if not weights:
-        return CellSet(kg, cells)
-    dg = Fraction(1, 1 << kg)
-    out = []
-    for (m, j) in cells:
-        u, v = m * dg, (m + 1) * dg
-        u, v = max(u, box.x0), min(v, box.x1)
-        y0, y1 = max(j * dg, box.y0), min((j + 1) * dg, box.y1)
-        area = _column_overlap_area(tube, u, v, y0, y1)
-        out.append(((m, j), area))
-    return out
-
-
-def _column_overlap_area(tube: DyadicTube, u: Fraction, v: Fraction, y0: Fraction, y1: Fraction) -> Fraction:
-    """Exact integral over x in [u, v] of |section(x) ∩ [y0, y1]|.
-
-    The section envelopes are linear on each sign of x, so the integrand is
-    piecewise linear; we split at x = 0 and at every envelope crossing.
-    """
-    if u >= v:
-        return Fraction(0)
-    if u < 0 < v:
-        return _column_overlap_area(tube, u, Fraction(0), y0, y1) + _column_overlap_area(
-            tube, Fraction(0), v, y0, y1
-        )
-    a, d, b = tube.slope, tube.delta, tube.offset
-    if u >= 0:
-        lo_a, lo_b = a, b                 # lower envelope lo_a * x + lo_b
-        up_a, up_b = a + d, b + d
-    else:
-        lo_a, lo_b = a + d, b
-        up_a, up_b = a, b + d
-
-    cuts = {u, v}
-    for la, lb, c in ((up_a, up_b, y0), (up_a, up_b, y1), (lo_a, lo_b, y0), (lo_a, lo_b, y1)):
-        if la != 0:
-            x = (c - lb) / la
-            if u < x < v:
-                cuts.add(x)
-
-    def f(x: Fraction) -> Fraction:
-        top = min(up_a * x + up_b, y1)
-        bot = max(lo_a * x + lo_b, y0)
-        return top - bot if top > bot else Fraction(0)
-
-    xs = sorted(cuts)
-    total = Fraction(0)
-    for p, q in zip(xs, xs[1:]):
-        total += (f(p) + f(q)) * (q - p) / 2
-    return total
-
-
-def _rasterize_ordinary(tube: OrdinaryTube, kg: int, box: Box, weights: bool):
-    # Float path: corner coordinates are irrational for rational slopes.
-    dg = 1.0 / (1 << kg)
-    corners = tube.corners()
-    xmin = max(min(c[0] for c in corners), float(box.x0))
-    xmax = min(max(c[0] for c in corners), float(box.x1))
-    if xmin >= xmax:
-        return [] if weights else CellSet(kg, [])
-    c0, c1, r0, r1 = box.grid_range(kg)
-    m0 = max(int(np.floor(xmin / dg)), c0)
-    m1 = min(int(np.ceil(xmax / dg)), c1)
-    s = float(tube.slope)
-    n = (1.0 + s * s) ** 0.5
-    cx, cy = float(tube.cx), float(tube.cy)
-    hl, hw = float(tube.length) / 2 * n, float(tube.width) / 2 * n
-
-    def envelopes(x):
-        # y bounds at abscissa x from the two half-plane pairs
-        vx = x - cx
-        lo = cy + s * vx - hw
-        up = cy + s * vx + hw
-        if s != 0.0:
-            e1 = cy + (-vx + hl) / s if s > 0 else cy + (-vx - hl) / s
-            e2 = cy + (-vx - hl) / s if s > 0 else cy + (-vx + hl) / s
-            lo, up = max(lo, e2), min(up, e1)
-        return lo, up
-
-    corner_xs = [c[0] for c in corners]
-    cells, wts = [], []
-    for m in range(m0, m1):
-        u, v = max(m * dg, xmin), min((m + 1) * dg, xmax)
-        if u >= v:
-            continue
-        # envelope kinks sit at corner abscissas; sample them for exact hulls
-        samples = [u, v] + [x for x in corner_xs if u < x < v]
-        los, ups = zip(*(envelopes(x) for x in samples))
-        lo, up = min(los), max(ups)
-        jlo, jhi = max(int(np.floor(lo / dg)), r0), min(int(np.ceil(up / dg)), r1)
-        for j in range(jlo, jhi):
-            if weights:
-                area = _numeric_area(envelopes, u, v, j * dg, (j + 1) * dg)
-                if area <= 0:
-                    continue
-                wts.append(((m, j), area))
-            else:
-                cells.append((m, j))
-    if weights:
-        return wts
-    return CellSet(kg, cells)
-
-
-def _numeric_area(envelopes, u, v, y0, y1, steps=64) -> float:
-    xs = np.linspace(u, v, steps + 1)
-    vals = []
-    for x in xs:
-        lo, up = envelopes(x)
-        vals.append(max(0.0, min(up, y1) - max(lo, y0)))
-    return float(np.trapezoid(vals, xs))
-
-
-class CoveringCount(int):
-    """Covering number with the counting convention recorded in .method."""
-
-    method: str
-
-    def __new__(cls, value: int, method: str):
-        obj = super().__new__(cls, value)
-        obj.method = method
-        return obj
-
-
-def _as_intervals(s) -> list[tuple[Fraction, Fraction]]:
-    out = []
-    for item in s:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            lo, hi = _frac(item[0]), _frac(item[1])
-            if hi < lo:
-                raise ValueError("interval with hi < lo")
-            out.append((lo, hi))
-        else:
-            x = _frac(item)
-            out.append((x, x))
-    return sorted(out)
-
-
-def greedy_ball_cover_1d(items: Sequence, r) -> int:
-    """Minimum number of closed balls of radius r covering the 1-d set.
-
-    Items are numbers or (lo, hi) interval pairs. The left-to-right greedy
-    sweep is exactly optimal in one dimension.
-    """
-    r = _frac(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    intervals = _as_intervals(items)
-    count = 0
-    covered = None
-    for lo, hi in intervals:
-        if covered is not None and hi <= covered:
-            continue
-        start = lo if covered is None or lo > covered else covered
-        while True:
-            covered = start + 2 * r
-            count += 1
-            if hi <= covered:
-                break
-            start = covered
-    return count
-
-
-def covering_number(s, r, dim: int | None = None) -> CoveringCount:
-    """|S|_r: minimal covering count of a finite union of points/cells.
-
-    dim=1 inputs (numbers or (lo, hi) pairs) use the exact greedy sweep.
-    dim=2 inputs (point pairs or DyadicSquare) use the dyadic-cube proxy at
-    the smallest dyadic scale >= r, which sandwiches the exact count within
-    a factor 3; the convention is recorded on the returned value.
-    """
-    s = list(s)
-    if not s:
-        return CoveringCount(0, "empty")
-    if dim is None:
-        # a (lo, hi) interval and an (x, y) point look alike; callers pass dim for points
-        dim = 2 if isinstance(s[0], DyadicSquare) else 1
-    if dim == 1:
-        return CoveringCount(greedy_ball_cover_1d(s, r), "greedy-balls-1d")
-    # dyadic proxy scale: smallest power of two >= r
-    r = _frac(r)
-    kp = 0
-    while Fraction(2) ** -kp < r:
-        kp -= 1
-    while Fraction(2) ** -(kp + 1) >= r:
-        kp += 1
-    step = Fraction(2) ** -kp
-    cells = set()
-    for item in s:
-        if isinstance(item, DyadicSquare):
-            i0, i1 = (item.x0 / step).__floor__(), ((item.x1) / step).__floor__()
-            j0, j1 = (item.y0 / step).__floor__(), ((item.y1) / step).__floor__()
-            for ii in range(i0, i1 + 1):
-                for jj in range(j0, j1 + 1):
-                    if Fraction(ii) * step < item.x1 and Fraction(jj) * step < item.y1:
-                        cells.add((ii, jj))
-        else:
-            x, y = _frac(item[0]), _frac(item[1])
-            cells.add(((x / step).__floor__(), (y / step).__floor__()))
-    return CoveringCount(len(cells), f"dyadic-proxy(2^{-kp})")
-
-
-def dyadic_cubes(a, scale: DyadicScale):
-    """Cells of the scale grid meeting the set a.
-
-    a may be a Box (2-d), an iterable of (x, y) points (2-d, returns a
-    CellSet), or an iterable of numbers / (lo, hi) intervals (1-d, returns
-    the sorted cell indices).
-    """
-    k, n = scale.k, 1 << scale.k
-    if isinstance(a, Box):
-        c0, c1, r0, r1 = a.grid_range(k)
-        idx = [(i, j) for i in range(c0, c1) for j in range(r0, r1)]
-        return CellSet(k, idx)
-    a = list(a)
-    if not a:
-        return []
-    first = a[0]
-    if isinstance(first, (tuple, list)) and len(first) == 2 and isinstance(first[0], (tuple, list)):
-        raise TypeError("unsupported input")
-    if isinstance(first, (tuple, list)) and len(first) == 2:
-        # ambiguous pairs: points if any coordinate differs in role; here treat as 2-d points
-        return CellSet(k, [(math.floor(_frac(x) * n), math.floor(_frac(y) * n)) for x, y in a])
-    return sorted({math.floor(_frac(item) * n) for item in a})
-
-
-# ---------------------------------------------------------------- serialization
-
-def dump_tubes(tubes: Iterable[DyadicTube]) -> str:
-    """One record per tube, 'k:i:j' (dual square lower corner + scale)."""
-    return "\n".join(f"{t.k}:{t.i}:{t.j}" for t in tubes) + "\n"
-
-
-def load_tubes(text: str) -> list[DyadicTube]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, i, j = (int(part) for part in line.split(":"))
-        out.append(DyadicTube(k, i, j))
-    return out
-
-
-def dump_rationals(values: Iterable[Fraction]) -> str:
-    """Sorted rational list, one 'num/den' per line."""
-    vals = sorted(_frac(v) for v in values)
-    return "\n".join(f"{v.numerator}/{v.denominator}" for v in vals) + "\n"
-
-
-def load_rationals(text: str) -> list[Fraction]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        num, den = line.split("/")
-        out.append(Fraction(int(num), int(den)))
-    return out
+        lo, hi = _tube_column_rows(tube, grid.k, m)
+        cells.extend((m, j) for j in range(max(lo, r0), min(hi, r1)))
+    return CellSet(grid.k, cells)

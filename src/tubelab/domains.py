@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -30,11 +30,8 @@ import numpy as np
 from tubelab.maximal import DirectionSet, ExponentFit, exponent_fit
 from tubelab.setgen import (
     MoranSet,
-    MoranSpec,
-    build_moran,
     check_gcs,
     moran_sum_multiplicity_bound,
-    parse_keyvals,
     sum_multiplicity,
 )
 
@@ -114,32 +111,6 @@ class GcsDomain:
             raise ValueError("parameter outside [-1/2, 1/2]")
         return self._piece_value(self.pieces[self._piece_index(t)], t)
 
-    def gamma_right_slope(self, t) -> Fraction:
-        """Right derivative of the boundary at t in [-1/2, 1/2)."""
-        t = F(t)
-        if not (F(-1, 2) <= t < F(1, 2)):
-            raise ValueError("right slope needs t in [-1/2, 1/2)")
-        p = self.pieces[self._piece_index(t)]
-        if p.hi == t:  # t is the shared endpoint; the right side is the next piece
-            p = self.pieces[self._piece_index(t) + 1]
-        return p.chord[0] if p.chord else 2 * t
-
-    def gamma_left_slope(self, t) -> Fraction:
-        """Left derivative of the boundary at t in (-1/2, 1/2]."""
-        t = F(t)
-        if not (F(-1, 2) < t <= F(1, 2)):
-            raise ValueError("left slope needs t in (-1/2, 1/2]")
-        i = self._piece_index(t)
-        p = self.pieces[i]
-        if p.lo == t:
-            p = self.pieces[i - 1]
-        return p.chord[0] if p.chord else 2 * t
-
-    def breakpoints(self) -> list[Fraction]:
-        out = [p.lo for p in self.pieces]
-        out.append(self.pieces[-1].hi)
-        return out
-
 
 def gcs_domain(m: MoranSet) -> GcsDomain:
     """Exact boundary of the convex domain generated by a Moran set.
@@ -190,23 +161,6 @@ def direction_set(domain: GcsDomain, scale) -> DirectionSet:
     n = 1 << scale.k
     idx = sorted({min(round(a * n), n - 1) for a in slope_set(domain)})
     return DirectionSet(scale, tuple(int(i) for i in idx), tag="explicit")
-
-
-def map_F(direction) -> Fraction:
-    """Slope of a direction vector (the tangent of its angle)."""
-    ux, uy = direction
-    if ux == 0:
-        raise ValueError("vertical direction has no slope under the tangent map")
-    return F(uy) / F(ux)
-
-
-def map_F_inverse(slope) -> tuple[float, float]:
-    """Unit vector with the given slope; restricted to |slope| <= 1."""
-    a = float(slope)
-    if abs(a) > 1:
-        raise ValueError("inverse tangent map is restricted to slopes in [-1, 1]")
-    r = math.hypot(1.0, a)
-    return (1.0 / r, a / r)
 
 
 # -------------------------------------------------------------------- caps
@@ -521,57 +475,3 @@ def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05
         "class_multiplicities": mults,
         "product_bound_classes": flagged,
     }
-
-
-# ----------------------------------------------------------- serialization
-
-
-def dump_domain(domain: GcsDomain) -> str:
-    """Per-level construction data plus depth, in key = value lines."""
-    spec = domain.moran.spec
-    K = domain.depth
-    lines = [f"depth = {K}"]
-    if spec.label:
-        lines.append(f"label = {spec.label}")
-    lines.append("n = " + ", ".join(str(spec.n(k)) for k in range(1, K + 1)))
-    lines.append("c = " + ", ".join(str(spec.c(k)) for k in range(1, K + 1)))
-    for k in range(1, K + 1):
-        if not spec.uniform_level(k):
-            raise ValueError("non-uniform child layouts do not serialize")
-        _, _, off = spec.level(k)
-        lines.append(f"offsets_{k} = " + ", ".join(str(o) for o in off))
-    return "\n".join(lines) + "\n"
-
-
-def domain_from_config(text: str) -> GcsDomain:
-    """Rebuild a domain serialized by dump_domain."""
-    kv = parse_keyvals(text)
-    if "depth" not in kv:
-        raise ValueError("config missing 'depth'")
-    K = int(kv["depth"])
-    ns = [int(x) for x in kv["n"].split(",")]
-    cs = [F(x.strip()) for x in kv["c"].split(",")]
-    if len(ns) != K or len(cs) != K:
-        raise ValueError("n and c must list one value per level")
-    offs = []
-    for k in range(1, K + 1):
-        key = f"offsets_{k}"
-        if key not in kv:
-            raise ValueError(f"config missing '{key}'")
-        offs.append([F(x.strip()) for x in kv[key].split(",")])
-    spec = MoranSpec(
-        n=lambda k: ns[k - 1],
-        c=lambda k: cs[k - 1],
-        offsets=lambda k: offs[k - 1],
-        label=kv.get("label", "config"),
-    )
-    return gcs_domain(build_moran(spec, K))
-
-
-def cap_cover_csv(cover: CapCover) -> str:
-    """Rows 'class, t_lo, t_hi, slope, intercept' with exact rationals."""
-    lines = ["class,t_lo,t_hi,slope,intercept"]
-    for cap in cover.all_caps():
-        cls = "ceiling" if cap.level == -1 else str(cap.level)
-        lines.append(f"{cls},{cap.t_lo},{cap.t_hi},{cap.slope},{cap.intercept}")
-    return "\n".join(lines) + "\n"

@@ -20,8 +20,6 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
-    OrdinaryTube,
-    rasterize_tube,
     tube_count_blocks,
     tube_count_grid,
 )
@@ -32,18 +30,17 @@ F = Fraction
 
 @dataclass(frozen=True)
 class TubeFamily:
-    """Same-scale tube collection with its slope multiset."""
+    """Same-scale dyadic tube collection with its slope multiset."""
 
     scale: DyadicScale
     tubes: tuple
 
     def __post_init__(self):
         for t in self.tubes:
-            if isinstance(t, DyadicTube):
-                if t.k != self.scale.k:
-                    raise ValueError("mixed tube scales in one family")
-            elif not isinstance(t, OrdinaryTube):
-                raise TypeError(f"not a tube: {t!r}")
+            if not isinstance(t, DyadicTube):
+                raise TypeError(f"not a dyadic tube: {t!r}")
+            if t.k != self.scale.k:
+                raise ValueError("mixed tube scales in one family")
 
     def __len__(self):
         return len(self.tubes)
@@ -51,13 +48,6 @@ class TubeFamily:
     def slopes(self) -> list[Fraction]:
         """Slope multiset (one entry per tube, repeats kept)."""
         return [t.slope for t in self.tubes]
-
-    def slope_set(self) -> list[Fraction]:
-        return sorted(set(self.slopes()))
-
-    def dual_points(self) -> list[tuple[Fraction, Fraction]]:
-        """Lower corners of the dual squares, one point per tube."""
-        return [(t.slope, t.offset) for t in self.tubes]
 
     @staticmethod
     def of(tubes) -> "TubeFamily":
@@ -85,24 +75,13 @@ class RichPointSet:
         p = self.cells.index(cell)
         return int(self.counts[p]) if p >= 0 else 0
 
-    def total_multiplicity(self) -> int:
-        return int(self.counts.sum())
-
 
 def _multiplicity_grid(family: TubeFamily) -> np.ndarray:
     """Exact per-cell tube counts over [0,1)^2 at the family scale."""
     k = family.scale.k
-    n = 1 << k
-    if all(isinstance(t, DyadicTube) for t in family.tubes):
-        return tube_count_grid(
-            [t.i for t in family.tubes], [t.j for t in family.tubes], k, (0, n)
-        )
-    # fallback for ordinary tubes: accumulate per-tube rasters
-    grid = np.zeros((n, n), dtype=np.int64)
-    for t in family.tubes:
-        cs = rasterize_tube(t, family.scale, BOX_UNIT)
-        grid[cs.idx[:, 0], cs.idx[:, 1]] += 1
-    return grid
+    return tube_count_grid(
+        [t.i for t in family.tubes], [t.j for t in family.tubes], k, (0, 1 << k)
+    )
 
 
 def rich_points(family: TubeFamily, r: int) -> RichPointSet:
@@ -142,8 +121,6 @@ def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
 def _check_ratio_args(family: TubeFamily, s: float) -> None:
     if not (0.5 <= s <= 1.0):
         raise ValueError("s must lie in [1/2, 1]")
-    if not all(isinstance(t, DyadicTube) for t in family.tubes):
-        raise ValueError("incidence ratios need a family of dyadic tubes only")
 
 
 def _family_constants(family: TubeFamily, s: float) -> tuple[float, float]:

@@ -429,12 +429,12 @@ class MeasuredNorm(float):
         return obj
 
 
-def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str, mu_weights=None) -> float:
+def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) -> float:
     """||op f||_p / ||f||_p.
 
     Nikodym output is measured over [0,1)^2. The Kakeya norm weighs each
-    direction by mu: explicit per-slope weights, else delta^s for tagged
-    direction sets (Frostman normalization), else 1/|Theta|.
+    direction by mu: delta^s for tagged direction sets (Frostman
+    normalization), else 1/|Theta|.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -444,17 +444,15 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str, mu
     if operator == "nikodym":
         return nikodym_apply(f, theta).lp_norm(p) / fnorm
     if operator == "kakeya":
-        return kakeya_norm(kakeya_apply(f, theta), theta, p, mu_weights) / fnorm
+        return kakeya_norm(kakeya_apply(f, theta), theta, p) / fnorm
     raise ValueError(f"unknown operator: {operator!r}")
 
 
-def kakeya_norm(values: dict, theta: DirectionSet, p: float, mu_weights=None) -> float:
+def kakeya_norm(values: dict, theta: DirectionSet, p: float) -> float:
     """L^p(mu) norm over directions of kakeya_apply's per-direction values,
     with mu as in norm_ratio."""
-    if mu_weights is None:
-        w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
-        mu_weights = {slope: w for slope in values}
-    total = sum(values[a] ** p * mu_weights[a] for a in values)
+    w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
+    total = sum(values[a] ** p * w for a in values)
     return total ** (1.0 / p)
 
 
@@ -598,12 +596,6 @@ def aim_at_origin_assignment(theta: DirectionSet) -> Assignment:
     above = idx[np.minimum(pos, len(idx) - 1)]
     t = np.where(np.abs(above * u - v) < np.abs(below * u - v), above, below)
     return Assignment(k, t, (v - t * u) // (2 * n))
-
-
-def row_tiling_assignment(scale: DyadicScale) -> dict:
-    """Each cell takes the horizontal tube at its own row."""
-    n = 1 << scale.k
-    return {(i, j): DyadicTube(scale.k, 0, j) for i in range(n) for j in range(n)}
 
 
 # ---------------------------------------------------------------------------

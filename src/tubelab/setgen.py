@@ -364,15 +364,6 @@ class BallCounter1D:
         return cnt
 
 
-def ball_count_1d(points, r) -> int:
-    """|P|_r by the exact greedy sweep (single-window convenience wrapper)."""
-    xs = _sorted_floats(points)
-    if not len(xs):
-        return 0
-    counter = BallCounter1D(xs, float(r))
-    return int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
-
-
 def _scale_floor_exponent(delta) -> int:
     """Largest a >= 0 with 2^-a >= delta."""
     if isinstance(delta, DyadicScale):
@@ -439,12 +430,13 @@ def qa_profile(e, gamma: float, delta) -> ProfileValue:
     amax = _scale_floor_exponent(delta)
     if amax < 1:
         raise ValueError("scale range empty")
+    bmaxes = [min(a - 1, int(math.floor((1.0 - gamma) * a + 1e-9))) for a in range(1, amax + 1)]
+    # bmax grows with a, so the last one is the largest window exponent read
+    windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(bmaxes[-1] + 1)]
     best = 0.0
-    for a in range(1, amax + 1):
+    for a, bmax in enumerate(bmaxes, start=1):
         counter = BallCounter1D(xs, 2.0 ** -a)
-        bmax = min(a - 1, int(math.floor((1.0 - gamma) * a + 1e-9)))
-        for b in range(0, bmax + 1):
-            lo, hi = _nonempty_windows(xs, 2.0 ** -b)
+        for b, (lo, hi) in enumerate(windows[: bmax + 1]):
             mx = int(counter.counts(lo, hi).max())
             if mx >= 2:
                 best = max(best, math.log2(mx) / (a - b))
@@ -459,11 +451,11 @@ def regularity_constant(e, s: float, delta) -> ProfileValue:
     if not len(xs):
         raise ValueError("empty set")
     amax = _scale_floor_exponent(delta)
+    windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(amax + 1)]
     best = 0.0
     for a in range(0, amax + 1):
         counter = BallCounter1D(xs, 2.0 ** -a)
-        for b in range(0, a + 1):
-            lo, hi = _nonempty_windows(xs, 2.0 ** -b)
+        for b, (lo, hi) in enumerate(windows[: a + 1]):
             mx = int(counter.counts(lo, hi).max())
             best = max(best, mx / 2.0 ** ((a - b) * s))
     return ProfileValue(best, _PROFILE_NOTE)

@@ -1,4 +1,4 @@
-"""Core geometry: exact tube membership, rasterization, covering counts."""
+"""Core geometry: exact dyadic tube membership and rasterization."""
 
 import random
 from fractions import Fraction
@@ -11,21 +11,10 @@ from tubelab.core import (
     Box,
     CellSet,
     DyadicScale,
-    DyadicSquare,
     DyadicTube,
-    OrdinaryTube,
-    covering_number,
-    dual_line,
-    dump_rationals,
-    dump_tubes,
-    dyadic_cubes,
-    greedy_ball_cover_1d,
-    load_rationals,
-    load_tubes,
     _tube_column_rows,
     rasterize_tube,
     tube_count_grid,
-    tube_point_test,
     tube_rows,
 )
 
@@ -90,58 +79,10 @@ class TestDyadicTubeMembership:
             DyadicTube(2, -5, 0)
         DyadicTube(2, -4, 0)  # a = -1 allowed, square [-1, -3/4) x ...
 
-    def test_dual_square_roundtrip(self):
-        t = DyadicTube(3, -2, 5)
-        p = t.dual_square()
-        assert (p.x0, p.y0) == (t.slope, t.offset)
-        assert p.delta == t.delta
-
-
-class TestOrdinaryTubeMembership:
-    def test_axis_aligned_rectangle(self):
-        t = OrdinaryTube(F(0), F(1, 2), F(0), width=F(1, 4), length=F(1))
-        assert t.contains(F(1, 2), F(1, 8))
-        assert t.contains(0, 0)
-        assert not t.contains(F(1, 2), F(1, 8) + F(1, 1000))
-        assert not t.contains(-F(1, 1000), 0)
-
-    def test_tilted_membership_exact_on_boundary(self):
-        # slope 3/4: direction (4,3)/5, so all corner offsets are rational
-        t = OrdinaryTube(F(3, 4), F(0), F(0), width=F(1, 2), length=F(2))
-        # along the axis, endpoint at distance L/2: (4/5, 3/5)
-        assert t.contains(F(4, 5), F(3, 5))
-        assert not t.contains(F(4, 5) + F(1, 1000), F(3, 5) + F(3, 4000))
-        # across: (-3/5, 4/5) * w/2 = (-3/20, 1/5)
-        assert t.contains(F(-3, 20), F(1, 5))
-
-    def test_rejects_steep_slopes(self):
-        with pytest.raises(ValueError):
-            OrdinaryTube(F(3, 2), F(0), F(0), width=F(1, 4))
-
 
 class TestRasterize:
-    def _sample_hits(self, tube, kg, box, per_side=6):
-        """Cells with an exactly-verified member point (independent oracle)."""
-        dg = F(1, 1 << kg)
-        c0, c1, r0, r1 = box.grid_range(kg)
-        hits = set()
-        for m in range(c0, c1):
-            for j in range(r0, r1):
-                found = False
-                for a in range(per_side):
-                    for b in range(per_side):
-                        x = (m + F(2 * a + 1, 2 * per_side)) * dg
-                        y = (j + F(2 * b + 1, 2 * per_side)) * dg
-                        if tube.contains(x, y):
-                            hits.add((m, j))
-                            found = True
-                            break
-                    if found:
-                        break
-        return hits
-
     def test_no_false_negatives_dyadic(self):
-        # _sample_hits's per_side^2 points per cell, decided in integers over
+        # per_side^2 sample points per cell, decided in integers over
         # the common denominator d2 * 2^k, d2 = 2 per_side 2^kg: the point
         # (m + (2u+1)/(2 per_side)) / 2^kg is X / d2 with X = 2 per_side m + 2u + 1
         rng, pick = random.Random(99), random.Random(7)
@@ -182,44 +123,13 @@ class TestRasterize:
             lo, up = min(lo_l, lo_r), max(up_l, up_r)
             assert lo <= (j + 1) * dg and j * dg <= up
 
-    def test_weights_partition_exact_area_right_half(self):
-        # over [0,1] the tube area is integral of d*(1+x) dx = (3/2) d
-        t = DyadicTube(3, 2, 1)
-        box = Box.of(0, -4, 1, 4)
-        pairs = rasterize_tube(t, DyadicScale(4), box, weights=True)
-        total = sum(w for _, w in pairs)
-        assert total == F(3, 2) * t.delta
-
-    def test_weights_partition_exact_area_both_halves(self):
-        # over [-1,1]: integral of d*(1+|x|) = 3d
-        t = DyadicTube(2, -2, 0)
-        box = Box.of(-1, -8, 1, 8)
-        pairs = rasterize_tube(t, DyadicScale(3), box, weights=True)
-        assert sum(w for _, w in pairs) == 3 * t.delta
-
-    def test_weights_nonnegative_and_bounded_by_cell_area(self):
-        t = DyadicTube(2, 3, -2)
-        pairs = rasterize_tube(t, DyadicScale(4), Box.of(-1, -4, 1, 4), weights=True)
-        cell_area = F(1, 16) ** 2
-        for _, w in pairs:
-            assert 0 <= w <= cell_area
-
     def test_grid_must_refine_tube_scale(self):
         with pytest.raises(ValueError):
             rasterize_tube(DyadicTube(3, 0, 0), DyadicScale(2))
 
-    def test_no_false_negatives_ordinary(self):
-        t = OrdinaryTube(F(1, 3), F(1, 7), F(1, 11), width=F(1, 8), length=F(3, 4))
-        box = Box.of(-1, -1, 1, 1)
-        raster = rasterize_tube(t, DyadicScale(4), box)
-        hits = self._sample_hits(t, 4, box)
-        assert hits <= {tuple(c) for c in raster.idx}
-
-    def test_ordinary_weights_sum_to_rectangle_area(self):
-        t = OrdinaryTube(F(2, 5), F(0), F(0), width=F(1, 8), length=F(1, 2))
-        pairs = rasterize_tube(t, DyadicScale(5), Box.of(-1, -1, 1, 1), weights=True)
-        total = sum(w for _, w in pairs)
-        assert abs(total - float(F(1, 8) * F(1, 2))) < 2e-4
+    def test_only_dyadic_tubes(self):
+        with pytest.raises(TypeError):
+            rasterize_tube(object(), DyadicScale(2))
 
 
 class TestTubeRowKernel:
@@ -285,113 +195,6 @@ class TestCellSet:
         assert cs.idx.tolist() == [[-1, 7], [0, 1], [0, 5], [2, -1]]
         assert [cs.index(c) for c in cs.idx] == [0, 1, 2, 3]
         assert cs.index((0, 2)) == cs.index((1, 1)) == CellSet(3, []).index((0, 0)) == -1
-
-    def test_area(self):
-        cs = CellSet(2, [(0, 0), (1, 0), (5, 5)])
-        assert cs.area() == 3 * F(1, 16)
-
-
-class TestCovering:
-    def test_integer_points_radius_half(self):
-        assert covering_number([0, 1, 2, 3], F(1, 2)) == 2
-        assert covering_number([0, 1, 2, 3], F(49, 100)) == 4
-
-    def test_interval_needs_length_over_diameter(self):
-        assert covering_number([(0, 1)], F(1, 8)) == 4
-        assert covering_number([(0, 1)], F(1, 2)) == 1
-
-    def test_union_of_far_intervals(self):
-        assert covering_number([(0, F(1, 4)), (F(3, 4), 1)], F(1, 8)) == 2
-
-    def test_greedy_matches_brute_force_on_points(self):
-        def brute(points, r):
-            pts = sorted(points)
-            # dp over sorted points: cover a prefix greedily is optimal, but
-            # recompute by direct recursion as an independent check
-            memo = {}
-
-            def solve(i):
-                if i >= len(pts):
-                    return 0
-                if i in memo:
-                    return memo[i]
-                j = i
-                while j < len(pts) and pts[j] <= pts[i] + 2 * r:
-                    j += 1
-                memo[i] = 1 + solve(j)
-                return memo[i]
-
-            return solve(0)
-
-        rng = random.Random(5)
-        for _ in range(50):
-            pts = sorted(F(rng.randrange(0, 400), 128) for _ in range(rng.randrange(1, 25)))
-            r = F(rng.randrange(1, 40), 64)
-            assert greedy_ball_cover_1d(pts, r) == brute(pts, r)
-
-    def test_two_dim_proxy_counts_dyadic_cells(self):
-        pts = [(F(1, 8), F(1, 8)), (F(7, 8), F(1, 8)), (F(1, 8), F(7, 8)), (F(7, 8), F(7, 8))]
-        c = covering_number(pts, F(1, 4), dim=2)
-        assert c == 4
-        assert "dyadic-proxy" in c.method
-
-    def test_two_dim_proxy_scale_snaps_up(self):
-        pts = [(F(0), F(0)), (F(3, 8), F(0))]
-        # r = 0.3 -> proxy scale 1/2, both points in one cell
-        assert covering_number(pts, F(3, 10), dim=2) == 1
-        # r = 1/4 -> proxy scale 1/4, cells 0 and 1 apart
-        assert covering_number(pts, F(1, 4), dim=2) == 2
-
-    def test_two_dim_proxy_radius_above_one(self):
-        pts = [(F(0), F(0)), (F(3), F(0))]
-        # r = 2 -> proxy scale 2, cells 0 and 1 apart
-        count = covering_number(pts, 2, dim=2)
-        assert count == 2 and count.method == "dyadic-proxy(2^1)"
-        assert covering_number(pts, 3, dim=2) == 1
-
-    def test_squares_counted_via_proxy(self):
-        sq = [DyadicSquare(2, 0, 0), DyadicSquare(2, 3, 3)]
-        assert covering_number(sq, F(1, 4)) == 2
-
-
-class TestDyadicCubes:
-    def test_box_enumeration(self):
-        cs = dyadic_cubes(Box.of(-F(1, 2), 0, F(1, 2), F(1, 2)), DyadicScale(1))
-        assert len(cs) == 2
-        assert (-1, 0) in cs and (0, 0) in cs
-
-    def test_point_lattice(self):
-        cs = dyadic_cubes([(F(1, 4), F(3, 4)), (F(2, 3), F(3, 4))], DyadicScale(2))
-        assert len(cs) == 2
-        assert (1, 3) in cs and (2, 3) in cs
-
-    def test_one_dim_points(self):
-        idx = dyadic_cubes([F(1, 3), F(2, 3), F(17, 16)], DyadicScale(2))
-        assert idx == [1, 2, 4]
-
-
-class TestSerialization:
-    def test_tube_roundtrip(self):
-        tubes = [DyadicTube(4, -7, 3), DyadicTube(2, 0, 0), DyadicTube(6, 63, -12)]
-        assert load_tubes(dump_tubes(tubes)) == tubes
-
-    def test_tube_text_format(self):
-        assert dump_tubes([DyadicTube(4, -7, 3)]) == "4:-7:3\n"
-
-    def test_rational_roundtrip_sorted(self):
-        vals = [F(2, 3), F(-1, 7), F(5, 4)]
-        out = load_rationals(dump_rationals(vals))
-        assert out == sorted(vals)
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# header\n\n3:1:2\n"
-        assert load_tubes(text) == [DyadicTube(3, 1, 2)]
-
-
-def test_dual_line_evaluates():
-    ln = dual_line(F(1, 2), F(-1, 4))
-    assert ln(F(1, 2)) == F(0)
-    assert ln(0) == F(-1, 4)
 
 
 def test_box_grid_range_handles_negatives():

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
-    OrdinaryTube,
     rasterize_tube,
     tube_count_grid,
 )
@@ -56,11 +56,7 @@ class TestTubeFamily:
     def test_slope_multiset_keeps_repeats(self):
         fam = TubeFamily.of([DyadicTube(3, 2, 0), DyadicTube(3, 2, 5), DyadicTube(3, -1, 0)])
         assert sorted(fam.slopes()) == [F(-1, 8), F(1, 4), F(1, 4)]
-        assert fam.slope_set() == [F(-1, 8), F(1, 4)]
-
-    def test_dual_points(self):
-        fam = TubeFamily.of([DyadicTube(3, 2, -5)])
-        assert fam.dual_points() == [(F(1, 4), F(-5, 8))]
+        assert sorted(set(fam.slopes())) == [F(-1, 8), F(1, 4)]
 
     def test_mixed_scales_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
@@ -116,7 +112,7 @@ class TestRichPoints:
     def test_multiplicity_conservation_is_exact(self):
         for seed in range(5):
             fam = _random_family(random.Random(seed), 6, 40)
-            total = rich_points(fam, 1).total_multiplicity()
+            total = int(rich_points(fam, 1).counts.sum())
             by_tube = sum(
                 len(rasterize_tube(t, fam.scale, BOX_UNIT)) for t in fam.tubes
             )
@@ -142,20 +138,6 @@ class TestRichPoints:
                 for (i, j), c in zip(rp.cells.idx, rp.counts)
             }
             assert got == dict(oracle)
-
-    def test_ordinary_tube_family_counts(self):
-        tubes = [
-            OrdinaryTube(F(3, 4), F(1, 2), F(1, 2), F(1, 16)),
-            OrdinaryTube(F(-1, 2), F(1, 2), F(1, 2), F(1, 16)),
-        ]
-        fam = TubeFamily(DyadicScale(5), tuple(tubes))
-        rp = rich_points(fam, 1)
-        oracle = _brute_cell_counts(fam)
-        got = {
-            (int(i), int(j)): int(c) for (i, j), c in zip(rp.cells.idx, rp.counts)
-        }
-        assert got == dict(oracle)
-        assert rp.multiplicity((16, 16)) == 2  # both pass through the center
 
     def test_misaligned_counts_rejected(self):
         cs = CellSet(3, [(0, 0), (1, 1)])
@@ -240,18 +222,19 @@ class TestVerifyIncidenceBound:
             incidence_profile(fam, 1.0, rs=[0])
 
     def test_ordinary_tubes_rejected_before_any_work(self, monkeypatch):
+        # a tube-shaped member that is not a DyadicTube (same scale, slope and
+        # offset fields) stops the family at construction, so no verifier
+        # ever reaches the multiplicity or constant computations
         def no_work(*args):
             raise AssertionError("multiplicities computed for a rejected family")
 
         monkeypatch.setattr(incidence, "tube_count_blocks", no_work)
         monkeypatch.setattr(incidence, "katz_tao_constant", no_work)
-        fam = TubeFamily(
-            DyadicScale(4), (DyadicTube(4, 1, 0), OrdinaryTube(F(1, 3), F(1, 2), F(1, 2), F(1, 8)))
-        )
-        with pytest.raises(ValueError, match="dyadic tubes"):
-            verify_incidence_bound(fam, 0.5, 1)
-        with pytest.raises(ValueError, match="dyadic tubes"):
-            incidence_profile(fam, 0.5)
+        look_alike = SimpleNamespace(k=4, i=1, j=0, slope=F(1, 16))
+        with pytest.raises(TypeError, match="not a dyadic tube"):
+            TubeFamily(DyadicScale(4), (DyadicTube(4, 1, 0), look_alike))
+        with pytest.raises(TypeError, match="not a dyadic tube"):
+            TubeFamily.of([DyadicTube(4, 1, 0), look_alike])
 
 
 @st.composite
@@ -322,13 +305,13 @@ class TestSharpExample:
         ex = sharp_example(0.5, self.DELTA, r)
         sep = ex.meta["theta_separation"]
         assert sep == F(1, 32)  # 2^-floor(s*k), here delta^s exactly
-        assert ex.family.slope_set() == [(t - r // 2) * sep for t in range(r)]
+        assert sorted(set(ex.family.slopes())) == [(t - r // 2) * sep for t in range(r)]
         assert ex.meta["arc_length"] == r * sep
 
     @pytest.mark.parametrize("r", [4, 16, 64])
     def test_slope_regularity_bound(self, r):
         ex = sharp_example(0.5, self.DELTA, r)
-        c = regularity_constant(ex.family.slope_set(), 0.5, self.DELTA)
+        c = regularity_constant(sorted(set(ex.family.slopes())), 0.5, self.DELTA)
         assert float(c) <= 8 * r**0.5
 
     def test_precondition_flags(self):
@@ -364,8 +347,8 @@ class TestCantorSlopeFamily:
     def test_slope_count_follows_dimension(self):
         for k, s in [(6, 0.5), (8, 0.5), (8, LOG2_3), (6, 1.0)]:
             fam = cantor_slope_family(s, DyadicScale(k), per_slope=1)
-            assert len(fam.slope_set()) == 2 ** math.floor(k * s)
-            assert len(fam) == len(fam.slope_set())
+            assert len(sorted(set(fam.slopes()))) == 2 ** math.floor(k * s)
+            assert len(fam) == len(sorted(set(fam.slopes())))
 
     def test_slopes_use_only_allowed_binary_digits(self):
         k, s = 8, 0.5

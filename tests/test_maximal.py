@@ -16,7 +16,6 @@ from tubelab.core import (
     DyadicScale,
     DyadicTube,
     rasterize_tube,
-    tube_point_test,
 )
 from tubelab.acceptance import _brute_aim_assignment, _naive_tube_average
 from tubelab.incidence import TubeFamily
@@ -33,7 +32,6 @@ from tubelab.maximal import (
     kakeya_apply,
     nikodym_apply,
     norm_ratio,
-    row_tiling_assignment,
     tube_sum_norm,
     _sigma,
 )
@@ -294,7 +292,7 @@ class TestBushConstruction:
                 x = fx * core.x_half
                 y = core.slope * x + core.y_center + fy * core.y_half
                 assert core.contains(x, y)
-                assert all(tube_point_test(t, x, y) for t in b.tubes.tubes)
+                assert all(t.contains(x, y) for t in b.tubes.tubes)
         assert b.meta["rect_certified"]
         assert b.meta["c0_core"] >= 1 / 8
         assert b.meta["c0_union"] >= 1 / 4
@@ -385,9 +383,10 @@ class TestNormRatio:
         th = DirectionSet.cantor(S_LOG23, sc)
         f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
         w = float(sc.delta) ** S_LOG23
-        explicit = {sl: w for sl in th.slopes()}
         p = 1 + S_LOG23
-        assert norm_ratio(f, th, p, "kakeya") == norm_ratio(f, th, p, "kakeya", explicit)
+        # the L^p(mu) norm with mu = delta^s on every direction, written out
+        explicit = sum(v**p * w for v in kakeya_apply(f, th).values()) ** (1 / p)
+        assert norm_ratio(f, th, p, "kakeya") == explicit / f.lp_norm(p)
 
     def test_kakeya_untagged_uses_counting_measure(self):
         sc = DyadicScale(5)
@@ -410,8 +409,9 @@ class TestDualSumNorm:
         # raster hulls make horizontal tubes two rows wide, so the tiling
         # multiplicity is 2/delta rather than the idealized 1/delta
         for k in (4, 5):
-            sc = DyadicScale(k)
-            v = dual_sum_norm(row_tiling_assignment(sc), 2.0)
+            sc, n = DyadicScale(k), 1 << k
+            # each cell takes the horizontal tube at its own row
+            v = dual_sum_norm({(i, j): DyadicTube(k, 0, j) for i in range(n) for j in range(n)}, 2.0)
             d = float(sc.delta)
             assert v.details["A"] == 0.0
             assert 2 == v.details["max_multiplicity"] * d
@@ -425,8 +425,7 @@ class TestDualSumNorm:
             dual_sum_norm({(-1, 0): t}, 2.0)
 
     def test_distance_report_exact(self):
-        sc = DyadicScale(4)
-        asg = row_tiling_assignment(sc)
+        asg = {(i, j): DyadicTube(4, 0, j) for i in range(16) for j in range(16)}  # row tiling
         asg[(0, 0)] = DyadicTube(4, 0, 4)  # section [4/16, 6/16) over column 0
         v = dual_sum_norm(asg, 2.0)
         assert v.details["A"] == 3.5  # (4/16 - 1/32) / (1/16)

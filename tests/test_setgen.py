@@ -22,7 +22,6 @@ from tubelab.core import DyadicScale
 from tubelab.setgen import (
     IntervalFamily,
     MoranSpec,
-    ball_count_1d,
     box_dim_ratio,
     build_moran,
     check_gcs,
@@ -759,10 +758,21 @@ def test_family_offsets_normalize_to_unit_parent():
 
 
 def test_ball_count_matches_core_greedy():
-    from tubelab.core import greedy_ball_cover_1d
+    # BallCounter1D's binary-lifted jumps against the plain greedy sweep in
+    # exact arithmetic: open a ball at the leftmost uncovered point x, skip
+    # everything in [x, x + 2r]
+    def greedy(xs, r):
+        count, reach = 0, None
+        for x in xs:
+            if reach is None or x > reach:
+                count, reach = count + 1, x + 2 * r
+        return count
 
     rng = random.Random(4)
     for _ in range(20):
         xs = sorted(F(rng.randrange(0, 200), 64) for _ in range(rng.randrange(1, 30)))
         r = F(rng.randrange(1, 20), 64)
-        assert ball_count_1d(xs, r) == greedy_ball_cover_1d(xs, r)
+        floats = np.array([float(x) for x in xs])
+        counter = setgen.BallCounter1D(floats, float(r))
+        got = int(counter.counts(floats[0], floats[-1], closed_right=True)[0])
+        assert got == greedy(xs, r)
