@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from tubelab.maximal import DirectionSet, ExponentFit, exponent_fit
 from tubelab.setgen import (
     MoranSet,
+    MultiplicityOverflow,
     check_gcs,
     moran_sum_multiplicity_bound,
     sum_multiplicity,
@@ -38,8 +37,6 @@ from tubelab.setgen import (
 F = Fraction
 
 CEILING_HEIGHT = F(1, 8)
-
-_FOLD_CAP = 1 << 22  # max Minkowski-sum rows materialized per fold
 
 
 def _parab(t: Fraction) -> Fraction:
@@ -359,73 +356,20 @@ def affine_dim_estimate(domain: GcsDomain, deltas, eta: float = 0.05) -> Exponen
 # -------------------------------------------------------- additive energy
 
 
-class MultiplicityOverflow(Exception):
-    """Exact enumeration would exceed the fold cap."""
-
-
-def _projection_multiplicity(intervals, m: int, closed: bool, cap: int = _FOLD_CAP) -> int:
-    """Exact max multiplicity of m-fold Minkowski sums of rational intervals.
-
-    Intervals are closed when closed=True (chord caps: separated families)
-    and half-open [lo, hi) otherwise (abutting tangent caps). Endpoints
-    are rescaled to a common integer denominator; folds compress duplicate
-    sum intervals with weights, and the final sweep takes the max overlap
-    depth (ties at a shared coordinate count for closed, not for half-open).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not intervals:
-        raise ValueError("empty interval family")
-    fr = [(F(a), F(b)) for a, b in intervals]
-    den = math.lcm(*(x.denominator for ab in fr for x in ab))
-    lo0 = np.array([int(a * den) for a, _ in fr], dtype=np.int64)
-    hi0 = np.array([int(b * den) for _, b in fr], dtype=np.int64)
-    if max(int(np.abs(lo0).max()), int(np.abs(hi0).max())) > (1 << 60) // max(m, 1):
-        raise MultiplicityOverflow("denominators too large for exact integer sums")
-    lo, hi, w = lo0.copy(), hi0.copy(), np.ones(len(lo0), dtype=np.int64)
-    for _ in range(m - 1):
-        if len(lo) * len(lo0) > cap:
-            raise MultiplicityOverflow(f"{len(lo)} x {len(lo0)} sum intervals exceed the fold cap")
-        nl = (lo[:, None] + lo0[None, :]).ravel()
-        nh = (hi[:, None] + hi0[None, :]).ravel()
-        nw = (w[:, None] * np.ones(len(lo0), dtype=np.int64)[None, :]).ravel()
-        order = np.lexsort((nh, nl))
-        nl, nh, nw = nl[order], nh[order], nw[order]
-        new_group = np.empty(len(nl), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (nl[1:] != nl[:-1]) | (nh[1:] != nh[:-1])
-        starts = np.flatnonzero(new_group)
-        lo, hi = nl[starts], nh[starts]
-        w = np.add.reduceat(nw, starts)
-    # sweep: +w at lo, -w at hi; closed intervals count a shared endpoint
-    # as overlap (opens sort before closes), half-open ones do not
-    open_key, close_key = (0, 1) if closed else (1, 0)
-    coords = np.concatenate([lo, hi])
-    kinds = np.concatenate(
-        [np.full(len(lo), open_key, np.int64), np.full(len(hi), close_key, np.int64)]
-    )
-    weights = np.concatenate([w, -w])
-    order = np.lexsort((kinds, coords))
-    return int(np.maximum.accumulate(np.cumsum(weights[order])).max())
-
-
 def _class_product_bound(domain: GcsDomain, level: int, m: int, kd: int, max_splits: int) -> int:
     """Per-level product fallback for a class too large to enumerate.
 
-    Mirrors the telescoping bound: multiplicities multiply across levels
-    for uniform child layouts, and the finest level contributes either the
+    Mirrors the telescoping bound: multiplicities multiply across levels,
+    each with one child layout, and the finest level contributes either the
     per-parent gap multiplicity (chord classes) or the split count to the
     m-th power (tangent class).
     """
-    spec = domain.moran.spec
     if level == 0:
-        below = moran_sum_multiplicity_bound(domain.moran, m, kd) if kd >= 1 else 1
-        return (max_splits ** m) * below
-    below = moran_sum_multiplicity_bound(domain.moran, m, level - 1) if level > 1 else 1
-    n_k, c_k, off = spec.level(level)
-    gaps = [(o + c_k, off[i + 1]) for i, o in enumerate(off[:-1])]
-    per_parent = sum_multiplicity(gaps, m) if gaps else 1
-    return per_parent * below
+        return max_splits ** m * moran_sum_multiplicity_bound(domain.moran, m, kd)
+    below = moran_sum_multiplicity_bound(domain.moran, m, level - 1)
+    n_k, c_k, off = domain.moran.spec.level(level)
+    gaps = [(o + c_k, b) for o, b in zip(off, off[1:])]
+    return sum_multiplicity(gaps, m) * below
 
 
 def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05) -> dict:
@@ -459,7 +403,7 @@ def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05
             mults[level] = 1
             continue
         try:
-            mults[level] = _projection_multiplicity(ivs, m, closed=level > 0)
+            mults[level] = sum_multiplicity(ivs, m, closed=level > 0)
         except MultiplicityOverflow:
             mults[level] = _class_product_bound(domain, level, m, kd, max_splits)
             flagged.append(level)

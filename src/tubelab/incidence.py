@@ -118,7 +118,7 @@ def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
     return hist[: np.flatnonzero(hist)[-1] + 1]
 
 
-def _check_ratio_args(family: TubeFamily, s: float) -> None:
+def _check_ratio_args(s: float) -> None:
     if not (0.5 <= s <= 1.0):
         raise ValueError("s must lie in [1/2, 1]")
 
@@ -158,7 +158,7 @@ def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> IncidenceRat
     r beyond the family size gives rho = 0 (no cell can be that rich).
     The family must consist of dyadic tubes.
     """
-    _check_ratio_args(family, s)
+    _check_ratio_args(s)
     if r < 1:
         raise ValueError("threshold r must be >= 1")
     c_kt, c_reg = _family_constants(family, s)
@@ -173,7 +173,7 @@ def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[IncidenceRa
     (just r = 1 when no cell is covered). The multiplicity histogram and
     the two constants are computed once for the whole sweep.
     """
-    _check_ratio_args(family, s)
+    _check_ratio_args(s)
     c_kt, c_reg = _family_constants(family, s)
     hist = _multiplicity_histogram(family)
     if rs is None:

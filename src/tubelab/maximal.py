@@ -340,11 +340,12 @@ class BushPair:
 def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     """All direction-set tubes through the origin with slope within rho of omega.
 
-    The intersection core is a certified parallelogram: every vertex is
-    checked against every tube by exact rational membership. Its inscribed
-    slope-aligned rectangle of dimensions (delta/(4 rho)) x (delta/4) is
-    certified by rational envelope bounds when the window geometry allows,
-    and reported in meta["rect_certified"].
+    The intersection core is a certified parallelogram: every vertex lies in
+    every tube, by exact rational membership in the first and last window
+    tubes, which bind the rest. Its inscribed slope-aligned rectangle of
+    dimensions (delta/(4 rho)) x (delta/4) is certified by rational
+    envelope bounds when the window geometry allows, and reported in
+    meta["rect_certified"].
     """
     scale = theta.scale
     d = scale.delta
@@ -366,6 +367,11 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     s_up = 1 + mid * mid / 2
     r_inv = 1 - mid * mid / 2 + 3 * mid**4 / 8
     w_half, l_half = d / 8, d / (8 * rho)
+    # The tubes share offset 0, so at a fixed x both section bounds are
+    # monotone in the slope a: [a x, (a+d)x + d) for x > 0, ((a+d)x, a x + d)
+    # for x < 0, and [0, d) at x = 0. A point in the first and the last
+    # window tube is therefore in every tube between them.
+    ends = (tubes.tubes[0], tubes.tubes[-1])
     candidates = []
     for num in range(6, 0, -1):
         x_half = min(F(num, 8) * d / (spread + d), F(1, 4))
@@ -374,7 +380,7 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
         if y_half <= 0:
             continue
         cand = BushCore(mid, d / 2, x_half, y_half)
-        if all(t.contains(x, y) for x, y in cand.vertices() for t in tubes.tubes):
+        if all(t.contains(x, y) for x, y in cand.vertices() for t in ends):
             rect_ok = (w_half * s_up <= y_half) and (
                 (l_half + w_half * abs(mid)) * r_inv <= x_half
             )

@@ -26,7 +26,7 @@ F = Fraction
 
 BASE_LEFT = F(-1, 2)
 
-_ENUM_CAP = 1 << 18  # hard cap on |F|^m tuples in exact sum sweeps
+_FOLD_CAP = 1 << 22  # max Minkowski-sum rows materialized per fold
 
 
 # --------------------------------------------------------------------- specs
@@ -36,10 +36,10 @@ class MoranSpec:
     """Per-level data for a Moran construction on [-1/2, 1/2].
 
     n(k), c(k), offsets(k) give, for level k >= 1, the child count, the
-    contraction ratio, and the child placement. offsets(k) is a sorted list
-    of positions in [0, 1 - c_k] as fractions of the parent length; it may
-    instead be a list of such lists (one per parent, in order) for
-    constructions whose layout varies within a level.
+    contraction ratio, and the child placement. offsets(k) is one sorted
+    layout of positions in [0, 1 - c_k], as fractions of the parent length,
+    shared by every parent of the level; it is given as a callable of k or
+    as one flat list for every level.
     """
 
     def __init__(self, n, c, offsets, label: str = ""):
@@ -48,25 +48,9 @@ class MoranSpec:
         self.offsets = _offsets_fn(offsets)
         self.label = label
 
-    def level(self, k: int):
-        return self.n(k), self.c(k), self.offsets(k)
-
-    def layouts_for(self, k: int, parent_count: int) -> list[tuple[Fraction, ...]]:
-        """One offset layout per parent, expanding a uniform layout."""
-        off = self.offsets(k)
-        if off and isinstance(off[0], tuple):
-            if len(off) != parent_count:
-                raise ValueError(
-                    f"level {k}: {len(off)} layouts for {parent_count} parents"
-                )
-            return list(off)
-        return [off] * parent_count
-
-    def uniform_level(self, k: int) -> bool:
-        off = self.offsets(k)
-        return not (off and isinstance(off[0], tuple))
-
-    def validate_level(self, k: int):
+    def level(self, k: int) -> tuple[int, Fraction, tuple[Fraction, ...]]:
+        """(n_k, c_k, offsets_k), validated; the layout is read only once
+        n_k and c_k have passed."""
         n_k, c_k = self.n(k), self.c(k)
         if n_k < 2:
             raise ValueError(f"level {k}: need n_k >= 2, got {n_k}")
@@ -75,19 +59,16 @@ class MoranSpec:
         if n_k * c_k >= 1:
             raise ValueError(f"level {k}: n_k * c_k = {n_k * c_k} >= 1")
         off = self.offsets(k)
-        layouts = off if off and isinstance(off[0], tuple) else [off]
-        for lay in layouts:
-            if len(lay) != n_k:
-                raise ValueError(f"level {k}: {len(lay)} offsets for n_k = {n_k}")
-            if any(b <= a for a, b in zip(lay, lay[1:])):
-                raise ValueError(f"level {k}: offsets not strictly sorted")
-            if lay[0] < 0 or lay[-1] > 1 - c_k:
-                raise ValueError(f"level {k}: offsets outside [0, 1 - c_k]")
-            for a, b in zip(lay, lay[1:]):
-                if b - a <= c_k:
-                    raise ValueError(
-                        f"level {k}: children overlap (offset gap {b - a} <= c_k = {c_k})"
-                    )
+        if len(off) != n_k:
+            raise ValueError(f"level {k}: {len(off)} offsets for n_k = {n_k}")
+        if any(b <= a for a, b in zip(off, off[1:])):
+            raise ValueError(f"level {k}: offsets not strictly sorted")
+        if off[0] < 0 or off[-1] > 1 - c_k:
+            raise ValueError(f"level {k}: offsets outside [0, 1 - c_k]")
+        for a, b in zip(off, off[1:]):
+            if b - a <= c_k:
+                raise ValueError(f"level {k}: children overlap (offset gap {b - a} <= c_k = {c_k})")
+        return n_k, c_k, off
 
 
 def _as_level_fn(value, conv) -> Callable[[int], object]:
@@ -107,28 +88,11 @@ def _as_level_fn(value, conv) -> Callable[[int], object]:
     return fn
 
 
-def _as_layout(value):
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-        return tuple(tuple(F(x) for x in lay) for lay in value)
-    return tuple(F(x) for x in value)
-
-
-def _offsets_fn(offsets) -> Callable[[int], tuple]:
-    """Offsets argument: callable k -> layout (or list of per-parent layouts),
-    a flat list (one layout for every level), or a list of per-level layouts."""
+def _offsets_fn(offsets) -> Callable[[int], tuple[Fraction, ...]]:
+    """Offsets argument: a callable k -> layout, or one flat layout for every level."""
     if callable(offsets):
-        return lambda k: _as_layout(offsets(k))
-    seq = list(offsets)
-    if seq and isinstance(seq[0], (list, tuple)):
-        layouts = [_as_layout(lay) for lay in seq]
-
-        def fn(k: int):
-            if k > len(layouts):
-                raise ValueError(f"spec defines {len(layouts)} levels of offsets, asked for {k}")
-            return layouts[k - 1]
-
-        return fn
-    layout = _as_layout(seq)
+        return lambda k: tuple(F(x) for x in offsets(k))
+    layout = tuple(F(x) for x in offsets)
     return lambda k: layout
 
 
@@ -252,29 +216,26 @@ def build_moran(spec: MoranSpec, K: int, max_intervals: int = 1 << 21) -> MoranS
     none = np.zeros(0, dtype=np.int64)
     levels = [_Level(2, 2, np.array([-1], dtype=np.int64), none, none)]  # [-1/2, 1/2]
     for k in range(1, K + 1):
-        spec.validate_level(k)
         n_k, c_k, off = spec.level(k)
         par = levels[-1]
-        layouts = [off] if spec.uniform_level(k) else spec.layouts_for(k, len(par.lefts))
         if len(par.lefts) * n_k > max_intervals:
             raise ValueError(f"generation {k} would exceed {max_intervals} intervals")
         # offsets and child length in parent-lattice units, then the refinement
-        rel = [[o * par.length for o in lay] for lay in layouts]
+        rel = [o * par.length for o in off]
         child = c_k * par.length
-        q = math.lcm(child.denominator, *(x.denominator for row in rel for x in row))
+        q = math.lcm(child.denominator, *(x.denominator for x in rel))
         den = par.den * q
         dtype = np.int64 if den < _INT64_DEN_LIMIT else object
         span = par.length * q
         length = int(child * q)
         parents = par.lefts.astype(dtype)[:, None] * q
-        offs = np.array([[int(x * q) for x in row] for row in rel], dtype=dtype)
+        offs = np.array([int(x * q) for x in rel], dtype=dtype)
         # candidate gaps per parent: left sliver, between siblings, right sliver
-        lo = np.concatenate([np.zeros((len(offs), 1), dtype=dtype), offs + length], axis=1)
-        hi = np.concatenate([offs, np.full((len(offs), 1), span, dtype=dtype)], axis=1)
-        keep = np.broadcast_to(lo < hi, (len(parents), n_k + 1))
-        levels.append(
-            _Level(den, length, (parents + offs).ravel(), (parents + lo)[keep], (parents + hi)[keep])
-        )
+        lo = np.concatenate([np.zeros(1, dtype=dtype), offs + length])
+        hi = np.concatenate([offs, np.full(1, span, dtype=dtype)])
+        keep = lo < hi
+        lo, hi = (parents + lo[keep]).ravel(), (parents + hi[keep]).ravel()
+        levels.append(_Level(den, length, (parents + offs).ravel(), lo, hi))
     return MoranSet(spec, K, levels)
 
 
@@ -285,16 +246,11 @@ def check_gcs(m: MoranSet) -> dict:
     convex-domain constructions; at finite depth it is reported as a trend.
     """
     endpoint_ok = True
-    for k in range(1, m.K + 1):
-        n_k, c_k, off = m.spec.level(k)
-        layouts = off if off and isinstance(off[0], tuple) else [off]
-        for lay in layouts:
-            if lay[0] != 0 or lay[-1] != 1 - c_k:
-                endpoint_ok = False
     ratios = []
     acc = 0.0
     for k in range(1, m.K + 1):
-        c_k = m.spec.c(k)
+        n_k, c_k, off = m.spec.level(k)
+        endpoint_ok = endpoint_ok and off[0] == 0 and off[-1] == 1 - c_k
         lc = math.log(c_k.numerator) - math.log(c_k.denominator)
         acc += lc
         ratios.append(lc / acc)
@@ -368,22 +324,11 @@ def _scale_floor_exponent(delta) -> int:
     """Largest a >= 0 with 2^-a >= delta."""
     if isinstance(delta, DyadicScale):
         return delta.k
-    d = F(delta) if not isinstance(delta, float) else None
-    if d is not None:
-        if d <= 0 or d > 1:
-            raise ValueError("delta must be in (0, 1]")
-        a = 0
-        while F(1, 1 << (a + 1)) >= d:
-            a += 1
-        return a
-    if not (0 < delta <= 1):
+    d = F(delta)  # exact for floats too
+    if not (0 < d <= 1):
         raise ValueError("delta must be in (0, 1]")
-    a = max(0, int(math.floor(-math.log2(delta) + 1e-9)))
-    while 2.0 ** -(a + 1) >= delta:
-        a += 1
-    while a > 0 and 2.0 ** -a < delta:
-        a -= 1
-    return a
+    # 2^-a >= p/q  <=>  2^a <= floor(q/p)
+    return (d.denominator // d.numerator).bit_length() - 1
 
 
 def _delta_value(delta) -> float:
@@ -392,30 +337,13 @@ def _delta_value(delta) -> float:
     return float(delta)
 
 
-class ProfileValue(float):
-    """Estimator output with the counting convention recorded in .note."""
-
-    note: str
-
-    def __new__(cls, value: float, note: str):
-        obj = super().__new__(cls, value)
-        obj.note = note
-        return obj
-
-
-_PROFILE_NOTE = (
-    "greedy closed-ball counts; dyadic radii and dyadic window positions "
-    "(sup approximated within a bounded factor per scale)"
-)
-
-
 def _nonempty_windows(xs: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     cells = np.unique(np.floor(xs / width))
     lo = cells * width
     return lo, lo + width
 
 
-def qa_profile(e, gamma: float, delta) -> ProfileValue:
+def qa_profile(e, gamma: float, delta) -> float:
     """Finite-scale profile max log|E ∩ I|_r / log(R/r).
 
     The max runs over dyadic r = 2^-a >= delta, dyadic R = 2^-b with
@@ -440,10 +368,10 @@ def qa_profile(e, gamma: float, delta) -> ProfileValue:
             mx = int(counter.counts(lo, hi).max())
             if mx >= 2:
                 best = max(best, math.log2(mx) / (a - b))
-    return ProfileValue(best, _PROFILE_NOTE)
+    return best
 
 
-def regularity_constant(e, s: float, delta) -> ProfileValue:
+def regularity_constant(e, s: float, delta) -> float:
     """Minimal C with |E ∩ I|_r <= C (R/r)^s over dyadic scale pairs and windows."""
     if not (0 < s <= 1):
         raise ValueError("s must lie in (0, 1]")
@@ -458,7 +386,7 @@ def regularity_constant(e, s: float, delta) -> ProfileValue:
         for b, (lo, hi) in enumerate(windows[: a + 1]):
             mx = int(counter.counts(lo, hi).max())
             best = max(best, mx / 2.0 ** ((a - b) * s))
-    return ProfileValue(best, _PROFILE_NOTE)
+    return best
 
 
 _PAIR_CHUNK = 1 << 19  # bound on the (center, column) pairs of one center block
@@ -570,17 +498,17 @@ def _is_planar(p) -> bool:
     return isinstance(first, (tuple, list, np.ndarray)) and len(first) == 2
 
 
-def katz_tao_constant(p, t: float, delta) -> ProfileValue:
+def katz_tao_constant(p, t: float, delta) -> float:
     """Minimal C with |P ∩ B(x,r)|_δ <= C (r/δ)^t, centers in P, dyadic radii."""
     return _ball_ratio_constant(p, delta, lambda count, r, dv, tot: count * (dv / r) ** t)
 
 
-def frostman_constant(p, s: float, delta) -> ProfileValue:
+def frostman_constant(p, s: float, delta) -> float:
     """Minimal C with |P ∩ B(x,r)|_δ <= C r^s |P|_δ, centers in P, dyadic radii."""
     return _ball_ratio_constant(p, delta, lambda count, r, dv, tot: count / (r ** s * tot))
 
 
-def _ball_ratio_constant(p, delta, ratio) -> ProfileValue:
+def _ball_ratio_constant(p, delta, ratio) -> float:
     p = list(p)
     if not p:
         raise ValueError("empty set")
@@ -591,7 +519,7 @@ def _ball_ratio_constant(p, delta, ratio) -> ProfileValue:
         counts, tot = _planar_ball_counts(*_planar_lattice(p, delta))
         for a, count in enumerate(counts):
             best = max(best, ratio(count, 2.0 ** -a, dv, tot))
-        return ProfileValue(best, "planar dyadic-cell counts at scale delta")
+        return best
     xs = _sorted_floats(p)
     counter = BallCounter1D(xs, dv)
     tot = int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
@@ -599,7 +527,7 @@ def _ball_ratio_constant(p, delta, ratio) -> ProfileValue:
         r = 2.0 ** -a
         counts = counter.counts(xs - r, xs + r, closed_right=True)
         best = max(best, ratio(int(counts.max()), r, dv, tot))
-    return ProfileValue(best, _PROFILE_NOTE)
+    return best
 
 
 # ------------------------------------------------------------ sum structure
@@ -627,40 +555,60 @@ class IntervalFamily:
         return all(b[0] - a[1] >= gap for a, b in zip(ivs, ivs[1:]))
 
 
-def sum_multiplicity(f, m: int, cap: int = _ENUM_CAP) -> int:
+class MultiplicityOverflow(ValueError):
+    """An exact m-fold sum fold would exceed its row cap or int64."""
+
+
+def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CAP) -> int:
     """Exact max over y of the number of ordered m-tuples with y in I_1+...+I_m.
 
-    Enumerates all |F|^m Minkowski sum intervals and sweeps their overlap;
-    an enumeration larger than cap raises with a pointer to the per-level
-    product bound.
+    intervals is an IntervalFamily or (lo, hi) pairs, closed when closed=True
+    (separated families) and half-open [lo, hi) otherwise (abutting caps).
+    Endpoints are rescaled to a common integer denominator; each fold adds
+    one summand and merges equal sum intervals with weights, and the final
+    sweep takes the max overlap depth (a shared coordinate counts as overlap
+    for closed intervals, not for half-open ones). A fold of more than cap
+    rows raises MultiplicityOverflow, which points to the per-level product
+    bound.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    ivs = f.intervals if isinstance(f, IntervalFamily) else tuple((F(a), F(b)) for a, b in f)
-    if not ivs:
-        raise ValueError("empty family")
-    if len(ivs) ** m > cap:
-        raise ValueError(
-            f"{len(ivs)}^{m} sum intervals exceed the enumeration cap; "
-            "use moran_sum_multiplicity_bound for the per-level product bound"
-        )
-    sums = [(F(0), F(0))]
-    for _ in range(m):
-        sums = [(sa + a, sb + b) for sa, sb in sums for a, b in ivs]
-    # closed-interval overlap sweep: opens before closes at equal coordinates
-    events = []
-    for a, b in sums:
-        events.append((a, 0))
-        events.append((b, 1))
-    events.sort()
-    depth = best = 0
-    for _, kind in events:
-        if kind == 0:
-            depth += 1
-            best = max(best, depth)
-        else:
-            depth -= 1
-    return best
+    if isinstance(intervals, IntervalFamily):
+        intervals = intervals.intervals
+    if not intervals:
+        raise ValueError("empty interval family")
+    fr = [F(x) for ab in intervals for x in ab]
+    den = math.lcm(*(x.denominator for x in fr))
+    ends = [int(x * den) for x in fr]
+    if max(map(abs, ends)) > (1 << 60) // m:
+        raise MultiplicityOverflow("denominators too large for exact integer sums")
+    lo0, hi0 = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    lo, hi, w = lo0, hi0, np.ones(len(lo0), dtype=np.int64)
+    for _ in range(m - 1):
+        if len(lo) * len(lo0) > cap:
+            raise MultiplicityOverflow(
+                f"{len(lo)} x {len(lo0)} sum intervals exceed the fold cap; "
+                "use moran_sum_multiplicity_bound for the per-level product bound"
+            )
+        nl = (lo[:, None] + lo0[None, :]).ravel()
+        nh = (hi[:, None] + hi0[None, :]).ravel()
+        nw = np.repeat(w, len(lo0))
+        order = np.lexsort((nh, nl))
+        nl, nh, nw = nl[order], nh[order], nw[order]
+        new_group = np.empty(len(nl), dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (nl[1:] != nl[:-1]) | (nh[1:] != nh[:-1])
+        starts = np.flatnonzero(new_group)
+        lo, hi = nl[starts], nh[starts]
+        w = np.add.reduceat(nw, starts)
+    # sweep: +w at lo, -w at hi; opens sort before closes at a shared
+    # coordinate for closed intervals, after them for half-open ones
+    open_key, close_key = (0, 1) if closed else (1, 0)
+    coords = np.concatenate([lo, hi])
+    kinds = np.repeat(np.array([open_key, close_key]), len(lo))
+    weights = np.concatenate([w, -w])
+    order = np.lexsort((kinds, coords))
+    return int(np.cumsum(weights[order]).max())
 
 
 @functools.lru_cache(maxsize=32)
@@ -757,11 +705,8 @@ def moran_sum_multiplicity_bound(m: MoranSet, mfold: int, K: int) -> int:
         raise ValueError("m must be >= 1")
     out = 1
     for k in range(1, K + 1):
-        if not m.spec.uniform_level(k):
-            raise ValueError(f"level {k} has non-uniform child layouts; bound needs one layout per level")
         n_k, c_k, off = m.spec.level(k)
-        fam = [(o, o + c_k) for o in off]
-        out *= sum_multiplicity(fam, mfold)
+        out *= sum_multiplicity([(o, o + c_k) for o in off], mfold)
     return out
 
 

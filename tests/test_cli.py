@@ -20,6 +20,7 @@ from tubelab.cli import (
     run,
     split_sections,
 )
+from tubelab import domains
 from tubelab.domains import affine_dim_estimate, gcs_domain
 from tubelab.setgen import build_moran, doubling_branch_spec
 from tubelab.svg import svg_loglog
@@ -258,6 +259,28 @@ class TestRun:
         assert capsys.readouterr().out == (
             "FAIL,dualsum,delta 1/64: grid needs 65536 cells > max_cells 20000\n"
         )
+
+    def test_moran_child_count_failure_row(self, tmp_path, capsys):
+        # n_k is checked before the 'even' layout divides by n_k - 1
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = dims\ndeltas = 1/256\ndepth = 2\n\n[moran]\nn = 1\nc = 1/3\n"
+        )
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == "FAIL,dims,level 1: need n_k >= 2, got 1\n"
+
+    def test_energy_fallback_overflow_failure_row(self, tmp_path, capsys, monkeypatch):
+        # every fold overflows, so the chord classes fall back to the product
+        # bound, whose own gap fold overflows too: that is a FAIL row
+        fold = domains.sum_multiplicity
+        monkeypatch.setattr(domains, "sum_multiplicity", lambda ivs, m, closed=True: fold(ivs, m, closed, cap=1))
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = energy\ndeltas = 1/1048576\npreset = doubling\ndepth = 4\nm = 3\n"
+        )
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL,energy,") and out.endswith("per-level product bound\n")
 
     def test_incidence_grid_cap_failure_row(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text(

@@ -1,8 +1,8 @@
 """Convex-domain boundary, cap-cover, and additive-energy tests.
 
 Oracles: independent piecewise boundary evaluation (tree descent per
-point), closed-form chord/tangent identities, setgen's closed-interval
-sum sweep, and frozen exact counts from deterministic constructions.
+point), closed-form chord/tangent identities, setgen's multiset slot
+kernel, and frozen exact counts from deterministic constructions.
 """
 
 import math
@@ -14,7 +14,6 @@ from tubelab.domains import (
     Cap,
     CapCover,
     GcsDomain,
-    MultiplicityOverflow,
     additive_energy_estimate,
     affine_dim_estimate,
     cap_cover,
@@ -24,16 +23,18 @@ from tubelab.domains import (
     k_delta,
     slope_set,
 )
-from tubelab.domains import _class_product_bound, _projection_multiplicity
+from tubelab.domains import _class_product_bound
 from tubelab.core import DyadicScale
 from tubelab.setgen import (
     MoranSpec,
+    MultiplicityOverflow,
     build_moran,
     constant_branch_spec,
     doubling_branch_spec,
     middle_thirds_spec,
     qa_profile,
     sum_multiplicity,
+    _slot_sum_multiplicity,
 )
 
 S_LOG23 = math.log(2) / math.log(3)
@@ -133,18 +134,6 @@ class TestSlopeSet:
         assert len(ds.indices) == len(set(ds.indices))
 
 
-class TestMapF:
-    """The tangent map (cos a, sin a) -> tan a is bi-Lipschitz on the quarter turn."""
-
-    def test_bilipschitz_on_quarter_turn(self):
-        angles = [(-math.pi / 4) + i * (math.pi / 2) / 40 for i in range(41)]
-        for i, a in enumerate(angles):
-            for b in angles[i + 1 :]:
-                chord = math.hypot(math.cos(a) - math.cos(b), math.sin(a) - math.sin(b))
-                ratio = abs(math.tan(a) - math.tan(b)) / chord
-                assert 1.0 <= ratio <= 2.1
-
-
 class TestCapCover:
     def test_k_delta_middle_thirds(self):
         d = mt_domain(10)
@@ -230,17 +219,22 @@ class TestCapCount:
 
 
 class TestProjectionMultiplicity:
+    """setgen.sum_multiplicity on the energy classes' interval forms: closed
+    (chord caps) and half-open (abutting tangent caps)."""
+
     def test_touching_intervals_closed_vs_halfopen(self):
         ivs = [(0, 1), (1, 2)]
-        assert _projection_multiplicity(ivs, 1, closed=True) == 2
-        assert _projection_multiplicity(ivs, 1, closed=False) == 1
+        assert sum_multiplicity(ivs, 1, closed=True) == 2
+        assert sum_multiplicity(ivs, 1, closed=False) == 1
 
     def test_two_fold_cross_check(self):
         ivs = [(F(0), F(1)), (F(2), F(3))]
-        assert _projection_multiplicity(ivs, 2, closed=True) == sum_multiplicity(ivs, 2) == 3
-        assert _projection_multiplicity(ivs, 2, closed=False) == 2
+        assert sum_multiplicity(ivs, 2, closed=True) == sum_multiplicity(ivs, 2) == 3
+        assert sum_multiplicity(ivs, 2, closed=False) == 2
 
     def test_matches_setgen_on_random_separated_families(self):
+        # slot-aligned intervals [a, a + 1] / 64: the fold against the
+        # multiset slot kernel of the family search
         import random
 
         rng = random.Random(5)
@@ -248,17 +242,18 @@ class TestProjectionMultiplicity:
             pts = sorted(rng.sample(range(60), 8))
             ivs = [(F(a, 64), F(a + 1, 64)) for a in pts[::2]]
             for m in (1, 2, 3):
-                assert _projection_multiplicity(ivs, m, closed=True) == sum_multiplicity(ivs, m)
+                assert sum_multiplicity(ivs, m, closed=True) == _slot_sum_multiplicity(pts[::2], m)
 
     def test_overflow_raises(self):
-        with pytest.raises(MultiplicityOverflow):
-            _projection_multiplicity([(0, 1), (2, 3)], 3, closed=True, cap=2)
+        with pytest.raises(MultiplicityOverflow, match="product bound"):
+            sum_multiplicity([(0, 1), (2, 3)], 3, closed=True, cap=2)
+        assert issubclass(MultiplicityOverflow, ValueError)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="m must be"):
-            _projection_multiplicity([(0, 1)], 0, closed=True)
+            sum_multiplicity([(0, 1)], 0, closed=True)
         with pytest.raises(ValueError, match="empty"):
-            _projection_multiplicity([], 2, closed=True)
+            sum_multiplicity([], 2, closed=True)
 
 
 class TestAdditiveEnergy:

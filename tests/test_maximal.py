@@ -21,6 +21,7 @@ from tubelab.acceptance import _brute_aim_assignment, _naive_tube_average
 from tubelab.incidence import TubeFamily
 from tubelab.maximal import (
     Assignment,
+    BushCore,
     DirectionSet,
     GridFunction,
     aim_at_origin_assignment,
@@ -324,6 +325,62 @@ class TestBushConstruction:
         central = {c for c in seen if abs(2 * c[0] + 1) <= n // 2}
         assert central == set(map(tuple, b.meta["central_cells"].idx))
         assert b.meta["c0_union"] == float(len(seen) * sc.delta / len(b.tubes))
+
+    @pytest.mark.parametrize(
+        "theta,omega,rho",
+        [
+            pytest.param(("cantor", S_LOG23, 7), F(1, 2), F(1, 2), id="cantor-k7"),
+            pytest.param(("cantor", 0.5, 8), F(1, 4), F(1, 8), id="cantor-k8"),
+            pytest.param(("arc", -F(1, 2), F(3, 4), 7), -F(1, 4), F(1, 8), id="arc-k7"),
+            pytest.param(("arc", -1, 1, 6), F(0), F(1), id="arc-k6-full"),
+            pytest.param(("arc", 0, 1, 9), F(1, 2), F(1, 2), id="arc-k9-512-slopes"),
+        ],
+    )
+    def test_end_tubes_certify_like_all_tubes(self, theta, omega, rho):
+        if theta[0] == "cantor":
+            sc = DyadicScale(theta[2])
+            th = DirectionSet.cantor(theta[1], sc)
+        else:
+            sc = DyadicScale(theta[3])
+            th = DirectionSet.net_of_arc(sc, theta[1], theta[2])
+        b = bush_construction(th, omega, rho)
+        # the candidate cores and the choice rule, each candidate certified
+        # against every window tube
+        d, tubes = sc.delta, b.tubes.tubes
+        a_min, a_max = tubes[0].slope, tubes[-1].slope
+        spread, mid = a_max - a_min, (a_min + a_max + d) / 2
+        s_up, r_inv = 1 + mid * mid / 2, 1 - mid * mid / 2 + 3 * mid**4 / 8
+        w_half, l_half = d / 8, d / (8 * rho)
+        picked = []
+        for num in range(6, 0, -1):
+            x_half = min(F(num, 8) * d / (spread + d), F(1, 4))
+            y_half = (d + (d - spread) * x_half) / 2 if spread < d else (d - (spread - d) * x_half) / 2
+            y_half = min(y_half * F(7, 8), 3 * d / 8)
+            if y_half <= 0:
+                continue
+            cand = BushCore(mid, d / 2, x_half, y_half)
+            if all(t.contains(x, y) for x, y in cand.vertices() for t in tubes):
+                rect_ok = w_half * s_up <= y_half and (l_half + w_half * abs(mid)) * r_inv <= x_half
+                picked.append((cand, rect_ok))
+                if rect_ok:
+                    break
+        core, rect_ok = picked[-1] if picked[-1][1] else picked[0]
+        assert (b.core, b.meta["rect_certified"]) == (core, rect_ok)
+
+    @pytest.mark.parametrize("indices", [range(-16, 16), range(-3, 9), (-16, -5, 0, 2, 3, 15), (4,)])
+    def test_end_tubes_bind_every_tube_between(self, indices):
+        # membership in the first and the last offset-0 tube decides
+        # membership in every tube between them, boundary points included
+        k, d = 4, F(1, 16)
+        tubes = [DyadicTube(k, i, 0) for i in indices]
+        ys = set()
+        for x in (F(i, 16) for i in range(-16, 17)):
+            for t in tubes:
+                for y in t.section(x):
+                    ys.update((x, y + e) for e in (-d / 16, 0, d / 16))
+        for x, y in ys:
+            inside = all(t.contains(x, y) for t in tubes)
+            assert inside == (tubes[0].contains(x, y) and tubes[-1].contains(x, y)), (x, y)
 
     def test_single_slope_window(self):
         sc = DyadicScale(6)

@@ -73,7 +73,7 @@ def _random_valid_spec(rng: random.Random, levels: int = 4) -> MoranSpec:
         offs.append([F(p, d) for p in sorted(set(positions))[:n]])
         if len(offs[-1]) != n:
             offs[-1] = [F(2 * i, d) for i in range(n - 1)] + [F(d - 1, d)]
-    return MoranSpec(n=ns, c=cs, offsets=offs)
+    return MoranSpec(n=ns, c=cs, offsets=lambda k: offs[k - 1])
 
 
 class TestBuildMoran:
@@ -137,6 +137,12 @@ class TestBuildMoran:
         with pytest.raises(ValueError, match="n_k \\* c_k"):
             build_moran(spec, 1)
 
+    def test_child_count_checked_before_layout(self):
+        # the 'even' layout divides by n_k - 1, so n_k must be checked first
+        spec = moran_spec_from_config("n = 1\nc = 1/3\n")
+        with pytest.raises(ValueError, match="^level 1: need n_k >= 2, got 1$"):
+            build_moran(spec, 1)
+
     def test_interval_cap_guard(self):
         with pytest.raises(ValueError, match="exceed"):
             build_moran(middle_thirds_spec(), 8, max_intervals=100)
@@ -155,10 +161,10 @@ def _reference_moran(spec: MoranSpec, K: int) -> list[dict]:
     lefts, length = [F(-1, 2)], F(1)
     levels = [{"length": length, "lefts": lefts, "removed": [], "midpoints": []}]
     for k in range(1, K + 1):
-        n_k, c_k, _ = spec.level(k)
+        n_k, c_k, lay = spec.level(k)
         child_len = length * c_k
         new_lefts, gaps = [], []
-        for p, lay in zip(lefts, spec.layouts_for(k, len(lefts))):
+        for p in lefts:
             child_lefts = [p + o * length for o in lay]
             new_lefts.extend(child_lefts)
             if lay[0] > 0:
@@ -196,14 +202,6 @@ class TestIntegerLattice:
         rng = random.Random(2718)
         for _ in range(12):
             _assert_matches_reference(_random_valid_spec(rng), 4)
-
-    def test_per_parent_layouts(self):
-        def offsets(k):
-            if k == 1:
-                return [0, F(3, 5)]
-            return [[0, F(3, 5)], [F(1, 7), F(5, 7)]] if k == 2 else [[0, F(2, 3)]] * 4
-
-        _assert_matches_reference(MoranSpec(n=2, c=F(1, 4), offsets=offsets), 3)
 
     def test_non_flush_layout(self):
         spec = MoranSpec(n=3, c=F(1, 9), offsets=[F(1, 18), F(4, 9), F(7, 9)])
@@ -277,6 +275,39 @@ class TestBoxDimRatio:
             box_dim_ratio(ms, 1, 4)
         with pytest.raises(ValueError):
             box_dim_ratio(ms, 0, 3)
+
+
+def _brute_floor_exponent(delta) -> int:
+    d = delta.delta if isinstance(delta, DyadicScale) else F(delta)
+    a = 0
+    while F(1, 1 << (a + 1)) >= d:
+        a += 1
+    return a
+
+
+class TestScaleFloorExponent:
+    """The bit-length rule against a while loop in Fractions, at the boundaries."""
+
+    def test_boundary_inputs(self):
+        rng = random.Random(12)
+        inputs = [DyadicScale(k) for k in range(64)]
+        inputs += [math.ulp(0.0), 2.0**-1022, 1.0, F(1)]
+        for k in range(64):
+            p = 2.0**-k
+            inputs += [p, math.nextafter(p, 0.0), F(1, 1 << k), F(1, 1 << k) - F(1, 1 << 100)]
+            if k:
+                inputs += [math.nextafter(p, 1.0), F(1, 1 << k) + F(1, 1 << 100)]
+        for k in range(40):
+            inputs += [F(1, 3**k), 3.0**-k]
+        inputs += [rng.random() ** rng.randrange(1, 40) for _ in range(500)]
+        inputs += [F(rng.randrange(1, 10**6), rng.randrange(10**6, 10**12)) for _ in range(500)]
+        for delta in inputs:
+            assert setgen._scale_floor_exponent(delta) == _brute_floor_exponent(delta), delta
+
+    def test_outside_unit_interval_rejected(self):
+        for bad in (0, 0.0, -0.25, F(-1, 8), 1.5, F(9, 8)):
+            with pytest.raises(ValueError, match="delta must be in"):
+                setgen._scale_floor_exponent(bad)
 
 
 class TestQaProfile:
@@ -494,8 +525,54 @@ class TestSumMultiplicity:
         assert sum_multiplicity(fam, 1) == 1
 
 
+def _brute_sum_multiplicity(intervals, m: int, closed: bool) -> int:
+    """Every ordered m-tuple's sum interval in Fractions. The deepest point
+    can be taken at a left end: the largest left end of the intervals that
+    hold a point lies in all of them."""
+    ivs = [(F(a), F(b)) for a, b in intervals]
+    sums = [(sum(a for a, _ in t), sum(b for _, b in t)) for t in itertools.product(ivs, repeat=m)]
+
+    def depth(y):
+        return sum(lo <= y <= hi if closed else lo <= y < hi for lo, hi in sums)
+
+    return max(depth(y) for y in {lo for lo, _ in sums})
+
+
+@st.composite
+def _interval_lists(draw):
+    """(intervals, m): rational intervals on one lattice, touching, nested,
+    repeated and degenerate ones included, with at most 216 m-tuples."""
+    m = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2, 3, 6, 64]))
+    pairs = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 8)),
+                          min_size=1, max_size=(6, 6, 6, 3)[m - 1]))
+    return [(F(a, den), F(a + w, den)) for a, w in pairs], m
+
+
+class TestSumMultiplicityOracle:
+    """The integer fold and the slot kernel against the Fraction tuple enumerator."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_interval_lists(), st.booleans())
+    def test_fold_matches_enumeration(self, case, closed):
+        ivs, m = case
+        want = _brute_sum_multiplicity(ivs, m, closed)
+        assert sum_multiplicity(ivs, m, closed=closed) == want
+        if closed:
+            assert sum_multiplicity(IntervalFamily(ivs), m) == want
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.sets(st.integers(0, 30), min_size=1, max_size=6), st.integers(1, 4))
+    def test_slot_kernel_matches_enumeration(self, slots, m):
+        slots = sorted(slots)[: 4 if m == 4 else 6]
+        ivs = [(t, t + 1) for t in slots]
+        want = _brute_sum_multiplicity(ivs, m, closed=True)
+        assert _slot_sum_multiplicity(slots, m) == want
+        assert sum_multiplicity(ivs, m) == want
+
+
 class TestSlotKernel:
-    """The multiset slot kernel against Fraction enumeration and the event sweep."""
+    """The multiset slot kernel against the integer fold of sum_multiplicity."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_random_slot_patterns(self, m):
@@ -707,18 +784,6 @@ class TestMoranSumBound:
     def test_m1_is_one(self):
         ms = build_moran(middle_thirds_spec(), 4)
         assert moran_sum_multiplicity_bound(ms, 1, 4) == 1
-
-    def test_non_uniform_layout_rejected(self):
-        def offsets(k):
-            if k == 1:
-                return [0, F(2, 3)]
-            return [[0, F(2, 3)], [0, F(1, 2)]]
-
-        spec = MoranSpec(n=2, c=F(1, 3), offsets=offsets)
-        ms = build_moran(spec, 2)
-        with pytest.raises(ValueError, match="non-uniform"):
-            moran_sum_multiplicity_bound(ms, 2, 2)
-        assert check_gcs(ms)["endpoint_ok"] is False
 
 
 class TestConfig:
