@@ -372,6 +372,15 @@ def _class_product_bound(domain: GcsDomain, level: int, m: int, kd: int, max_spl
     return sum_multiplicity(gaps, m) * below
 
 
+def _max_tangent_splits(domain: GcsDomain, cover: CapCover) -> int:
+    """Most tangent-class caps that start in one level-K(delta) interval."""
+    lefts = domain.moran.lefts(cover.k_delta)
+    per_interval = [0] * len(lefts)
+    for c in cover.classes[0]:
+        per_interval[bisect.bisect_right(lefts, c.t_lo) - 1] += 1
+    return max(per_interval)
+
+
 def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05) -> dict:
     """Upper bound on the m-fold cap-interaction count of the canonical cover.
 
@@ -388,14 +397,7 @@ def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05
     kd = cover.k_delta
     mults: dict[int, int] = {}
     flagged: list[int] = []
-    max_splits = 0
-    if cover.classes[0]:
-        per_interval: dict[tuple[Fraction, Fraction], int] = {}
-        starts = {a: 0 for a, _ in domain.moran.intervals(kd)}
-        for c in cover.classes[0]:
-            key = max(a for a in starts if a <= c.t_lo)
-            per_interval[key] = per_interval.get(key, 0) + 1
-        max_splits = max(per_interval.values())
+    max_splits = _max_tangent_splits(domain, cover)
     for level in range(kd + 1):
         caps = cover.classes[level]
         ivs = [(c.t_lo, c.t_hi) for c in caps]

@@ -26,7 +26,9 @@ F = Fraction
 
 BASE_LEFT = F(-1, 2)
 
-_FOLD_CAP = 1 << 22  # max Minkowski-sum rows materialized per fold
+# max Minkowski sums of one fold: the earlier folds materialize at most this
+# many merged rows, the last is swept in windows, and all overflow past it
+_FOLD_CAP = 1 << 22
 
 
 # --------------------------------------------------------------------- specs
@@ -91,9 +93,17 @@ def _as_level_fn(value, conv) -> Callable[[int], object]:
 def _offsets_fn(offsets) -> Callable[[int], tuple[Fraction, ...]]:
     """Offsets argument: a callable k -> layout, or one flat layout for every level."""
     if callable(offsets):
-        return lambda k: tuple(F(x) for x in offsets(k))
-    layout = tuple(F(x) for x in offsets)
+        return lambda k: _flat_layout(offsets(k), k)
+    layout = _flat_layout(offsets, 1)  # level 1 is the first to read it
     return lambda k: layout
+
+
+def _flat_layout(offsets, k: int) -> tuple[Fraction, ...]:
+    """The layout of level k as Fractions."""
+    offsets = tuple(offsets)
+    if any(isinstance(x, (list, tuple, np.ndarray)) for x in offsets):
+        raise ValueError(f"level {k}: a level layout is one flat list of offsets, not a nested list")
+    return tuple(F(x) for x in offsets)
 
 
 # ---------------------------------------------------------------- moran sets
@@ -564,12 +574,13 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
 
     intervals is an IntervalFamily or (lo, hi) pairs, closed when closed=True
     (separated families) and half-open [lo, hi) otherwise (abutting caps).
-    Endpoints are rescaled to a common integer denominator; each fold adds
-    one summand and merges equal sum intervals with weights, and the final
-    sweep takes the max overlap depth (a shared coordinate counts as overlap
-    for closed intervals, not for half-open ones). A fold of more than cap
-    rows raises MultiplicityOverflow, which points to the per-level product
-    bound.
+    Endpoints are rescaled to a common integer denominator, on which closed
+    [a, b] covers the points of half-open [a, b + 1). Each of the first m - 2
+    folds adds one summand and merges equal sum intervals with weights, so it
+    materializes at most cap rows; the last fold is never materialized but
+    swept for its max overlap depth in coordinate windows (_swept_depth).
+    Every fold, the last one included, that would make more than cap sums
+    raises MultiplicityOverflow, which points to the per-level product bound.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -584,12 +595,14 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
         raise MultiplicityOverflow("denominators too large for exact integer sums")
     lo0, hi0 = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     lo, hi, w = lo0, hi0, np.ones(len(lo0), dtype=np.int64)
-    for _ in range(m - 1):
+    for fold in range(1, m):
         if len(lo) * len(lo0) > cap:
             raise MultiplicityOverflow(
                 f"{len(lo)} x {len(lo0)} sum intervals exceed the fold cap; "
                 "use moran_sum_multiplicity_bound for the per-level product bound"
             )
+        if fold == m - 1:
+            break
         nl = (lo[:, None] + lo0[None, :]).ravel()
         nh = (hi[:, None] + hi0[None, :]).ravel()
         nw = np.repeat(w, len(lo0))
@@ -601,14 +614,71 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
         starts = np.flatnonzero(new_group)
         lo, hi = nl[starts], nh[starts]
         w = np.add.reduceat(nw, starts)
-    # sweep: +w at lo, -w at hi; opens sort before closes at a shared
-    # coordinate for closed intervals, after them for half-open ones
-    open_key, close_key = (0, 1) if closed else (1, 0)
-    coords = np.concatenate([lo, hi])
-    kinds = np.repeat(np.array([open_key, close_key]), len(lo))
-    weights = np.concatenate([w, -w])
-    order = np.lexsort((kinds, coords))
-    return int(np.cumsum(weights[order]).max())
+    if m == 1:  # the family itself is the last fold, added to the empty sum
+        lo0 = hi0 = np.zeros(1, dtype=np.int64)
+    return _swept_depth(lo, hi, w, lo0, hi0 + closed)  # closed [a, b] as [a, b + 1)
+
+
+_SWEEP_CHUNK = 1 << 16  # bound on the sum endpoints of one window of the last fold
+
+
+def _swept_depth(lo, hi, w, lo0, hi0) -> int:
+    """Max over y of the weight of the half-open sums [lo[g] + lo0[i],
+    hi[g] + hi0[i]) that hold y, without materializing those sums.
+
+    The rows g are sorted once by lo and once by hi, with prefix weights.
+    In a window [y0, y1) of y the opens of base interval i are one index
+    range of the lo order, and its closes one range of the hi order, found
+    by searchsorted; the depth carried in at y0 is the prefix weights read
+    at the range starts. Each window holds at most _SWEEP_CHUNK ends, or
+    the ends of one coordinate. The deepest point is an open, so the sweep
+    stops past the last one.
+    """
+    by_lo, by_hi = np.argsort(lo), np.argsort(hi)
+    los, his, wlo, whi = lo[by_lo], hi[by_hi], w[by_lo], w[by_hi]
+    plo = np.concatenate([[0], np.cumsum(wlo)])
+    phi = np.concatenate([[0], np.cumsum(whi)])
+
+    def cut(y: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Per base interval, the first open and first close at or past y,
+        and the number of ends below y."""
+        a, b = np.searchsorted(los, y - lo0), np.searchsorted(his, y - hi0)
+        return a, b, int(a.sum() + b.sum())
+
+    y0, end = int(los[0] + lo0.min()), int(los[-1] + lo0.max()) + 1
+    a, b, below = cut(y0)
+    best, width = 0, end - y0
+    while y0 < end:
+        # gallop from the last window's width (the first tries the whole
+        # range): double while the window fits, halve until it fits or is
+        # one coordinate wide. Each try is a searchsorted per base interval,
+        # so a fresh bisection over a range of ~2^40 coordinates would cost
+        # ~40 tries per window; neighbouring windows have similar widths
+        y1 = min(y0 + width, end)
+        a1, b1, below1 = cut(y1)
+        if below1 - below <= _SWEEP_CHUNK:
+            while y1 < end:
+                y2 = min(y0 + 2 * (y1 - y0), end)
+                a2, b2, below2 = cut(y2)
+                if below2 - below > _SWEEP_CHUNK:
+                    break
+                y1, a1, b1, below1 = y2, a2, b2, below2
+        else:
+            while y1 - y0 > 1 and below1 - below > _SWEEP_CHUNK:
+                y1 = y0 + (y1 - y0) // 2
+                a1, b1, below1 = cut(y1)
+        if below1 > below:
+            opens, closes = _ranges(a, a1), _ranges(b, b1)
+            at = np.concatenate([los[opens] + np.repeat(lo0, a1 - a), his[closes] + np.repeat(hi0, b1 - b)])
+            order = np.argsort(at)
+            at = at[order]
+            depth = np.cumsum(np.concatenate([wlo[opens], -whi[closes]])[order])
+            last = np.append(at[1:] != at[:-1], True)  # depth after every end of a coordinate
+            carry = int(plo[a].sum() - phi[b].sum())
+            best = max(best, carry + int(depth[last].max()))
+        width = y1 - y0
+        y0, a, b, below = y1, a1, b1, below1
+    return best
 
 
 @functools.lru_cache(maxsize=32)

@@ -23,7 +23,7 @@ from tubelab.domains import (
     k_delta,
     slope_set,
 )
-from tubelab.domains import _class_product_bound
+from tubelab.domains import _class_product_bound, _max_tangent_splits
 from tubelab.core import DyadicScale
 from tubelab.setgen import (
     MoranSpec,
@@ -296,6 +296,18 @@ class TestAdditiveEnergy:
         e24 = additive_energy_estimate(dom, F(1, 1 << 24), 3)["energy_exponent"]
         e36 = additive_energy_estimate(dom, F(1, 1 << 36), 3)["energy_exponent"]
         assert e24 > e36
+
+    def test_tangent_split_count_matches_linear_scan(self):
+        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        for j in (12, 20, 28, 40):
+            cover = cap_cover(dom, F(1, 1 << j))
+            # per tangent cap, the largest level-K(delta) left end at or below it
+            starts = {a: 0 for a, _ in dom.moran.intervals(cover.k_delta)}
+            per_interval = {}
+            for c in cover.classes[0]:
+                key = max(a for a in starts if a <= c.t_lo)
+                per_interval[key] = per_interval.get(key, 0) + 1
+            assert _max_tangent_splits(dom, cover) == max(per_interval.values())
 
     def test_m_validation(self):
         dom = mt_domain(4)

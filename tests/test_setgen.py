@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from tubelab.acceptance import (
     _brute_window_counts,
 )
 from tubelab.core import DyadicScale
+from tubelab.domains import cap_cover, gcs_domain
 from tubelab.setgen import (
     IntervalFamily,
     MoranSpec,
@@ -131,6 +134,15 @@ class TestBuildMoran:
         spec = MoranSpec(n=2, c=F(1, 3), offsets=[0, F(1, 4)])
         with pytest.raises(ValueError, match="level 1"):
             build_moran(spec, 1)
+
+    def test_nested_layout_rejected_with_level(self):
+        with pytest.raises(ValueError, match="^level 1: a level layout is one flat list"):
+            MoranSpec(n=2, c=F(1, 3), offsets=[[0, F(2, 3)], [0, F(2, 3)]])
+        with pytest.raises(ValueError, match="^level 1: a level layout is one flat list"):
+            MoranSpec(n=2, c=F(1, 3), offsets=[0, [F(2, 3)]])
+        spec = MoranSpec(n=2, c=F(1, 3), offsets=lambda k: [0, F(2, 3)] if k < 2 else [[0], [F(2, 3)]])
+        with pytest.raises(ValueError, match="^level 2: a level layout is one flat list"):
+            build_moran(spec, 2)
 
     def test_expansion_ratio_must_leave_room(self):
         spec = MoranSpec(n=3, c=F(1, 3), offsets=[0, F(1, 3), F(2, 3)])
@@ -569,6 +581,45 @@ class TestSumMultiplicityOracle:
         want = _brute_sum_multiplicity(ivs, m, closed=True)
         assert _slot_sum_multiplicity(slots, m) == want
         assert sum_multiplicity(ivs, m) == want
+
+
+@st.composite
+def _shared_end_lists(draw):
+    """(intervals, m): intervals whose ends come from a few lattice points,
+    so sums share coordinates; equal ends give zero-length intervals."""
+    m = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 3, 8]))
+    points = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    ends = st.tuples(st.sampled_from(points), st.sampled_from(points)).map(sorted)
+    pairs = draw(st.lists(ends, min_size=1, max_size=(6, 6, 5, 3)[m - 1]))
+    return [(F(a, den), F(b, den)) for a, b in pairs], m
+
+
+class TestWindowedSweep:
+    """The last fold, swept in windows of a few ends, against the Fraction
+    tuple enumerator."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(_interval_lists(), _shared_end_lists()), st.booleans(), st.integers(1, 3))
+    def test_tiny_windows_match_enumeration(self, case, closed, chunk):
+        ivs, m = case
+        want = _brute_sum_multiplicity(ivs, m, closed)
+        with mock.patch.object(setgen, "_SWEEP_CHUNK", chunk):
+            assert sum_multiplicity(ivs, m, closed=closed) == want
+
+    def test_energy_class_at_2_pow_40_stays_small(self):
+        # check 04's tangent class at 2^-40: 256 abutting caps, 3 873 024 sums
+        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        ivs = [(c.t_lo, c.t_hi) for c in cap_cover(dom, F(1, 1 << 40)).classes[0]]
+        assert len(ivs) == 256
+        tracemalloc.start()
+        try:
+            got = sum_multiplicity(ivs, 3, closed=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 5670
+        assert peak <= 32 << 20
 
 
 class TestSlotKernel:
