@@ -105,17 +105,23 @@ class IncidenceRatio(float):
         return obj
 
 
-def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
-    """hist[c] = number of cells of [0,1)^2 with exactly c tubes.
+def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """np.bincount(tube_count_grid(t, b, k, rows).ravel()), reduced one
+    column block at a time, so the grid is never held: hist[c] cells meet
+    exactly c of the tubes, and hist[-1] counts the top multiplicity."""
+    hist = np.zeros(1, dtype=np.int64)
+    for _, block in tube_count_blocks(t, b, k, rows):
+        h = np.bincount(block.ravel())
+        if len(h) > len(hist):
+            hist, h = h, hist
+        hist[: len(h)] += h
+    return hist
 
-    The same counts as _multiplicity_grid, reduced one column block at a
-    time, so the 4^k grid is never held. hist[-1] is the top multiplicity.
-    """
+
+def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
+    """tube_count_histogram over [0,1)^2: hist[c] = number of cells with exactly c tubes."""
     k, tubes = family.scale.k, family.tubes
-    hist = np.zeros(len(tubes) + 1, dtype=np.int64)  # no cell meets more tubes
-    for _, block in tube_count_blocks([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k)):
-        hist += np.bincount(block.ravel(), minlength=len(hist))
-    return hist[: np.flatnonzero(hist)[-1] + 1]
+    return tube_count_histogram([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k))
 
 
 def _check_ratio_args(s: float) -> None:

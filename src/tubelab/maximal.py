@@ -7,6 +7,13 @@ n + sigma(ix) - sigma(m) + {-2, -1, 0, 1} with sigma(ix) = (t*ix + 2^(k-1)) >> k
 All tubes then hold the same cell count, so tube averages are plain sums, and
 a per-direction pass reduces to a vertical 4-window sum, a shear gather, a
 prefix sum along columns, and an endpoint gather.
+
+A pass costs memory in proportion to its input's support plus one column
+block: the 4-sums are written only where f's box meets the columns and rows
+the outputs read, and the gather and prefix sum run a block of columns at a
+time. For small integer-valued f, such as bush and ball indicators, the sums
+are int32 and the only float operation is the final division by the tube's
+cell count; both dtypes give bit-identical averages.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
-    tube_count_grid,
     tube_rows,
 )
-from tubelab.incidence import TubeFamily, cantor_slope_indices
+from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
 from tubelab.setgen import _delta_value, frostman_constant
 
 F = Fraction
@@ -97,7 +103,12 @@ class DirectionSet:
 
 
 class GridFunction:
-    """Nonnegative cell-constant function on a grid-aligned box."""
+    """Nonnegative cell-constant function on any grid-aligned box, 0 off it.
+
+    The operators read f only where their tubes meet its box, so a function
+    is stored on its support's box: indicators default to the bounding box
+    of their cells.
+    """
 
     def __init__(self, scale: DyadicScale, box: Box, values: np.ndarray):
         c0, c1, r0, r1 = box.grid_range(scale.k)
@@ -120,9 +131,15 @@ class GridFunction:
         return GridFunction(scale, box, np.full((c1 - c0, r1 - r0), float(value)))
 
     @staticmethod
-    def indicator_cells(scale: DyadicScale, cells, box: Box = BOX_DEFAULT) -> "GridFunction":
-        f = GridFunction.constant(0.0, scale, box)
+    def indicator_cells(scale: DyadicScale, cells, box: Box | None = None) -> "GridFunction":
+        """1 on the cells, on box or by default the cells' bounding box
+        (one zero cell at the origin for no cells)."""
         idx = cells.idx if isinstance(cells, CellSet) else np.asarray(list(cells), dtype=np.int64)
+        if box is None:
+            lo, hi = (idx.min(axis=0), idx.max(axis=0) + 1) if len(idx) else ((0, 0), (1, 1))
+            d = scale.delta
+            box = Box.of(int(lo[0]) * d, int(lo[1]) * d, int(hi[0]) * d, int(hi[1]) * d)
+        f = GridFunction.constant(0.0, scale, box)
         if len(idx):
             i = idx[:, 0] - f._col0
             j = idx[:, 1] - f._row0
@@ -131,7 +148,7 @@ class GridFunction:
         return f
 
     @staticmethod
-    def ball_indicator(scale: DyadicScale, center, radius, box: Box = BOX_DEFAULT) -> "GridFunction":
+    def ball_indicator(scale: DyadicScale, center, radius, box: Box | None = None) -> "GridFunction":
         """1 on cells whose center lies in the closed ball."""
         cx, cy, r = F(center[0]), F(center[1]), F(radius)
         d = scale.delta
@@ -191,8 +208,24 @@ def digital_tube_cells(scale: DyadicScale, center, t: int) -> CellSet:
 def _check_operator_input(f: GridFunction, scale: DyadicScale):
     if f.scale != scale:
         raise ValueError("scale mismatch between function and direction set")
-    if not (f.box.x0 <= -2 and f.box.y0 <= -2 and f.box.x1 >= 2 and f.box.y1 >= 2):
-        raise ValueError("function box must contain [-2, 2]^2")
+
+
+_BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pass
+
+
+def _small_integers(a: np.ndarray, k: int) -> bool:
+    """Whether every value of a is an integer small enough that the prefix
+    sums of _tube_sums_from_v4, each over fewer than 8 * 2^k cells of f,
+    fit int32. Read a block of rows at a time, so no full-size temporary."""
+    if not a.size:
+        return True
+    top = np.iinfo(np.int32).max // (8 << k)
+    step = max(1, _BLOCK_CELLS // a.shape[1])
+    for i in range(0, len(a), step):
+        b = a[i : i + step]
+        if b.max() > top or (np.floor(b) != b).any():
+            return False
+    return True
 
 
 def _vertical_4sums(f: GridFunction) -> np.ndarray:
@@ -201,20 +234,33 @@ def _vertical_4sums(f: GridFunction) -> np.ndarray:
     Only the 2^(k+1) columns ix = c - 2^(k-1) in [-2^(k-1), 2^k + 2^(k-1))
     are kept, the ones the [0,1)^2 outputs read. Row y lives at index
     y + _shear_pad(k): a sheared read for |t| <= 2^k moves a row by at
-    most that pad, so every read of _averages_from_v4 stays in range.
+    most that pad, so every read of _tube_sums_from_v4 stays in range.
+
+    V4 starts as np.zeros, and the part of f inside this read window is
+    added into it in place, one row shift at a time in the order above, so
+    the pass writes memory only where f's box meets the window. V4 is int32
+    when that part holds small integers (_small_integers), as indicators
+    do, and float64 otherwise; both dtypes give the same sums exactly.
     """
     k = f.scale.k
     n = 1 << k
     K = n >> 1
     pad = _shear_pad(k)
     y0, y1 = -pad, n + pad
-    src = np.zeros((2 * n, y1 - y0 + 3))  # f on rows [y0 - 2, y1 + 1)
-    r_lo = max(y0 - 2, f._row0)
-    r_hi = min(y1 + 1, f._row0 + f.values.shape[1])
-    src[:, r_lo - y0 + 2 : r_hi - y0 + 2] = f.values[
-        -K - f._col0 : n + K - f._col0, r_lo - f._row0 : r_hi - f._row0
-    ]
-    return src[:, :-3] + src[:, 1:-2] + src[:, 2:-1] + src[:, 3:]
+    c0, r0 = f._col0, f._row0
+    c_lo = max(-K, c0)  # f's columns and rows inside the read window
+    c_hi = max(c_lo, min(n + K, c0 + f.values.shape[0]))
+    r_lo = max(y0 - 2, r0)
+    r_hi = max(r_lo, min(y1 + 1, r0 + f.values.shape[1]))
+    part = f.values[c_lo - c0 : c_hi - c0, r_lo - r0 : r_hi - r0]
+    v4 = np.zeros((2 * n, y1 - y0), dtype=np.int32 if _small_integers(part, k) else np.float64)
+    cols = v4[c_lo + K : c_hi + K]
+    for s in (-2, -1, 0, 1):  # V4 row y adds f row y + s
+        a, b = max(y0, r_lo - s), min(y1, r_hi - s)
+        if a < b:
+            dst = cols[:, a - y0 : b - y0]
+            np.add(dst, part[:, a + s - r_lo : b + s - r_lo], out=dst, casting="unsafe")
+    return v4
 
 
 def _shear_pad(k: int) -> int:
@@ -223,12 +269,20 @@ def _shear_pad(k: int) -> int:
     return (1 << k) + (1 << (k - 1))
 
 
-def _averages_from_v4(v4: np.ndarray, k: int, t: int) -> np.ndarray:
-    """Tube averages in direction t at every center of [0,1)^2, (n, n).
+def _tube_sums_from_v4(v4: np.ndarray, k: int, t: int, out: np.ndarray) -> None:
+    """out[m, j] = sum of f over the tube in direction t centered at (m, j),
+    for every center of [0,1)^2; the tube average is that over 4 * 2^k.
 
     W[c, r] is V4 at column ix = c - 2^(k-1) and row r + lo + sigma(ix), so
-    with Q the prefix sum of W down the columns, the tube centered at
-    (m, j) sums to one difference of Q at row j - sigma(m) - lo.
+    with Q[c] = W[0] + ... + W[c - 1] down the columns, the tube centered at
+    (m, j) sums to Q[m + 2^k] - Q[m] at row j - sigma(m) - lo.
+
+    W and Q are made one block of columns at a time, about _BLOCK_CELLS
+    cells, in v4's dtype. The last Q row of a block is carried into the next
+    by adding it to that block's first W row before the prefix sum: the same
+    sequential additions as one prefix sum of the whole strip. Q[m] is
+    written into out[m] as its block passes, and Q[m + 2^k] - out[m] into
+    out[m] when that row's block passes.
     """
     n = 1 << k
     K = n >> 1
@@ -237,22 +291,37 @@ def _averages_from_v4(v4: np.ndarray, k: int, t: int) -> np.ndarray:
     sig_c = sig[K : K + n]  # centers m in [0, n)
     lo, hi = -int(sig_c.max()), n - int(sig_c.min())
     strips = np.lib.stride_tricks.sliding_window_view(v4, hi - lo, axis=1)
-    W = strips[cols, sig + lo + _shear_pad(k)]
-    Q = np.zeros((2 * n + 1, hi - lo))
-    np.cumsum(W, axis=0, out=Q[1:])
-    rows = np.lib.stride_tricks.sliding_window_view(Q, n, axis=1)
-    m = cols[:n]
     start = -sig_c - lo
-    return (rows[m + n, start] - rows[m, start]) / (8 * K)
+    step = max(1, _BLOCK_CELLS // (hi - lo))
+    out[0] = 0  # Q[0]
+    carry = None
+    for c0 in range(0, 2 * n - 1, step):  # the last column feeds only Q[2n], never read
+        c1 = min(c0 + step, 2 * n - 1)
+        q = strips[cols[c0:c1], sig[c0:c1] + lo + _shear_pad(k)]  # W[c0:c1]
+        if carry is not None:
+            q[0] += carry
+        np.cumsum(q, axis=0, dtype=q.dtype, out=q)  # q[i] = Q[c0 + 1 + i]
+        carry = q[-1]
+        rows = np.lib.stride_tricks.sliding_window_view(q, n, axis=1)
+        a, b = c0 + 1, min(c1 + 1, n)  # Q[m] for m in [a, b)
+        if a < b:
+            out[a:b] = rows[np.arange(a, b) - c0 - 1, start[a:b]]
+        a, b = max(c0 + 1, n) - n, c1 + 1 - n  # Q[m + n] for m in [a, b)
+        if a < b:
+            dst = out[a:b]
+            np.subtract(rows[np.arange(a, b) + n - c0 - 1, start[a:b]], dst, out=dst)
 
 
 def direction_average_grid(f: GridFunction, t: int) -> np.ndarray:
     """Tube averages in one direction at every center of [0,1)^2, (n, n)."""
-    _check_operator_input(f, f.scale)
-    n = 1 << f.scale.k
+    k = f.scale.k
+    n = 1 << k
     if not -n <= t < n:
         raise ValueError(f"slope index {t} outside [-2^k, 2^k)")
-    return _averages_from_v4(_vertical_4sums(f), f.scale.k, t)
+    v4 = _vertical_4sums(f)
+    out = np.empty((n, n), dtype=v4.dtype)
+    _tube_sums_from_v4(v4, k, t, out)
+    return out / (4 << k)
 
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
@@ -260,22 +329,29 @@ def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     _check_operator_input(f, theta.scale)
     if not theta.indices:
         raise ValueError("empty direction set")
+    k = theta.scale.k
+    n = 1 << k
     v4 = _vertical_4sums(f)
-    out = None
-    for t in theta.indices:
-        avg = _averages_from_v4(v4, theta.scale.k, t)
-        out = avg if out is None else np.maximum(out, avg)
-    return GridFunction(theta.scale, BOX_UNIT, np.maximum(out, 0.0))
+    best, cur = np.empty((n, n), dtype=v4.dtype), np.empty((n, n), dtype=v4.dtype)
+    _tube_sums_from_v4(v4, k, theta.indices[0], best)
+    for t in theta.indices[1:]:
+        _tube_sums_from_v4(v4, k, t, cur)
+        np.maximum(best, cur, out=best)
+    # dividing by a positive constant is monotone, so it commutes with the max
+    avg = best / (4 << k)
+    return GridFunction(theta.scale, BOX_UNIT, np.maximum(avg, 0.0, out=avg))
 
 
 def kakeya_apply(f: GridFunction, theta: DirectionSet) -> dict:
     """Best tube average per direction, positions swept over [0,1)^2 centers."""
     _check_operator_input(f, theta.scale)
-    d = theta.scale.delta
+    k, d = theta.scale.k, theta.scale.delta
     v4 = _vertical_4sums(f)
+    sums = np.empty((1 << k, 1 << k), dtype=v4.dtype)
     out = {}
     for t in theta.indices:
-        out[t * d] = float(_averages_from_v4(v4, theta.scale.k, t).max())
+        _tube_sums_from_v4(v4, k, t, sums)
+        out[t * d] = float(sums.max()) / (4 << k)
     return out
 
 
@@ -325,7 +401,7 @@ class BushCore:
                 out.append((i, j))
         return out
 
-    def indicator(self, scale: DyadicScale, box: Box = BOX_DEFAULT) -> GridFunction:
+    def indicator(self, scale: DyadicScale, box: Box | None = None) -> GridFunction:
         return GridFunction.indicator_cells(scale, self.cells(scale), box)
 
 
@@ -462,8 +538,8 @@ def kakeya_norm(values: dict, theta: DirectionSet, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _grid_lp(grid: np.ndarray, pprime: float, delta: float) -> float:
-    counts = np.bincount(grid.ravel())
+def _hist_lp(counts: np.ndarray, pprime: float, delta: float) -> float:
+    """L^p' norm of a multiplicity grid, from its tube_count_histogram."""
     vals = np.arange(len(counts), dtype=np.float64)
     total = float((counts[1:] * vals[1:] ** pprime).sum()) * delta * delta
     return total ** (1.0 / pprime)
@@ -545,11 +621,11 @@ def dual_sum_norm(assignment, pprime: float) -> MeasuredNorm:
     up = np.maximum(asg.t * u, (asg.t + 1) * u) + (asg.b + 1) * (2 << k)
     cy = u.T << k
     a_max = max(0, int((lo - cy).max()), int((cy - up).max()))
-    grid = tube_count_grid(asg.t, asg.b, k)
-    value = _grid_lp(grid, pprime, float(F(1, n)))
+    hist = tube_count_histogram(asg.t, asg.b, k)
+    value = _hist_lp(hist, pprime, float(F(1, n)))
     return MeasuredNorm(
         value,
-        {"A": a_max / float(2 << k), "max_multiplicity": int(grid.max()), "pprime": pprime},
+        {"A": a_max / float(2 << k), "max_multiplicity": len(hist) - 1, "pprime": pprime},
     )
 
 
@@ -570,8 +646,8 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
     delta = float(family.scale.delta)
     s = 1.0 / (pprime - 1.0)
     p = 1.0 + s
-    grid = tube_count_grid([tb.i for tb in family.tubes], [tb.j for tb in family.tubes], k)
-    value = _grid_lp(grid, pprime, delta)
+    hist = tube_count_histogram([tb.i for tb in family.tubes], [tb.j for tb in family.tubes], k)
+    value = _hist_lp(hist, pprime, delta)
     c = float(frostman_constant(sorted(set(slopes)), s, family.scale))
     bound = c ** (1.0 / p) * delta ** (2.0 / pprime) * len(family)
     return MeasuredNorm(

@@ -588,6 +588,8 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
         intervals = intervals.intervals
     if not intervals:
         raise ValueError("empty interval family")
+    if len(intervals) ** m > np.iinfo(np.int64).max:  # the tuple weights are int64
+        raise MultiplicityOverflow(f"{len(intervals)}^{m} tuples overflow int64 weights")
     fr = [F(x) for ab in intervals for x in ab]
     den = math.lcm(*(x.denominator for x in fr))
     ends = [int(x * den) for x in fr]

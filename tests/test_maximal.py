@@ -5,17 +5,22 @@ and exact closed-form identities on degenerate inputs.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tubelab import maximal
 from tubelab.core import (
     BOX_DEFAULT,
     Box,
     DyadicScale,
     DyadicTube,
     rasterize_tube,
+    tube_count_grid,
 )
 from tubelab.acceptance import _brute_aim_assignment, _naive_tube_average
 from tubelab.incidence import TubeFamily
@@ -35,6 +40,7 @@ from tubelab.maximal import (
     norm_ratio,
     tube_sum_norm,
     _sigma,
+    _vertical_4sums,
 )
 
 S_LOG23 = math.log(2) / math.log(3)
@@ -43,6 +49,16 @@ S_LOG23 = math.log(2) / math.log(3)
 def random_function(scale, rng, box=BOX_DEFAULT):
     c0, c1, r0, r1 = box.grid_range(scale.k)
     return GridFunction(scale, box, rng.random((c1 - c0, r1 - r0)))
+
+
+def padded(f, box):
+    """f zero-padded onto box, which must contain f's box."""
+    k = f.scale.k
+    c0, c1, r0, r1 = box.grid_range(k)
+    fc0, fc1, fr0, fr1 = f.box.grid_range(k)
+    vals = np.zeros((c1 - c0, r1 - r0))
+    vals[fc0 - c0 : fc1 - c0, fr0 - r0 : fr1 - r0] = f.values
+    return GridFunction(f.scale, box, vals)
 
 
 def naive_average(f, t, m, n):
@@ -149,11 +165,21 @@ class TestNikodymApply:
         with pytest.raises(ValueError, match="scale mismatch"):
             nikodym_apply(f, th)
 
-    def test_small_box_rejected(self):
+    # the pass reads columns [-1/2, 3/2) and rows [-3/2 - 2 delta, 5/2 + delta)
+    @pytest.mark.parametrize(
+        "box",
+        [Box.of(F(1, 4), F(1, 8), F(3, 4), F(5, 8)), Box.of(-2, -2, 1, F(3, 2)), Box.of(-2, -2, F(-3, 4), 2)],
+        ids=["small", "partly-outside-read-window", "disjoint-from-read-window"],
+    )
+    def test_own_box_matches_padded_copy(self, box):
         sc = DyadicScale(5)
-        f = GridFunction.constant(1.0, sc, Box.of(-1, -1, 1, 1))
-        with pytest.raises(ValueError, match=r"\[-2, 2\]"):
-            nikodym_apply(f, DirectionSet.cantor(0.5, sc))
+        f = random_function(sc, np.random.default_rng(8), box)
+        g = padded(f, BOX_DEFAULT)
+        th = DirectionSet(sc, (-32, -9, 0, 14, 31), "explicit")
+        out = nikodym_apply(f, th).values
+        assert out.tobytes() == nikodym_apply(g, th).values.tobytes()
+        assert kakeya_apply(f, th) == kakeya_apply(g, th)
+        assert out.any() == (box.x1 > F(-1, 2))
 
     def test_matches_naive_oracle(self):
         sc = DyadicScale(6)
@@ -225,6 +251,97 @@ class TestNikodymApply:
         th = DirectionSet.cantor(0.6, sc)
         total = sum(direction_average_grid(f, t) for t in th.indices)
         assert (nikodym_apply(f, th).values <= total + 1e-12).all()
+
+
+@st.composite
+def _boxed_functions(draw):
+    """(f, t): f random on a random grid-aligned box at k = 1..4, floats or
+    small integers, and t random or at either extreme."""
+    k = draw(st.integers(1, 4))
+    n = 1 << k
+    c0, r0 = draw(st.integers(-3 * n, 2 * n)), draw(st.integers(-3 * n, 3 * n))
+    w, h = draw(st.integers(1, 3 * n)), draw(st.integers(1, 3 * n))
+    d = F(1, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.random((w, h)) if draw(st.booleans()) else rng.integers(0, 4, (w, h))
+    f = GridFunction(DyadicScale(k), Box.of(c0 * d, r0 * d, (c0 + w) * d, (r0 + h) * d), vals)
+    return f, draw(st.sampled_from([-n, n - 1]) | st.integers(-n, n - 1))
+
+
+class TestBlockedPass:
+    """The column-blocked shear pass against the per-cell oracle, and its
+    int32 pass against the float pass."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_boxed_functions(), st.integers(1, 3))
+    def test_matches_naive_oracle_across_block_edges(self, case, block_cols):
+        f, t = case
+        k = f.scale.k
+        n = 1 << k
+        with pytest.MonkeyPatch.context() as mp:
+            # a strip is 2^k to 2^(k+1) rows wide, so blocks of 1 to 3 columns
+            mp.setattr(maximal, "_BLOCK_CELLS", block_cols << k)
+            fast = direction_average_grid(f, t)
+        b = f.box
+        hull = Box.of(min(b.x0, -2), min(b.y0, -2), max(b.x1, 2), max(b.y1, 2))
+        g = padded(f, hull)
+        exact = (f.values == np.floor(f.values)).all()
+        for m in range(n):
+            for j in range(n):
+                want = _naive_tube_average(g, t, m, j)
+                assert fast[m, j] == (want if exact else pytest.approx(want, rel=1e-12))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["0/1", "small", "int32 limit"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_int_pass_matches_float_pass(self, k, kind, seed):
+        n = 1 << k
+        top = np.iinfo(np.int32).max // (8 << k)  # the largest value the int32 pass takes
+        lo, hi = {"0/1": (0, 1), "small": (0, 9), "int32 limit": (top - 1, top)}[kind]
+        rng = np.random.default_rng(seed)
+        f = GridFunction(DyadicScale(k), BOX_DEFAULT, rng.integers(lo, hi + 1, (4 * n, 4 * n)))
+        assert _vertical_4sums(f).dtype == np.int32
+        ts = sorted({-n, n - 1, *map(int, rng.integers(-n, n, 4))})
+        th = DirectionSet(f.scale, tuple(ts), "explicit")
+
+        def outputs():
+            return (nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th),
+                    [direction_average_grid(f, t).tobytes() for t in ts])
+
+        got = outputs()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_small_integers", lambda a, k: False)
+            assert _vertical_4sums(f).dtype == np.float64
+            assert outputs() == got
+
+    def test_pass_dtype_follows_values(self):
+        sc = DyadicScale(4)
+        top = np.iinfo(np.int32).max // (8 << 4)
+        for value, dtype in ((1.0, np.int32), (top, np.int32), (top + 1, np.float64), (0.5, np.float64)):
+            f = GridFunction.constant(value, sc)
+            assert _vertical_4sums(f).dtype == dtype, value
+        # only the part of f the pass reads decides: 0.5 outside it keeps int32
+        f = GridFunction.constant(1.0, sc)
+        f.values[0, 0] = 0.5
+        assert _vertical_4sums(f).dtype == np.int32
+
+    def test_bush_pass_memory_at_k10(self):
+        # the int32 V4 (32 MiB) is the blocked pass's largest array; holding
+        # the whole strip and a [-2, 2]^2 grid in float64 took ~139 MiB here
+        sc = DyadicScale(10)
+        th = DirectionSet.cantor(S_LOG23, sc)
+        f = bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
+        tracemalloc.start()
+        try:
+            out = nikodym_apply(f, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.max_value() > 0
+        assert peak <= 80 << 20
 
 
 class TestKakeyaApply:
@@ -525,6 +642,28 @@ class TestDualSumNorm:
                 a, b = dual_sum_norm(asg, pprime), dual_sum_norm(dict(asg), pprime)
                 assert float(a) == float(b)
                 assert a.details == b.details
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_streamed_norms_match_dense_grid(self, k):
+        # dual_sum_norm and tube_sum_norm reduce tube_count_blocks without
+        # holding the grid; the dense grid's reduction is the reference
+        sc = DyadicScale(k)
+        th = DirectionSet.cantor(S_LOG23, sc)
+        pprime, d = 1 + 1 / S_LOG23, float(sc.delta)
+
+        def dense_lp(grid):
+            counts = np.bincount(grid.ravel())
+            vals = np.arange(len(counts), dtype=np.float64)
+            return (float((counts[1:] * vals[1:] ** pprime).sum()) * d * d) ** (1 / pprime)
+
+        asg = aim_at_origin_assignment(th)
+        v, grid = dual_sum_norm(asg, pprime), tube_count_grid(asg.t, asg.b, k)
+        assert float(v) == dense_lp(grid)
+        assert v.details["max_multiplicity"] == grid.max()
+        fam = TubeFamily.of([DyadicTube(k, t, 0) for t in th.indices])
+        r, grid = tube_sum_norm(fam, pprime), tube_count_grid(list(th.indices), [0] * len(th), k)
+        assert float(r) == dense_lp(grid)
+        assert r.details["ratio"] == float(r) / r.details["bound"]
 
 
 class TestAimAtOrigin:

@@ -25,6 +25,7 @@ from tubelab.domains import cap_cover, gcs_domain
 from tubelab.setgen import (
     IntervalFamily,
     MoranSpec,
+    MultiplicityOverflow,
     box_dim_ratio,
     build_moran,
     check_gcs,
@@ -535,6 +536,12 @@ class TestSumMultiplicity:
     def test_disjoint_m1_is_one(self):
         fam = [(0, 1), (3, 4), (6, 7)]
         assert sum_multiplicity(fam, 1) == 1
+
+    def test_int64_weight_overflow_raises(self):
+        # 2^67 ordered tuples; the deepest sum alone holds C(67, 33) > 2^63 of them
+        with pytest.raises(MultiplicityOverflow, match="int64"):
+            sum_multiplicity([(0, 1), (1000, 1001)], 67)
+        assert sum_multiplicity([(0, 1), (1000, 1001)], 62) == math.comb(62, 31)
 
 
 def _brute_sum_multiplicity(intervals, m: int, closed: bool) -> int:
