@@ -24,7 +24,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from tubelab.core import BOX_UNIT, Box, DyadicScale, DyadicTube, rasterize_tube
+from tubelab.core import BOX_UNIT, Box, DyadicScale, DyadicTube, rasterize_tube, tube_count_grid
 from tubelab.domains import (
     additive_energy_estimate,
     affine_dim_estimate,
@@ -38,6 +38,7 @@ from tubelab.incidence import (
     incidence_profile,
     rich_points,
     sharp_example,
+    tube_count_histogram,
     verify_incidence_bound,
 )
 from tubelab.maximal import (
@@ -483,6 +484,21 @@ def _inv_profile_consistency():
     return True, f"slope-set vs generating-set profile: worst gap {worst:.3f}", {}
 
 
+def _inv_count_histogram():
+    # the banded histogram against the bincount of the dense grid, on thin
+    # sharp-example bands and a Cantor family that reaches every row
+    sc = DyadicScale(8)
+    fams = [sharp_example(0.5, sc, r).family for r in (4, 16)]
+    fams.append(cantor_slope_family(S_LOG23, sc, seed=8))
+    for fam in fams:
+        t, b = [tb.i for tb in fam.tubes], [tb.j for tb in fam.tubes]
+        for rows in ((0, 1 << sc.k), None):
+            want = np.bincount(tube_count_grid(t, b, sc.k, rows).ravel())
+            if not np.array_equal(tube_count_histogram(t, b, sc.k, rows), want):
+                return False, f"histogram of a {len(fam)}-tube family differs from the grid's", {}
+    return True, "banded multiplicity histograms equal the dense-grid bincount", {}
+
+
 def _inv_box_ratio_window():
     ms = build_moran(middle_thirds_spec(), 8)
     vals = [box_dim_ratio(ms, lo, 8) for lo in (1, 3, 5)]
@@ -507,6 +523,7 @@ CRITERIA = {
     "inv-cap-cover": _inv_cap_cover,
     "inv-profile-consistency": _inv_profile_consistency,
     "inv-box-ratio-window": _inv_box_ratio_window,
+    "inv-count-histogram": _inv_count_histogram,
 }
 
 SUITES = {
@@ -518,6 +535,7 @@ SUITES = {
         "inv-cap-cover",
         "inv-profile-consistency",
         "inv-box-ratio-window",
+        "inv-count-histogram",
     ],
     "paper-checks": [n for n in CRITERIA if n[0].isdigit()],
 }

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as F
@@ -223,11 +224,23 @@ class RunArtifact:
     manifest_path: Path
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """path.write_text(text), but path holds its old bytes or all the new
+    ones: the text goes to a temporary file beside it, which then replaces it."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _grid_guard(cfg: ExperimentConfig, delta: F, cells: int) -> None:
@@ -382,7 +395,7 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
     svg_paths = []
     for name, (samples, title, ylabel) in sorted(plots.items()):
         p = out / f"{name}.svg"
-        p.write_text(svg_loglog(samples, title=title, ylabel=ylabel), encoding="utf-8")
+        _write_atomic(p, svg_loglog(samples, title=title, ylabel=ylabel))
         svg_paths.append(p)
 
     canon = config_text(cfg)
@@ -395,7 +408,7 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
         + f"table = {csv_path.name}\n"
     )
     manifest_path = out / "manifest.txt"
-    manifest_path.write_text(manifest, encoding="utf-8")
+    _write_atomic(manifest_path, manifest)
     return RunArtifact(out, csv_path, svg_paths, manifest_path)
 
 

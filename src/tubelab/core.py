@@ -197,52 +197,76 @@ def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
     return lo[inv] + off, 1 - ((-up) >> k)[inv] + off
 
 
-_COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries and difference cells
+_COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries plus difference cells
 
 
 def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None):
-    """tube_count_grid one block of consecutive columns at a time.
+    """tube_count_grid one block of consecutive columns at a time, on the
+    band of rows that the block's tubes reach.
 
-    Yields (m0, block): block[m - m0, j - r0] is grid[m, j - r0] for the
-    columns m of the block, as an int64 array of at most about _COUNT_CHUNK
-    cells. Callers that reduce the grid never hold all of it.
+    Returns ((r0, r1), blocks): the grid's rows (by default every row a tube
+    reaches) and an iterator of (m0, j0, block). block[m - m0, j - j0] is
+    grid[m, j] for the columns m of the block and the grid rows j of its
+    band [j0, j0 + block.shape[1] - 1); its last column, one spare row past
+    the band, is 0. block is an int64 array of at most about _COUNT_CHUNK
+    cells, and every grid cell outside the bands is 0. Callers that reduce
+    the grid never hold all of it.
     """
     n = 1 << k
     t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
     if not t.size:
-        yield 0, np.zeros((n, rows[1] - rows[0] if rows else 0), dtype=np.int64)
-        return
-    # distinct tubes with their counts
+        return ((0, 0) if rows is None else rows), iter(())
+    # distinct tubes with their counts, sorted by slope, then offset
     b0 = int(b.min())
     span = int(b.max()) - b0 + 1
     keys, cnt = np.unique((t + n) * span + (b - b0), return_counts=True)
     t, b = keys // span - n, keys % span + b0
+    slopes, per_slope = np.unique(t, return_counts=True)
+    last = np.cumsum(per_slope) - 1
+    b_lo, b_hi = b[last - per_slope + 1], b[last]  # each slope's offset range
+
+    def reach(cols):
+        """Slope rows over cols and the rows [lo, hi) any tube reaches there."""
+        lo, hi = tube_rows(slopes, 0, k, cols)
+        return lo, hi, int((lo.min(axis=1) + b_lo).min()), int((hi.max(axis=1) + b_hi).max())
+
+    # the lower hull is concave and the upper convex along x, so each
+    # tube's extreme rows sit in the first or the last column
+    *_, top0, top1 = reach((0, n - 1))
     if rows is None:
-        # the lower hull is concave and the upper convex along x, so each
-        # tube's extreme rows sit in the first or the last column
-        lo, hi = tube_rows(t, b, k, (0, n - 1))
-        rows = int(lo.min()), int(hi.max())
-    r0, r1 = rows
-    w = r1 - r0 + 1  # one spare row absorbs the exits at r1
-    step = max(1, _COUNT_CHUNK // max(len(t), w))
-    slopes, per_slope = np.unique(t, return_counts=True)  # t is sorted
-    for m0 in range(0, n, step):
-        cols = np.arange(m0, min(m0 + step, n))
-        # difference array of the column block: +count where a tube enters
-        # a column, -count where it leaves. A range outside the window is
-        # clipped to one row, where its count is added and removed.
-        base, size = (cols - m0) * w - r0, len(cols) * w
-        lo, hi = (np.repeat(e, per_slope, axis=0) for e in tube_rows(slopes, 0, k, cols))
-        for e in (lo, hi):  # in place: shift by the offset, clip, index the block
-            e += b[:, None]
-            np.clip(e, r0, r1, out=e)
-            e += base
-        # without weights bincount counts in int64; weighted, it sums the
-        # tube counts as exact doubles, which the int64 prefix sum casts
-        wts = None if cnt.max() == 1 else np.repeat(cnt, len(cols))
-        diff = np.bincount(lo.ravel(), wts, size)
-        diff -= np.bincount(hi.ravel(), wts, size)
-        yield m0, diff.reshape(len(cols), w).cumsum(axis=1, dtype=np.int64)[:, :-1]
+        rows = top0, top1
+    r0, r1 = max(rows[0], top0), min(rows[1], top1)  # window rows a tube reaches
+    # without weights bincount counts in int64; weighted, it sums the tube
+    # counts as exact doubles, which the int64 prefix sum casts
+    wts = None if cnt.max() == 1 else cnt
+
+    def blocks():
+        if r0 >= r1:
+            return
+        step = max(1, _COUNT_CHUNK // (len(t) + r1 - r0 + 1))
+        for m0 in range(0, n, step):
+            cols = np.arange(m0, min(m0 + step, n))
+            lo, hi, j0, j1 = reach(cols)
+            j0, j1 = max(j0, r0), min(j1, r1)
+            if j0 >= j1:
+                continue
+            # difference array of the band: +count where a tube enters a
+            # column, -count where it leaves. A range outside the window is
+            # clipped to one row, where its count is added and removed; one
+            # spare row absorbs the exits at j1.
+            w = j1 - j0 + 1
+            base, size = (cols - m0) * w - j0, len(cols) * w
+            lo, hi = (np.repeat(e, per_slope, axis=0) for e in (lo, hi))
+            for e in (lo, hi):  # in place: shift by the offset, clip, index the band
+                e += b[:, None]
+                np.clip(e, j0, j1, out=e)
+                e += base
+            reps = None if wts is None else np.repeat(wts, len(cols))
+            diff = np.bincount(lo.ravel(), reps, size)
+            diff -= np.bincount(hi.ravel(), reps, size)
+            yield m0, j0 - rows[0], diff.reshape(len(cols), w).cumsum(axis=1, dtype=np.int64)
+
+    return rows, blocks()
 
 
 def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
@@ -252,11 +276,10 @@ def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.nda
     included, whose raster (tube_rows) meets cell (m, j), for rows j in
     [r0, r1) = rows; by default every row a tube reaches, r0 the lowest.
     """
-    grid = None
-    for m0, block in tube_count_blocks(t, b, k, rows):
-        if grid is None:
-            grid = np.empty((1 << k, block.shape[1]), dtype=np.int64)
-        grid[m0 : m0 + len(block)] = block
+    (r0, r1), blocks = tube_count_blocks(t, b, k, rows)
+    grid = np.zeros((1 << k, r1 - r0), dtype=np.int64)
+    for m0, j0, block in blocks:
+        grid[m0 : m0 + len(block), j0 : j0 + block.shape[1] - 1] = block[:, :-1]
     return grid
 
 

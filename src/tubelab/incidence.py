@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from tubelab.core import (
-    BOX_UNIT,
     Box,
     CellSet,
     DyadicScale,
@@ -108,13 +107,19 @@ class IncidenceRatio(float):
 def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
     """np.bincount(tube_count_grid(t, b, k, rows).ravel()), reduced one
     column block at a time, so the grid is never held: hist[c] cells meet
-    exactly c of the tubes, and hist[-1] counts the top multiplicity."""
+    exactly c of the tubes, and hist[-1] counts the top multiplicity (a
+    window of no cells gives [0], not the empty bincount)."""
+    (r0, r1), blocks = tube_count_blocks(t, b, k, rows)
     hist = np.zeros(1, dtype=np.int64)
-    for _, block in tube_count_blocks(t, b, k, rows):
+    # the zero cells outside the bands, less the spare rows counted below
+    zeros = (1 << k) * (r1 - r0)
+    for _, _, block in blocks:
         h = np.bincount(block.ravel())
         if len(h) > len(hist):
             hist, h = h, hist
         hist[: len(h)] += h
+        zeros -= block.size
+    hist[0] += zeros
     return hist
 
 
@@ -282,6 +287,13 @@ def _offset_range(a: Fraction, d: Fraction, rect: Box) -> tuple[int, int]:
     return j_lo, j_hi
 
 
+def _unit_offsets(i: int, k: int) -> range:
+    """_offset_range(i / 2^k, 2^-k, BOX_UNIT) as a range, in integers: the
+    hull of the slope-i tube with offset j spans (min(0, i) + j) / 2^k to
+    (max(0, i + 1) + j + 1) / 2^k over x in [0, 1]."""
+    return range(-max(0, i + 1), (1 << k) - min(0, i))
+
+
 def cantor_slope_indices(s: float, k: int) -> list[int]:
     """Digit-restricted (Cantor-like) slope indices at scale 2^-k.
 
@@ -312,11 +324,9 @@ def cantor_slope_family(
     if per_slope is None:
         per_slope = max(1, round(2.0 ** (k * (1.0 - s))))
     rng = random.Random(seed)
-    d = delta.delta
     tubes = []
     for i in slopes:
-        j_lo, j_hi = _offset_range(F(i, 1 << k), d, BOX_UNIT)
-        valid = range(j_lo, j_hi + 1)
+        valid = _unit_offsets(i, k)
         chosen = rng.sample(valid, min(per_slope, len(valid)))
         tubes.extend(DyadicTube(k, i, j) for j in sorted(chosen))
     return TubeFamily(delta, tuple(tubes))

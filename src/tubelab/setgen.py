@@ -449,8 +449,14 @@ def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 
 def _planar_ball_counts(X: np.ndarray, Y: np.ndarray, K: int, k: int) -> tuple[list[int], int]:
-    """For a = 0..k, the max over centers c in P of the delta-cell count of
-    P ∩ B(c, 2^-a), and the delta-cell count of P.
+    """_planar_ball_counter at every radius: its count(a) for a = 0..k, and tot."""
+    count, tot = _planar_ball_counter(X, Y, K, k)
+    return [count(a) for a in range(k + 1)], tot
+
+
+def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, K: int, k: int):
+    """(count, tot): count(a) is the max over centers c in P of the
+    delta-cell count of P ∩ B(c, 2^-a), tot the delta-cell count of P.
 
     P is the distinct points (X, Y) / 2^K sorted by (X, Y), delta = 2^-k. The
     points of one abscissa form a column, sorted by Y; a center meets each
@@ -471,8 +477,8 @@ def _planar_ball_counts(X: np.ndarray, Y: np.ndarray, K: int, k: int) -> tuple[l
     cx = np.unique(X >> sh, return_inverse=True)[1]
     cells, cell = np.unique(cx * width + (cy - cy.min()), return_inverse=True)
     distinct = len(cells) == len(X)
-    out = []
-    for a in range(k + 1):
+
+    def count(a: int) -> int:
         R = 1 << (K - a)
         lo = np.searchsorted(cols, X - R, side="left")
         npairs = np.searchsorted(cols, X + R, side="right") - lo
@@ -499,8 +505,9 @@ def _planar_ball_counts(X: np.ndarray, Y: np.ndarray, K: int, k: int) -> tuple[l
                 idx = _ranges(s[q], e[q])
                 keys = np.repeat(owner[q] - c0, e[q] - s[q]) * len(cells) + cell[idx]
                 best = max(best, int(np.bincount(np.unique(keys) // len(cells)).max()))
-        out.append(best)
-    return out, len(cells)
+        return best
+
+    return count, len(cells)
 
 
 def _is_planar(p) -> bool:
@@ -526,9 +533,15 @@ def _ball_ratio_constant(p, delta, ratio) -> float:
     dv = _delta_value(delta)
     best = 0.0
     if _is_planar(p):
-        counts, tot = _planar_ball_counts(*_planar_lattice(p, delta))
-        for a, count in enumerate(counts):
-            best = max(best, ratio(count, 2.0 ** -a, dv, tot))
+        count, tot = _planar_ball_counter(*_planar_lattice(p, delta))
+        # count(a) <= tot and ratio is nondecreasing in the count, so a radius
+        # whose bound ratio(tot, ...) is at most the best ratio so far cannot
+        # raise it: visit the radii by descending bound, stop at the first such
+        bounds = {a: ratio(tot, 2.0 ** -a, dv, tot) for a in range(amax + 1)}
+        for a in sorted(bounds, key=bounds.get, reverse=True):
+            if bounds[a] <= best:
+                break
+            best = max(best, ratio(count(a), 2.0 ** -a, dv, tot))
         return best
     xs = _sorted_floats(p)
     counter = BallCounter1D(xs, dv)

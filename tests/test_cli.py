@@ -6,6 +6,7 @@ comparison of repeated runs, and exact error/exit-code contracts.
 
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +222,37 @@ class TestRun:
         for name in ("energy.csv", "energy.svg", "manifest.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("fail_at", [0, 1, 2], ids=["csv", "svg", "manifest"])
+    def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch, fail_at):
+        # a rerun whose fail_at-th write stops half-way leaves that file as
+        # the earlier run wrote it, and no temporary file beside it
+        spec = "[experiment]\nkind = dims\ndeltas = 1/4\npreset = middle-thirds\ndepth = {}\n"
+        out = tmp_path / "out"
+        run(parse_config(spec.format(3)), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text, calls = Path.write_text, []
+
+        def half_write(path, text, *args, **kwargs):
+            calls.append(path)
+            if len(calls) <= fail_at:
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            run(parse_config(spec.format(4)), out)
+        monkeypatch.undo()
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted(before) == ["dims.csv", "dims.svg", "manifest.txt"]
+        failed = sorted(before)[fail_at]
+        assert calls[-1].parent == out and calls[-1].name != failed
+        assert after[failed] == before[failed]
+        # the writes before the failed one replaced their files whole
+        fresh = run(parse_config(spec.format(4)), tmp_path / "fresh").out_dir
+        for name in sorted(before)[:fail_at]:
+            assert after[name] == (fresh / name).read_bytes()
+
     def test_lone_delta_exp_override_rejected(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text(
             "[experiment]\nkind = dualsum\ndelta_min_exp = 5\ndelta_max_exp = 9\ns = 0.63\n"
@@ -327,8 +359,8 @@ class TestVerifyCommand:
     def test_invariants_suite_passes(self, capsys):
         assert main(["verify", "invariants"]) == 0
         out = capsys.readouterr().out
-        assert "6/6 checks passed" in out
-        assert out.count("PASS") == 6
+        assert "7/7 checks passed" in out
+        assert out.count("PASS") == 7
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as e:

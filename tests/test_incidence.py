@@ -20,6 +20,7 @@ from tubelab.core import (
     DyadicTube,
     rasterize_tube,
     tube_count_grid,
+    tube_rows,
 )
 from tubelab.incidence import (
     IncidenceRatio,
@@ -27,10 +28,12 @@ from tubelab.incidence import (
     TubeFamily,
     _multiplicity_histogram,
     _offset_range,
+    _unit_offsets,
     cantor_slope_family,
     incidence_profile,
     rich_points,
     sharp_example,
+    tube_count_histogram,
     verify_incidence_bound,
 )
 from tubelab.setgen import regularity_constant
@@ -157,6 +160,14 @@ class TestOffsetRange:
                 nonempty = len(rasterize_tube(DyadicTube(k, i, j), scale, BOX_UNIT)) > 0
                 assert nonempty == (j_lo <= j <= j_hi), (i, j)
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_unit_offsets_match_offset_range(self, k):
+        # the integer range cantor_slope_family samples from, for every slope
+        d = F(1, 1 << k)
+        for i in range(-(1 << k), 1 << k):
+            j_lo, j_hi = _offset_range(F(i, 1 << k), d, BOX_UNIT)
+            assert _unit_offsets(i, k) == range(j_lo, j_hi + 1), (k, i)
+
 
 class TestVerifyIncidenceBound:
     def test_parameter_validation(self):
@@ -266,6 +277,45 @@ class TestMultiplicityHistogram:
         assert [v.details["rich_cells"] for v in prof] == [
             int((grid >= r).sum()) for r in range(1, int(grid.max()) + 2)
         ]
+
+
+@st.composite
+def _banded_counts(draw):
+    """(t, b, k, rows): tubes at k = 1..7, with slopes anywhere or within
+    two indices of 0 (narrow bands), offsets reaching past the unit square,
+    repeats included, and no row window, the unit square's, or one that
+    cuts the tubes or misses them all."""
+    k = draw(st.integers(1, 7))
+    n = 1 << k
+    slope = st.integers(-2, 2) if draw(st.booleans()) else st.integers(-n, n - 1)
+    tubes = draw(st.lists(st.tuples(slope, st.integers(-2 * n, 2 * n)), min_size=1, max_size=40))
+    tubes += draw(st.lists(st.sampled_from(tubes), max_size=8))
+    rows = draw(
+        st.none()
+        | st.just((0, n))
+        | st.tuples(st.integers(-4 * n, 4 * n), st.integers(1, 2 * n)).map(lambda r: (r[0], r[0] + r[1]))
+    )
+    return [t for t, _ in tubes], [b for _, b in tubes], k, rows
+
+
+class TestBandedCounts:
+    """Column blocks built on their row band only, against dense counts."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_banded_counts(), st.sampled_from([7, 300, 1 << 19]))
+    def test_histogram_is_grid_bincount(self, case, chunk):
+        t, b, k, rows = case
+        lo, hi = tube_rows(t, b, k, range(1 << k))
+        r0, r1 = rows or (int(lo.min()), int(hi.max()))
+        j = np.arange(r0, r1)
+        want = ((lo[:, :, None] <= j) & (j < hi[:, :, None])).sum(axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_CHUNK", chunk)  # column-block boundaries
+            grid = tube_count_grid(t, b, k, rows)
+            hist = tube_count_histogram(t, b, k, rows)
+        assert grid.dtype == hist.dtype == np.int64
+        assert np.array_equal(grid, want)
+        assert np.array_equal(hist, np.bincount(grid.ravel()))  # hist[0] included
 
 
 class TestSharpExample:

@@ -451,6 +451,7 @@ class TestBushConstruction:
             pytest.param(("arc", -F(1, 2), F(3, 4), 7), -F(1, 4), F(1, 8), id="arc-k7"),
             pytest.param(("arc", -1, 1, 6), F(0), F(1), id="arc-k6-full"),
             pytest.param(("arc", 0, 1, 9), F(1, 2), F(1, 2), id="arc-k9-512-slopes"),
+            pytest.param(("arc", -1, -F(5, 8), 5), -F(53, 64), F(11, 64), id="arc-k5-narrowed"),
         ],
     )
     def test_end_tubes_certify_like_all_tubes(self, theta, omega, rho):
@@ -483,6 +484,16 @@ class TestBushConstruction:
                     break
         core, rect_ok = picked[-1] if picked[-1][1] else picked[0]
         assert (b.core, b.meta["rect_certified"]) == (core, rect_ok)
+
+    def test_core_narrowed_when_widest_rectangle_fails(self):
+        # slopes -1 .. -21/32 at the least rho that holds them: the widest
+        # core (x_half = 6/8 delta / (spread + delta)) is certified but its
+        # inscribed rectangle is not, so the next candidate, 5/8, is kept
+        sc = DyadicScale(5)
+        th = DirectionSet.net_of_arc(sc, -1, -F(5, 8))
+        b = bush_construction(th, -F(53, 64), F(11, 64))
+        assert len(b.tubes.tubes) == 12 and b.meta["rect_certified"]
+        assert b.core == BushCore(-F(13, 16), F(1, 64), F(5, 96), F(161, 24576))
 
     @pytest.mark.parametrize("indices", [range(-16, 16), range(-3, 9), (-16, -5, 0, 2, 3, 15), (4,)])
     def test_end_tubes_bind_every_tube_between(self, indices):

@@ -22,6 +22,7 @@ from tubelab.acceptance import (
 )
 from tubelab.core import DyadicScale
 from tubelab.domains import cap_cover, gcs_domain
+from tubelab.incidence import cantor_slope_family
 from tubelab.setgen import (
     IntervalFamily,
     MoranSpec,
@@ -514,6 +515,55 @@ class TestPlanarLattice:
                 frostman_constant(bad_pts, 0.5, delta)
         with pytest.raises(ValueError, match="lattice"):
             katz_tao_constant(pts + [(F(1, 1 << 31), F(0))], 1.0, DyadicScale(3))
+
+
+@st.composite
+def _clustered_sets(draw):
+    """(k, points): dyadic points over 2^-k at k = 0..8, a few clusters of
+    one to 2^k cells each, so fine radii already reach the top ratios."""
+    k = draw(st.integers(0, 8))
+    n = 1 << k
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        cx, cy, w = draw(st.integers(-n, n)), draw(st.integers(-n, n)), draw(st.integers(0, n))
+        near = st.tuples(st.integers(cx - w, cx + w), st.integers(cy - w, cy + w))
+        pts += draw(st.lists(near, min_size=1, max_size=30))
+    return k, [(F(x, n), F(y, n)) for x, y in pts]
+
+
+class TestPrunedConstants:
+    """The planar constants skip radii whose bound cannot beat the best ratio."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_planar_sets() | _clustered_sets(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    def test_pruned_max_equals_max_over_every_radius(self, case, t):
+        k, pts = case
+        counts, tot = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(k)))
+        if k <= 4:
+            assert (counts, tot) == _brute_planar(k, pts)
+        dv = 2.0**-k
+        kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
+        fr = max(c / ((2.0**-a) ** min(t, 1.0) * tot) for a, c in enumerate(counts))
+        assert katz_tao_constant(pts, t, DyadicScale(k)) == kt
+        assert frostman_constant(pts, min(t, 1.0), DyadicScale(k)) == fr
+
+    def test_coarse_radii_skipped(self, monkeypatch):
+        # the dual points of a k = 8 Cantor-slope family: Katz-Tao never
+        # counts balls of radius 1 or 1/2, and still finds the same max
+        fam = cantor_slope_family(math.log(2) / math.log(3), DyadicScale(8), seed=1)
+        pts = [(F(tb.i, 256), F(tb.j, 256)) for tb in fam.tubes]
+        counter, visited = setgen._planar_ball_counter, []
+
+        def spy(*lattice):
+            count, tot = counter(*lattice)
+            return (lambda a: visited.append(a) or count(a)), tot
+
+        monkeypatch.setattr(setgen, "_planar_ball_counter", spy)
+        got = katz_tao_constant(pts, 1.0, DyadicScale(8))
+        assert visited[0] == 8 and 0 not in visited and 1 not in visited
+        monkeypatch.undo()
+        counts, _ = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(8)))
+        assert got == max(c * 2.0 ** (a - 8) for a, c in enumerate(counts))
 
 
 class TestSumMultiplicity:
