@@ -14,17 +14,16 @@ Every check is deterministic: randomized instances draw from fixed seeds.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 import numpy as np
 
-from tubelab.core import BOX_UNIT, Box, DyadicScale, DyadicTube, rasterize_tube, tube_count_grid
+from tubelab import oracles
+from tubelab.core import Box, DyadicScale, DyadicTube, tube_count_grid
 from tubelab.domains import (
     additive_energy_estimate,
     affine_dim_estimate,
@@ -46,7 +45,6 @@ from tubelab.maximal import (
     GridFunction,
     aim_at_origin_assignment,
     bush_construction,
-    digital_tube_cells,
     direction_average_grid,
     dual_sum_norm,
     exponent_fit,
@@ -58,6 +56,7 @@ from tubelab.maximal import (
 from tubelab.setgen import (
     build_moran,
     box_dim_ratio,
+    cached_family,
     constant_branch_spec,
     doubling_branch_spec,
     frostman_constant,
@@ -92,109 +91,6 @@ class CriterionResult:
 
 def _mt_domain(K: int):
     return gcs_domain(build_moran(middle_thirds_spec(), K))
-
-
-def _brute_cell_counts(family: TubeFamily) -> Counter:
-    c: Counter = Counter()
-    for t in family.tubes:
-        for i, j in map(tuple, rasterize_tube(t, family.scale, BOX_UNIT).idx):
-            c[(int(i), int(j))] += 1
-    return c
-
-
-def _brute_window_counts(xs, r, windows, closed_right=False):
-    counts = []
-    for lo, hi in windows:
-        pts = [x for x in xs if lo <= x < hi or (closed_right and x == hi)]
-        covered = None
-        c = 0
-        for x in pts:
-            if covered is None or x > covered:
-                c += 1
-                covered = x + 2 * r
-        counts.append(c)
-    return counts
-
-
-def _brute_regularity(xs, s, amax):
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        for b in range(a + 1):
-            w = 2.0 ** -b
-            cells = sorted({math.floor(x / w) for x in xs})
-            windows = [(c * w, (c + 1) * w) for c in cells]
-            for cnt in _brute_window_counts(xs, r, windows):
-                best = max(best, cnt / 2.0 ** ((a - b) * s))
-    return best
-
-
-def _brute_frostman(xs, s, amax, dv):
-    tot = _brute_window_counts(xs, dv, [(min(xs), max(xs))], closed_right=True)[0]
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        windows = [(x - r, x + r) for x in xs]
-        for cnt in _brute_window_counts(xs, dv, windows, closed_right=True):
-            best = max(best, cnt / (r ** s * tot))
-    return best
-
-
-def _brute_katz_tao(xs, t, amax, dv):
-    best = 0.0
-    for a in range(amax + 1):
-        r = 2.0 ** -a
-        windows = [(x - r, x + r) for x in xs]
-        for cnt in _brute_window_counts(xs, dv, windows, closed_right=True):
-            best = max(best, cnt * (dv / r) ** t)
-    return best
-
-
-def _brute_ball_counts_planar(pts: np.ndarray, r: float, inv_delta: float) -> int:
-    """Max over centers in pts of the delta-cell count of pts ∩ B(x, r), one
-    center at a time over its x-window, in doubles (exact for dyadic points
-    with short numerators)."""
-    order = np.argsort(pts[:, 0], kind="stable")
-    p = pts[order]
-    xs = p[:, 0]
-    cells = np.floor(p * inv_delta).astype(np.int64)
-    keys = (cells[:, 0] << 32) + (cells[:, 1] + (np.int64(1) << 30))
-    all_distinct = len(np.unique(keys)) == len(p)
-    best = 0
-    los = np.searchsorted(xs, xs - r, side="left")
-    his = np.searchsorted(xs, xs + r, side="right")
-    for i in range(len(p)):
-        lo, hi = los[i], his[i]
-        seg = p[lo:hi]
-        mask = (seg[:, 0] - p[i, 0]) ** 2 + (seg[:, 1] - p[i, 1]) ** 2 <= r * r
-        if all_distinct:
-            best = max(best, int(mask.sum()))
-        elif mask.any():
-            best = max(best, len(np.unique(keys[lo:hi][mask])))
-    return best
-
-
-def _brute_aim_assignment(theta: DirectionSet) -> dict:
-    """Per-cell Fraction rule: each cell of [0,1)^2 takes the slope of theta
-    nearest the slope of the line from the origin to its center, and the
-    offset row of that line at the tube's scale."""
-    k = theta.scale.k
-    n = 1 << k
-    centers = [F(2 * i + 1, 2 * n) for i in range(n)]
-    out = {}
-    for i, cx in enumerate(centers):
-        for j, cy in enumerate(centers):
-            target = cy / cx * n  # in units of delta
-            p = bisect.bisect_left(theta.indices, target)
-            t = min(theta.indices[max(p - 1, 0) : p + 1], key=lambda a: abs(a - target))
-            out[(i, j)] = DyadicTube(k, t, math.floor((cy - F(t, n) * cx) * n))
-    return out
-
-
-def _naive_tube_average(f: GridFunction, t: int, m: int, n: int) -> float:
-    cells = digital_tube_cells(f.scale, (m, n), t)
-    total = sum(f.cell_value(int(i), int(j)) for i, j in cells.idx)
-    return total / len(cells.idx)
 
 
 # -------------------------------------------------------------- criteria
@@ -365,8 +261,8 @@ def _c09_oracle_equivalence():
             seen.add((rng.randrange(-64, 64), rng.randrange(-80, 80)))
         fam = TubeFamily.of([DyadicTube(6, i, j) for i, j in sorted(seen)])
         rp = rich_points(fam, 1)
-        got = {(int(i), int(j)): int(c) for (i, j), c in zip(rp.cells.idx, rp.counts)}
-        if got != dict(_brute_cell_counts(fam)):
+        got = {(i, j): c for (i, j), c in zip(rp.cells.idx.tolist(), rp.counts.tolist())}
+        if got != dict(oracles.brute_cell_counts(fam)):
             return False, "rich-point counts diverge from rasterized oracle", {}
     # constant estimators vs brute-force window maximization (exact)
     for _ in range(50):
@@ -376,9 +272,9 @@ def _c09_oracle_equivalence():
         s = rng.choice([0.4, 0.7, 1.0])
         t = rng.choice([0.5, 1.0])
         if (
-            float(regularity_constant(xs, s, sc)) != _brute_regularity(fl, s, sc.k)
-            or float(frostman_constant(xs, s, sc)) != _brute_frostman(fl, s, sc.k, dv)
-            or float(katz_tao_constant(xs, t, sc)) != _brute_katz_tao(fl, t, sc.k, dv)
+            float(regularity_constant(xs, s, sc)) != oracles.brute_regularity(fl, s, sc.k)
+            or float(frostman_constant(xs, s, sc)) != oracles.brute_frostman(fl, s, sc.k, dv)
+            or float(katz_tao_constant(xs, t, sc)) != oracles.brute_katz_tao(fl, t, sc.k, dv)
         ):
             return False, "constant estimator diverges from brute-force oracle", {}
     # sheared prefix-sum averages vs per-cell summation (1e-12 relative)
@@ -389,7 +285,7 @@ def _c09_oracle_equivalence():
         fast = direction_average_grid(f, tt)
         for _ in range(4):
             m, n = int(nrng.integers(0, 64)), int(nrng.integers(0, 64))
-            want = _naive_tube_average(f, tt, m, n)
+            want = oracles.naive_tube_average(f, tt, m, n)
             if abs(fast[m, n] - want) > 1e-12 * max(1.0, abs(want)):
                 return False, f"tube average at ({m},{n}) off by more than 1e-12", {}
     return True, (
@@ -402,7 +298,8 @@ def _c10_family_search():
     g = {}
     ok, parts = True, []
     for n in (4, 8, 16):
-        fam = search_interval_family(n, 3, budget=4000, seed=0)
+        # positional, as the layout presets call it, so their searches are reused
+        fam = cached_family(n, 3, 4000, 0)
         L = F(1, n ** 3)
         lengths_ok = all(b - a == L for a, b in fam.intervals)
         sep_ok = fam.separated_by(F(3, 2) * L)
@@ -412,7 +309,7 @@ def _c10_family_search():
         good = len(fam) == n and lengths_ok and sep_ok and ends_ok and certified
         ok = ok and good
         parts.append(f"N={n}: g3={g[n]} (exact props {good})")
-    budgets = [search_interval_family(8, 3, budget=b, seed=0).meta["g"] for b in (300, 1500, 4000)]
+    budgets = [cached_family(8, 3, b, 0).meta["g"] for b in (300, 1500, 4000)]
     mono = all(a >= b for a, b in zip(budgets, budgets[1:]))
     bounded = g[16] <= 4 * g[4]
     ok = ok and mono and bounded

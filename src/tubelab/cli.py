@@ -475,10 +475,7 @@ def replot(csv_path, column: str, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / f"{path.stem}_{column}.svg"
-    target.write_text(
-        svg_loglog(samples, title=f"{path.stem}: {column}", ylabel=f"log2({column})"),
-        encoding="utf-8",
-    )
+    _write_atomic(target, svg_loglog(samples, title=f"{path.stem}: {column}", ylabel=f"log2({column})"))
     return target
 
 
@@ -518,7 +515,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             text = generate_config(args.kind, args)
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_atomic(Path(args.out), text)
             print(f"wrote {args.out}")
             return 0
 

@@ -29,6 +29,17 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+class Measurement(float):
+    """A measured value with its ingredients kept in .details."""
+
+    details: dict
+
+    def __new__(cls, value: float, details: dict):
+        obj = super().__new__(cls, value)
+        obj.details = details
+        return obj
+
+
 @dataclass(frozen=True, order=True)
 class DyadicScale:
     """Scale delta = 2^-k, k >= 0."""

@@ -279,20 +279,10 @@ def cap_cover(domain: GcsDomain, delta, eta: float = 0.05) -> CapCover:
         pos = 0
         while u < b:
             bound = d * d * (1 + 4 * u * u)
-            # farthest candidate v > u with (v - u)^4 < bound
-            lo, hi = pos, len(pts) - 1
-            best = -1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                step = pts[mid] - u
-                if step > 0 and step ** 4 < bound:
-                    best = mid
-                    lo = mid + 1
-                elif step <= 0:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            if best < 0:
+            # farthest candidate v > u with (v - u)^4 < bound: the key is
+            # False up to it and True past it, as the points are sorted
+            best = bisect.bisect_left(pts, True, pos, key=lambda v: v > u and (v - u) ** 4 >= bound) - 1
+            if best < pos or pts[best] <= u:
                 piece = domain.pieces[domain._piece_index(u)]
                 if piece.chord is not None and piece.lo == u and piece.hi <= b:
                     classes[0].append(Cap(piece.chord[0], piece.chord[1], u, piece.hi, d, 0))

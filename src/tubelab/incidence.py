@@ -19,6 +19,7 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
+    Measurement,
     tube_count_blocks,
     tube_count_grid,
 )
@@ -75,33 +76,15 @@ class RichPointSet:
         return int(self.counts[p]) if p >= 0 else 0
 
 
-def _multiplicity_grid(family: TubeFamily) -> np.ndarray:
-    """Exact per-cell tube counts over [0,1)^2 at the family scale."""
-    k = family.scale.k
-    return tube_count_grid(
-        [t.i for t in family.tubes], [t.j for t in family.tubes], k, (0, 1 << k)
-    )
-
-
 def rich_points(family: TubeFamily, r: int) -> RichPointSet:
     """Cells of [0,1)^2 at scale delta covered by at least r tubes."""
     if r < 1:
         raise ValueError("threshold r must be >= 1")
-    grid = _multiplicity_grid(family)
+    k, tubes = family.scale.k, family.tubes
+    grid = tube_count_grid([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k))  # exact counts
     mask = grid >= r
     # argwhere and the mask both list cells in row-major, i.e. CellSet, order
-    return RichPointSet(r, CellSet(family.scale.k, np.argwhere(mask)), grid[mask])
-
-
-class IncidenceRatio(float):
-    """The measured ratio with its ingredients kept in .details."""
-
-    details: dict
-
-    def __new__(cls, value: float, details: dict):
-        obj = super().__new__(cls, value)
-        obj.details = details
-        return obj
+    return RichPointSet(r, CellSet(k, np.argwhere(mask)), grid[mask])
 
 
 def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
@@ -123,44 +106,32 @@ def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None) -> n
     return hist
 
 
-def _multiplicity_histogram(family: TubeFamily) -> np.ndarray:
-    """tube_count_histogram over [0,1)^2: hist[c] = number of cells with exactly c tubes."""
-    k, tubes = family.scale.k, family.tubes
-    return tube_count_histogram([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k))
-
-
-def _check_ratio_args(s: float) -> None:
+def _incidence_ratios(family: TubeFamily, s: float, rs) -> list[Measurement]:
+    """incidence_profile's ratios; s and every r are checked before any counting."""
     if not (0.5 <= s <= 1.0):
         raise ValueError("s must lie in [1/2, 1]")
-
-
-def _family_constants(family: TubeFamily, s: float) -> tuple[float, float]:
+    if rs is not None and any(r < 1 for r in rs):
+        raise ValueError("threshold r must be >= 1")
+    k, tubes = family.scale.k, family.tubes
+    n = 1 << k
     # the dual points and slopes i / 2^k, j / 2^k as doubles: exact, and
     # without a Fraction per tube
-    n = 1 << family.scale.k
-    pts = [(t.i / n, t.j / n) for t in family.tubes]
+    pts = [(t.i / n, t.j / n) for t in tubes]
     c_kt = float(katz_tao_constant(pts, 1.0, family.scale))
     c_reg = float(regularity_constant(sorted({x for x, _ in pts}), s, family.scale))
-    return c_kt, c_reg
+    hist = tube_count_histogram([t.i for t in tubes], [t.j for t in tubes], k, (0, n))
+    if rs is None:
+        rs = [1 << e for e in range(max(len(hist) - 1, 1).bit_length())]
+    norm = (c_kt * c_reg) ** (1.0 / s) * float(1 / family.scale.delta) * len(family)
+    out = []
+    for r in rs:
+        rich = int(hist[r:].sum())
+        details = {"rich_cells": rich, "c_kt": c_kt, "c_reg": c_reg, "tubes": len(family), "r": r, "s": s}
+        out.append(Measurement(rich * r ** ((s + 1.0) / s) / norm, details))
+    return out
 
 
-def _rho(family: TubeFamily, s: float, r: int, rich: int, c_kt: float, c_reg: float) -> IncidenceRatio:
-    inv_delta = float(1 / family.scale.delta)
-    value = rich * r ** ((s + 1.0) / s) / ((c_kt * c_reg) ** (1.0 / s) * inv_delta * len(family))
-    return IncidenceRatio(
-        value,
-        {
-            "rich_cells": rich,
-            "c_kt": c_kt,
-            "c_reg": c_reg,
-            "tubes": len(family),
-            "r": r,
-            "s": s,
-        },
-    )
-
-
-def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> IncidenceRatio:
+def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> Measurement:
     """rho = |P_r|_delta * r^((s+1)/s) / ((C_KT * C_reg)^(1/s) * delta^-1 |F|).
 
     C_KT is the Katz-Tao constant of the family's dual points at exponent 1;
@@ -169,30 +140,17 @@ def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> IncidenceRat
     r beyond the family size gives rho = 0 (no cell can be that rich).
     The family must consist of dyadic tubes.
     """
-    _check_ratio_args(s)
-    if r < 1:
-        raise ValueError("threshold r must be >= 1")
-    c_kt, c_reg = _family_constants(family, s)
-    rich = int(_multiplicity_histogram(family)[r:].sum())
-    return _rho(family, s, r, rich, c_kt, c_reg)
+    return _incidence_ratios(family, s, [r])[0]
 
 
-def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[IncidenceRatio]:
+def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[Measurement]:
     """verify_incidence_bound at each threshold r in rs, one ratio per r.
 
     By default rs is every power of two up to the top cell multiplicity
     (just r = 1 when no cell is covered). The multiplicity histogram and
     the two constants are computed once for the whole sweep.
     """
-    _check_ratio_args(s)
-    c_kt, c_reg = _family_constants(family, s)
-    hist = _multiplicity_histogram(family)
-    if rs is None:
-        rs = [1 << e for e in range(max(len(hist) - 1, 1).bit_length())]
-    rs = [int(r) for r in rs]
-    if any(r < 1 for r in rs):
-        raise ValueError("threshold r must be >= 1")
-    return [_rho(family, s, r, int(hist[r:].sum()), c_kt, c_reg) for r in rs]
+    return _incidence_ratios(family, s, None if rs is None else [int(r) for r in rs])
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
+    Measurement,
     tube_rows,
 )
 from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
@@ -191,18 +192,6 @@ class GridFunction:
 
 def _sigma(t: int, ix: np.ndarray, k: int) -> np.ndarray:
     return (t * ix + (1 << (k - 1))) >> k
-
-
-def digital_tube_cells(scale: DyadicScale, center, t: int) -> CellSet:
-    """Cells of the 4-delta digital tube with slope index t centered at a cell."""
-    k = scale.k
-    m, n = int(center[0]), int(center[1])
-    K = 1 << (k - 1)
-    ix = np.arange(m - K, m + K, dtype=np.int64)
-    rows = n + _sigma(t, ix, k) - int(_sigma(t, np.array([m]), k)[0])
-    cols = np.repeat(ix, 4)
-    rws = (rows[:, None] + np.array([-2, -1, 0, 1])).ravel()
-    return CellSet(k, np.stack([cols, rws], axis=1))
 
 
 def _check_operator_input(f: GridFunction, scale: DyadicScale):
@@ -502,15 +491,6 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
 # norms
 
 
-class MeasuredNorm(float):
-    details: dict
-
-    def __new__(cls, value: float, details: dict):
-        obj = super().__new__(cls, value)
-        obj.details = details
-        return obj
-
-
 def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) -> float:
     """||op f||_p / ||f||_p.
 
@@ -577,41 +557,15 @@ class Assignment(Mapping):
         return self.t.size
 
 
-def _as_assignment(assignment) -> Assignment:
-    """An Assignment as is; a mapping of cells to tubes converted to arrays,
-    which must cover the cells of [0,1)^2 at the tubes' scale exactly."""
-    if isinstance(assignment, Assignment):
-        return assignment
-    tubes = list(assignment.values())
-    if not tubes:
-        raise ValueError("empty assignment")
-    k = tubes[0].k
-    n = 1 << k
-    t = np.zeros((n, n), dtype=np.int64)
-    b = np.zeros((n, n), dtype=np.int64)
-    seen = np.zeros((n, n), dtype=bool)
-    for (i, j), tube in assignment.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"cell {(i, j)} outside the unit square grid")
-        seen[i, j] = True
-        t[i, j], b[i, j] = tube.i, tube.j
-    if not seen.all():
-        missing = int((~seen).sum())
-        raise ValueError(f"assignment missing {missing} cells of the unit square")
-    return Assignment(k, t, b)
-
-
-def dual_sum_norm(assignment, pprime: float) -> MeasuredNorm:
+def dual_sum_norm(asg: Assignment, pprime: float) -> Measurement:
     """L^p' norm of the summed tube indicators of a cell-to-tube assignment.
 
-    The assignment (an Assignment, or a mapping from cells to tubes) must
-    give one tube for every cell of [0,1)^2 at the tubes' scale. The norm
-    integrates over the slab x in [0,1), all rows. Reports in .details the
-    largest (vertical) cell-to-tube distance in units of delta.
+    The Assignment gives one tube for every cell of [0,1)^2 at its scale.
+    The norm integrates over the slab x in [0,1), all rows. Reports in
+    .details the largest (vertical) cell-to-tube distance in units of delta.
     """
     if pprime < 1:
         raise ValueError("p' must be >= 1")
-    asg = _as_assignment(assignment)
     k = asg.k
     n = 1 << k
     # exact vertical distance from each cell center to its tube, in units of
@@ -623,13 +577,13 @@ def dual_sum_norm(assignment, pprime: float) -> MeasuredNorm:
     a_max = max(0, int((lo - cy).max()), int((cy - up).max()))
     hist = tube_count_histogram(asg.t, asg.b, k)
     value = _hist_lp(hist, pprime, float(F(1, n)))
-    return MeasuredNorm(
+    return Measurement(
         value,
         {"A": a_max / float(2 << k), "max_multiplicity": len(hist) - 1, "pprime": pprime},
     )
 
 
-def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
+def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
     """L^p' norm of the family's summed indicators, with the density bound.
 
     Requires one tube per direction. The norm integrates over the slab
@@ -650,7 +604,7 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> MeasuredNorm:
     value = _hist_lp(hist, pprime, delta)
     c = float(frostman_constant(sorted(set(slopes)), s, family.scale))
     bound = c ** (1.0 / p) * delta ** (2.0 / pprime) * len(family)
-    return MeasuredNorm(
+    return Measurement(
         value,
         {"bound": bound, "ratio": value / bound, "frostman": c, "p": p, "s": s},
     )

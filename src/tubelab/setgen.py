@@ -44,11 +44,10 @@ class MoranSpec:
     as one flat list for every level.
     """
 
-    def __init__(self, n, c, offsets, label: str = ""):
+    def __init__(self, n, c, offsets):
         self.n = _as_level_fn(n, int)
         self.c = _as_level_fn(c, F)
         self.offsets = _offsets_fn(offsets)
-        self.label = label
 
     def level(self, k: int) -> tuple[int, Fraction, tuple[Fraction, ...]]:
         """(n_k, c_k, offsets_k), validated; the layout is read only once
@@ -353,6 +352,16 @@ def _nonempty_windows(xs: np.ndarray, width: float) -> tuple[np.ndarray, np.ndar
     return lo, lo + width
 
 
+def _window_maxima(xs: np.ndarray, bmaxes: dict[int, int]):
+    """(a, b, max ball count at radius 2^-a over the nonempty dyadic windows
+    of length 2^-b) for each a of bmaxes and b = 0..bmaxes[a]."""
+    windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(max(bmaxes.values()) + 1)]
+    for a, bmax in bmaxes.items():
+        counter = BallCounter1D(xs, 2.0 ** -a)
+        for b, (lo, hi) in enumerate(windows[: bmax + 1]):
+            yield a, b, int(counter.counts(lo, hi).max())
+
+
 def qa_profile(e, gamma: float, delta) -> float:
     """Finite-scale profile max log|E ∩ I|_r / log(R/r).
 
@@ -368,17 +377,9 @@ def qa_profile(e, gamma: float, delta) -> float:
     amax = _scale_floor_exponent(delta)
     if amax < 1:
         raise ValueError("scale range empty")
-    bmaxes = [min(a - 1, int(math.floor((1.0 - gamma) * a + 1e-9))) for a in range(1, amax + 1)]
-    # bmax grows with a, so the last one is the largest window exponent read
-    windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(bmaxes[-1] + 1)]
-    best = 0.0
-    for a, bmax in enumerate(bmaxes, start=1):
-        counter = BallCounter1D(xs, 2.0 ** -a)
-        for b, (lo, hi) in enumerate(windows[: bmax + 1]):
-            mx = int(counter.counts(lo, hi).max())
-            if mx >= 2:
-                best = max(best, math.log2(mx) / (a - b))
-    return best
+    bmaxes = {a: min(a - 1, int(math.floor((1.0 - gamma) * a + 1e-9))) for a in range(1, amax + 1)}
+    ratios = (math.log2(mx) / (a - b) for a, b, mx in _window_maxima(xs, bmaxes) if mx >= 2)
+    return max(ratios, default=0.0)
 
 
 def regularity_constant(e, s: float, delta) -> float:
@@ -388,15 +389,8 @@ def regularity_constant(e, s: float, delta) -> float:
     xs = _sorted_floats(e)
     if not len(xs):
         raise ValueError("empty set")
-    amax = _scale_floor_exponent(delta)
-    windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(amax + 1)]
-    best = 0.0
-    for a in range(0, amax + 1):
-        counter = BallCounter1D(xs, 2.0 ** -a)
-        for b, (lo, hi) in enumerate(windows[: a + 1]):
-            mx = int(counter.counts(lo, hi).max())
-            best = max(best, mx / 2.0 ** ((a - b) * s))
-    return best
+    maxima = _window_maxima(xs, {a: a for a in range(_scale_floor_exponent(delta) + 1)})
+    return max(mx / 2.0 ** ((a - b) * s) for a, b, mx in maxima)
 
 
 _PAIR_CHUNK = 1 << 19  # bound on the (center, column) pairs of one center block
@@ -446,12 +440,6 @@ def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int, int]:
     xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
     xy = xy[np.r_[True, (xy[1:] != xy[:-1]).any(axis=1)]]
     return xy[:, 0], xy[:, 1], K, k
-
-
-def _planar_ball_counts(X: np.ndarray, Y: np.ndarray, K: int, k: int) -> tuple[list[int], int]:
-    """_planar_ball_counter at every radius: its count(a) for a = 0..k, and tot."""
-    count, tot = _planar_ball_counter(X, Y, K, k)
-    return [count(a) for a in range(k + 1)], tot
 
 
 def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, K: int, k: int):
@@ -525,31 +513,38 @@ def frostman_constant(p, s: float, delta) -> float:
     return _ball_ratio_constant(p, delta, lambda count, r, dv, tot: count / (r ** s * tot))
 
 
+def _line_ball_counter(xs: np.ndarray, dv: float):
+    """(count, tot) on the line: count(a) is the max over centers x in xs of
+    the dv-ball count of xs ∩ [x - 2^-a, x + 2^-a], tot that of all of xs."""
+    counter = BallCounter1D(xs, dv)
+
+    def count(a: int) -> int:
+        return int(counter.counts(xs - 2.0 ** -a, xs + 2.0 ** -a, closed_right=True).max())
+
+    return count, int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
+
+
 def _ball_ratio_constant(p, delta, ratio) -> float:
     p = list(p)
     if not p:
         raise ValueError("empty set")
     amax = _scale_floor_exponent(delta)
     dv = _delta_value(delta)
-    best = 0.0
     if _is_planar(p):
         count, tot = _planar_ball_counter(*_planar_lattice(p, delta))
-        # count(a) <= tot and ratio is nondecreasing in the count, so a radius
-        # whose bound ratio(tot, ...) is at most the best ratio so far cannot
-        # raise it: visit the radii by descending bound, stop at the first such
-        bounds = {a: ratio(tot, 2.0 ** -a, dv, tot) for a in range(amax + 1)}
-        for a in sorted(bounds, key=bounds.get, reverse=True):
-            if bounds[a] <= best:
-                break
-            best = max(best, ratio(count(a), 2.0 ** -a, dv, tot))
-        return best
-    xs = _sorted_floats(p)
-    counter = BallCounter1D(xs, dv)
-    tot = int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
-    for a in range(0, amax + 1):
-        r = 2.0 ** -a
-        counts = counter.counts(xs - r, xs + r, closed_right=True)
-        best = max(best, ratio(int(counts.max()), r, dv, tot))
+    else:
+        count, tot = _line_ball_counter(_sorted_floats(p), dv)
+    # count(a) <= tot (on the line, a greedy cover of a run of the sorted
+    # points never needs more balls than the cover of them all) and ratio is
+    # nondecreasing in the count, so a radius whose bound ratio(tot, ...) is
+    # at most the best ratio so far cannot raise it: visit the radii by
+    # descending bound, stop at the first such
+    bounds = {a: ratio(tot, 2.0 ** -a, dv, tot) for a in range(amax + 1)}
+    best = 0.0
+    for a in sorted(bounds, key=bounds.get, reverse=True):
+        if bounds[a] <= best:
+            break
+        best = max(best, ratio(count(a), 2.0 ** -a, dv, tot))
     return best
 
 
@@ -937,13 +932,13 @@ def cached_family(n: int, m: int, budget: int = 4000, seed: int = 0) -> Interval
 
 
 def middle_thirds_spec() -> MoranSpec:
-    return MoranSpec(n=2, c=F(1, 3), offsets=[0, F(2, 3)], label="middle-thirds")
+    return MoranSpec(n=2, c=F(1, 3), offsets=[0, F(2, 3)])
 
 
 def constant_branch_spec(n: int, m: int = 3, budget: int = 4000, seed: int = 0) -> MoranSpec:
     """n children per level, contraction n^-m, layout from the searched family."""
     off = family_offsets(cached_family(n, m, budget, seed))
-    return MoranSpec(n=n, c=F(1, n ** m), offsets=off, label=f"constant-branch({n},{m})")
+    return MoranSpec(n=n, c=F(1, n ** m), offsets=off)
 
 
 def doubling_branch_spec(m: int = 3, budget: int = 4000, seed: int = 0) -> MoranSpec:
@@ -958,7 +953,7 @@ def doubling_branch_spec(m: int = 3, budget: int = 4000, seed: int = 0) -> Moran
     def off_fn(k: int):
         return family_offsets(cached_family(1 << k, m, budget, seed))
 
-    return MoranSpec(n=n_fn, c=c_fn, offsets=off_fn, label=f"doubling-branch(m={m})")
+    return MoranSpec(n=n_fn, c=c_fn, offsets=off_fn)
 
 
 # ------------------------------------------------------------------- config
@@ -1002,7 +997,7 @@ def _rule_fn(expr: str):
     return lambda k: val
 
 
-MORAN_KEYS = frozenset("n c offsets m budget seed label".split())
+MORAN_KEYS = frozenset("n c offsets m budget seed".split())
 
 
 def moran_spec_from_config(source) -> MoranSpec:
@@ -1010,7 +1005,7 @@ def moran_spec_from_config(source) -> MoranSpec:
 
     Keys: n, c (closed-form rules or comma lists), offsets (comma list of
     fractions, 'even', or 'searched'), optional m / budget / seed for the
-    searched layout, optional label. Any other key is rejected.
+    searched layout. Any other key is rejected.
     """
     kv = parse_keyvals(source) if isinstance(source, str) else dict(source)
     unknown = sorted(kv.keys() - MORAN_KEYS)
@@ -1047,4 +1042,4 @@ def moran_spec_from_config(source) -> MoranSpec:
         def off_fn(k: int):
             return fixed
 
-    return MoranSpec(n=n_fn, c=c_rule, offsets=off_fn, label=kv.get("label", "config"))
+    return MoranSpec(n=n_fn, c=c_rule, offsets=off_fn)

@@ -145,6 +145,13 @@ class TestConfigParsing:
         )
         with pytest.raises(ValueError, match=r"unknown \[moran\] key\(s\): labl, sede"):
             cfg.moran()
+        # [moran] has no label key either: naming one is an error, not a silent no-op
+        cfg = parse_config(
+            "[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n"
+            "[moran]\nn = 2\nc = 1/4\noffsets = 0, 3/4\nlabel = x\n"
+        )
+        with pytest.raises(ValueError, match=r"unknown \[moran\] key\(s\): label$"):
+            cfg.moran()
 
 
 class TestGen:
@@ -252,6 +259,32 @@ class TestRun:
         fresh = run(parse_config(spec.format(4)), tmp_path / "fresh").out_dir
         for name in sorted(before)[:fail_at]:
             assert after[name] == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "plot"])
+    def test_failed_gen_or_plot_write_keeps_earlier_file(self, tmp_path, monkeypatch, command):
+        # gen and plot write through the same temporary-file replace as run
+        csv = tmp_path / "t.csv"
+        csv.write_text("delta,ratio\n0.25,2\n0.125,4\n")
+        argv = {
+            "gen": ["gen", "dims", "--out", str(tmp_path / "out" / "c.cfg")],
+            "plot": ["plot", "--spec", str(csv), "--out", str(tmp_path / "out")],
+        }[command]
+        (tmp_path / "out").mkdir()
+        assert main(argv) == 0
+        (target,) = (tmp_path / "out").iterdir()
+        before = target.read_bytes()
+        write_text = Path.write_text
+
+        def half_write(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        monkeypatch.undo()
+        assert list((tmp_path / "out").iterdir()) == [target]
+        assert target.read_bytes() == before
 
     def test_lone_delta_exp_override_rejected(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text(

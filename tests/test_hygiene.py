@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module of src/tubelab imports is used in it."""
+"""Source hygiene: every name a module of src/tubelab imports is used in it,
+and every private module-level function or class is used by the library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,41 @@ def test_checker_finds_unused_imports():
         "def f(x: 'Callable[[int], int]') -> int:\n    return os.path.sep\n"
     )
     assert _unused_imports(source) == ["line 4: Sequence", "line 2: np"]
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    kinds = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return Counter(getattr(n, kinds[type(n)]) for n in ast.walk(tree) if type(n) in kinds)
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level _-prefixed functions and classes of the sources that no
+    source names outside their own definition (by name, attribute or import)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and total[node.name] == _referenced_names(node)[node.name]
+    ]
+
+
+def test_every_private_definition_is_used_by_the_library():
+    # the oracles are read by the verifier and the tests, not by the library
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "oracles.py"]
+    sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
+    assert _unreferenced_private(sources) == []
+
+
+def test_checker_finds_test_only_helpers():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+                "class _Only:\n    pass\n",
+        "b.py": "from a import _used\nimport a\n\ndef f():\n    return _used() + a._Only.x\n\n"
+                "def _planted_for_tests():\n    return 2\n",
+    }
+    assert _unreferenced_private(sources) == ["a.py: _recursive", "b.py: _planted_for_tests"]

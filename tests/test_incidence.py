@@ -12,21 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubelab import core, incidence
-from tubelab.acceptance import _brute_cell_counts
 from tubelab.core import (
     BOX_UNIT,
     CellSet,
     DyadicScale,
     DyadicTube,
+    Measurement,
     rasterize_tube,
     tube_count_grid,
     tube_rows,
 )
 from tubelab.incidence import (
-    IncidenceRatio,
     RichPointSet,
     TubeFamily,
-    _multiplicity_histogram,
     _offset_range,
     _unit_offsets,
     cantor_slope_family,
@@ -36,6 +34,7 @@ from tubelab.incidence import (
     tube_count_histogram,
     verify_incidence_bound,
 )
+from tubelab.oracles import brute_cell_counts
 from tubelab.setgen import regularity_constant
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -123,7 +122,7 @@ class TestRichPoints:
 
     def test_multiplicity_lookup_matches_oracle(self):
         fam = _random_family(random.Random(11), 5, 25)
-        oracle = _brute_cell_counts(fam)
+        oracle = brute_cell_counts(fam)
         rp = rich_points(fam, 1)
         for cell, count in oracle.items():
             assert rp.multiplicity(cell) == count
@@ -134,7 +133,7 @@ class TestRichPoints:
         for seed in range(50):
             rng = random.Random(1000 + seed)
             fam = _random_family(rng, 6, rng.randrange(1, 65))
-            oracle = _brute_cell_counts(fam)
+            oracle = brute_cell_counts(fam)
             rp = rich_points(fam, 1)
             got = {
                 (int(i), int(j)): int(c)
@@ -202,7 +201,7 @@ class TestVerifyIncidenceBound:
     def test_details_payload(self):
         fam = TubeFamily.of([DyadicTube(4, 1, 2), DyadicTube(4, 1, 3)])
         v = verify_incidence_bound(fam, 0.5, 1)
-        assert isinstance(v, IncidenceRatio)
+        assert isinstance(v, Measurement)
         assert v.details["tubes"] == 2
         assert v.details["r"] == 1
         assert v.details["s"] == 0.5
@@ -231,6 +230,24 @@ class TestVerifyIncidenceBound:
         assert [v.details["r"] for v in prof] == [1, 3]
         with pytest.raises(ValueError, match="r must be"):
             incidence_profile(fam, 1.0, rs=[0])
+
+    def test_arguments_checked_before_any_counting(self, monkeypatch):
+        # s and every r are refused before the constants or the histogram run
+        fam = cantor_slope_family(0.5, DyadicScale(6), seed=0)
+
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted before the arguments were checked")
+
+        for name in ("katz_tao_constant", "regularity_constant", "tube_count_histogram"):
+            monkeypatch.setattr(incidence, name, no_counting)
+        for call in (
+            lambda: verify_incidence_bound(fam, 0.3, 4),
+            lambda: verify_incidence_bound(fam, 0.5, 0),
+            lambda: incidence_profile(fam, 1.2),
+            lambda: incidence_profile(fam, 0.5, rs=[1, 4, 0]),
+        ):
+            with pytest.raises(ValueError, match="s must|r must"):
+                call()
 
     def test_ordinary_tubes_rejected_before_any_work(self, monkeypatch):
         # a tube-shaped member that is not a DyadicTube (same scale, slope and
@@ -265,11 +282,11 @@ class TestMultiplicityHistogram:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_families_with_repeats(), st.sampled_from([7, 300, 1 << 19]))
     def test_thresholds_match_dense_grid(self, fam, chunk):
-        k = fam.scale.k
-        grid = tube_count_grid([t.i for t in fam.tubes], [t.j for t in fam.tubes], k, (0, 1 << k))
+        k, t, b = fam.scale.k, [tb.i for tb in fam.tubes], [tb.j for tb in fam.tubes]
+        grid = tube_count_grid(t, b, k, (0, 1 << k))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_COUNT_CHUNK", chunk)  # column-block boundaries
-            hist = _multiplicity_histogram(fam)
+            hist = tube_count_histogram(t, b, k, (0, 1 << k))
         assert len(hist) - 1 == grid.max()
         for r in range(1, int(grid.max()) + 2):
             assert hist[r:].sum() == (grid >= r).sum()
@@ -374,7 +391,7 @@ class TestSharpExample:
 
     def test_small_scale_against_brute_force(self):
         ex = sharp_example(0.5, DyadicScale(6), 4)
-        oracle = _brute_cell_counts(ex.family)
+        oracle = brute_cell_counts(ex.family)
         n = 1 << 6
         for i in range(int(ex.rect.x1 * n)):
             for j in range(int(ex.rect.y1 * n)):

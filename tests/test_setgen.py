@@ -13,16 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubelab import setgen
-from tubelab.acceptance import (
-    _brute_ball_counts_planar,
-    _brute_frostman,
-    _brute_katz_tao,
-    _brute_regularity,
-    _brute_window_counts,
-)
 from tubelab.core import DyadicScale
 from tubelab.domains import cap_cover, gcs_domain
 from tubelab.incidence import cantor_slope_family
+from tubelab.oracles import (
+    brute_frostman,
+    brute_katz_tao,
+    brute_planar_ball_counts,
+    brute_regularity,
+    brute_sum_multiplicity,
+    brute_window_counts,
+)
 from tubelab.setgen import (
     IntervalFamily,
     MoranSpec,
@@ -373,7 +374,7 @@ class TestQaProfile:
                     w = 2.0 ** -b
                     cells = sorted({math.floor(x / w) for x in floats})
                     windows = [(c * w, (c + 1) * w) for c in cells]
-                    for cnt in _brute_window_counts(floats, 2.0 ** -a, windows):
+                    for cnt in brute_window_counts(floats, 2.0 ** -a, windows):
                         if cnt >= 2:
                             best = max(best, math.log2(cnt) / (a - b))
             assert fast == pytest.approx(best, abs=0)
@@ -412,13 +413,13 @@ class TestOracleAgreement:
             s = rng.choice([0.4, 0.7, 1.0])
             t = rng.choice([0.5, 1.0])
             assert regularity_constant(xs, s, delta) == pytest.approx(
-                _brute_regularity(floats, s, amax), abs=0
+                brute_regularity(floats, s, amax), abs=0
             )
             assert frostman_constant(xs, s, delta) == pytest.approx(
-                _brute_frostman(floats, s, amax, dv), abs=0
+                brute_frostman(floats, s, amax, dv), abs=0
             )
             assert katz_tao_constant(xs, t, delta) == pytest.approx(
-                _brute_katz_tao(floats, t, amax, dv), abs=0
+                brute_katz_tao(floats, t, amax, dv), abs=0
             )
 
 
@@ -458,13 +459,10 @@ def _planar_sets(draw):
     return k, pts + draw(st.lists(st.sampled_from(pts), max_size=4))
 
 
-def _brute_planar(k, pts):
-    """Per-radius ball counts (a = 0..k) and the delta-cell count, from the
-    per-center oracle in doubles (exact for these short numerators)."""
-    arr = np.asarray([[float(x), float(y)] for x, y in pts])
-    counts = [_brute_ball_counts_planar(arr, 2.0**-a, float(1 << k)) for a in range(k + 1)]
-    cells = {(math.floor(x * (1 << k)), math.floor(y * (1 << k))) for x, y in pts}
-    return counts, len(cells)
+def _planar_counts(k, pts):
+    """_planar_ball_counter's count(a) at every radius a = 0..k, and tot."""
+    count, tot = setgen._planar_ball_counter(*setgen._planar_lattice(pts, DyadicScale(k)))
+    return [count(a) for a in range(k + 1)], tot
 
 
 class TestPlanarLattice:
@@ -476,14 +474,14 @@ class TestPlanarLattice:
         k, pts = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(setgen, "_PAIR_CHUNK", chunk)  # block boundaries
-            got = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(k)))
-        assert got == _brute_planar(k, pts)
+            got = _planar_counts(k, pts)
+        assert got == brute_planar_ball_counts(pts, k)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_planar_sets(), st.sampled_from([0.5, 1.0, 2.0]))
     def test_constants_match_oracle(self, case, t):
         k, pts = case
-        counts, tot = _brute_planar(k, pts)
+        counts, tot = brute_planar_ball_counts(pts, k)
         dv = 2.0**-k
         kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
         fr = max(c / ((2.0**-a) ** (t / 2) * tot) for a, c in enumerate(counts))
@@ -499,8 +497,7 @@ class TestPlanarLattice:
 
     def test_single_point(self):
         for k in range(4):
-            lattice = setgen._planar_lattice([(F(-3, 8), F(5, 4))], DyadicScale(k))
-            assert setgen._planar_ball_counts(*lattice) == ([1] * (k + 1), 1)
+            assert _planar_counts(k, [(F(-3, 8), F(5, 4))]) == ([1] * (k + 1), 1)
 
     def test_non_dyadic_input_rejected(self):
         pts = [(F(1, 4), F(0)), (F(1, 2), F(1, 2))]
@@ -531,16 +528,28 @@ def _clustered_sets(draw):
     return k, [(F(x, n), F(y, n)) for x, y in pts]
 
 
+@st.composite
+def _line_sets(draw):
+    """(k, points): dyadic points on the line over 2^-K, K >= k, in a span
+    of one delta or of 1 or 4, repeated points included; K > k puts several
+    points within one delta."""
+    k = draw(st.integers(0, 6))
+    K = k + draw(st.integers(0, 3))
+    span = draw(st.sampled_from([1 << (K - k), 1 << K, 4 << K]))
+    pts = draw(st.lists(st.integers(-span, span).map(lambda v: F(v, 1 << K)), min_size=1, max_size=40))
+    return k, pts + draw(st.lists(st.sampled_from(pts), max_size=4))
+
+
 class TestPrunedConstants:
-    """The planar constants skip radii whose bound cannot beat the best ratio."""
+    """The line and planar constants skip radii whose bound cannot beat the best ratio."""
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(_planar_sets() | _clustered_sets(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
     def test_pruned_max_equals_max_over_every_radius(self, case, t):
         k, pts = case
-        counts, tot = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(k)))
+        counts, tot = _planar_counts(k, pts)
         if k <= 4:
-            assert (counts, tot) == _brute_planar(k, pts)
+            assert (counts, tot) == brute_planar_ball_counts(pts, k)
         dv = 2.0**-k
         kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
         fr = max(c / ((2.0**-a) ** min(t, 1.0) * tot) for a, c in enumerate(counts))
@@ -562,8 +571,37 @@ class TestPrunedConstants:
         got = katz_tao_constant(pts, 1.0, DyadicScale(8))
         assert visited[0] == 8 and 0 not in visited and 1 not in visited
         monkeypatch.undo()
-        counts, _ = setgen._planar_ball_counts(*setgen._planar_lattice(pts, DyadicScale(8)))
+        counts, _ = _planar_counts(8, pts)
         assert got == max(c * 2.0 ** (a - 8) for a, c in enumerate(counts))
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_line_sets(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    def test_line_pruned_max_equals_every_radius_and_oracle(self, case, t):
+        k, pts = case
+        xs, dv, s = sorted(float(x) for x in pts), 2.0**-k, min(t, 1.0)
+        count, tot = setgen._line_ball_counter(np.array(xs), dv)
+        counts = [count(a) for a in range(k + 1)]
+        kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
+        fr = max(c / ((2.0**-a) ** s * tot) for a, c in enumerate(counts))
+        assert katz_tao_constant(pts, t, DyadicScale(k)) == kt == brute_katz_tao(xs, t, k, dv)
+        assert frostman_constant(pts, s, DyadicScale(k)) == fr == brute_frostman(xs, s, k, dv)
+
+    def test_line_coarse_radii_skipped(self, monkeypatch):
+        # 16 points a delta apart, k = 8: Katz-Tao's bound tot * 2^(a-8) at
+        # a coarse radius falls below the ratio the fine radii already found
+        pts = [F(i, 256) for i in range(16)]
+        counter, visited = setgen._line_ball_counter, []
+
+        def spy(*args):
+            count, tot = counter(*args)
+            return (lambda a: visited.append(a) or count(a)), tot
+
+        monkeypatch.setattr(setgen, "_line_ball_counter", spy)
+        got = katz_tao_constant(pts, 1.0, DyadicScale(8))
+        assert visited == [8, 7, 6]
+        monkeypatch.undo()
+        count, _ = setgen._line_ball_counter(np.array([float(x) for x in pts]), 2.0**-8)
+        assert got == max(count(a) * 2.0 ** (a - 8) for a in range(9)) == 1.0
 
 
 class TestSumMultiplicity:
@@ -594,19 +632,6 @@ class TestSumMultiplicity:
         assert sum_multiplicity([(0, 1), (1000, 1001)], 62) == math.comb(62, 31)
 
 
-def _brute_sum_multiplicity(intervals, m: int, closed: bool) -> int:
-    """Every ordered m-tuple's sum interval in Fractions. The deepest point
-    can be taken at a left end: the largest left end of the intervals that
-    hold a point lies in all of them."""
-    ivs = [(F(a), F(b)) for a, b in intervals]
-    sums = [(sum(a for a, _ in t), sum(b for _, b in t)) for t in itertools.product(ivs, repeat=m)]
-
-    def depth(y):
-        return sum(lo <= y <= hi if closed else lo <= y < hi for lo, hi in sums)
-
-    return max(depth(y) for y in {lo for lo, _ in sums})
-
-
 @st.composite
 def _interval_lists(draw):
     """(intervals, m): rational intervals on one lattice, touching, nested,
@@ -625,7 +650,7 @@ class TestSumMultiplicityOracle:
     @given(_interval_lists(), st.booleans())
     def test_fold_matches_enumeration(self, case, closed):
         ivs, m = case
-        want = _brute_sum_multiplicity(ivs, m, closed)
+        want = brute_sum_multiplicity(ivs, m, closed)
         assert sum_multiplicity(ivs, m, closed=closed) == want
         if closed:
             assert sum_multiplicity(IntervalFamily(ivs), m) == want
@@ -635,7 +660,7 @@ class TestSumMultiplicityOracle:
     def test_slot_kernel_matches_enumeration(self, slots, m):
         slots = sorted(slots)[: 4 if m == 4 else 6]
         ivs = [(t, t + 1) for t in slots]
-        want = _brute_sum_multiplicity(ivs, m, closed=True)
+        want = brute_sum_multiplicity(ivs, m, closed=True)
         assert _slot_sum_multiplicity(slots, m) == want
         assert sum_multiplicity(ivs, m) == want
 
@@ -660,7 +685,7 @@ class TestWindowedSweep:
     @given(st.one_of(_interval_lists(), _shared_end_lists()), st.booleans(), st.integers(1, 3))
     def test_tiny_windows_match_enumeration(self, case, closed, chunk):
         ivs, m = case
-        want = _brute_sum_multiplicity(ivs, m, closed)
+        want = brute_sum_multiplicity(ivs, m, closed)
         with mock.patch.object(setgen, "_SWEEP_CHUNK", chunk):
             assert sum_multiplicity(ivs, m, closed=closed) == want
 
