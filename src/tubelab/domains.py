@@ -2,11 +2,13 @@
 
 A Moran construction C on [-1/2, 1/2] generates the convex region whose
 lower boundary interpolates the parabola t^2 - 1/8 over C. At build depth
-K the lower boundary is an exact piecewise graph: parabola arcs over the
-generation-K intervals and straight chords over every removed gap (the
-chord over a gap (a, b) has slope a + b); the upper boundary is the
-horizontal segment at height 1/8. All boundary geometry, supporting-line
-caps, and multiplicity counts below are exact rational computations.
+K the boundary is read off the sorted generation-K endpoints e_0 < ... <
+e_{2n-1}: parabola arcs over [e_{2i}, e_{2i+1}], chords over the gaps
+(e_{2i+1}, e_{2i+2}) (over a gap (a, b) the slope is a + b), and the
+ceiling segment at height 1/8. Flush children make every such gap a
+removed gap, so the graph tiles [-1/2, 1/2], is convex and meets the
+ceiling by algebra alone; nothing is stored or validated at build time.
+Boundary geometry, caps, and multiplicity counts are exact rationals.
 
 Cap covers follow the two-regime recipe: every removed gap up to level
 K(delta) carries its own chord cap (distance zero), and each surviving
@@ -20,10 +22,13 @@ endpoints, so one comparison per candidate certifies the whole cap.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
+
+import numpy as np
 
 from tubelab.maximal import DirectionSet, ExponentFit, exponent_fit
 from tubelab.setgen import (
@@ -39,93 +44,63 @@ F = Fraction
 CEILING_HEIGHT = F(1, 8)
 
 
-def _parab(t: Fraction) -> Fraction:
-    return t * t - CEILING_HEIGHT
-
-
-class BoundaryPiece(NamedTuple):
-    """One maximal piece of the lower boundary graph.
-
-    chord is None for a parabola arc, else (slope, intercept) of the
-    straight segment; on either kind the graph runs over [lo, hi].
-    """
-
-    lo: Fraction
-    hi: Fraction
-    chord: tuple[Fraction, Fraction] | None
+def _chord(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """(slope, intercept) of the chord of t^2 - 1/8 over [a, b]."""
+    return a + b, -a * b - CEILING_HEIGHT
 
 
 @dataclass(frozen=True)
 class GcsDomain:
     """Convex domain carried by a depth-K Moran set, with exact boundary.
 
-    The lower boundary function is gamma; the flat top sits at height 1/8.
-    Pieces tile [-1/2, 1/2], agree at shared endpoints, and their slopes
-    are non-decreasing left to right (checked exactly on construction).
+    The lower boundary function is gamma, under a flat top at height 1/8.
+    Piece j runs over [e_j, e_{j+1}] of the sorted generation-K endpoints,
+    an arc for even j and a chord for odd j; construction checks the flush
+    end-point condition this relies on.
     """
 
     moran: MoranSet
-    pieces: tuple[BoundaryPiece, ...]
 
     def __post_init__(self):
-        ps = self.pieces
-        if not ps or ps[0].lo != F(-1, 2) or ps[-1].hi != F(1, 2):
-            raise ValueError("boundary pieces must tile [-1/2, 1/2]")
-        prev_exit = None
-        for p in ps:
-            if p.hi <= p.lo:
-                raise ValueError("degenerate boundary piece")
-            entry = p.chord[0] if p.chord else 2 * p.lo
-            exit_ = p.chord[0] if p.chord else 2 * p.hi
-            if prev_exit is not None and entry < prev_exit:
-                raise ValueError("boundary is not convex")
-            prev_exit = exit_
-        for a, b in zip(ps, ps[1:]):
-            if a.hi != b.lo or self._piece_value(a, a.hi) != self._piece_value(b, b.lo):
-                raise ValueError("boundary pieces must be contiguous")
-        if self.gamma(F(-1, 2)) != CEILING_HEIGHT or self.gamma(F(1, 2)) != CEILING_HEIGHT:
-            raise ValueError("boundary must meet the ceiling at height 1/8")
+        if not check_gcs(self.moran)["endpoint_ok"]:
+            raise ValueError(
+                "construction violates the end-point condition (children must be flush with both parent ends)"
+            )
 
     @property
     def depth(self) -> int:
         return self.moran.K
 
-    @staticmethod
-    def _piece_value(p: BoundaryPiece, t: Fraction) -> Fraction:
-        if p.chord is None:
-            return _parab(t)
-        s, c = p.chord
-        return s * t + c
+    @functools.cached_property
+    def _lattice(self) -> tuple[np.ndarray, int]:
+        return self.moran.endpoint_lattice(self.depth)
 
-    def _piece_index(self, t: Fraction) -> int:
-        i = bisect.bisect_right(self.pieces, t, key=lambda p: p.lo) - 1
-        return max(0, min(i, len(self.pieces) - 1))
+    def piece(self, t) -> tuple[Fraction, Fraction, bool]:
+        """(lo, hi, is_chord) of the last piece starting at or before t in [-1/2, 1/2]."""
+        t = F(t)
+        ends, den = self._lattice
+        # e_j <= t exactly when its numerator is at most floor(t * den)
+        j = int(np.searchsorted(ends, t.numerator * den // t.denominator, side="right")) - 1
+        j = max(0, min(j, len(ends) - 2))
+        return F(int(ends[j]), den), F(int(ends[j + 1]), den), j % 2 == 1
 
     def gamma(self, t) -> Fraction:
         """Exact lower-boundary height at parameter t in [-1/2, 1/2]."""
         t = F(t)
         if not (F(-1, 2) <= t <= F(1, 2)):
             raise ValueError("parameter outside [-1/2, 1/2]")
-        return self._piece_value(self.pieces[self._piece_index(t)], t)
+        lo, hi, is_chord = self.piece(t)
+        if not is_chord:
+            return t * t - CEILING_HEIGHT
+        s, c = _chord(lo, hi)
+        return s * t + c
 
 
 def gcs_domain(m: MoranSet) -> GcsDomain:
-    """Exact boundary of the convex domain generated by a Moran set.
-
-    Requires the flush end-point condition (every generation keeps both
-    parent endpoints), which makes every piece endpoint a point of the
-    underlying set, so all pieces meet on the parabola.
-    """
-    if not check_gcs(m)["endpoint_ok"]:
-        raise ValueError(
-            "construction violates the end-point condition (children must be flush with both parent ends)"
-        )
-    pieces = [BoundaryPiece(a, b, None) for a, b in m.intervals(m.K)]
-    for k in range(1, m.K + 1):
-        for a, b in m.removed_intervals(k):
-            pieces.append(BoundaryPiece(a, b, (a + b, -a * b - CEILING_HEIGHT)))
-    pieces.sort(key=lambda p: p.lo)
-    return GcsDomain(moran=m, pieces=tuple(pieces))
+    """Exact boundary of the convex domain generated by a flush Moran set:
+    every generation keeps both parent endpoints, so every gap between
+    consecutive generation-K intervals is a removed gap."""
+    return GcsDomain(m)
 
 
 # ------------------------------------------------------------ direction sets
@@ -134,18 +109,13 @@ def gcs_domain(m: MoranSet) -> GcsDomain:
 def slope_set(domain: GcsDomain) -> tuple[Fraction, ...]:
     """Exact sorted set of one-sided boundary slopes, plus the flat top.
 
-    Collects the left/right derivative values at every piece endpoint
-    (parabola arcs contribute twice their endpoints, chords contribute
-    their slope) together with 0 from the ceiling segment.
+    Collects the left/right derivative values at every piece endpoint:
+    twice every generation-K endpoint e_j from the parabola arcs, the slope
+    e_{2i+1} + e_{2i+2} of each chord, and 0 from the ceiling segment.
     """
-    vals = {F(0)}
-    for p in domain.pieces:
-        if p.chord is None:
-            vals.add(2 * p.lo)
-            vals.add(2 * p.hi)
-        else:
-            vals.add(p.chord[0])
-    return tuple(sorted(vals))
+    ends, den = domain._lattice
+    nums = np.concatenate([2 * ends, ends[1:-1:2] + ends[2::2]])
+    return tuple(sorted({F(v, den) for v in nums.tolist()} | {F(0)}))
 
 
 def direction_set(domain: GcsDomain, scale) -> DirectionSet:
@@ -268,7 +238,7 @@ def cap_cover(domain: GcsDomain, delta, eta: float = 0.05) -> CapCover:
     classes: list[list[Cap]] = [[] for _ in range(kd + 1)]
     for k in range(1, kd + 1):
         for a, b in domain.moran.removed_intervals(k):
-            classes[k].append(Cap(a + b, -a * b - CEILING_HEIGHT, a, b, d, k))
+            classes[k].append(Cap(*_chord(a, b), a, b, d, k))
     gen = min(domain.depth, kd + 2)
     cands = domain.moran.endpoints(gen)
     for a, b in domain.moran.intervals(kd):
@@ -283,10 +253,10 @@ def cap_cover(domain: GcsDomain, delta, eta: float = 0.05) -> CapCover:
             # False up to it and True past it, as the points are sorted
             best = bisect.bisect_left(pts, True, pos, key=lambda v: v > u and (v - u) ** 4 >= bound) - 1
             if best < pos or pts[best] <= u:
-                piece = domain.pieces[domain._piece_index(u)]
-                if piece.chord is not None and piece.lo == u and piece.hi <= b:
-                    classes[0].append(Cap(piece.chord[0], piece.chord[1], u, piece.hi, d, 0))
-                    u = piece.hi
+                lo, hi, is_chord = domain.piece(u)
+                if is_chord and lo == u and hi <= b:
+                    classes[0].append(Cap(*_chord(u, hi), u, hi, d, 0))
+                    u = hi
                     pos = bisect.bisect_left(pts, u)
                     continue
                 raise ValueError(

@@ -8,6 +8,7 @@ core.tube_count_grid, which reproduces per-tube rasterization cell for cell.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,8 +111,10 @@ def _incidence_ratios(family: TubeFamily, s: float, rs) -> list[Measurement]:
     """incidence_profile's ratios; s and every r are checked before any counting."""
     if not (0.5 <= s <= 1.0):
         raise ValueError("s must lie in [1/2, 1]")
-    if rs is not None and any(r < 1 for r in rs):
-        raise ValueError("threshold r must be >= 1")
+    if rs is not None:
+        if not all(isinstance(r, numbers.Integral) and r >= 1 for r in rs):
+            raise ValueError("threshold r must be an integer >= 1")
+        rs = [int(r) for r in rs]
     k, tubes = family.scale.k, family.tubes
     n = 1 << k
     # the dual points and slopes i / 2^k, j / 2^k as doubles: exact, and
@@ -150,7 +153,7 @@ def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[Measurement
     (just r = 1 when no cell is covered). The multiplicity histogram and
     the two constants are computed once for the whole sweep.
     """
-    return _incidence_ratios(family, s, None if rs is None else [int(r) for r in rs])
+    return _incidence_ratios(family, s, None if rs is None else list(rs))
 
 
 @dataclass(frozen=True)

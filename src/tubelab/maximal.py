@@ -37,7 +37,7 @@ from tubelab.core import (
     tube_rows,
 )
 from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
-from tubelab.setgen import _delta_value, frostman_constant
+from tubelab.setgen import frostman_constant
 
 F = Fraction
 
@@ -170,7 +170,11 @@ class GridFunction:
         if p < 1:
             raise ValueError("p must be >= 1")
         d2 = float(self.scale.delta) ** 2
-        return float((self.values**p).sum() * d2) ** (1.0 / p)
+        # one block of rows at a time, so values**p is never held whole
+        v = self.values
+        step = max(1, _BLOCK_CELLS // max(1, v.shape[1]))
+        total = sum(float((v[a:a + step] ** p).sum()) for a in range(0, len(v), step))
+        return (total * d2) ** (1.0 / p)
 
     def max_value(self) -> float:
         return float(self.values.max()) if self.values.size else 0.0
@@ -645,7 +649,7 @@ class ExponentFit(NamedTuple):
 
 def exponent_fit(samples) -> ExponentFit:
     """OLS slope of log(value) against log(1/delta)."""
-    pts = [(float(_delta_value(d)), float(v)) for d, v in samples]
+    pts = [(float(d.delta if isinstance(d, DyadicScale) else d), float(v)) for d, v in samples]
     if len(pts) < 3:
         raise ValueError("need at least 3 samples")
     if len({d for d, _ in pts}) < 2:

@@ -128,14 +128,6 @@ def _fractions(nums: np.ndarray, den: int) -> list[Fraction]:
     return [F(v, den) for v in nums.tolist()]
 
 
-def _endpoint_nums(lev: _Level) -> np.ndarray:
-    # siblings are strictly separated, so interleaving is strictly increasing
-    ends = np.empty(2 * len(lev.lefts), dtype=lev.lefts.dtype)
-    ends[0::2] = lev.lefts
-    ends[1::2] = lev.lefts + lev.length
-    return ends
-
-
 class MoranSet:
     """Interval tree of a Moran construction, materialized to generation K.
 
@@ -166,19 +158,26 @@ class MoranSet:
         lev = self._level(k)
         return _fractions(lev.lefts, lev.den)
 
+    def endpoint_lattice(self, k: int) -> tuple[np.ndarray, int]:
+        """(numerators, den) of the sorted generation-k interval endpoints."""
+        lev = self._level(k)
+        # siblings are strictly separated, so interleaving is strictly increasing
+        ends = np.empty(2 * len(lev.lefts), dtype=lev.lefts.dtype)
+        ends[0::2] = lev.lefts
+        ends[1::2] = lev.lefts + lev.length
+        return ends, lev.den
+
     def endpoints(self, k: int) -> list[Fraction]:
         """Sorted endpoints of the generation-k intervals."""
-        lev = self._level(k)
-        return _fractions(_endpoint_nums(lev), lev.den)
+        return _fractions(*self.endpoint_lattice(k))
 
     def endpoint_values(self, k: int) -> np.ndarray:
         """endpoints(k) as float64, each the double nearest the exact value."""
-        lev = self._level(k)
-        ends = _endpoint_nums(lev)
-        if lev.den < _FLOAT_EXACT:
+        ends, den = self.endpoint_lattice(k)
+        if den < _FLOAT_EXACT:
             # numerators and den convert exactly, and one division rounds once
-            return ends / lev.den
-        return np.array([v / lev.den for v in ends.tolist()], dtype=np.float64)
+            return ends / den
+        return np.array([v / den for v in ends.tolist()], dtype=np.float64)
 
     def removed_intervals(self, k: int) -> list[tuple[Fraction, Fraction]]:
         lev = self._level(k)
@@ -927,7 +926,8 @@ def family_offsets(fam: IntervalFamily) -> list[Fraction]:
 # ------------------------------------------------------------------ factories
 
 @functools.lru_cache(maxsize=None)
-def cached_family(n: int, m: int, budget: int = 4000, seed: int = 0) -> IntervalFamily:
+def cached_family(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
+    # positional-only: lru_cache keys keyword spellings of one call apart
     return search_interval_family(n, m, budget=budget, seed=seed)
 
 

@@ -9,6 +9,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab.domains import (
     Cap,
@@ -100,11 +102,55 @@ class TestBoundary:
         spec = MoranSpec(n=2, c=F(1, 4), offsets=[F(1, 8), F(5, 8)])
         with pytest.raises(ValueError, match="end-point condition"):
             gcs_domain(build_moran(spec, 2))
+        # a domain built directly is held to the same condition
+        with pytest.raises(ValueError, match="end-point condition"):
+            GcsDomain(build_moran(spec, 2))
 
-    def test_broken_pieces_rejected(self):
-        good = mt_domain(1)
-        with pytest.raises(ValueError, match="tile"):
-            GcsDomain(good.moran, good.pieces[:-1])
+    def test_piece_lookup(self):
+        # piece j runs over [e_j, e_{j+1}]: arcs at even j, chords at odd j
+        d = mt_domain(1)
+        assert d.piece(F(-1, 2)) == (F(-1, 2), F(-1, 6), False)
+        assert d.piece(F(-1, 6)) == (F(-1, 6), F(1, 6), True)
+        assert d.piece(0) == (F(-1, 6), F(1, 6), True)
+        assert d.piece(F(1, 6)) == d.piece(F(1, 2)) == (F(1, 6), F(1, 2), False)
+
+
+@st.composite
+def _flush_specs(draw):
+    """Flush Moran specs of depth 1-4: random n_k, c_k and interior offsets."""
+    depth = draw(st.integers(1, 4))
+    ns, cs, layouts = [], [], []
+    for _ in range(depth):
+        n = draw(st.integers(2, 3))
+        den = draw(st.integers(n + 1, 12))
+        c = F(draw(st.integers(1, (den - 1) // n)), den)
+        # the n - 1 sibling gaps share the free length 1 - n c by positive weights
+        w = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+        off = [F(0)]
+        for wi in w:
+            off.append(off[-1] + c + (1 - n * c) * wi / sum(w))
+        ns.append(n)
+        cs.append(c)
+        layouts.append(off)
+    return MoranSpec(n=ns, c=cs, offsets=lambda k: layouts[k - 1]), depth
+
+
+class TestLatticeBoundary:
+    """The boundary read off the endpoint lattice, on generated flush specs."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_flush_specs(), st.lists(st.fractions(F(-1, 2), F(1, 2), max_denominator=1 << 12), max_size=20))
+    def test_gamma_matches_oracle(self, case, ts):
+        spec, depth = case
+        d = gcs_domain(build_moran(spec, depth))
+        ends = d.moran.endpoints(depth)
+        for t in [*ends, *d.moran.all_midpoints(), *ts]:
+            assert d.gamma(t) == boundary_oracle(d.moran, t)
+        assert d.gamma(F(-1, 2)) == d.gamma(F(1, 2)) == F(1, 8)
+        slopes = [(d.gamma(v) - d.gamma(u)) / (v - u) for u, v in zip(ends, ends[1:])]
+        assert all(a <= b for a, b in zip(slopes, slopes[1:]))
+        want = {2 * e for e in ends} | {2 * x for x in d.moran.all_midpoints()} | {F(0)}
+        assert set(slope_set(d)) == want
 
 
 class TestSlopeSet:

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of src/tubelab imports is used in it,
-and every private module-level function or class is used by the library."""
+every private module-level function or class is used by the library, and no
+module imports a private name from another tubelab module."""
 
 import ast
 from collections import Counter
@@ -80,3 +81,28 @@ def test_checker_finds_test_only_helpers():
                 "def _planted_for_tests():\n    return 2\n",
     }
     assert _unreferenced_private(sources) == ["a.py: _recursive", "b.py: _planted_for_tests"]
+
+
+def _private_imports(sources: dict[str, str]) -> list[str]:
+    """_-prefixed names (dunders aside) the sources import from tubelab modules."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "tubelab"):
+                found += [
+                    f"{name}: {a.name}" for a in node.names if a.name.startswith("_") and not a.name.endswith("__")
+                ]
+    return found
+
+
+def test_no_private_name_crosses_a_module():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _private_imports(sources) == []
+
+
+def test_checker_finds_private_imports():
+    sources = {
+        "a.py": "from tubelab import __version__, oracles\nfrom tubelab.setgen import _delta_value, build_moran\n",
+        "b.py": "from .core import _shear_pad\nfrom numpy import _private\nimport tubelab.core\n",
+    }
+    assert _private_imports(sources) == ["a.py: _delta_value", "b.py: _shear_pad"]

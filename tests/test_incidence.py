@@ -249,6 +249,27 @@ class TestVerifyIncidenceBound:
             with pytest.raises(ValueError, match="s must|r must"):
                 call()
 
+    def test_non_integer_thresholds_rejected_before_any_counting(self, monkeypatch):
+        # a float r would reach hist[r:] after all the counting, and
+        # int(2.5) would silently read r = 2
+        fam = cantor_slope_family(0.5, DyadicScale(6), seed=0)
+
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted before the thresholds were checked")
+
+        monkeypatch.setattr(incidence, "katz_tao_constant", no_counting)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            verify_incidence_bound(fam, 0.5, 2.0)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            incidence_profile(fam, 0.5, [2.5])
+
+    def test_numpy_integer_thresholds_accepted(self):
+        fam = cantor_slope_family(0.5, DyadicScale(6), seed=0)
+        got = incidence_profile(fam, 0.5, np.array([1, 4]))
+        want = incidence_profile(fam, 0.5, [1, 4])
+        assert [(float(v), v.details) for v in got] == [(float(v), v.details) for v in want]
+        assert [type(v.details["r"]) for v in got] == [int, int]
+
     def test_ordinary_tubes_rejected_before_any_work(self, monkeypatch):
         # a tube-shaped member that is not a DyadicTube (same scale, slope and
         # offset fields) stops the family at construction, so no verifier

@@ -117,6 +117,28 @@ class TestGridFunction:
         assert f.lp_norm(1) == pytest.approx(16.0, rel=1e-12)
         assert f.lp_norm(2) == pytest.approx(4.0, rel=1e-12)
 
+    def test_lp_norm_sums_in_blocks(self):
+        # a (2048, 2048) f: values**p is never held whole, an indicator sums
+        # exactly, and random values agree with a correctly rounded sum
+        sc = DyadicScale(9)
+        rng = np.random.default_rng(3)
+        ind = GridFunction(sc, BOX_DEFAULT, (rng.random((2048, 2048)) < 0.3).astype(np.float64))
+        tracemalloc.start()
+        try:
+            norm = ind.lp_norm(1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ind.values.nbytes / 4
+        ones = int(ind.values.sum())
+        for p in (1.0, 1.5, 2.0):
+            assert ind.lp_norm(p) == (ones * 2.0**-18) ** (1 / p)
+        assert norm == (ones * 2.0**-18) ** (1 / 1.5)
+        f = GridFunction(sc, BOX_DEFAULT, rng.random((2048, 2048)))
+        for p in (1.0, 1.5, 2.0):
+            exact = (math.fsum((f.values**p).ravel()) * 2.0**-18) ** (1 / p)
+            assert f.lp_norm(p) == pytest.approx(exact, rel=1e-14)
+
     def test_ball_indicator_at_origin(self):
         sc = DyadicScale(6)
         f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)

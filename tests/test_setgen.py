@@ -30,6 +30,7 @@ from tubelab.setgen import (
     MultiplicityOverflow,
     box_dim_ratio,
     build_moran,
+    cached_family,
     check_gcs,
     constant_branch_spec,
     doubling_branch_spec,
@@ -758,6 +759,12 @@ class TestFamilySearch:
         # any m distinct intervals give m! ordered tuples with equal sums
         fam = search_interval_family(8, 3, budget=400, seed=0)
         assert fam.meta["g"] >= 6
+
+    def test_cached_family_is_positional_only(self):
+        # a keyword spelling would be a second lru_cache key and a second search
+        with pytest.raises(TypeError):
+            cached_family(8, 3, budget=4000, seed=0)
+        assert cached_family(8, 3, 4000, 0) is cached_family(8, 3, 4000, 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
