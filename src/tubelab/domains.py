@@ -7,7 +7,7 @@ e_{2n-1}: parabola arcs over [e_{2i}, e_{2i+1}], chords over the gaps
 (e_{2i+1}, e_{2i+2}) (over a gap (a, b) the slope is a + b), and the
 ceiling segment at height 1/8. Flush children make every such gap a
 removed gap, so the graph tiles [-1/2, 1/2], is convex and meets the
-ceiling by algebra alone; nothing is stored or validated at build time.
+ceiling by algebra alone; no pieces are stored, only flushness checked.
 Boundary geometry, caps, and multiplicity counts are exact rationals.
 
 Cap covers follow the two-regime recipe: every removed gap up to level

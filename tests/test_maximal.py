@@ -125,7 +125,7 @@ class TestGridFunction:
         ind = GridFunction(sc, BOX_DEFAULT, (rng.random((2048, 2048)) < 0.3).astype(np.float64))
         tracemalloc.start()
         try:
-            norm = ind.lp_norm(1.5)
+            ind.lp_norm(1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -133,7 +133,6 @@ class TestGridFunction:
         ones = int(ind.values.sum())
         for p in (1.0, 1.5, 2.0):
             assert ind.lp_norm(p) == (ones * 2.0**-18) ** (1 / p)
-        assert norm == (ones * 2.0**-18) ** (1 / 1.5)
         f = GridFunction(sc, BOX_DEFAULT, rng.random((2048, 2048)))
         for p in (1.0, 1.5, 2.0):
             exact = (math.fsum((f.values**p).ravel()) * 2.0**-18) ** (1 / p)
