@@ -11,8 +11,8 @@ Subcommands:
 Config files are plain ``key = value`` text in ``[section]`` blocks: an
 ``[experiment]`` block with the sweep parameters, an optional ``[moran]``
 block holding an inline nested-interval construction, and an optional
-``[manifest]`` block (written by ``run``, ignored on re-parse). An
-``[experiment]`` key that ``parse_config`` does not read is rejected.
+``[manifest]`` block (written by ``run``, ignored on re-parse). ``KINDS``
+lists the keys each kind reads besides the sweep; any other key is rejected.
 Identical configs produce byte-identical artifacts.
 """
 
@@ -25,7 +25,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from tubelab import __version__
 from tubelab.acceptance import SUITES, run_suite
@@ -55,8 +57,11 @@ from tubelab.setgen import (
 )
 from tubelab.svg import svg_loglog
 
-KINDS = ("incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dualsum")
-PRESETS = ("middle-thirds", "constant-branch-8", "doubling")
+PRESETS = {
+    "middle-thirds": middle_thirds_spec,
+    "constant-branch-8": lambda: constant_branch_spec(8, 3),
+    "doubling": lambda: doubling_branch_spec(3),
+}
 S_LOG23 = math.log(2) / math.log(3)
 DEFAULT_MAX_CELLS = 1 << 26
 
@@ -70,31 +75,37 @@ class UsageError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A run: its kind, its sweep, and the settings named after the
+    [experiment] keys; a kind reads only the settings KINDS lists for it."""
+
     kind: str
     deltas: list  # Fractions, strictly dyadic 2^-j, sorted by increasing j
-    p_list: list = field(default_factory=list)
-    r_list: list = field(default_factory=list)
+    p: list[float] = field(default_factory=list)
+    r: list[int] = field(default_factory=list)
     s: float = 0.5
     m: int = 3
     gamma: float = 0.25
     eta: float = 0.05
     preset: str = "middle-thirds"
     depth: int = 4
-    moran_text: str = ""
     max_cells: int = DEFAULT_MAX_CELLS
+    moran_text: str = ""
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise UsageError(f"unknown kind '{self.kind}'; known: {', '.join(KINDS)}")
+        _refuse_unread(self.kind, [k for k in _SETTINGS if getattr(self, k) != getattr(_DEFAULT, k)])
+        if self.moran_text and "preset" not in KINDS[self.kind].keys:
+            raise UsageError(f"kind '{self.kind}' does not read a [moran] block")
         if not self.deltas:
             raise UsageError("delta list is empty")
         for d in self.deltas:
             dd = F(d)
             if dd <= 0 or dd >= 1 or dd.numerator != 1 or (dd.denominator & (dd.denominator - 1)):
                 raise UsageError(f"delta {d} is not dyadic (need 2^-j with j >= 1)")
-        if self.kind in ("nikodym", "kakeya") and not self.p_list:
+        if self.kind in ("nikodym", "kakeya") and not self.p:
             raise UsageError(f"kind '{self.kind}' needs a nonempty p list")
-        if self.kind == "incidence" and not self.r_list:
+        if self.kind == "dualsum" and len(self.p) > 1:
+            raise UsageError(f"kind 'dualsum' reads one p (its p'), got {len(self.p)}")
+        if self.kind == "incidence" and not self.r:
             raise UsageError("kind 'incidence' needs a nonempty r list")
         if not self.moran_text and self.preset not in PRESETS:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
@@ -103,14 +114,28 @@ class ExperimentConfig:
         return self
 
     def moran(self):
-        if self.moran_text:
-            return build_moran(moran_spec_from_config(self.moran_text), self.depth)
-        spec = {
-            "middle-thirds": middle_thirds_spec,
-            "constant-branch-8": lambda: constant_branch_spec(8, 3),
-            "doubling": lambda: doubling_branch_spec(3),
-        }[self.preset]()
+        text = self.moran_text
+        spec = moran_spec_from_config(text) if text else PRESETS[self.preset]()
         return build_moran(spec, self.depth)
+
+
+_DEFAULT = ExperimentConfig("", [])
+_TYPES = get_type_hints(ExperimentConfig)
+# the settable [experiment] keys, in canonical order; the sweep keys are apart
+_SETTINGS = tuple(k for k in _TYPES if k not in ("kind", "deltas", "moran_text"))
+_SWEEP_KEYS = frozenset("kind deltas delta_exps delta_min_exp delta_max_exp delta_step".split())
+
+
+def _kind(name: str) -> Kind:
+    if name not in KINDS:
+        raise UsageError(f"unknown kind '{name}'; known: {', '.join(KINDS)}")
+    return KINDS[name]
+
+
+def _refuse_unread(kind: str, keys) -> None:
+    unread = sorted(set(keys) - _kind(kind).keys)
+    if unread:
+        raise UsageError(f"kind '{kind}' does not read [experiment] key(s): {', '.join(unread)}")
 
 
 def split_sections(text: str) -> dict[str, str]:
@@ -128,14 +153,19 @@ def split_sections(text: str) -> dict[str, str]:
 
 
 def _parse_list(text: str, conv):
-    items = [x.strip() for x in text.split(",") if x.strip()]
-    return [conv(x) for x in items]
+    return [conv(x.strip()) for x in text.split(",") if x.strip()]
 
 
-EXPERIMENT_KEYS = frozenset(
-    "kind deltas delta_exps delta_min_exp delta_max_exp delta_step "
-    "p r s m gamma eta preset depth max_cells".split()
-)
+def _setting(key: str, text: str):
+    """The value of setting key, converted by the type of its field."""
+    ftype = _TYPES[key]
+    return _parse_list(text, get_args(ftype)[0]) if get_origin(ftype) is list else ftype(text)
+
+
+def _setting_text(key: str, value) -> str:
+    ftype = _TYPES[key]
+    items, conv = (value, get_args(ftype)[0]) if get_origin(ftype) is list else ([value], ftype)
+    return ", ".join(_fmt(x) if conv is float else str(x) for x in items)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -144,11 +174,12 @@ def parse_config(text: str) -> ExperimentConfig:
         kv = parse_keyvals(sections.get("experiment", "") or sections.get("", ""))
     except ValueError as e:
         raise UsageError(str(e)) from e
-    unknown = sorted(kv.keys() - EXPERIMENT_KEYS)
+    unknown = sorted(kv.keys() - _SWEEP_KEYS - set(_SETTINGS))
     if unknown:
         raise UsageError(f"unknown [experiment] key(s): {', '.join(unknown)}")
     if "kind" not in kv:
         raise UsageError("config missing 'kind'")
+    _refuse_unread(kv["kind"], kv.keys() - _SWEEP_KEYS)
 
     has_range = "delta_min_exp" in kv or "delta_max_exp" in kv
     if has_range and not ("delta_min_exp" in kv and "delta_max_exp" in kv):
@@ -172,38 +203,19 @@ def parse_config(text: str) -> ExperimentConfig:
     elif "deltas" in kv:
         deltas = _parse_list(kv["deltas"], F)
 
-    cfg = ExperimentConfig(
-        kind=kv["kind"],
-        deltas=deltas,
-        p_list=_parse_list(kv.get("p", ""), float),
-        r_list=_parse_list(kv.get("r", ""), int),
-        s=float(kv.get("s", "0.5")),
-        m=int(kv.get("m", "3")),
-        gamma=float(kv.get("gamma", "0.25")),
-        eta=float(kv.get("eta", "0.05")),
-        preset=kv.get("preset", "middle-thirds"),
-        depth=int(kv.get("depth", "4")),
-        moran_text=sections.get("moran", "").strip(),
-        max_cells=int(kv.get("max_cells", str(DEFAULT_MAX_CELLS))),
-    )
-    return cfg.validate()
+    settings = {k: _setting(k, v) for k, v in kv.items() if k in _SETTINGS}
+    moran_text = sections.get("moran", "").strip()
+    return ExperimentConfig(kv["kind"], deltas, moran_text=moran_text, **settings).validate()
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization; parsing it back reproduces the config."""
+    """Canonical serialization of the kind's keys; parsing it back reproduces the config."""
     lines = ["[experiment]", f"kind = {cfg.kind}"]
     lines.append("deltas = " + ", ".join(str(d) for d in cfg.deltas))
-    if cfg.p_list:
-        lines.append("p = " + ", ".join(_fmt(p) for p in cfg.p_list))
-    if cfg.r_list:
-        lines.append("r = " + ", ".join(str(r) for r in cfg.r_list))
-    lines.append(f"s = {_fmt(cfg.s)}")
-    lines.append(f"m = {cfg.m}")
-    lines.append(f"gamma = {_fmt(cfg.gamma)}")
-    lines.append(f"eta = {_fmt(cfg.eta)}")
-    lines.append(f"preset = {cfg.preset}")
-    lines.append(f"depth = {cfg.depth}")
-    lines.append(f"max_cells = {cfg.max_cells}")
+    for key in _SETTINGS:
+        value = getattr(cfg, key)
+        if key in KINDS[cfg.kind].keys and value != []:
+            lines.append(f"{key} = {_setting_text(key, value)}")
     if cfg.moran_text:
         lines += ["", "[moran]", cfg.moran_text]
     return "\n".join(lines) + "\n"
@@ -237,80 +249,75 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    cells = ([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+    _write_atomic(path, "\n".join(",".join(line) for line in [header, *cells]) + "\n")
 
 
-def _grid_guard(cfg: ExperimentConfig, delta: F, cells: int) -> None:
+def _scale(cfg: ExperimentConfig, delta: F, side: int) -> DyadicScale:
+    """delta = 2^-k as a DyadicScale, refused past max_cells cells in a (side 2^k)^2 grid."""
+    sc = DyadicScale(delta.denominator.bit_length() - 1)
+    cells = (side << sc.k) ** 2
     if cells > cfg.max_cells:
-        raise ValueError(
-            f"delta {delta}: grid needs {cells} cells > max_cells {cfg.max_cells}"
-        )
+        raise ValueError(f"delta {delta}: grid needs {cells} cells > max_cells {cfg.max_cells}")
+    return sc
+
+
+def _fit_beta(rows: list, col: int) -> list:
+    """Append to every row the exponent fitted to column col against delta
+    (NaN below three rows); return the (delta, value) samples."""
+    samples = [(row[0], row[col]) for row in rows]
+    beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
+    for row in rows:
+        row.append(beta)
+    return samples
 
 
 # ------------------------------------------------------- kind runners
 
 
 def _run_incidence(cfg: ExperimentConfig):
-    def work(delta):
-        sc = DyadicScale(delta.denominator.bit_length() - 1)
-        _grid_guard(cfg, delta, (1 << sc.k) ** 2)  # multiplicity grids cover [0, 1)^2
-        out = []
-        for r in cfg.r_list:
+    rows = []
+    for delta in cfg.deltas:
+        sc = _scale(cfg, delta, 1)  # multiplicity grids cover [0, 1)^2
+        for r in cfg.r:
             ex = sharp_example(cfg.s, sc, r)
             rho = verify_incidence_bound(ex.family, cfg.s, r)
-            out.append([delta, cfg.s, r, len(ex.family), rho.details["rich_cells"], float(rho)])
-        return out
-
-    rows = [row for d in cfg.deltas for row in work(d)]
+            rows.append([delta, cfg.s, r, len(ex.family), rho.details["rich_cells"], float(rho)])
     plots = {}
-    for r in cfg.r_list:
+    for r in cfg.r:
         samples = [(row[0], row[5]) for row in rows if row[2] == r and row[5] > 0]
         if len(samples) >= 2:
             plots[f"incidence_r{r}"] = (samples, f"rich-point ratio, r = {r}", "log2(ratio)")
     return ["delta", "s", "r", "tubes", "rich_cells", "ratio"], rows, plots
 
 
-def _maximal_rows(cfg: ExperimentConfig, operator: str):
-    def work(delta):
-        sc = DyadicScale(delta.denominator.bit_length() - 1)
-        _grid_guard(cfg, delta, (4 << sc.k) ** 2)  # operator grids cover [-2, 2]^2
+def _run_maximal(operator: str, cfg: ExperimentConfig):
+    rows = []
+    for delta in cfg.deltas:
+        sc = _scale(cfg, delta, 4)  # operator grids cover [-2, 2]^2
         th = DirectionSet.cantor(cfg.s, sc)
         # one operator pass per scale, reduced at every p as norm_ratio does
         if operator == "nikodym":
             f = bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
             out = nikodym_apply(f, th)
-            ratios = [out.lp_norm(p) / f.lp_norm(p) for p in cfg.p_list]
+            ratios = [out.lp_norm(p) / f.lp_norm(p) for p in cfg.p]
         else:
             f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
             values = kakeya_apply(f, th)
-            ratios = [kakeya_norm(values, th, p) / f.lp_norm(p) for p in cfg.p_list]
-        return [[delta, cfg.s, p, float(r)] for p, r in zip(cfg.p_list, ratios)]
-
-    rows = [row for d in cfg.deltas for row in work(d)]
-    header = ["delta", "s", "p", "ratio", "beta_hat"]
+            ratios = [kakeya_norm(values, th, p) / f.lp_norm(p) for p in cfg.p]
+        rows += [[delta, cfg.s, p, float(r)] for p, r in zip(cfg.p, ratios)]
     plots = {}
-    for p in cfg.p_list:
-        samples = [(row[0], row[3]) for row in rows if row[2] == p]
-        beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
-        for row in rows:
-            if row[2] == p:
-                row.append(beta)
+    for p in cfg.p:
+        samples = _fit_beta([row for row in rows if row[2] == p], 3)
         if len(samples) >= 2:
-            plots[f"{operator}_p{_fmt(p)}"] = (
-                samples,
-                f"{operator} ratio at p = {_fmt(p)}",
-                "log2(ratio)",
-            )
-    return header, rows, plots
+            title = f"{operator} ratio at p = {_fmt(p)}"
+            plots[f"{operator}_p{_fmt(p)}"] = (samples, title, "log2(ratio)")
+    return ["delta", "s", "p", "ratio", "beta_hat"], rows, plots
 
 
 def _run_dims(cfg: ExperimentConfig):
     ms = cfg.moran()
-    rows = []
-    samples = []
+    rows, samples = [], []
     for K in range(1, ms.K + 1):
         scale = ms.length(K)
         prof = float(qa_profile(ms.endpoint_values(K), cfg.gamma, scale)) if K >= 2 else 0.0
@@ -322,63 +329,51 @@ def _run_dims(cfg: ExperimentConfig):
 
 def _run_domain(cfg: ExperimentConfig):
     dom = gcs_domain(cfg.moran())
-
-    def work(delta):
+    rows = []
+    for delta in cfg.deltas:
         cc = cap_count(dom, delta, eta=cfg.eta)
-        return [delta, cfg.eta, cc.k_delta, cc.lower, cc.upper, math.sqrt(cc.lower * cc.upper)]
-
-    rows = [work(d) for d in cfg.deltas]
-    samples = [(row[0], row[5]) for row in rows]
-    beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
-    for row in rows:
-        row.append(beta)
-    plots = {"domain": (samples, "boundary caps vs scale", "log2(cap count)")}
+        rows.append([delta, cfg.eta, cc.k_delta, cc.lower, cc.upper, math.sqrt(cc.lower * cc.upper)])
+    plots = {"domain": (_fit_beta(rows, 5), "boundary caps vs scale", "log2(cap count)")}
     return ["delta", "eta", "k_delta", "lower", "upper", "geo_mean", "beta_hat"], rows, plots
 
 
 def _run_energy(cfg: ExperimentConfig):
     dom = gcs_domain(cfg.moran())
-
-    def work(delta):
+    rows = []
+    for delta in cfg.deltas:
         rec = additive_energy_estimate(dom, delta, cfg.m, eta=cfg.eta)
-        return [
-            delta, cfg.m, cfg.eta, rec["K_delta"], rec["M0"], rec["M1"],
-            rec["Xi_bound"], rec["energy_exponent"],
-        ]
-
-    rows = [work(d) for d in cfg.deltas]
+        rows.append([delta, cfg.m, cfg.eta, rec["K_delta"], rec["M0"], rec["M1"],
+                     rec["Xi_bound"], rec["energy_exponent"]])
     samples = [(row[0], row[6]) for row in rows]
     plots = {"energy": (samples, f"{cfg.m}-fold interaction count", "log2(count)")}
     return ["delta", "m", "eta", "k_delta", "M0", "M1", "Xi_bound", "energy_exponent"], rows, plots
 
 
 def _run_dualsum(cfg: ExperimentConfig):
-    pprime = cfg.p_list[0] if cfg.p_list else 1 + 1 / cfg.s
-
-    def work(delta):
-        sc = DyadicScale(delta.denominator.bit_length() - 1)
-        _grid_guard(cfg, delta, (4 << sc.k) ** 2)
-        th = DirectionSet.cantor(cfg.s, sc)
-        v = float(dual_sum_norm(aim_at_origin_assignment(th), pprime))
-        return [delta, cfg.s, pprime, v]
-
-    rows = [work(d) for d in cfg.deltas]
-    samples = [(row[0], row[3]) for row in rows]
-    beta = exponent_fit(samples).beta if len(samples) >= 3 else float("nan")
-    for row in rows:
-        row.append(beta)
-    plots = {"dualsum": (samples, "adversarial dual sum norm", "log2(norm)")}
+    pprime = cfg.p[0] if cfg.p else 1 + 1 / cfg.s
+    rows = []
+    for delta in cfg.deltas:
+        th = DirectionSet.cantor(cfg.s, _scale(cfg, delta, 4))
+        norm = dual_sum_norm(aim_at_origin_assignment(th), pprime)
+        rows.append([delta, cfg.s, pprime, float(norm)])
+    plots = {"dualsum": (_fit_beta(rows, 3), "adversarial dual sum norm", "log2(norm)")}
     return ["delta", "s", "pprime", "dual_norm", "beta_hat"], rows, plots
 
 
-_RUNNERS = {
-    "incidence": _run_incidence,
-    "nikodym": lambda cfg: _maximal_rows(cfg, "nikodym"),
-    "kakeya": lambda cfg: _maximal_rows(cfg, "kakeya"),
-    "dims": _run_dims,
-    "domain": _run_domain,
-    "energy": _run_energy,
-    "dualsum": _run_dualsum,
+class Kind(NamedTuple):
+    run: Callable  # ExperimentConfig -> (CSV header, rows, {plot name: (samples, title, ylabel)})
+    keys: frozenset  # the settings it reads besides the sweep; "preset" also admits [moran]
+
+
+_CONSTRUCTION = frozenset({"preset", "depth"})
+KINDS = {
+    "incidence": Kind(_run_incidence, frozenset({"s", "r", "max_cells"})),
+    "nikodym": Kind(partial(_run_maximal, "nikodym"), frozenset({"s", "p", "max_cells"})),
+    "kakeya": Kind(partial(_run_maximal, "kakeya"), frozenset({"s", "p", "max_cells"})),
+    "dims": Kind(_run_dims, _CONSTRUCTION | {"gamma"}),
+    "domain": Kind(_run_domain, _CONSTRUCTION | {"eta"}),
+    "energy": Kind(_run_energy, _CONSTRUCTION | {"m", "eta"}),
+    "dualsum": Kind(_run_dualsum, frozenset({"s", "p", "max_cells"})),
 }
 
 
@@ -387,7 +382,7 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows, plots = _RUNNERS[cfg.kind](cfg)
+    header, rows, plots = KINDS[cfg.kind].run(cfg)
 
     csv_path = out / f"{cfg.kind}.csv"
     _write_csv(csv_path, header, rows)
@@ -400,15 +395,9 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
 
     canon = config_text(cfg)
     digest = hashlib.sha256(canon.encode()).hexdigest()
-    manifest = (
-        canon
-        + "\n[manifest]\n"
-        + f"config_hash = {digest}\n"
-        + f"code_version = {__version__}\n"
-        + f"table = {csv_path.name}\n"
-    )
     manifest_path = out / "manifest.txt"
-    _write_atomic(manifest_path, manifest)
+    _write_atomic(manifest_path, f"{canon}\n[manifest]\nconfig_hash = {digest}\n"
+                  f"code_version = {__version__}\ntable = {csv_path.name}\n")
     return RunArtifact(out, csv_path, svg_paths, manifest_path)
 
 
@@ -427,26 +416,22 @@ _GEN_DEFAULTS = {
 
 
 def generate_config(kind: str, args) -> str:
-    if kind not in KINDS:
-        raise UsageError(f"unknown kind '{kind}'; known: {', '.join(KINDS)}")
+    _kind(kind)
     d = _GEN_DEFAULTS[kind]
     lines = ["[experiment]", f"kind = {kind}"]
     if "delta_exps" in d:
+        if args.delta_min_exp is not None or args.delta_max_exp is not None:
+            raise UsageError(f"kind '{kind}' sweeps delta_exps = {d['delta_exps']}, not a range")
         lines.append(f"delta_exps = {d['delta_exps']}")
     else:
         lo, hi, step = (int(x) for x in d["delta"].split(":"))
         lo = args.delta_min_exp if args.delta_min_exp is not None else lo
         hi = args.delta_max_exp if args.delta_max_exp is not None else hi
-        lines.append(f"delta_min_exp = {lo}")
-        lines.append(f"delta_max_exp = {hi}")
-        lines.append(f"delta_step = {step}")
+        lines += [f"delta_min_exp = {lo}", f"delta_max_exp = {hi}", f"delta_step = {step}"]
     lines += d["extra"]
-    if args.preset:
-        lines = [ln for ln in lines if not ln.startswith("preset = ")]
-        lines.append(f"preset = {args.preset}")
-    if args.depth:
-        lines = [ln for ln in lines if not ln.startswith("depth = ")]
-        lines.append(f"depth = {args.depth}")
+    for key, value in (("preset", args.preset), ("depth", args.depth)):
+        if value:  # an override replaces the default line, or comes last
+            lines = [ln for ln in lines if not ln.startswith(f"{key} = ")] + [f"{key} = {value}"]
     text = "\n".join(lines) + "\n"
     parse_config(text)  # self-check before handing it out
     return text
@@ -464,12 +449,8 @@ def replot(csv_path, column: str, out_dir) -> Path:
     if "delta" not in header or column not in header:
         raise UsageError(f"CSV must have 'delta' and '{column}' columns; has {header}")
     di, ci = header.index("delta"), header.index(column)
-    samples = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        d, v = F(cells[di]), float(cells[ci])
-        if v > 0:
-            samples.append((d, v))
+    cells = [ln.split(",") for ln in lines[1:]]
+    samples = [(d, v) for d, v in ((F(c[di]), float(c[ci])) for c in cells) if v > 0]
     if len(samples) < 2:
         raise UsageError("need at least 2 rows with positive values to plot")
     out = Path(out_dir)
@@ -514,8 +495,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            text = generate_config(args.kind, args)
-            _write_atomic(Path(args.out), text)
+            _write_atomic(Path(args.out), generate_config(args.kind, args))
             print(f"wrote {args.out}")
             return 0
 
@@ -527,19 +507,15 @@ def main(argv=None) -> int:
             if (args.delta_min_exp is None) != (args.delta_max_exp is None):
                 raise UsageError("--delta-min-exp and --delta-max-exp go together")
             if args.delta_min_exp is not None:
-                cfg.deltas = [
-                    F(1, 1 << j) for j in range(args.delta_min_exp, args.delta_max_exp + 1)
-                ]
+                cfg.deltas = [F(1, 1 << j) for j in range(args.delta_min_exp, args.delta_max_exp + 1)]
             cfg.validate()
             try:
                 art = run(cfg, args.out)
             except ValueError as e:
                 print(f"FAIL,{cfg.kind},{e}")
                 return 1
-            print(f"wrote {art.csv_path}")
-            for p in art.svg_paths:
+            for p in (art.csv_path, *art.svg_paths, art.manifest_path):
                 print(f"wrote {p}")
-            print(f"wrote {art.manifest_path}")
             return 0
 
         if args.command == "verify":

@@ -278,17 +278,15 @@ class CapCount:
     """Bracket on the minimal number of delta-caps covering the boundary.
 
     lower is the surviving-interval count at level K(delta): any delta-cap
-    contains at most separation_constant of their left endpoints (caps
-    span a parameter window of measure <= 2 sqrt(2 delta sqrt(1 + s^2))
-    by the quadratic distance rule, at most two components, versus endpoint
-    spacing >= sqrt(delta)), so the true optimum is >= lower / that
-    constant. upper is the canonical cover's size.
+    contains at most 4 of their left endpoints (caps span a parameter window
+    of measure <= 2 sqrt(2 delta sqrt(1 + s^2)) by the quadratic distance
+    rule, at most two components, versus endpoint spacing >= sqrt(delta)),
+    so the true optimum is >= lower / 4. upper is the canonical cover's size.
     """
 
     lower: int
     upper: int
     k_delta: int
-    separation_constant: int = 4
 
     def __iter__(self):
         return iter((self.lower, self.upper))

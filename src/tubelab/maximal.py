@@ -132,24 +132,20 @@ class GridFunction:
         return GridFunction(scale, box, np.full((c1 - c0, r1 - r0), float(value)))
 
     @staticmethod
-    def indicator_cells(scale: DyadicScale, cells, box: Box | None = None) -> "GridFunction":
-        """1 on the cells, on box or by default the cells' bounding box
-        (one zero cell at the origin for no cells)."""
+    def indicator_cells(scale: DyadicScale, cells) -> "GridFunction":
+        """1 on the cells, on the cells' bounding box (one zero cell at the
+        origin for no cells)."""
         idx = cells.idx if isinstance(cells, CellSet) else np.asarray(list(cells), dtype=np.int64)
-        if box is None:
-            lo, hi = (idx.min(axis=0), idx.max(axis=0) + 1) if len(idx) else ((0, 0), (1, 1))
-            d = scale.delta
-            box = Box.of(int(lo[0]) * d, int(lo[1]) * d, int(hi[0]) * d, int(hi[1]) * d)
+        lo, hi = (idx.min(axis=0), idx.max(axis=0) + 1) if len(idx) else ((0, 0), (1, 1))
+        d = scale.delta
+        box = Box.of(int(lo[0]) * d, int(lo[1]) * d, int(hi[0]) * d, int(hi[1]) * d)
         f = GridFunction.constant(0.0, scale, box)
         if len(idx):
-            i = idx[:, 0] - f._col0
-            j = idx[:, 1] - f._row0
-            keep = (i >= 0) & (i < f.values.shape[0]) & (j >= 0) & (j < f.values.shape[1])
-            f.values[i[keep], j[keep]] = 1.0
+            f.values[idx[:, 0] - f._col0, idx[:, 1] - f._row0] = 1.0
         return f
 
     @staticmethod
-    def ball_indicator(scale: DyadicScale, center, radius, box: Box | None = None) -> "GridFunction":
+    def ball_indicator(scale: DyadicScale, center, radius) -> "GridFunction":
         """1 on cells whose center lies in the closed ball."""
         cx, cy, r = F(center[0]), F(center[1]), F(radius)
         d = scale.delta
@@ -161,7 +157,7 @@ class GridFunction:
                 px, py = (F(2 * i + 1)) * d / 2, (F(2 * j + 1)) * d / 2
                 if (px - cx) ** 2 + (py - cy) ** 2 <= r * r:
                     cells.append((i, j))
-        return GridFunction.indicator_cells(scale, cells, box)
+        return GridFunction.indicator_cells(scale, cells)
 
     def cell_value(self, i: int, j: int) -> float:
         return float(self.values[i - self._col0, j - self._row0])
@@ -394,8 +390,8 @@ class BushCore:
                 out.append((i, j))
         return out
 
-    def indicator(self, scale: DyadicScale, box: Box | None = None) -> GridFunction:
-        return GridFunction.indicator_cells(scale, self.cells(scale), box)
+    def indicator(self, scale: DyadicScale) -> GridFunction:
+        return GridFunction.indicator_cells(scale, self.cells(scale))
 
 
 @dataclass(frozen=True)

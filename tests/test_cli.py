@@ -154,6 +154,93 @@ class TestConfigParsing:
             cfg.moran()
 
 
+KIND_NAMES = ["incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dualsum"]
+# the [experiment] keys each kind reads besides the sweep, and a non-default
+# value for every key
+READS = {
+    "incidence": {"s", "r", "max_cells"},
+    "nikodym": {"s", "p", "max_cells"},
+    "kakeya": {"s", "p", "max_cells"},
+    "dims": {"preset", "depth", "gamma"},
+    "domain": {"preset", "depth", "eta"},
+    "energy": {"preset", "depth", "m", "eta"},
+    "dualsum": {"s", "p", "max_cells"},
+}
+VALUES = {"p": "1.5", "r": "16", "s": "0.6", "m": "2", "gamma": "0.3", "eta": "0.1",
+          "preset": "doubling", "depth": "3", "max_cells": "1000000"}
+MORAN_BLOCK = "n = 2\nc = 1/4\noffsets = 0, 3/4"
+CONSTRUCTION_KINDS = ("dims", "domain", "energy")
+
+
+def _kind_config(kind, key=None):
+    """A minimal valid config of kind, plus the line 'key = VALUES[key]'."""
+    required = {"nikodym": "p", "kakeya": "p", "incidence": "r"}.get(kind)
+    lines = [f"kind = {kind}", "deltas = 1/32"]
+    if required and required != key:
+        lines.append(f"{required} = 2")
+    if key:
+        lines.append(f"{key} = {VALUES[key]}")
+    return "[experiment]\n" + "\n".join(lines) + "\n"
+
+
+class TestKindKeys:
+    """Each kind reads only its own keys: the rest are rejected, and the
+    canonical text carries exactly the ones it reads."""
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_key_read_or_rejected(self, kind, key):
+        text = _kind_config(kind, key)
+        if key not in READS[kind]:
+            with pytest.raises(
+                UsageError, match=rf"^kind '{kind}' does not read \[experiment\] key\(s\): {key}$"
+            ):
+                parse_config(text)
+            return
+        cfg = parse_config(text)
+        assert getattr(cfg, key) != getattr(ExperimentConfig(kind, []), key)
+        canon = config_text(cfg)
+        assert f"\n{key} = " in canon
+        assert parse_config(canon) == cfg
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_moran_block_read_or_rejected(self, kind):
+        text = _kind_config(kind) + "\n[moran]\n" + MORAN_BLOCK + "\n"
+        if kind not in CONSTRUCTION_KINDS:
+            with pytest.raises(UsageError, match=rf"^kind '{kind}' does not read a \[moran\] block$"):
+                parse_config(text)
+            return
+        cfg = parse_config(text)
+        assert cfg.moran_text == MORAN_BLOCK
+        assert parse_config(config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_canonical_text_holds_only_read_keys(self, kind):
+        cfg = parse_config(_kind_config(kind))
+        keys = [ln.split(" = ")[0] for ln in config_text(cfg).splitlines()[1:]]
+        assert keys[:2] == ["kind", "deltas"]
+        # dualsum's p is optional and absent here; every other read key is written
+        assert set(keys[2:]) == READS[kind] - ({"p"} if kind == "dualsum" else set())
+
+    def test_several_unread_keys_named_sorted(self):
+        with pytest.raises(UsageError, match=r"'nikodym' does not read \[experiment\] key\(s\): depth, m, preset$"):
+            parse_config(_kind_config("nikodym") + "preset = doubling\nm = 2\ndepth = 3\n")
+
+    def test_unread_setting_on_config_object_rejected(self):
+        with pytest.raises(UsageError, match=r"'nikodym' does not read \[experiment\] key\(s\): preset"):
+            ExperimentConfig("nikodym", [F(1, 32)], p=[2.0], preset="doubling").validate()
+        with pytest.raises(UsageError, match=r"'kakeya' does not read a \[moran\] block"):
+            ExperimentConfig("kakeya", [F(1, 32)], p=[2.0], moran_text=MORAN_BLOCK).validate()
+
+    def test_dualsum_reads_one_p(self, tmp_path, capsys):
+        assert parse_config(_kind_config("dualsum", "p")).p == [1.5]
+        (tmp_path / "c.cfg").write_text(_kind_config("dualsum") + "p = 1.5, 2\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: kind 'dualsum' reads one p" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestGen:
     @pytest.mark.parametrize(
         "kind", ["incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dualsum"]
@@ -178,6 +265,27 @@ class TestGen:
         with pytest.raises(SystemExit) as e:
             main(["gen", "quux", "--out", str(tmp_path / "c.cfg")])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "kind, flags, key",
+        [("incidence", ["--preset", "doubling"], "preset"),
+         ("nikodym", ["--depth", "6"], "depth"),
+         ("dualsum", ["--preset", "middle-thirds"], "preset")],
+    )
+    def test_construction_flags_only_for_construction_kinds(self, kind, flags, key, tmp_path, capsys):
+        out = tmp_path / "c.cfg"
+        assert main(["gen", kind, "--out", str(out), *flags]) == 2
+        assert f"error: kind '{kind}' does not read [experiment] key(s): {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--delta-min-exp", "6", "--delta-max-exp", "7"],
+                                       ["--delta-max-exp", "30"]])
+    def test_energy_range_flags_rejected(self, flags, tmp_path, capsys):
+        # energy's generated sweep is a delta_exps list, which the range flags cannot move
+        out = tmp_path / "c.cfg"
+        assert main(["gen", "energy", "--out", str(out), *flags]) == 2
+        assert "delta_exps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubelab import maximal
@@ -664,6 +664,16 @@ class TestDualSumNorm:
         assert r.details["ratio"] == float(r) / r.details["bound"]
 
 
+@st.composite
+def _index_sets(draw):
+    """(k, indices): k = 2..6 and a sorted, distinct, nonempty slope index
+    set in [-2^k, 2^k), negative-only in about half the draws."""
+    k = draw(st.integers(2, 6))
+    n = 1 << k
+    top = draw(st.sampled_from([n, 0]))
+    return k, tuple(sorted(draw(st.sets(st.integers(-n, top - 1), min_size=1, max_size=2 * n))))
+
+
 class TestAimAtOrigin:
     @staticmethod
     def _direction_sets(k):
@@ -690,6 +700,15 @@ class TestAimAtOrigin:
                 continue
             asg = aim_at_origin_assignment(th)
             assert dict(asg) == brute_aim_assignment(th), name
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_index_sets())
+    @example((2, (1,)))
+    @example((3, (-8, -3)))
+    def test_generated_sets_match_fraction_oracle(self, case):
+        k, indices = case
+        th = DirectionSet(DyadicScale(k), indices, "explicit")
+        assert dict(aim_at_origin_assignment(th)) == brute_aim_assignment(th)
 
     def test_mapping_interface(self):
         th = DirectionSet.cantor(S_LOG23, DyadicScale(4))
