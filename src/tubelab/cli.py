@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise UsageError(f"kind 'dualsum' reads one p (its p'), got {len(self.p)}")
         if self.kind == "incidence" and not self.r:
             raise UsageError("kind 'incidence' needs a nonempty r list")
+        for key in ("p", "r"):  # a repeated value would repeat its CSV rows
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise UsageError(f"{key} lists a value more than once: {_setting_text(key, values)}")
         if not self.moran_text and self.preset not in PRESETS:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
         if self.depth < 1:
@@ -156,10 +160,19 @@ def _parse_list(text: str, conv):
     return [conv(x.strip()) for x in text.split(",") if x.strip()]
 
 
+def _convert(key: str, text: str, conv):
+    """conv(text); a value that does not convert is a UsageError naming its key."""
+    try:
+        return conv(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"{key} = {text}: {e}") from e
+
+
 def _setting(key: str, text: str):
     """The value of setting key, converted by the type of its field."""
     ftype = _TYPES[key]
-    return _parse_list(text, get_args(ftype)[0]) if get_origin(ftype) is list else ftype(text)
+    conv = partial(_parse_list, conv=get_args(ftype)[0]) if get_origin(ftype) is list else ftype
+    return _convert(key, text, conv)
 
 
 def _setting_text(key: str, value) -> str:
@@ -168,12 +181,17 @@ def _setting_text(key: str, value) -> str:
     return ", ".join(_fmt(x) if conv is float else str(x) for x in items)
 
 
+def _keyvals(section: str, text: str) -> dict[str, str]:
+    try:
+        return parse_keyvals(text)
+    except ValueError as e:
+        raise UsageError(f"[{section}] {e}") from e
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections = split_sections(text)
-    try:
-        kv = parse_keyvals(sections.get("experiment", "") or sections.get("", ""))
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    kv = _keyvals("experiment", sections.get("experiment", "") or sections.get("", ""))
+    _keyvals("moran", sections.get("moran", ""))  # read at run time, refused now if malformed
     unknown = sorted(kv.keys() - _SWEEP_KEYS - set(_SETTINGS))
     if unknown:
         raise UsageError(f"unknown [experiment] key(s): {', '.join(unknown)}")
@@ -191,17 +209,18 @@ def parse_config(text: str) -> ExperimentConfig:
             "give the sweep one way: deltas, delta_exps, or delta_min_exp/delta_max_exp"
         )
 
+    # 2^-j as F(2) ** -j, so an exponent j < 1 reaches validate's dyadic check
     deltas: list = []
     if "delta_exps" in kv:
-        deltas = [F(1, 1 << int(j)) for j in _parse_list(kv["delta_exps"], int)]
+        deltas = [F(2) ** -j for j in _convert("delta_exps", kv["delta_exps"], partial(_parse_list, conv=int))]
     elif has_range:
-        step = int(kv.get("delta_step", "1"))
-        lo, hi = int(kv["delta_min_exp"]), int(kv["delta_max_exp"])
+        step = _convert("delta_step", kv.get("delta_step", "1"), int)
+        lo, hi = (_convert(key, kv[key], int) for key in ("delta_min_exp", "delta_max_exp"))
         if step < 1 or hi < lo:
             raise UsageError("need delta_min_exp <= delta_max_exp and delta_step >= 1")
-        deltas = [F(1, 1 << j) for j in range(lo, hi + 1, step)]
+        deltas = [F(2) ** -j for j in range(lo, hi + 1, step)]
     elif "deltas" in kv:
-        deltas = _parse_list(kv["deltas"], F)
+        deltas = _convert("deltas", kv["deltas"], partial(_parse_list, conv=F))
 
     settings = {k: _setting(k, v) for k, v in kv.items() if k in _SETTINGS}
     moran_text = sections.get("moran", "").strip()
@@ -286,8 +305,7 @@ def _run_incidence(cfg: ExperimentConfig):
     plots = {}
     for r in cfg.r:
         samples = [(row[0], row[5]) for row in rows if row[2] == r and row[5] > 0]
-        if len(samples) >= 2:
-            plots[f"incidence_r{r}"] = (samples, f"rich-point ratio, r = {r}", "log2(ratio)")
+        plots[f"incidence_r{r}"] = (samples, f"rich-point ratio, r = {r}", "log2(ratio)")
     return ["delta", "s", "r", "tubes", "rich_cells", "ratio"], rows, plots
 
 
@@ -309,9 +327,7 @@ def _run_maximal(operator: str, cfg: ExperimentConfig):
     plots = {}
     for p in cfg.p:
         samples = _fit_beta([row for row in rows if row[2] == p], 3)
-        if len(samples) >= 2:
-            title = f"{operator} ratio at p = {_fmt(p)}"
-            plots[f"{operator}_p{_fmt(p)}"] = (samples, title, "log2(ratio)")
+        plots[f"{operator}_p{_fmt(p)}"] = (samples, f"{operator} ratio at p = {_fmt(p)}", "log2(ratio)")
     return ["delta", "s", "p", "ratio", "beta_hat"], rows, plots
 
 
@@ -389,6 +405,8 @@ def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
 
     svg_paths = []
     for name, (samples, title, ylabel) in sorted(plots.items()):
+        if len(samples) < 2:  # one scale has no slope to draw
+            continue
         p = out / f"{name}.svg"
         _write_atomic(p, svg_loglog(samples, title=title, ylabel=ylabel))
         svg_paths.append(p)
@@ -507,7 +525,7 @@ def main(argv=None) -> int:
             if (args.delta_min_exp is None) != (args.delta_max_exp is None):
                 raise UsageError("--delta-min-exp and --delta-max-exp go together")
             if args.delta_min_exp is not None:
-                cfg.deltas = [F(1, 1 << j) for j in range(args.delta_min_exp, args.delta_max_exp + 1)]
+                cfg.deltas = [F(2) ** -j for j in range(args.delta_min_exp, args.delta_max_exp + 1)]
             cfg.validate()
             try:
                 art = run(cfg, args.out)

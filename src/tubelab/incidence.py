@@ -19,7 +19,6 @@ from tubelab.core import (
     Box,
     CellSet,
     DyadicScale,
-    DyadicTube,
     Measurement,
     tube_count_blocks,
     tube_count_grid,
@@ -29,34 +28,23 @@ from tubelab.setgen import katz_tao_constant, regularity_constant
 F = Fraction
 
 
-@dataclass(frozen=True)
 class TubeFamily:
-    """Same-scale dyadic tube collection with its slope multiset."""
+    """Same-scale dyadic tubes, repeats kept: tube q is DyadicTube(k, t[q], b[q]),
+    held as equal-length int64 arrays of slope indices t and offset indices b."""
 
-    scale: DyadicScale
-    tubes: tuple
+    __slots__ = ("scale", "t", "b")
 
-    def __post_init__(self):
-        for t in self.tubes:
-            if not isinstance(t, DyadicTube):
-                raise TypeError(f"not a dyadic tube: {t!r}")
-            if t.k != self.scale.k:
-                raise ValueError("mixed tube scales in one family")
+    def __init__(self, scale: DyadicScale, t, b):
+        t, b = np.asarray(t, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if t.ndim != 1 or t.shape != b.shape:
+            raise ValueError(f"slope and offset indices need one length, got {t.shape} and {b.shape}")
+        n = 1 << scale.k
+        if t.size and (t.min() < -n or t.max() >= n):
+            raise ValueError(f"slope indices outside [-2^k, 2^k) at k={scale.k}")
+        self.scale, self.t, self.b = scale, t, b
 
     def __len__(self):
-        return len(self.tubes)
-
-    def slopes(self) -> list[Fraction]:
-        """Slope multiset (one entry per tube, repeats kept)."""
-        return [t.slope for t in self.tubes]
-
-    @staticmethod
-    def of(tubes) -> "TubeFamily":
-        tubes = tuple(tubes)
-        if not tubes:
-            raise ValueError("empty family")
-        k = tubes[0].k
-        return TubeFamily(DyadicScale(k), tubes)
+        return len(self.t)
 
 
 class RichPointSet:
@@ -81,8 +69,8 @@ def rich_points(family: TubeFamily, r: int) -> RichPointSet:
     """Cells of [0,1)^2 at scale delta covered by at least r tubes."""
     if r < 1:
         raise ValueError("threshold r must be >= 1")
-    k, tubes = family.scale.k, family.tubes
-    grid = tube_count_grid([t.i for t in tubes], [t.j for t in tubes], k, (0, 1 << k))  # exact counts
+    k = family.scale.k
+    grid = tube_count_grid(family.t, family.b, k, (0, 1 << k))  # exact counts
     mask = grid >= r
     # argwhere and the mask both list cells in row-major, i.e. CellSet, order
     return RichPointSet(r, CellSet(k, np.argwhere(mask)), grid[mask])
@@ -115,14 +103,14 @@ def _incidence_ratios(family: TubeFamily, s: float, rs) -> list[Measurement]:
         if not all(isinstance(r, numbers.Integral) and r >= 1 for r in rs):
             raise ValueError("threshold r must be an integer >= 1")
         rs = [int(r) for r in rs]
-    k, tubes = family.scale.k, family.tubes
+    k = family.scale.k
     n = 1 << k
-    # the dual points and slopes i / 2^k, j / 2^k as doubles: exact, and
+    # the dual points and slopes t / 2^k, b / 2^k as doubles: exact, and
     # without a Fraction per tube
-    pts = [(t.i / n, t.j / n) for t in tubes]
+    pts = list(zip((family.t / n).tolist(), (family.b / n).tolist()))
     c_kt = float(katz_tao_constant(pts, 1.0, family.scale))
-    c_reg = float(regularity_constant(sorted({x for x, _ in pts}), s, family.scale))
-    hist = tube_count_histogram([t.i for t in tubes], [t.j for t in tubes], k, (0, n))
+    c_reg = float(regularity_constant(np.unique(family.t) / n, s, family.scale))
+    hist = tube_count_histogram(family.t, family.b, k, (0, n))
     if rs is None:
         rs = [1 << e for e in range(max(len(hist) - 1, 1).bit_length())]
     norm = (c_kt * c_reg) ** (1.0 / s) * float(1 / family.scale.delta) * len(family)
@@ -141,7 +129,6 @@ def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> Measurement:
     C_reg the regularity constant of the slope set at exponent s. The
     incidence bound predicts rho = O(delta^-eps) for admissible families;
     r beyond the family size gives rho = 0 (no cell can be that rich).
-    The family must consist of dyadic tubes.
     """
     return _incidence_ratios(family, s, [r])[0]
 
@@ -199,7 +186,7 @@ def sharp_example(s: float, delta: DyadicScale, r: int) -> SharpExample:
     x_hi = F(1, r)
     for _ in range(10):
         rect = Box.of(0, 0, x_hi, c * F(2) ** (-sep_exp))
-        tubes = []
+        t, b = [], []
         ok = True
         for i in slope_idx:
             a = F(i, 1 << k)
@@ -208,16 +195,16 @@ def sharp_example(s: float, delta: DyadicScale, r: int) -> SharpExample:
             for x in (rect.x0, rect.x1):
                 if a * x + j_lo * d > 0 or (a + d) * x + (j_hi + 1) * d < rect.y1:
                     ok = False
-            tubes.extend(DyadicTube(k, i, j) for j in range(j_lo, j_hi + 1))
+            t += [i] * (j_hi + 1 - j_lo)
+            b += range(j_lo, j_hi + 1)
         if ok:
             break
         c /= 2
     else:
         raise ValueError("could not certify slab coverage")
 
-    family = TubeFamily(delta, tuple(tubes))
     return SharpExample(
-        family,
+        TubeFamily(delta, t, b),
         rect,
         r,
         meta={
@@ -285,9 +272,10 @@ def cantor_slope_family(
     if per_slope is None:
         per_slope = max(1, round(2.0 ** (k * (1.0 - s))))
     rng = random.Random(seed)
-    tubes = []
+    t, b = [], []
     for i in slopes:
         valid = _unit_offsets(i, k)
         chosen = rng.sample(valid, min(per_slope, len(valid)))
-        tubes.extend(DyadicTube(k, i, j) for j in sorted(chosen))
-    return TubeFamily(delta, tuple(tubes))
+        t += [i] * len(chosen)
+        b += sorted(chosen)
+    return TubeFamily(delta, t, b)

@@ -34,7 +34,6 @@ from tubelab.core import (
     DyadicScale,
     DyadicTube,
     Measurement,
-    tube_rows,
 )
 from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
 from tubelab.setgen import frostman_constant
@@ -64,10 +63,6 @@ class DirectionSet:
 
     def __len__(self):
         return len(self.indices)
-
-    def slopes(self) -> list[Fraction]:
-        d = self.scale.delta
-        return [i * d for i in self.indices]
 
     @staticmethod
     def explicit(scale: DyadicScale, slopes) -> "DirectionSet":
@@ -396,21 +391,24 @@ class BushCore:
 
 @dataclass(frozen=True)
 class BushPair:
+    """A bush's certified core and the window of directions whose tubes,
+    all through the origin, contain it."""
+
     core: BushCore
-    union: CellSet
-    tubes: TubeFamily
+    window: DirectionSet
     meta: dict = field(compare=False, default_factory=dict)
 
 
 def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
-    """All direction-set tubes through the origin with slope within rho of omega.
+    """The core shared by the direction-set tubes through the origin with
+    slope within rho of omega (the window).
 
-    The intersection core is a certified parallelogram: every vertex lies in
-    every tube, by exact rational membership in the first and last window
-    tubes, which bind the rest. Its inscribed slope-aligned rectangle of
-    dimensions (delta/(4 rho)) x (delta/4) is certified by rational
-    envelope bounds when the window geometry allows, and reported in
-    meta["rect_certified"].
+    The core is a certified parallelogram: every vertex lies in every
+    window tube DyadicTube(k, t, 0), by exact rational membership in the
+    first and last of them, which bind the rest; no other tube is built.
+    Its inscribed slope-aligned rectangle of dimensions
+    (delta/(4 rho)) x (delta/4) is certified by rational envelope bounds
+    when the window geometry allows, and reported in meta["rect_certified"].
     """
     scale = theta.scale
     d = scale.delta
@@ -420,9 +418,6 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     win = theta.window(omega, rho)
     if not win.indices:
         raise ValueError("empty direction window")
-    k = scale.k
-    tubes = TubeFamily(scale, tuple(DyadicTube(k, t, 0) for t in win.indices))
-
     a_min, a_max = win.indices[0] * d, win.indices[-1] * d
     spread = a_max - a_min  # slope spread of the window
     mid = (a_min + a_max + d) / 2
@@ -436,7 +431,7 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     # monotone in the slope a: [a x, (a+d)x + d) for x > 0, ((a+d)x, a x + d)
     # for x < 0, and [0, d) at x = 0. A point in the first and the last
     # window tube is therefore in every tube between them.
-    ends = (tubes.tubes[0], tubes.tubes[-1])
+    ends = (DyadicTube(scale.k, win.indices[0], 0), DyadicTube(scale.k, win.indices[-1], 0))
     candidates = []
     for num in range(6, 0, -1):
         x_half = min(F(num, 8) * d / (spread + d), F(1, 4))
@@ -457,34 +452,14 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     # the loop stops at the first certified rectangle
     core, rect_ok = candidates[-1] if candidates[-1][1] else candidates[0]
 
-    # the window tubes' raster cells in the [-2, 2]^2 box. The tubes share
-    # offset 0, so in each column both ends of a row range are monotone in
-    # the slope: the sorted ends pair up, and starting each range at the
-    # previous end leaves disjoint runs, listed column by column in row order.
-    n = 1 << k
-    cols = np.arange(-2 * n, 2 * n)
-    lo, hi = tube_rows(win.indices, 0, k, cols)
-    lo = np.sort(np.clip(lo, -2 * n, 2 * n), axis=0).T
-    hi = np.sort(np.clip(hi, -2 * n, 2 * n), axis=0).T
-    lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
-    size = np.maximum(hi - lo, 0)
-    first = np.repeat(lo.ravel() - size.cumsum() + size.ravel(), size.ravel())
-    rows = np.arange(len(first)) + first
-    union = CellSet(k, np.stack([np.repeat(cols, size.sum(axis=1)), rows], axis=1))
-    # cells from which a unit-length tube in any window direction covers
-    # every column of the core
-    central = union.idx[np.abs(2 * union.idx[:, 0] + 1) <= n // 2]
     area = core.area()
     meta = {
-        "window_slopes": win.slopes(),
         "core_area": area,
         "c0_core": float(area * rho / (d * d)),
-        "c0_union": float(len(union) * d * d / (d * len(tubes))),
-        "central_cells": CellSet(k, central),
         "rect_certified": bool(rect_ok),
         "rect_dims": (float(d / (4 * rho)), float(d / 4)),
     }
-    return BushPair(core, union, tubes, meta)
+    return BushPair(core, win, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +568,16 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
     """
     if pprime <= 1:
         raise ValueError("p' must exceed 1")
-    slopes = family.slopes()
-    if len(set(slopes)) != len(slopes):
+    slopes = np.unique(family.t)
+    if len(slopes) != len(family):
         raise ValueError("duplicate directions in the family")
     k = family.scale.k
     delta = float(family.scale.delta)
     s = 1.0 / (pprime - 1.0)
     p = 1.0 + s
-    hist = tube_count_histogram([tb.i for tb in family.tubes], [tb.j for tb in family.tubes], k)
+    hist = tube_count_histogram(family.t, family.b, k)
     value = _hist_lp(hist, pprime, delta)
-    c = float(frostman_constant(sorted(set(slopes)), s, family.scale))
+    c = float(frostman_constant(slopes / (1 << k), s, family.scale))
     bound = c ** (1.0 / p) * delta ** (2.0 / pprime) * len(family)
     return Measurement(
         value,

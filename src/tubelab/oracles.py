@@ -20,8 +20,9 @@ from tubelab.core import BOX_UNIT, CellSet, DyadicScale, DyadicTube, rasterize_t
 def brute_cell_counts(family) -> Counter:
     """Tubes per cell of [0,1)^2, from each tube's raster."""
     c: Counter = Counter()
-    for t in family.tubes:
-        for i, j in map(tuple, rasterize_tube(t, family.scale, BOX_UNIT).idx):
+    k = family.scale.k
+    for t, b in zip(family.t.tolist(), family.b.tolist()):
+        for i, j in map(tuple, rasterize_tube(DyadicTube(k, t, b), family.scale, BOX_UNIT).idx):
             c[(int(i), int(j))] += 1
     return c
 

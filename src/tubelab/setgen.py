@@ -960,7 +960,8 @@ def doubling_branch_spec(m: int = 3, budget: int = 4000, seed: int = 0) -> Moran
 
 
 def parse_keyvals(text: str) -> dict[str, str]:
-    """'key = value' lines; '#' comments and blank lines ignored."""
+    """'key = value' lines; '#' comments and blank lines ignored, a repeated
+    key refused."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -968,8 +969,10 @@ def parse_keyvals(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: repeated key '{key}'")
+        out[key] = val
     return out
 
 

@@ -5,6 +5,7 @@ comparison of repeated runs, and exact error/exit-code contracts.
 """
 
 import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -405,6 +406,21 @@ class TestRun:
             assert "error: --delta-min-exp and --delta-max-exp" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind,exp", [("domain", 8), ("energy", 12), ("dualsum", 6)])
+    def test_single_scale_run_writes_csv_and_manifest(self, kind, exp, tmp_path, capsys):
+        # one scale has no slope to plot: the run writes its CSV row and its
+        # manifest, and no SVG
+        cfg = tmp_path / "c.cfg"
+        assert main(["gen", kind, "--out", str(cfg)]) == 0
+        out = tmp_path / "out"
+        rc = main(["run", "--spec", str(cfg), "--out", str(out),
+                   "--delta-min-exp", str(exp), "--delta-max-exp", str(exp)])
+        assert rc == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == sorted([f"{kind}.csv", "manifest.txt"])
+        rows = (out / f"{kind}.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith(f"{2.0 ** -exp:.12g},")
+
     def test_generated_incidence_config_runs(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         assert main(["gen", "incidence", "--out", str(cfg)]) == 0
@@ -531,3 +547,61 @@ class TestConfigValidation:
             main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o"),
                   "--threads", "2"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("text,msg", [
+        pytest.param("[experiment]\nkind = nikodym\ndeltas = 1/32\np = 1\np = 2\n",
+                     "[experiment] line 4: repeated key 'p'", id="experiment"),
+        pytest.param("[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n\n[moran]\nn = 2\nc = 1/4\nn = 3\n",
+                     "[moran] line 3: repeated key 'n'", id="moran"),
+    ])
+    def test_repeated_key_rejected(self, text, msg, tmp_path, capsys):
+        # the later line would silently win; line numbers count within the block
+        with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind,key,values", [("nikodym", "p", "2, 2"), ("kakeya", "p", "1.5, 2, 1.5"),
+                                                 ("incidence", "r", "4, 16, 4")])
+    def test_repeated_list_value_rejected(self, kind, key, values, tmp_path, capsys):
+        # a repeated p or r would write its rows twice
+        text = f"[experiment]\nkind = {kind}\ndeltas = 1/64\n{key} = {values}\n"
+        with pytest.raises(UsageError, match=f"^{key} lists a value more than once: {values}$"):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sweep,key,value", [
+        ("deltas = 1/4", "depth", "x"),
+        ("deltas = 1/4", "depth", "2.5"),
+        ("deltas = 1/4", "gamma", "1/4"),
+        ("", "delta_exps", "8, x"),
+        ("", "deltas", "1/0"),
+        ("", "deltas", "x"),
+        ("delta_max_exp = 8", "delta_min_exp", "x"),
+        ("delta_min_exp = 2", "delta_max_exp", "8.0"),
+        ("delta_min_exp = 2\ndelta_max_exp = 8", "delta_step", "y"),
+    ])
+    def test_unconvertible_value_names_its_key(self, sweep, key, value, tmp_path, capsys):
+        text = f"[experiment]\nkind = dims\n{sweep}\n{key} = {value}\n"
+        with pytest.raises(UsageError, match=f"^{key} = {re.escape(value)}: "):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} = {value}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_sub_unit_exponents_refused_as_not_dyadic(self, tmp_path, capsys):
+        # 2^-j with j < 1 is no delta: refused by the dyadic check, not a shift error
+        for line in ("delta_exps = -3", "delta_min_exp = -1\ndelta_max_exp = 2"):
+            with pytest.raises(UsageError, match="is not dyadic"):
+                parse_config(f"[experiment]\nkind = energy\n{line}\n")
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = dualsum\ndeltas = 1/32\n")
+        argv = ["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--delta-min-exp", "-2", "--delta-max-exp", "5"]) == 2
+        assert "error: delta 4 is not dyadic" in capsys.readouterr().err

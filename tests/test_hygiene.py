@@ -1,8 +1,11 @@
 """Source hygiene: every name a module of src/tubelab imports is used in it,
-every private module-level function or class is used by the library, and no
-module imports a private name from another tubelab module."""
+every private module-level function or class is used by the library, no
+module imports a private name from another tubelab module, and every layer
+probe of the benchmark's tracer finds what it reads in the library."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -106,3 +109,65 @@ def test_checker_finds_private_imports():
         "b.py": "from .core import _shear_pad\nfrom numpy import _private\nimport tubelab.core\n",
     }
     assert _private_imports(sources) == ["a.py: _delta_value", "b.py: _shear_pad"]
+
+
+# Imports the modules perfbench/workload.py imports, installs every layer probe
+# of perfbench/spans.py, then calls each probed function once on small inputs,
+# so each probe's span name, scale and counter functions run against the
+# library. Prints the recorded span names, one a line.
+_PROBE_SCRIPT = """
+import sys, tempfile
+from fractions import Fraction as F
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tubelab.acceptance, tubelab.cli, tubelab.core, tubelab.incidence, tubelab.maximal
+from tubelab import acceptance, cli, core, domains, incidence, maximal, setgen
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+sc = core.DyadicScale(5)
+ms = setgen.build_moran(setgen.middle_thirds_spec(), 8)
+ms.endpoints(3)
+setgen.search_interval_family(4, 3, budget=20, seed=1)
+setgen.qa_profile(ms.endpoint_values(3), 0.25, F(1, 27))
+dom = domains.gcs_domain(ms)
+domains.cap_cover(dom, F(1, 256))
+domains.additive_energy_estimate(dom, F(1, 4096), 3)
+th = maximal.DirectionSet.cantor(0.5, sc)
+f = maximal.bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
+maximal.nikodym_apply(f, th)
+maximal.kakeya_apply(f, th)
+maximal.norm_ratio(f, th, 2.0, "nikodym")
+maximal.dual_sum_norm(maximal.aim_at_origin_assignment(th), 2.0)
+maximal.tube_sum_norm(incidence.TubeFamily(sc, th.indices, [0] * len(th)), 2.0)
+fam = incidence.cantor_slope_family(0.5, sc, seed=1)
+incidence.incidence_profile(fam, 0.5)
+incidence.verify_incidence_bound(fam, 0.5, 2)
+incidence.rich_points(fam, 2)
+incidence.sharp_example(0.5, sc, 4)
+core.rasterize_tube(core.DyadicTube(5, 3, 0), sc)
+with tempfile.TemporaryDirectory() as out:
+    cli.run(cli.parse_config("kind = domain\\ndeltas = 1/256, 1/1024\\ndepth = 8\\n"), out)
+acceptance.run_criterion("inv-box-ratio-window", cache=False)
+print("\\n".join(sorted({s[0] for s in tracer.spans})))
+"""
+
+
+def test_every_benchmark_probe_resolves():
+    # the probes find their targets by name (core.rasterize_tube,
+    # TubeFamily.scale, an Assignment's first value, ...), so a rename in
+    # src/ would leave traced benchmark runs failing or blind
+    root = SRC.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE_SCRIPT, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    want = {p.name for p in spans.PROBES if isinstance(p.name, str)}
+    want.add("acceptance.inv-box-ratio-window")
+    assert want - set(proc.stdout.split()) == set()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from tubelab import maximal
 from tubelab.core import (
     BOX_DEFAULT,
+    BOX_UNIT,
     Box,
     DyadicScale,
     DyadicTube,
@@ -64,7 +65,6 @@ class TestDirectionSet:
         sc = DyadicScale(4)
         th = DirectionSet.explicit(sc, [F(3, 16), F(-1, 2), F(3, 16)])
         assert th.indices == (-8, 3)
-        assert th.slopes() == [F(-1, 2), F(3, 16)]
 
     def test_explicit_rejects_off_grid_slope(self):
         with pytest.raises(ValueError, match="multiple of delta"):
@@ -87,7 +87,7 @@ class TestDirectionSet:
         th = DirectionSet.net_of_arc(sc, -1, 1)
         assert th.indices == tuple(range(-16, 16))
         th2 = DirectionSet.net_of_arc(sc, F(1, 4), F(1, 2))
-        assert th2.slopes() == [F(4, 16), F(5, 16), F(6, 16), F(7, 16)]
+        assert th2.indices == (4, 5, 6, 7)
         with pytest.raises(ValueError, match="empty"):
             DirectionSet.net_of_arc(sc, F(1, 2), F(1, 2))
 
@@ -95,7 +95,7 @@ class TestDirectionSet:
         sc = DyadicScale(4)
         th = DirectionSet.net_of_arc(sc, -1, 1)
         w = th.window(F(1, 2), F(1, 8))
-        assert w.slopes() == [F(6, 16), F(7, 16), F(8, 16), F(9, 16), F(10, 16)]
+        assert w.indices == (6, 7, 8, 9, 10)
 
 
 class TestGridFunction:
@@ -355,7 +355,7 @@ class TestKakeyaApply:
         sc = DyadicScale(5)
         th = DirectionSet.cantor(0.5, sc)
         vals = kakeya_apply(GridFunction.constant(1.0, sc), th)
-        assert set(vals) == set(th.slopes())
+        assert set(vals) == {t * sc.delta for t in th.indices}
         assert all(v == 1.0 for v in vals.values())
 
     def test_ball_lower_bound_every_direction(self):
@@ -393,6 +393,41 @@ class TestKakeyaApply:
             assert nikodym_apply(f, th).max_value() == kakeya_apply(f, th)[F(t, 32)]
 
 
+def _window_tubes(b):
+    """The bush's tubes: one through the origin per window slope."""
+    return [DyadicTube(b.window.scale.k, t, 0) for t in b.window.indices]
+
+
+def _window_union(b, sc, box):
+    """The cells of box in the union of the window tubes' rasters."""
+    seen = set()
+    for t in _window_tubes(b):
+        seen.update(map(tuple, rasterize_tube(t, sc, box).idx.tolist()))
+    return seen
+
+
+def _central_cells(b, sc):
+    """Cells of [0,1)^2 in the window tubes' union with |2i + 1| <= 2^k / 2:
+    from each, a unit-length tube in any window direction covers every
+    column of the core."""
+    n = 1 << sc.k
+    cen = sorted(c for c in _window_union(b, sc, BOX_UNIT) if abs(2 * c[0] + 1) <= n // 2)
+    return np.array(cen, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def _bush_windows(draw):
+    """(theta, omega, rho): a random slope index set at k = 3..8, and a
+    window centred on one of its slopes with radius delta .. 1."""
+    k = draw(st.integers(3, 8))
+    n = 1 << k
+    indices = tuple(sorted(draw(st.sets(st.integers(-n, n - 1), min_size=1, max_size=24))))
+    sc = DyadicScale(k)
+    omega = F(draw(st.sampled_from(indices)), n)
+    rho = F(draw(st.integers(1, n)), n)
+    return DirectionSet(sc, indices, "explicit"), omega, rho
+
+
 class TestBushConstruction:
     def test_preconditions(self):
         sc = DyadicScale(6)
@@ -416,10 +451,9 @@ class TestBushConstruction:
                 x = fx * core.x_half
                 y = core.slope * x + core.y_center + fy * core.y_half
                 assert core.contains(x, y)
-                assert all(t.contains(x, y) for t in b.tubes.tubes)
+                assert all(t.contains(x, y) for t in _window_tubes(b))
         assert b.meta["rect_certified"]
         assert b.meta["c0_core"] >= 1 / 8
-        assert b.meta["c0_union"] >= 1 / 4
 
     @pytest.mark.parametrize(
         "theta,omega,rho",
@@ -433,6 +467,9 @@ class TestBushConstruction:
         ],
     )
     def test_union_is_raster_union(self, theta, omega, rho):
+        # the window tubes' union over x in [0, 1), |y| < 2, as the support of
+        # their tube_count_grid, against the rasterize_tube union that the
+        # central-cell tests read
         if theta[0] == "cantor":
             sc = DyadicScale(theta[2])
             th = DirectionSet.cantor(theta[1], sc)
@@ -440,14 +477,11 @@ class TestBushConstruction:
             sc = DyadicScale(theta[3])
             th = DirectionSet.net_of_arc(sc, theta[1], theta[2])
         b = bush_construction(th, omega, rho)
-        seen = set()
-        for t in b.tubes.tubes:
-            seen.update(map(tuple, rasterize_tube(t, sc, BOX_DEFAULT).idx))
-        assert seen == set(map(tuple, b.union.idx))
         n = 1 << sc.k
-        central = {c for c in seen if abs(2 * c[0] + 1) <= n // 2}
-        assert central == set(map(tuple, b.meta["central_cells"].idx))
-        assert b.meta["c0_union"] == float(len(seen) * sc.delta / len(b.tubes))
+        grid = tube_count_grid(b.window.indices, [0] * len(b.window), sc.k, (-2 * n, 2 * n))
+        support = {(i, j - 2 * n) for i, j in np.argwhere(grid > 0).tolist()}
+        assert support == _window_union(b, sc, Box.of(0, -2, 1, 2))
+        assert grid.max() == len(b.window)  # every window tube meets cell (0, 0)
 
     @pytest.mark.parametrize(
         "theta,omega,rho",
@@ -470,7 +504,7 @@ class TestBushConstruction:
         b = bush_construction(th, omega, rho)
         # the candidate cores and the choice rule, each candidate certified
         # against every window tube
-        d, tubes = sc.delta, b.tubes.tubes
+        d, tubes = sc.delta, _window_tubes(b)
         a_min, a_max = tubes[0].slope, tubes[-1].slope
         spread, mid = a_max - a_min, (a_min + a_max + d) / 2
         s_up, r_inv = 1 + mid * mid / 2, 1 - mid * mid / 2 + 3 * mid**4 / 8
@@ -498,7 +532,7 @@ class TestBushConstruction:
         sc = DyadicScale(5)
         th = DirectionSet.net_of_arc(sc, -1, -F(5, 8))
         b = bush_construction(th, -F(53, 64), F(11, 64))
-        assert len(b.tubes.tubes) == 12 and b.meta["rect_certified"]
+        assert len(b.window) == 12 and b.meta["rect_certified"]
         assert b.core == BushCore(-F(13, 16), F(1, 64), F(5, 96), F(161, 24576))
 
     @pytest.mark.parametrize("indices", [range(-16, 16), range(-3, 9), (-16, -5, 0, 2, 3, 15), (4,)])
@@ -520,28 +554,37 @@ class TestBushConstruction:
         sc = DyadicScale(6)
         th = DirectionSet.explicit(sc, [F(5, 64)])
         b = bush_construction(th, F(5, 64), sc.delta)
-        assert len(b.tubes.tubes) == 1
-        assert b.union == rasterize_tube(b.tubes.tubes[0], sc, BOX_DEFAULT)
+        assert b.window.indices == (5,)
+        (tube,) = _window_tubes(b)
+        assert all(tube.contains(x, y) for x, y in b.core.vertices())
 
     def test_window_slopes_within_rho(self):
         sc = DyadicScale(6)
         th = DirectionSet.cantor(S_LOG23, sc)
         b = bush_construction(th, F(1, 2), F(1, 4))
-        assert all(abs(sl - F(1, 2)) <= F(1, 4) for sl in b.meta["window_slopes"])
-        assert all(t.j == 0 for t in b.tubes.tubes)
+        assert b.window.indices == tuple(t for t in th.indices if abs(t * sc.delta - F(1, 2)) <= F(1, 4))
 
     @pytest.mark.parametrize("omega,rho", [(F(1, 4), F(1, 16)), (F(5, 8), F(1, 8))])
     def test_core_average_on_central_cells(self, omega, rho):
         """Output >= |R| / |T'| on every central union cell, |T'| = 4 delta."""
         sc = DyadicScale(7)
-        n = 1 << 7
         th = DirectionSet.net_of_arc(sc, 0, 1)
         b = bush_construction(th, omega, rho)
         out = nikodym_apply(b.core.indicator(sc), th)
         thr = float(b.core.area()) / (4 * float(sc.delta))
-        cen = b.meta["central_cells"].idx
-        cen = cen[(cen[:, 0] >= 0) & (cen[:, 0] < n) & (cen[:, 1] >= 0) & (cen[:, 1] < n)]
+        cen = _central_cells(b, sc)
         assert len(cen) > 50
+        assert (out.values[cen[:, 0], cen[:, 1]] >= thr).all()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_bush_windows())
+    def test_core_average_on_central_cells_generated(self, case):
+        th, omega, rho = case
+        sc = th.scale
+        b = bush_construction(th, omega, rho)
+        out = nikodym_apply(b.core.indicator(sc), th)
+        thr = float(b.core.area()) / (4 * float(sc.delta))
+        cen = _central_cells(b, sc)
         assert (out.values[cen[:, 0], cen[:, 1]] >= thr).all()
 
 
@@ -658,7 +701,7 @@ class TestDualSumNorm:
         v, grid = dual_sum_norm(asg, pprime), tube_count_grid(asg.t, asg.b, k)
         assert float(v) == dense_lp(grid)
         assert v.details["max_multiplicity"] == grid.max()
-        fam = TubeFamily.of([DyadicTube(k, t, 0) for t in th.indices])
+        fam = TubeFamily(sc, th.indices, [0] * len(th))
         r, grid = tube_sum_norm(fam, pprime), tube_count_grid(list(th.indices), [0] * len(th), k)
         assert float(r) == dense_lp(grid)
         assert r.details["ratio"] == float(r) / r.details["bound"]
@@ -734,20 +777,20 @@ class TestAimAtOrigin:
 
 class TestTubeSumNorm:
     def test_single_tube(self):
-        fam = TubeFamily.of([DyadicTube(6, 40, 3)])
+        fam = TubeFamily(DyadicScale(6), [40], [3])
         r = tube_sum_norm(fam, 2.0)
-        count = len(rasterize_tube(fam.tubes[0], DyadicScale(6), Box.of(0, -4, 1, 4)))
+        count = len(rasterize_tube(DyadicTube(6, 40, 3), DyadicScale(6), Box.of(0, -4, 1, 4)))
         assert float(r) == pytest.approx((count / 4096) ** 0.5, rel=1e-12)
         assert r.details["ratio"] <= 2
 
     def test_duplicate_direction_rejected(self):
-        fam = TubeFamily.of([DyadicTube(5, 3, 0), DyadicTube(5, 3, 7)])
+        fam = TubeFamily(DyadicScale(5), [3, 3], [0, 7])
         with pytest.raises(ValueError, match="duplicate"):
             tube_sum_norm(fam, 2.0)
 
     def test_full_bush_logarithmic_ratio(self):
         k = 6
-        fam = TubeFamily.of([DyadicTube(k, t, 0) for t in range(-64, 64)])
+        fam = TubeFamily(DyadicScale(k), range(-64, 64), [0] * 128)
         r = tube_sum_norm(fam, 2.0)
         assert r.details["ratio"] <= 2 * math.sqrt(k * math.log(2))
 
@@ -755,7 +798,7 @@ class TestTubeSumNorm:
         k = 8
         sc = DyadicScale(k)
         th = DirectionSet.cantor(S_LOG23, sc)
-        fam = TubeFamily.of([DyadicTube(k, t, 0) for t in th.indices])
+        fam = TubeFamily(sc, th.indices, [0] * len(th))
         r = tube_sum_norm(fam, 1 + 1 / S_LOG23)
         assert r.details["ratio"] <= (k * math.log(2)) ** 3
 

@@ -561,7 +561,7 @@ class TestPrunedConstants:
         # the dual points of a k = 8 Cantor-slope family: Katz-Tao never
         # counts balls of radius 1 or 1/2, and still finds the same max
         fam = cantor_slope_family(math.log(2) / math.log(3), DyadicScale(8), seed=1)
-        pts = [(F(tb.i, 256), F(tb.j, 256)) for tb in fam.tubes]
+        pts = [(F(t, 256), F(b, 256)) for t, b in zip(fam.t.tolist(), fam.b.tolist())]
         counter, visited = setgen._planar_ball_counter, []
 
         def spy(*lattice):
@@ -955,6 +955,13 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_keyvals("just some words\n")
+
+    def test_repeated_key(self):
+        # also through moran_spec_from_config, which reads the same parser
+        with pytest.raises(ValueError, match="^line 4: repeated key 'n'$"):
+            parse_keyvals("n = 2\nc = 1/3\n\nn=3\n")
+        with pytest.raises(ValueError, match="repeated key 'c'"):
+            moran_spec_from_config("n = 2\nc = 1/3\nc = 1/4\n")
 
 
 def test_family_offsets_normalize_to_unit_parent():
