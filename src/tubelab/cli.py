@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
         if self.depth < 1:
             raise UsageError("depth must be >= 1")
+        if self.eta <= 0:
+            raise UsageError("eta must be positive")
         return self
 
     def moran(self):
@@ -347,7 +349,7 @@ def _run_domain(cfg: ExperimentConfig):
     dom = gcs_domain(cfg.moran())
     rows = []
     for delta in cfg.deltas:
-        cc = cap_count(dom, delta, eta=cfg.eta)
+        cc = cap_count(dom, delta)
         rows.append([delta, cfg.eta, cc.k_delta, cc.lower, cc.upper, math.sqrt(cc.lower * cc.upper)])
     plots = {"domain": (_fit_beta(rows, 5), "boundary caps vs scale", "log2(cap count)")}
     return ["delta", "eta", "k_delta", "lower", "upper", "geo_mean", "beta_hat"], rows, plots
@@ -357,7 +359,7 @@ def _run_energy(cfg: ExperimentConfig):
     dom = gcs_domain(cfg.moran())
     rows = []
     for delta in cfg.deltas:
-        rec = additive_energy_estimate(dom, delta, cfg.m, eta=cfg.eta)
+        rec = additive_energy_estimate(dom, delta, cfg.m)
         rows.append([delta, cfg.m, cfg.eta, rec["K_delta"], rec["M0"], rec["M1"],
                      rec["Xi_bound"], rec["energy_exponent"]])
     samples = [(row[0], row[6]) for row in rows]

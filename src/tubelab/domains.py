@@ -181,7 +181,6 @@ class CapCover:
     """
 
     delta: Fraction
-    eta: float
     k_delta: int
     classes: tuple[tuple[Cap, ...], ...]
     ceiling: Cap
@@ -217,21 +216,21 @@ def k_delta(domain: GcsDomain, delta) -> int:
         k += 1
 
 
-def cap_cover(domain: GcsDomain, delta, eta: float = 0.05) -> CapCover:
+def cap_cover(domain: GcsDomain, delta) -> CapCover:
     """Cover of the boundary by delta-caps, classed by removal level.
 
     Chord caps (levels 1..K(delta)) are exact zero-distance caps. Each
-    surviving generation-K(delta) interval is split greedily at built
-    construction points: from the current point u, the cap extends to the
-    farthest candidate v with (v - u)^4 < delta^2 (1 + 4 u^2), i.e. with
-    Euclidean distance to the tangent at u strictly below delta. A gap
-    removed below level K(delta) that is too wide for any tangent step
-    (possible only when delta is large for the construction) contributes
-    its own chord cap to class 0, after which the tangent sweep resumes.
+    surviving generation-K(delta) interval is split greedily at the
+    generation-min(K, K(delta) + 2) endpoints U/den inside it: from u, the
+    cap runs to the farthest v with (v - u)^4 < delta^2 (1 + 4 u^2). At v
+    the boundary sits (v - u)^2 above the tangent at u, so this is the
+    cap's exact validity test (Cap.is_valid_cap is its Fraction oracle);
+    with delta = p/q it reads (V - U)^4 q^2 < p^2 den^2 (den^2 + 4 U^2),
+    and one integer fourth root bounds V - U. Where no step exists and u
+    ends an interval, the gap after it (removed below level K(delta); only
+    for large delta) takes its own chord cap in class 0.
     """
     d = F(delta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     kd = k_delta(domain, d)
     if kd > domain.depth:
         raise ValueError(f"built depth {domain.depth} is insufficient: K(delta) = {kd}")
@@ -239,38 +238,35 @@ def cap_cover(domain: GcsDomain, delta, eta: float = 0.05) -> CapCover:
     for k in range(1, kd + 1):
         for a, b in domain.moran.removed_intervals(k):
             classes[k].append(Cap(*_chord(a, b), a, b, d, k))
-    gen = min(domain.depth, kd + 2)
-    cands = domain.moran.endpoints(gen)
-    for a, b in domain.moran.intervals(kd):
-        lo_i = bisect.bisect_left(cands, a)
-        hi_i = bisect.bisect_right(cands, b)
-        pts = cands[lo_i:hi_i]
-        u = a
-        pos = 0
-        while u < b:
-            bound = d * d * (1 + 4 * u * u)
-            # farthest candidate v > u with (v - u)^4 < bound: the key is
-            # False up to it and True past it, as the points are sorted
-            best = bisect.bisect_left(pts, True, pos, key=lambda v: v > u and (v - u) ** 4 >= bound) - 1
-            if best < pos or pts[best] <= u:
-                lo, hi, is_chord = domain.piece(u)
-                if is_chord and lo == u and hi <= b:
-                    classes[0].append(Cap(*_chord(u, hi), u, hi, d, 0))
-                    u = hi
-                    pos = bisect.bisect_left(pts, u)
-                    continue
+    lattice, den = domain.moran.endpoint_lattice(min(domain.depth, kd + 2))
+    ends = lattice.tolist()
+    # homogeneous: every level-K(delta) interval holds per consecutive endpoints
+    per = len(ends) // domain.moran.interval_count(kd)
+    scale, q2 = d.numerator ** 2 * den * den, d.denominator ** 2
+    for first in range(0, len(ends), per):
+        pos, last = first, first + per - 1
+        while pos < last:
+            U = ends[pos]
+            u = F(U, den)
+            top = scale * (den * den + 4 * U * U)
+            w = math.isqrt(math.isqrt(top // q2))  # the largest w with w^4 q^2 <= top
+            if w ** 4 * q2 == top:
+                w -= 1
+            step = bisect.bisect_right(ends, U + w, pos, last + 1) - 1
+            if step > pos:
+                nxt, line = step, _chord(u, u)  # the tangent at u
+            elif pos % 2:  # u ends an interval; the gap after it is one depth-K piece
+                nxt = pos + 1
+                line = _chord(u, F(ends[nxt], den))
+            else:
                 raise ValueError(
-                    f"built depth {domain.depth} too shallow to split [{a}, {b}] into delta-caps"
+                    f"built depth {domain.depth} too shallow to split "
+                    f"[{F(ends[first], den)}, {F(ends[last], den)}] into delta-caps"
                 )
-            v = pts[best]
-            cap = Cap(2 * u, -u * u - CEILING_HEIGHT, u, v, d, 0)
-            if not cap.is_valid_cap(domain):
-                raise AssertionError("greedy split produced an invalid cap")
-            classes[0].append(cap)
-            u = v
-            pos = best
+            classes[0].append(Cap(*line, u, F(ends[nxt], den), d, 0))
+            pos = nxt
     ceiling = Cap(F(0), CEILING_HEIGHT, F(-1, 2), F(1, 2), d, -1)
-    return CapCover(d, eta, kd, tuple(tuple(c) for c in classes), ceiling)
+    return CapCover(d, kd, tuple(tuple(c) for c in classes), ceiling)
 
 
 @dataclass(frozen=True)
@@ -292,9 +288,8 @@ class CapCount:
         return iter((self.lower, self.upper))
 
 
-def cap_count(domain: GcsDomain, delta, eta: float = 0.05) -> CapCount:
-    d = F(delta)
-    cover = cap_cover(domain, d, eta)
+def cap_count(domain: GcsDomain, delta) -> CapCount:
+    cover = cap_cover(domain, delta)
     return CapCount(
         lower=domain.moran.interval_count(cover.k_delta),
         upper=len(cover),
@@ -302,11 +297,11 @@ def cap_count(domain: GcsDomain, delta, eta: float = 0.05) -> CapCount:
     )
 
 
-def affine_dim_estimate(domain: GcsDomain, deltas, eta: float = 0.05) -> ExponentFit:
+def affine_dim_estimate(domain: GcsDomain, deltas) -> ExponentFit:
     """Fitted exponent of the cap-count bracket's geometric mean vs 1/delta."""
     samples = []
     for d in deltas:
-        cc = cap_count(domain, d, eta)
+        cc = cap_count(domain, d)
         samples.append((F(d), math.sqrt(cc.lower * cc.upper)))
     return exponent_fit(samples)
 
@@ -339,7 +334,7 @@ def _max_tangent_splits(domain: GcsDomain, cover: CapCover) -> int:
     return max(per_interval)
 
 
-def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05) -> dict:
+def additive_energy_estimate(domain: GcsDomain, delta, m: int) -> dict:
     """Upper bound on the m-fold cap-interaction count of the canonical cover.
 
     The cover's classes (one per removal level plus the tangent class) give
@@ -351,7 +346,7 @@ def additive_energy_estimate(domain: GcsDomain, delta, m: int, eta: float = 0.05
     if m < 1:
         raise ValueError("m must be >= 1")
     d = F(delta)
-    cover = cap_cover(domain, d, eta)
+    cover = cap_cover(domain, d)
     kd = cover.k_delta
     mults: dict[int, int] = {}
     flagged: list[int] = []

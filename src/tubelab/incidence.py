@@ -157,15 +157,15 @@ def sharp_example(s: float, delta: DyadicScale, r: int) -> SharpExample:
     """Direction-sparse family saturating the rich-point count.
 
     Slopes are r consecutive multiples (centered at 0) of the dyadic step
-    nearest delta^s from above; each slope carries every offset whose tube
-    meets the slab P = [0, 1/r] x [0, c*delta^s]. Every point of P lies in
-    one tube per slope, so every cell of P is r-rich. Tube count is
-    comparable to r * delta^(s-1).
+    2^-sep nearest delta^s from above, sep = floor(s k); each slope carries
+    the offsets _offset_range gives for the slab P = [0, 1/r] x [0, 2^-sep / 4].
+    Their lowest tube starts at or below P and their highest ends at or
+    above it, so every point of P lies in one tube per slope and every cell
+    of P is r-rich. Tube count is comparable to r * delta^(s-1).
     """
     if not (0.5 <= s < 1.0):
         raise ValueError("s must lie in [1/2, 1)")
     k = delta.k
-    d = delta.delta
     if r < 1:
         raise ValueError("need r >= 1")
     if r > 2 * 2.0 ** (k * s):
@@ -183,25 +183,12 @@ def sharp_example(s: float, delta: DyadicScale, r: int) -> SharpExample:
         )
 
     c = F(1, 4)
-    x_hi = F(1, r)
-    for _ in range(10):
-        rect = Box.of(0, 0, x_hi, c * F(2) ** (-sep_exp))
-        t, b = [], []
-        ok = True
-        for i in slope_idx:
-            a = F(i, 1 << k)
-            j_lo, j_hi = _offset_range(a, d, rect)
-            # coverage check at both x ends: lowest tube below 0, highest above top
-            for x in (rect.x0, rect.x1):
-                if a * x + j_lo * d > 0 or (a + d) * x + (j_hi + 1) * d < rect.y1:
-                    ok = False
-            t += [i] * (j_hi + 1 - j_lo)
-            b += range(j_lo, j_hi + 1)
-        if ok:
-            break
-        c /= 2
-    else:
-        raise ValueError("could not certify slab coverage")
+    rect = Box.of(0, 0, F(1, r), c * F(2) ** (-sep_exp))
+    t, b = [], []
+    for i in slope_idx:
+        offsets = _offset_range(i, k, rect.x1, rect.y1)
+        t += [i] * len(offsets)
+        b += offsets
 
     return SharpExample(
         TubeFamily(delta, t, b),
@@ -218,28 +205,18 @@ def sharp_example(s: float, delta: DyadicScale, r: int) -> SharpExample:
     )
 
 
-def _offset_range(a: Fraction, d: Fraction, rect: Box) -> tuple[int, int]:
-    """Offset indices whose tube hull overlaps rect with positive length.
+def _offset_range(i: int, k: int, x1, y1) -> range:
+    """Offset indices j whose slope-i tube at scale 2^-k meets the box
+    [0, x1] x [0, y1] with positive length, as exact integers.
 
-    The offset-free parts of the hull envelopes are concave (lower) and
-    convex (upper), so their extremes over the x-range sit at the endpoints.
-    Strict inequalities exclude tubes that only graze the rect boundary, so
-    every index in the range rasterizes to at least one cell inside rect.
+    At x >= 0 the tube's hull is [i x + j, (i + 1) x + j + 1] / 2^k, so over
+    [0, x1] it reaches down to (min(0, i x1) + j) / 2^k and up to
+    (max(0, (i + 1) x1) + j + 1) / 2^k. Strict inequalities drop tubes that
+    only graze the box, so every index in the range rasterizes to at least
+    one cell inside it; the range's ends put the lowest tube at or below 0
+    and the highest at or above y1 at both x = 0 and x = x1.
     """
-    ends = (rect.x0, rect.x1)
-    lo_env = min(min(a * x, (a + d) * x) for x in ends)
-    up_env = max(max(a * x, (a + d) * x) for x in ends)
-    # overlaps iff lower env + j*d < y1 somewhere and upper env + (j+1)*d > y0
-    j_lo = math.floor((rect.y0 - up_env) / d)
-    j_hi = math.ceil((rect.y1 - lo_env) / d) - 1
-    return j_lo, j_hi
-
-
-def _unit_offsets(i: int, k: int) -> range:
-    """_offset_range(i / 2^k, 2^-k, BOX_UNIT) as a range, in integers: the
-    hull of the slope-i tube with offset j spans (min(0, i) + j) / 2^k to
-    (max(0, i + 1) + j + 1) / 2^k over x in [0, 1]."""
-    return range(-max(0, i + 1), (1 << k) - min(0, i))
+    return range(-math.ceil(max(0, (i + 1) * x1)), math.ceil(y1 * (1 << k) - min(0, i * x1)))
 
 
 def cantor_slope_indices(s: float, k: int) -> list[int]:
@@ -274,7 +251,7 @@ def cantor_slope_family(
     rng = random.Random(seed)
     t, b = [], []
     for i in slopes:
-        valid = _unit_offsets(i, k)
+        valid = _offset_range(i, k, 1, 1)
         chosen = rng.sample(valid, min(per_slope, len(valid)))
         t += [i] * len(chosen)
         b += sorted(chosen)

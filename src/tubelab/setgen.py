@@ -29,6 +29,7 @@ BASE_LEFT = F(-1, 2)
 # max Minkowski sums of one fold: the earlier folds materialize at most this
 # many merged rows, the last is swept in windows, and all overflow past it
 _FOLD_CAP = 1 << 22
+_MAX_INTERVALS = 1 << 21  # most intervals one generation of build_moran may hold
 
 
 # --------------------------------------------------------------------- specs
@@ -212,7 +213,7 @@ class MoranSet:
         return self._levels[k]
 
 
-def build_moran(spec: MoranSpec, K: int, max_intervals: int = 1 << 21) -> MoranSet:
+def build_moran(spec: MoranSpec, K: int) -> MoranSet:
     """Materialize the construction to generation K with exact endpoints.
 
     Each generation refines the previous lattice by the least factor that
@@ -226,8 +227,8 @@ def build_moran(spec: MoranSpec, K: int, max_intervals: int = 1 << 21) -> MoranS
     for k in range(1, K + 1):
         n_k, c_k, off = spec.level(k)
         par = levels[-1]
-        if len(par.lefts) * n_k > max_intervals:
-            raise ValueError(f"generation {k} would exceed {max_intervals} intervals")
+        if len(par.lefts) * n_k > _MAX_INTERVALS:
+            raise ValueError(f"generation {k} would exceed {_MAX_INTERVALS} intervals")
         # offsets and child length in parent-lattice units, then the refinement
         rel = [o * par.length for o in off]
         child = c_k * par.length
@@ -576,7 +577,7 @@ class MultiplicityOverflow(ValueError):
     """An exact m-fold sum fold would exceed its row cap or int64."""
 
 
-def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CAP) -> int:
+def sum_multiplicity(intervals, m: int, closed: bool = True) -> int:
     """Exact max over y of the number of ordered m-tuples with y in I_1+...+I_m.
 
     intervals is an IntervalFamily or (lo, hi) pairs, closed when closed=True
@@ -584,10 +585,10 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
     Endpoints are rescaled to a common integer denominator, on which closed
     [a, b] covers the points of half-open [a, b + 1). Each of the first m - 2
     folds adds one summand and merges equal sum intervals with weights, so it
-    materializes at most cap rows; the last fold is never materialized but
-    swept for its max overlap depth in coordinate windows (_swept_depth).
-    Every fold, the last one included, that would make more than cap sums
-    raises MultiplicityOverflow, which points to the per-level product bound.
+    materializes at most _FOLD_CAP rows; the last fold is never materialized
+    but swept for its max overlap depth in coordinate windows (_swept_depth).
+    Every fold, the last one included, that would make more than _FOLD_CAP
+    sums raises MultiplicityOverflow, which points to the per-level product bound.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -605,7 +606,7 @@ def sum_multiplicity(intervals, m: int, closed: bool = True, cap: int = _FOLD_CA
     lo0, hi0 = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     lo, hi, w = lo0, hi0, np.ones(len(lo0), dtype=np.int64)
     for fold in range(1, m):
-        if len(lo) * len(lo0) > cap:
+        if len(lo) * len(lo0) > _FOLD_CAP:
             raise MultiplicityOverflow(
                 f"{len(lo)} x {len(lo0)} sum intervals exceed the fold cap; "
                 "use moran_sum_multiplicity_bound for the per-level product bound"

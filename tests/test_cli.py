@@ -22,7 +22,7 @@ from tubelab.cli import (
     run,
     split_sections,
 )
-from tubelab import domains
+from tubelab import setgen
 from tubelab.domains import affine_dim_estimate, gcs_domain
 from tubelab.setgen import build_moran, doubling_branch_spec
 from tubelab.svg import svg_loglog
@@ -461,8 +461,7 @@ class TestRun:
     def test_energy_fallback_overflow_failure_row(self, tmp_path, capsys, monkeypatch):
         # every fold overflows, so the chord classes fall back to the product
         # bound, whose own gap fold overflows too: that is a FAIL row
-        fold = domains.sum_multiplicity
-        monkeypatch.setattr(domains, "sum_multiplicity", lambda ivs, m, closed=True: fold(ivs, m, closed, cap=1))
+        monkeypatch.setattr(setgen, "_FOLD_CAP", 1)
         (tmp_path / "c.cfg").write_text(
             "[experiment]\nkind = energy\ndeltas = 1/1048576\npreset = doubling\ndepth = 4\nm = 3\n"
         )
@@ -531,6 +530,20 @@ class TestConfigValidation:
         assert cfg.validate() is cfg
         with pytest.raises(UsageError, match="depth"):
             ExperimentConfig(kind="dims", deltas=[F(1, 4)], depth=0).validate()
+
+    @pytest.mark.parametrize("kind", ["domain", "energy"])
+    @pytest.mark.parametrize("eta", ["0", "-0.05"])
+    def test_nonpositive_eta_rejected(self, kind, eta, tmp_path, capsys):
+        # eta is recorded in the CSV but no cap reads it: a bad value is a
+        # usage error before any counting, not a FAIL row
+        text = f"[experiment]\nkind = {kind}\ndeltas = 1/256\neta = {eta}\n"
+        with pytest.raises(UsageError, match="^eta must be positive$"):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: eta must be positive\n")
+        assert not (tmp_path / "o").exists()
 
     def test_removed_and_unknown_keys_rejected(self, tmp_path, capsys):
         base = "[experiment]\nkind = dims\ndeltas = 1/4\n"

@@ -26,6 +26,7 @@ from tubelab.domains import (
     slope_set,
 )
 from tubelab.domains import _class_product_bound, _max_tangent_splits
+from tubelab import setgen
 from tubelab.core import DyadicScale
 from tubelab.setgen import (
     MoranSpec,
@@ -217,7 +218,7 @@ class TestCapCover:
         # |class 0| <= 4 * delta^{-eta} * |surviving intervals|
         dom = mt_domain(10)
         for j in (12, 16, 20, 24):
-            cover = cap_cover(dom, F(1, 1 << j), eta=0.05)
+            cover = cap_cover(dom, F(1, 1 << j))
             lo = dom.moran.interval_count(cover.k_delta)
             assert len(cover.classes[0]) <= 4 * lo * 2.0 ** (j * 0.05)
 
@@ -232,6 +233,18 @@ class TestCapCover:
                 if cc.k_delta >= 1:
                     assert cc.upper / cc.lower <= 8 * cc.k_delta * 2.0 ** (j * 0.05)
 
+    def test_tangent_step_is_strict_at_equality(self):
+        # from u = 0 the end of its level-1 interval [0, 1/5] sits (1/5)^2 =
+        # delta above the tangent, so a cap to it is invalid: the step stops
+        # at the last generation-3 endpoint before it
+        spec = MoranSpec(n=3, c=F(1, 5), offsets=[F(0), F(1, 2), F(4, 5)])
+        dom = gcs_domain(build_moran(spec, 3))
+        cover = cap_cover(dom, F(1, 25))
+        assert cover.k_delta == 1
+        assert all(c.is_valid_cap(dom) for c in cover.all_caps())
+        assert [c.t_hi for c in cover.classes[0] if c.t_lo == 0] == [F(24, 125)]
+        assert not Cap(F(0), F(-1, 8), F(0), F(1, 5), F(1, 25), 0).is_valid_cap(dom)
+
     def test_gap_wider_than_tangent_step_gets_chord_cap(self):
         # large delta on the Theorem A construction: K(delta) = 0 and the
         # level-1 gaps dwarf sqrt(delta), so class 0 mixes in chord caps
@@ -242,6 +255,38 @@ class TestCapCover:
         assert kinds == {True, False}
         assert cover.parameter_cover_ok()
         assert all(c.is_valid_cap(dom) for c in cover.classes[0])
+
+
+class TestLatticeCapCover:
+    """The integer tangent sweep against the Fraction cap oracle, on
+    generated flush specs at a delta with K(delta) below the built depth."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_flush_specs(), st.data())
+    def test_cover_valid_tiling_and_greedy(self, case, data):
+        spec, depth = case
+        dom = gcs_domain(build_moran(spec, depth))
+        kd = data.draw(st.integers(0, depth - 1))
+        lo, hi = dom.moran.length(kd + 1) ** 2, dom.moran.length(kd) ** 2
+        t = data.draw(st.fractions(F(0), F(1), max_denominator=64).filter(lambda x: 0 < x < 1))
+        delta = lo + (hi - lo) * t  # (c_1 ... c_kd)^2 > delta > (c_1 ... c_{kd+1})^2
+        cover = cap_cover(dom, delta)
+        assert cover.k_delta == kd
+        assert cover.parameter_cover_ok()
+        assert all(cap.is_valid_cap(dom) for cap in cover.all_caps())
+        for k in range(1, kd + 1):
+            assert [(c.t_lo, c.t_hi) for c in cover.classes[k]] == dom.moran.removed_intervals(k)
+        ends = dom.moran.endpoints(min(depth, kd + 2))
+        block_ends = {b for _, b in dom.moran.intervals(kd)}
+        for cap in cover.classes[0]:
+            u, v = cap.t_lo, cap.t_hi
+            if cap.slope == 2 * u:  # a tangent cap: the next endpoint in its block breaks it
+                if v in block_ends:
+                    continue
+                v = ends[ends.index(v) + 1]
+            else:  # a chord cap over a gap: no tangent step from u reaches the gap's end
+                assert v == ends[ends.index(u) + 1]
+            assert not Cap(2 * u, -u * u - F(1, 8), u, v, delta, 0).is_valid_cap(dom)
 
 
 class TestCapCount:
@@ -290,9 +335,10 @@ class TestProjectionMultiplicity:
             for m in (1, 2, 3):
                 assert sum_multiplicity(ivs, m, closed=True) == _slot_sum_multiplicity(pts[::2], m)
 
-    def test_overflow_raises(self):
+    def test_overflow_raises(self, monkeypatch):
+        monkeypatch.setattr(setgen, "_FOLD_CAP", 2)
         with pytest.raises(MultiplicityOverflow, match="product bound"):
-            sum_multiplicity([(0, 1), (2, 3)], 3, closed=True, cap=2)
+            sum_multiplicity([(0, 1), (2, 3)], 3, closed=True)
         assert issubclass(MultiplicityOverflow, ValueError)
 
     def test_validation(self):

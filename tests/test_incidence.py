@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tubelab import core, incidence
 from tubelab.core import (
     BOX_UNIT,
+    Box,
     CellSet,
     DyadicScale,
     DyadicTube,
@@ -25,7 +26,6 @@ from tubelab.incidence import (
     RichPointSet,
     TubeFamily,
     _offset_range,
-    _unit_offsets,
     cantor_slope_family,
     incidence_profile,
     rich_points,
@@ -159,23 +159,18 @@ class TestRichPoints:
 
 class TestOffsetRange:
     def test_characterizes_nonempty_rasters_exactly(self):
+        # on grid-aligned boxes: the unit square (cantor_slope_family) and
+        # slabs [0, 1/r] x [0, 2^-sep / 4] like sharp_example's
         k = 4
-        d = F(1, 1 << k)
         scale = DyadicScale(k)
-        for i in range(-(1 << k), 1 << k):
-            j_lo, j_hi = _offset_range(F(i, 1 << k), d, BOX_UNIT)
-            assert j_lo <= j_hi
-            for j in range(j_lo - 2, j_hi + 3):
-                nonempty = len(rasterize_tube(DyadicTube(k, i, j), scale, BOX_UNIT)) > 0
-                assert nonempty == (j_lo <= j <= j_hi), (i, j)
-
-    @pytest.mark.parametrize("k", range(9))
-    def test_unit_offsets_match_offset_range(self, k):
-        # the integer range cantor_slope_family samples from, for every slope
-        d = F(1, 1 << k)
-        for i in range(-(1 << k), 1 << k):
-            j_lo, j_hi = _offset_range(F(i, 1 << k), d, BOX_UNIT)
-            assert _unit_offsets(i, k) == range(j_lo, j_hi + 1), (k, i)
+        for x1, y1 in [(1, 1), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 16))]:
+            box = Box.of(0, 0, x1, y1)
+            for i in range(-(1 << k), 1 << k):
+                offsets = _offset_range(i, k, x1, y1)
+                assert len(offsets) >= 1
+                for j in range(offsets.start - 2, offsets.stop + 2):
+                    nonempty = len(rasterize_tube(DyadicTube(k, i, j), scale, box)) > 0
+                    assert nonempty == (j in offsets), (x1, y1, i, j)
 
 
 class TestVerifyIncidenceBound:

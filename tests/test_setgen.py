@@ -159,9 +159,10 @@ class TestBuildMoran:
         with pytest.raises(ValueError, match="^level 1: need n_k >= 2, got 1$"):
             build_moran(spec, 1)
 
-    def test_interval_cap_guard(self):
-        with pytest.raises(ValueError, match="exceed"):
-            build_moran(middle_thirds_spec(), 8, max_intervals=100)
+    def test_interval_cap_guard(self, monkeypatch):
+        monkeypatch.setattr(setgen, "_MAX_INTERVALS", 100)
+        with pytest.raises(ValueError, match="^generation 7 would exceed 100 intervals$"):
+            build_moran(middle_thirds_spec(), 8)
 
     def test_contains_descends_tree(self):
         ms = build_moran(middle_thirds_spec(), 8)
@@ -617,10 +618,11 @@ class TestSumMultiplicity:
         fam = [(F(0), eps), (F(1), 1 + eps), (F(2), 2 + eps)]
         assert sum_multiplicity(fam, 2) == 3
 
-    def test_cap_error_mentions_product_bound(self):
+    def test_cap_error_mentions_product_bound(self, monkeypatch):
+        monkeypatch.setattr(setgen, "_FOLD_CAP", 1000)
         fam = [(F(i), F(i) + F(1, 2)) for i in range(40)]
         with pytest.raises(ValueError, match="product bound"):
-            sum_multiplicity(fam, 4, cap=1000)
+            sum_multiplicity(fam, 4)
 
     def test_disjoint_m1_is_one(self):
         fam = [(0, 1), (3, 4), (6, 7)]
