@@ -202,18 +202,21 @@ class CapCover:
 
 
 def k_delta(domain: GcsDomain, delta) -> int:
-    """Largest k with (c_1 ... c_k)^2 >= delta (0 if none); exact."""
+    """Largest k with (c_1 ... c_k)^2 >= delta (0 if none); exact. A spec
+    that lists its contractions for L levels only gives at most L."""
     d = F(delta)
     if not (0 < d < 1):
         raise ValueError("delta must lie in (0, 1)")
+    c = domain.moran.spec.c
     prod = F(1)
     k = 0
-    while True:
-        nxt = prod * domain.moran.spec.c(k + 1)
+    while k != c.levels:
+        nxt = prod * c(k + 1)
         if nxt * nxt < d:
             return k
         prod = nxt
         k += 1
+    return k
 
 
 def cap_cover(domain: GcsDomain, delta) -> CapCover:

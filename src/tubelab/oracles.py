@@ -22,8 +22,7 @@ def brute_cell_counts(family) -> Counter:
     c: Counter = Counter()
     k = family.scale.k
     for t, b in zip(family.t.tolist(), family.b.tolist()):
-        for i, j in map(tuple, rasterize_tube(DyadicTube(k, t, b), family.scale, BOX_UNIT).idx):
-            c[(int(i), int(j))] += 1
+        c.update(map(tuple, rasterize_tube(DyadicTube(k, t, b), family.scale, BOX_UNIT).idx.tolist()))
     return c
 
 

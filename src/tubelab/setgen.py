@@ -74,19 +74,24 @@ class MoranSpec:
 
 
 def _as_level_fn(value, conv) -> Callable[[int], object]:
+    """Level k -> conv(value at k). A list of several values defines levels
+    1..len only, and the function's `levels` is that length; it is None when
+    every level has a value, and a callable keeps the levels of its value."""
     if callable(value):
-        return lambda k: conv(value(k))
+        fn = lambda k: conv(value(k))  # noqa: E731
+        fn.levels = getattr(value, "levels", None)
+        return fn
     seq = list(value) if isinstance(value, (list, tuple)) else [value]
-    if len(seq) == 1:
-        item = conv(seq[0])
-        return lambda k: item
     items = [conv(v) for v in seq]
 
     def fn(k: int):
+        if len(items) == 1:
+            return items[0]
         if k > len(items):
             raise ValueError(f"spec defines {len(items)} levels, asked for {k}")
         return items[k - 1]
 
+    fn.levels = len(items) if len(items) > 1 else None
     return fn
 
 
@@ -293,40 +298,48 @@ def _sorted_floats(points) -> np.ndarray:
 
 
 class BallCounter1D:
-    """Greedy closed-ball cover counts over windows of one sorted point set.
+    """Greedy closed-ball cover counts over runs of one sorted point set.
 
     A ball of radius r placed at the leftmost uncovered point x covers
-    [x, x + 2r]; the jump structure is precomputed with binary lifting so a
-    batch of window queries costs O(log n) vector operations.
+    [x, x + 2r]. The jump to the next uncovered index is binary-lifted in
+    int32 tables, doubled until 2^(L-1) jumps from the first point reach
+    the end. Jumps are monotone in the start, float rounding included, so
+    no run of the sorted points needs more balls than all of them: the
+    L = (tot - 1).bit_length() + 1 tables, O(log tot) for a whole-set cover
+    of tot balls, answer every query in L vector operations.
     """
 
     def __init__(self, xs: np.ndarray, r: float):
-        self.xs = xs
         n = len(xs)
+        if n >= 1 << 31:
+            raise ValueError(f"{n} points: int32 jump tables hold fewer than 2^31")
+        self.xs = xs
         self.n = n
-        nxt = np.searchsorted(xs, xs + 2.0 * r, side="right")
-        tables = [np.append(nxt, n).astype(np.int64)]
-        while (1 << len(tables)) <= n:
+        tables = [np.append(np.searchsorted(xs, xs + 2.0 * r, side="right"), n).astype(np.int32)]
+        while tables[-1][0] < n:
             t = tables[-1]
             tables.append(t[t])
         self.tables = tables
 
-    def counts(self, lo, hi, closed_right: bool = False) -> np.ndarray:
-        """Ball counts for windows [lo, hi) (or [lo, hi] when closed_right)."""
-        xs, n = self.xs, self.n
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        pos = np.searchsorted(xs, lo, side="left").astype(np.int64)
-        end = np.searchsorted(xs, hi, side="right" if closed_right else "left").astype(np.int64)
+    def runs(self, pos: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Ball counts for the index runs [pos, end) of the sorted points."""
         inside = pos < end
         cnt = inside.astype(np.int64)
-        pos = np.where(inside, pos, n)
+        pos = np.where(inside, pos, self.n)
         for b in range(len(self.tables) - 1, -1, -1):
             cand = self.tables[b][pos]
             ok = cand < end
             pos = np.where(ok, cand, pos)
             cnt += ok.astype(np.int64) << b
         return cnt
+
+    def counts(self, lo, hi, closed_right: bool = False) -> np.ndarray:
+        """Ball counts for windows [lo, hi) (or [lo, hi] when closed_right)."""
+        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
+        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
+        pos = np.searchsorted(self.xs, lo, side="left")
+        end = np.searchsorted(self.xs, hi, side="right" if closed_right else "left")
+        return self.runs(pos, end)
 
 
 def _scale_floor_exponent(delta) -> int:
@@ -347,19 +360,21 @@ def _delta_value(delta) -> float:
 
 
 def _nonempty_windows(xs: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
-    cells = np.unique(np.floor(xs / width))
-    lo = cells * width
-    return lo, lo + width
+    """The index runs [pos, end) of xs in its nonempty dyadic windows of length width."""
+    lo = np.unique(np.floor(xs / width)) * width
+    return np.searchsorted(xs, lo), np.searchsorted(xs, lo + width)
 
 
 def _window_maxima(xs: np.ndarray, bmaxes: dict[int, int]):
     """(a, b, max ball count at radius 2^-a over the nonempty dyadic windows
-    of length 2^-b) for each a of bmaxes and b = 0..bmaxes[a]."""
+    of length 2^-b) for each a of bmaxes and b = 0..bmaxes[a]; the window
+    runs of each width serve every radius, and one counter lives at a time."""
     windows = [_nonempty_windows(xs, 2.0 ** -b) for b in range(max(bmaxes.values()) + 1)]
     for a, bmax in bmaxes.items():
         counter = BallCounter1D(xs, 2.0 ** -a)
-        for b, (lo, hi) in enumerate(windows[: bmax + 1]):
-            yield a, b, int(counter.counts(lo, hi).max())
+        for b, (pos, end) in enumerate(windows[: bmax + 1]):
+            yield a, b, int(counter.runs(pos, end).max())
+        del counter
 
 
 def qa_profile(e, gamma: float, delta) -> float:

@@ -421,6 +421,19 @@ class TestRun:
         rows = (out / f"{kind}.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith(f"{2.0 ** -exp:.12g},")
 
+    def test_domain_run_with_two_listed_levels(self, tmp_path, capsys):
+        # the spec lists two contractions; K(2^-8) = 2 must not ask for c_3
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = domain\ndelta_min_exp = 7\ndelta_max_exp = 8\ndepth = 2\n\n"
+            "[moran]\nn = 2, 2\nc = 1/4, 1/4\noffsets = 0, 3/4\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        rows = (out / "domain.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[2:6] for r in rows] == [["1", "2", "8", "4"], ["2", "4", "8", "5.65685424949"]]
+        assert (out / "manifest.txt").exists()
+
     def test_generated_incidence_config_runs(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         assert main(["gen", "incidence", "--out", str(cfg)]) == 0

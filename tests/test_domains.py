@@ -188,6 +188,15 @@ class TestCapCover:
         assert k_delta(d, F(1, 3**8) + F(1, 3**20)) == 3  # strictly above 3^-8
         assert k_delta(d, F(1, 9)) == 1  # equality: (c1)^2 == delta
 
+    def test_k_delta_stops_at_listed_levels(self):
+        # c is listed for two levels only: K(delta) never reads a third
+        spec = setgen.MoranSpec(n=[2, 2], c=[F(1, 4), F(1, 4)], offsets=[0, F(3, 4)])
+        dom = gcs_domain(build_moran(spec, 2))
+        assert [k_delta(dom, F(1, 1 << j)) for j in (3, 4, 7, 8, 9, 30)] == [0, 1, 1, 2, 2, 2]
+        cfg = setgen.moran_spec_from_config("n = 2, 2\nc = 1/4, 1/4\noffsets = 0, 3/4\n")
+        assert k_delta(gcs_domain(build_moran(cfg, 2)), F(1, 256)) == 2
+        assert len(cap_cover(dom, F(1, 256))) == 8
+
     def test_depth_insufficient(self):
         with pytest.raises(ValueError, match="insufficient"):
             cap_cover(mt_domain(2), F(1, 1 << 20))

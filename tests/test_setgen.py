@@ -990,3 +990,70 @@ def test_ball_count_matches_core_greedy():
         counter = setgen.BallCounter1D(floats, float(r))
         got = int(counter.counts(floats[0], floats[-1], closed_right=True)[0])
         assert got == greedy(xs, r)
+
+
+@st.composite
+def _ball_cases(draw):
+    """(sorted xs, r, windows) for BallCounter1D: grid points (so repeats)
+    or floats that x + 2r rounds, or 2^j points 3r apart, each maybe
+    repeated, whose whole-set cover is exactly 2^j balls; window ends in,
+    at or outside the points."""
+    r = draw(st.sampled_from([2.0 ** -a for a in range(1, 8)]) | st.floats(1e-3, 0.5))
+    if draw(st.booleans()):
+        reps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=32))
+        reps = reps[: 1 << (len(reps).bit_length() - 1)]
+        xs = [i * 3 * r for i, m in enumerate(reps) for _ in range(m)]
+    else:
+        point = st.integers(-8, 72).map(lambda i: i / 64) | st.floats(-0.25, 1.25)
+        xs = sorted(draw(st.lists(point, min_size=1, max_size=40)))
+    end = st.sampled_from(xs) | st.floats(-0.5, xs[-1] + 0.5)
+    windows = draw(st.lists(st.tuples(end, end).map(sorted), min_size=1, max_size=8))
+    return xs, r, windows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ball_cases(), st.booleans())
+@example(([0.5], 0.25, [(0.5, 0.5), (0.0, 0.5), (0.6, 1.0)]), True)
+@example(([0.1, 0.3, 0.1 + 2 * 0.1, 0.5000000000000001], 0.1, [(0.0, 0.5000000000000001)]), False)
+def test_ball_counter_matches_brute_windows(case, closed_right):
+    xs, r, windows = case
+    counter = setgen.BallCounter1D(np.array(xs), r)
+    lo, hi = zip(*windows)
+    assert counter.counts(lo, hi, closed_right).tolist() == brute_window_counts(xs, r, windows, closed_right)
+    # the doubling stops once 2^(L-1) jumps from the first point reach the end
+    tot = brute_window_counts(xs, r, [(xs[0], xs[-1])], closed_right=True)[0]
+    assert len(counter.tables) == (tot - 1).bit_length() + 1
+    assert all(t.dtype == np.int32 and len(t) == len(xs) + 1 for t in counter.tables)
+
+
+def test_ball_counter_refuses_int32_overflow():
+    class Huge:
+        def __len__(self):
+            return 1 << 31
+
+    with pytest.raises(ValueError, match="fewer than 2\\^31"):
+        setgen.BallCounter1D(Huge(), 0.5)
+
+
+def test_qa_profile_holds_one_table_set():
+    # depth-14 middle-thirds endpoints, n = 2^15, at delta = 3^-14: radii
+    # 2^-a for a <= 22, windows of width 2^-b for b <= floor(0.75 a) <= 16.
+    # The largest counter holds L = (n - 1).bit_length() + 1 = 16 int32
+    # tables of n + 1 entries (the whole-set cover has at most n balls);
+    # the window runs are two int64 arrays per width; the transients are
+    # at most four n-float arrays (the sorted copy of the input, x + 2r, and
+    # the int64 jump index with its sentinel before the int32 cast). Two
+    # int64 table sets alive at once, 2 * 16 * 8 * (n + 1) bytes, exceed it.
+    xs = build_moran(middle_thirds_spec(), 14).endpoint_values(14)
+    n, delta = len(xs), F(3) ** -14
+    qa_profile(xs[:64], 0.25, delta)  # first-call allocations outside the trace
+    windows = sum(len(np.unique(np.floor(xs * 2.0 ** b))) for b in range(17))
+    bound = ((n - 1).bit_length() + 1) * (n + 1) * 4 + windows * 2 * 8 + 4 * 8 * n
+    tracemalloc.start()
+    try:
+        qa_profile(xs, 0.25, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * 16 * 8 * (n + 1) > bound
+    assert peak <= bound
