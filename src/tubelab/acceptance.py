@@ -45,7 +45,6 @@ from tubelab.maximal import (
     GridFunction,
     aim_at_origin_assignment,
     bush_construction,
-    direction_average_grid,
     dual_sum_norm,
     exponent_fit,
     kakeya_apply,
@@ -282,7 +281,7 @@ def _c09_oracle_equivalence():
     for _ in range(50):
         f = GridFunction(sc, Box.of(-2, -2, 2, 2), nrng.random((256, 256)))
         tt = int(nrng.integers(-64, 64))
-        fast = direction_average_grid(f, tt)
+        fast = nikodym_apply(f, DirectionSet(sc, (tt,))).values
         for _ in range(4):
             m, n = int(nrng.integers(0, 64)), int(nrng.integers(0, 64))
             want = oracles.naive_tube_average(f, tt, m, n)

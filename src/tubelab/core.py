@@ -161,17 +161,6 @@ class CellSet:
         p = int(lo + np.searchsorted(self.idx[lo:hi, 1], j))
         return p if p < hi and self.idx[p, 1] == j else -1
 
-    def __contains__(self, cell) -> bool:
-        return self.index(cell) >= 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CellSet)
-            and self.k == other.k
-            and self.idx.shape == other.idx.shape
-            and bool(np.all(self.idx == other.idx))
-        )
-
     def __repr__(self):
         return f"CellSet(k={self.k}, n={len(self)})"
 

@@ -287,9 +287,6 @@ class CapCount:
     upper: int
     k_delta: int
 
-    def __iter__(self):
-        return iter((self.lower, self.upper))
-
 
 def cap_count(domain: GcsDomain, delta) -> CapCount:
     cover = cap_cover(domain, delta)

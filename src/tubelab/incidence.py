@@ -57,9 +57,6 @@ class RichPointSet:
         self.cells = cells
         self.counts = np.asarray(counts, dtype=np.int64)
 
-    def __len__(self):
-        return len(self.cells)
-
     def multiplicity(self, cell) -> int:
         p = self.cells.index(cell)
         return int(self.counts[p]) if p >= 0 else 0

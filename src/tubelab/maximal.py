@@ -65,28 +65,9 @@ class DirectionSet:
         return len(self.indices)
 
     @staticmethod
-    def explicit(scale: DyadicScale, slopes) -> "DirectionSet":
-        idx = []
-        for a in slopes:
-            q = F(a) / scale.delta
-            if q.denominator != 1:
-                raise ValueError(f"slope {a} is not a multiple of delta")
-            idx.append(int(q))
-        return DirectionSet(scale, tuple(sorted(set(idx))), "explicit")
-
-    @staticmethod
     def cantor(s: float, scale: DyadicScale) -> "DirectionSet":
         idx = tuple(sorted(cantor_slope_indices(s, scale.k)))
         return DirectionSet(scale, idx, "cantor", s)
-
-    @staticmethod
-    def net_of_arc(scale: DyadicScale, lo, hi) -> "DirectionSet":
-        d = scale.delta
-        i_lo = max(math.ceil(F(lo) / d), -(1 << scale.k))
-        i_hi = min(math.ceil(F(hi) / d), 1 << scale.k)
-        if i_hi <= i_lo:
-            raise ValueError("empty slope arc")
-        return DirectionSet(scale, tuple(range(i_lo, i_hi)), "net-of-arc", 1.0)
 
     def window(self, omega, rho) -> "DirectionSet":
         omega, rho, d = F(omega), F(rho), self.scale.delta
@@ -169,16 +150,6 @@ class GridFunction:
 
     def max_value(self) -> float:
         return float(self.values.max()) if self.values.size else 0.0
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        if self.scale != other.scale or self.box != other.box:
-            raise ValueError("mismatched grids")
-        return GridFunction(self.scale, self.box, self.values + other.values)
-
-    def __mul__(self, c) -> "GridFunction":
-        return GridFunction(self.scale, self.box, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +267,6 @@ def _tube_sums_from_v4(v4: np.ndarray, k: int, t: int, out: np.ndarray) -> None:
             np.subtract(rows[np.arange(a, b) + n - c0 - 1, start[a:b]], dst, out=dst)
 
 
-def direction_average_grid(f: GridFunction, t: int) -> np.ndarray:
-    """Tube averages in one direction at every center of [0,1)^2, (n, n)."""
-    k = f.scale.k
-    n = 1 << k
-    if not -n <= t < n:
-        raise ValueError(f"slope index {t} outside [-2^k, 2^k)")
-    v4 = _vertical_4sums(f)
-    out = np.empty((n, n), dtype=v4.dtype)
-    _tube_sums_from_v4(v4, k, t, out)
-    return out / (4 << k)
-
-
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
     _check_operator_input(f, theta.scale)
@@ -351,10 +310,6 @@ class BushCore:
     y_center: Fraction
     x_half: Fraction
     y_half: Fraction
-
-    def contains(self, x, y) -> bool:
-        x, y = F(x), F(y)
-        return abs(x) <= self.x_half and abs(y - self.slope * x - self.y_center) <= self.y_half
 
     def area(self) -> Fraction:
         return 4 * self.x_half * self.y_half

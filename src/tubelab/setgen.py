@@ -139,9 +139,9 @@ class MoranSet:
 
     Level k holds intervals of exact length c_1 * ... * c_k, each nested in
     its level k-1 parent. Removed gaps (the maximal open intervals of
-    E_{k-1} minus E_k) and their midpoints are stored per level. Each level
-    is kept as integer numerators over one common denominator (midpoints
-    over twice it); Fractions are made only when a method returns them.
+    E_{k-1} minus E_k) are stored per level. Each level is kept as integer
+    numerators over one common denominator (midpoints over twice it);
+    Fractions are made only when a method returns them.
     """
 
     def __init__(self, spec: MoranSpec, K: int, levels: list[_Level]):
@@ -155,10 +155,6 @@ class MoranSet:
     def length(self, k: int) -> Fraction:
         lev = self._level(k)
         return F(lev.length, lev.den)
-
-    def intervals(self, k: int) -> list[tuple[Fraction, Fraction]]:
-        lev = self._level(k)
-        return list(zip(_fractions(lev.lefts, lev.den), _fractions(lev.lefts + lev.length, lev.den)))
 
     def lefts(self, k: int) -> list[Fraction]:
         lev = self._level(k)
@@ -189,10 +185,6 @@ class MoranSet:
         lev = self._level(k)
         return list(zip(_fractions(lev.gap_lo, lev.den), _fractions(lev.gap_hi, lev.den)))
 
-    def midpoints(self, k: int) -> list[Fraction]:
-        lev = self._level(k)
-        return _fractions(lev.gap_lo + lev.gap_hi, 2 * lev.den)
-
     def all_midpoints(self) -> list[Fraction]:
         # every level denominator divides the deepest one
         top = self._levels[self.K]
@@ -201,16 +193,6 @@ class MoranSet:
             for lev in self._levels
         ]
         return _fractions(np.sort(np.concatenate(sums)), 2 * top.den)
-
-    def contains(self, x, k: int | None = None) -> bool:
-        """Whether x lies in E_k (binary search over the sorted generation)."""
-        k = self.K if k is None else k
-        lev = self._level(k)
-        pos = F(x) * lev.den
-        if not int(lev.lefts[0]) <= pos <= int(lev.lefts[-1]) + lev.length:
-            return False
-        i = int(np.searchsorted(lev.lefts, math.floor(pos), side="right")) - 1
-        return pos <= int(lev.lefts[i]) + lev.length
 
     def _level(self, k: int) -> _Level:
         if not (0 <= k <= self.K):
@@ -302,11 +284,13 @@ class BallCounter1D:
 
     A ball of radius r placed at the leftmost uncovered point x covers
     [x, x + 2r]. The jump to the next uncovered index is binary-lifted in
-    int32 tables, doubled until 2^(L-1) jumps from the first point reach
-    the end. Jumps are monotone in the start, float rounding included, so
-    no run of the sorted points needs more balls than all of them: the
-    L = (tot - 1).bit_length() + 1 tables, O(log tot) for a whole-set cover
-    of tot balls, answer every query in L vector operations.
+    int32 tables, table b holding 2^b jumps, kept while 2^b jumps from the
+    first point stop short of the end. Jumps are monotone in the start,
+    float rounding included, so no run of the sorted points needs more
+    balls than all of them, and a table whose first entry is the end holds
+    only the end: the L = (tot - 1).bit_length() tables kept, O(log tot)
+    for a whole-set cover of tot balls, count up to 2^L balls and answer
+    every query in L vector operations.
     """
 
     def __init__(self, xs: np.ndarray, r: float):
@@ -315,11 +299,11 @@ class BallCounter1D:
             raise ValueError(f"{n} points: int32 jump tables hold fewer than 2^31")
         self.xs = xs
         self.n = n
-        tables = [np.append(np.searchsorted(xs, xs + 2.0 * r, side="right"), n).astype(np.int32)]
-        while tables[-1][0] < n:
-            t = tables[-1]
-            tables.append(t[t])
-        self.tables = tables
+        t = np.append(np.searchsorted(xs, xs + 2.0 * r, side="right"), n).astype(np.int32)
+        self.tables = []
+        while t[0] < n:
+            self.tables.append(t)
+            t = t[t]
 
     def runs(self, pos: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Ball counts for the index runs [pos, end) of the sorted points."""
@@ -438,32 +422,34 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
 
 
-def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Distinct points of p as int64 numerators X, Y over 2^K, sorted by
-    (X, Y), with delta = 2^-k and K = max(k, finest denominator exponent)."""
+def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int]:
+    """Distinct points of p as int64 numerators X, Y over 2^k, sorted by
+    (X, Y), for delta = 2^-k; the points must lie on the delta-lattice."""
     k = _scale_floor_exponent(delta)
     d = delta.delta if isinstance(delta, DyadicScale) else F(delta)
     exact = (F, int, float)  # the types with an exact as_integer_ratio
     coords = [(c if isinstance(c, exact) else F(c)).as_integer_ratio() for pt in p for c in pt]
-    K = max(k, max(den.bit_length() - 1 for _, den in coords))
     if d != F(1, 1 << k) or any(den & (den - 1) for _, den in coords):
         raise ValueError("planar estimators need a dyadic delta and dyadic points")
-    nums = [num << (K + 1 - den.bit_length()) for num, den in coords]
-    if K > 30 or max(map(abs, nums)) >> 60:
-        raise ValueError("planar points need a lattice 2^-K, K <= 30, and |x|, |y| < 2^(60-K)")
+    if any(den > 1 << k for _, den in coords):
+        raise ValueError(f"planar points must lie on the delta-lattice 2^-{k} Z^2")
+    nums = [num << (k + 1 - den.bit_length()) for num, den in coords]
+    if k > 30 or max(map(abs, nums)) >> 60:
+        raise ValueError("planar points need a lattice 2^-k, k <= 30, and |x|, |y| < 2^(60-k)")
     xy = np.asarray(nums, dtype=np.int64).reshape(-1, 2)
     xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
     xy = xy[np.r_[True, (xy[1:] != xy[:-1]).any(axis=1)]]
-    return xy[:, 0], xy[:, 1], K, k
+    return xy[:, 0], xy[:, 1], k
 
 
-def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, K: int, k: int):
+def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, k: int):
     """(count, tot): count(a) is the max over centers c in P of the
     delta-cell count of P ∩ B(c, 2^-a), tot the delta-cell count of P.
 
-    P is the distinct points (X, Y) / 2^K sorted by (X, Y), delta = 2^-k. The
+    P is the distinct points (X, Y) / 2^k sorted by (X, Y), delta = 2^-k,
+    so each point is its own delta-cell and counts are point counts. The
     points of one abscissa form a column, sorted by Y; a center meets each
-    column within R = 2^(K-a) of it in the Y-run [Yc - H, Yc + H] with
+    column within R = 2^(k-a) of it in the Y-run [Yc - H, Yc + H] with
     H = isqrt(R^2 - dX^2), read off one sorted table of (column, Y) keys.
     """
     cols, size = np.unique(X, return_counts=True)
@@ -473,16 +459,9 @@ def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, K: int, k: int):
         raise ValueError("planar points span too many lattice rows for int64 keys")
     col = np.repeat(np.arange(len(cols)), size)
     table = col * width + (Y - y0)  # ascending, as P is sorted by (X, Y)
-    # delta-cells, keyed like the table: the rank of X >> sh (at most the
-    # column) times width, plus Y >> sh less its least value (below width)
-    sh = K - k
-    cy = Y >> sh
-    cx = np.unique(X >> sh, return_inverse=True)[1]
-    cells, cell = np.unique(cx * width + (cy - cy.min()), return_inverse=True)
-    distinct = len(cells) == len(X)
 
     def count(a: int) -> int:
-        R = 1 << (K - a)
+        R = 1 << (k - a)
         lo = np.searchsorted(cols, X - R, side="left")
         npairs = np.searchsorted(cols, X + R, side="right") - lo
         best = 0
@@ -496,21 +475,10 @@ def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, K: int, k: int):
             yc, base = Y[owner] - y0, cidx * width
             s = np.searchsorted(table, base + np.maximum(yc - h, 0), side="left")
             e = np.searchsorted(table, base + np.minimum(yc + h, width - 1), side="right")
-            hits = np.add.reduceat(e - s, start)  # points in each center's ball
-            if distinct:
-                best = max(best, int(hits.max()))
-                continue
-            # cells shared by several points: count distinct cells per
-            # center over its matched runs, a sub-block of centers at a time
-            bounds = np.append(start, len(owner))
-            for u0, u1 in _blocks(hits, _PAIR_CHUNK):
-                q = slice(bounds[u0], bounds[u1])
-                idx = _ranges(s[q], e[q])
-                keys = np.repeat(owner[q] - c0, e[q] - s[q]) * len(cells) + cell[idx]
-                best = max(best, int(np.bincount(np.unique(keys) // len(cells)).max()))
+            best = max(best, int(np.add.reduceat(e - s, start).max()))  # points per ball
         return best
 
-    return count, len(cells)
+    return count, len(X)
 
 
 def _is_planar(p) -> bool:
@@ -519,12 +487,17 @@ def _is_planar(p) -> bool:
 
 
 def katz_tao_constant(p, t: float, delta) -> float:
-    """Minimal C with |P ∩ B(x,r)|_δ <= C (r/δ)^t, centers in P, dyadic radii."""
+    """Minimal C with |P ∩ B(x,r)|_δ <= C (r/δ)^t, centers in P, dyadic radii.
+
+    P is points on the line, or points of the plane on the δ-lattice δZ^2
+    for dyadic δ (finer planar points are refused)."""
     return _ball_ratio_constant(p, delta, lambda count, r, dv, tot: count * (dv / r) ** t)
 
 
 def frostman_constant(p, s: float, delta) -> float:
-    """Minimal C with |P ∩ B(x,r)|_δ <= C r^s |P|_δ, centers in P, dyadic radii."""
+    """Minimal C with |P ∩ B(x,r)|_δ <= C r^s |P|_δ, centers in P, dyadic radii.
+
+    P is as for katz_tao_constant."""
     return _ball_ratio_constant(p, delta, lambda count, r, dv, tot: count / (r ** s * tot))
 
 
@@ -869,9 +842,8 @@ def search_interval_family(n: int, m: int, budget: int = 4000, seed: int = 0) ->
         if valid(cand) and evals < budget:
             evaluate(cand)
 
-    if n == 2:
-        pass  # endpoints force the family
-    elif (last - 1) <= 64 and math.comb(last - 1, n - 2) <= max(budget, 1):
+    if _seed_blind(n, m, budget):
+        # every interior pattern; for n = 2 the end intervals are the family
         for interior in itertools.combinations(range(1, last), n - 2):
             if evals >= budget:
                 break
@@ -919,6 +891,14 @@ def search_interval_family(n: int, m: int, budget: int = 4000, seed: int = 0) ->
     )
 
 
+def _seed_blind(n: int, m: int, budget: int) -> bool:
+    """Whether search_interval_family(n, m, budget, seed) enumerates every
+    interior slot pattern, so that it never draws from its seed."""
+    if n == 2:
+        return True
+    return n > 2 and m >= 2 and n**m - 2 <= 64 and math.comb(n**m - 2, n - 2) <= max(budget, 1)
+
+
 def _repair_slots(ts: Sequence[int], n: int, gap: int, last: int) -> tuple[int, ...]:
     """Round a slot pattern to a valid one: sorted, gapped, endpoints pinned."""
     ts = sorted(ts)
@@ -941,8 +921,14 @@ def family_offsets(fam: IntervalFamily) -> list[Fraction]:
 
 # ------------------------------------------------------------------ factories
 
-@functools.lru_cache(maxsize=None)
 def cached_family(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
+    """search_interval_family, cached; a search that never reads its seed
+    is cached under seed 0."""
+    return _cached_search(n, m, budget, 0 if _seed_blind(n, m, budget) else seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_search(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
     # positional-only: lru_cache keys keyword spellings of one call apart
     return search_interval_family(n, m, budget=budget, seed=seed)
 
@@ -1019,14 +1005,14 @@ def _rule_fn(expr: str):
 MORAN_KEYS = frozenset("n c offsets m budget seed".split())
 
 
-def moran_spec_from_config(source) -> MoranSpec:
-    """Build a MoranSpec from config text or a parsed mapping.
+def moran_spec_from_config(text: str) -> MoranSpec:
+    """Build a MoranSpec from [moran] config text.
 
     Keys: n, c (closed-form rules or comma lists), offsets (comma list of
     fractions, 'even', or 'searched'), optional m / budget / seed for the
     searched layout. Any other key is rejected.
     """
-    kv = parse_keyvals(source) if isinstance(source, str) else dict(source)
+    kv = parse_keyvals(text)
     unknown = sorted(kv.keys() - MORAN_KEYS)
     if unknown:
         raise ValueError(f"unknown [moran] key(s): {', '.join(unknown)}")

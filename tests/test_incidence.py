@@ -90,20 +90,20 @@ class TestRichPoints:
             k = rng.choice([3, 4, 5])
             t = DyadicTube(k, rng.randrange(-(1 << k), 1 << k), rng.randrange(-3, 1 << k))
             rp = rich_points(_family(k, [(t.i, t.j)]), 1)
-            assert rp.cells == rasterize_tube(t, DyadicScale(k), BOX_UNIT)
+            assert np.array_equal(rp.cells.idx, rasterize_tube(t, DyadicScale(k), BOX_UNIT).idx)
             assert (rp.counts == 1).all()
 
     def test_disjoint_parallel_pair_has_no_double_points(self):
         fam = _family(4, [(3, 0), (3, 8)])
-        assert len(rich_points(fam, 2)) == 0
-        assert len(rich_points(fam, 1)) > 0
+        assert len(rich_points(fam, 2).cells) == 0
+        assert len(rich_points(fam, 1).cells) > 0
 
     def test_bush_through_origin(self):
         k = 4
         fam = _family(k, [(i, 0) for i in range(-(1 << k), 1 << k)])
         rp = rich_points(fam, len(fam))
-        assert len(rp) >= 1
-        assert (0, 0) in rp.cells
+        assert len(rp.cells) >= 1
+        assert rp.cells.index((0, 0)) >= 0
         assert rp.multiplicity((0, 0)) == len(fam)
 
     def test_threshold_must_be_positive(self):
@@ -210,7 +210,7 @@ class TestVerifyIncidenceBound:
         assert v.details["tubes"] == 2
         assert v.details["r"] == 1
         assert v.details["s"] == 0.5
-        assert v.details["rich_cells"] == len(rich_points(fam, 1))
+        assert v.details["rich_cells"] == len(rich_points(fam, 1).cells)
 
     def test_profile_matches_single_verifications(self):
         fam = cantor_slope_family(0.5, DyadicScale(6), seed=2)
@@ -372,7 +372,7 @@ class TestSharpExample:
     @pytest.mark.parametrize("r", [4, 16, 64])
     def test_rich_cell_count_lower_bound(self, r):
         ex = sharp_example(0.5, self.DELTA, r)
-        rich = len(rich_points(ex.family, r))
+        rich = len(rich_points(ex.family, r).cells)
         assert rich >= (1 / 64) * 2.0 ** (10 * 1.5) / r
 
     @pytest.mark.parametrize("r", [4, 16, 64])

@@ -31,7 +31,6 @@ from tubelab.maximal import (
     GridFunction,
     aim_at_origin_assignment,
     bush_construction,
-    direction_average_grid,
     dual_sum_norm,
     exponent_fit,
     kakeya_apply,
@@ -61,15 +60,6 @@ def padded(f, box):
 
 
 class TestDirectionSet:
-    def test_explicit_snaps_and_sorts(self):
-        sc = DyadicScale(4)
-        th = DirectionSet.explicit(sc, [F(3, 16), F(-1, 2), F(3, 16)])
-        assert th.indices == (-8, 3)
-
-    def test_explicit_rejects_off_grid_slope(self):
-        with pytest.raises(ValueError, match="multiple of delta"):
-            DirectionSet.explicit(DyadicScale(4), [F(1, 3)])
-
     def test_slope_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\)"):
             DirectionSet(DyadicScale(4), (16,))
@@ -82,18 +72,9 @@ class TestDirectionSet:
             assert len(th) == 1 << math.floor(k * S_LOG23)
             assert th.tag == "cantor" and th.s == S_LOG23
 
-    def test_net_of_arc(self):
-        sc = DyadicScale(4)
-        th = DirectionSet.net_of_arc(sc, -1, 1)
-        assert th.indices == tuple(range(-16, 16))
-        th2 = DirectionSet.net_of_arc(sc, F(1, 4), F(1, 2))
-        assert th2.indices == (4, 5, 6, 7)
-        with pytest.raises(ValueError, match="empty"):
-            DirectionSet.net_of_arc(sc, F(1, 2), F(1, 2))
-
     def test_window(self):
         sc = DyadicScale(4)
-        th = DirectionSet.net_of_arc(sc, -1, 1)
+        th = DirectionSet(sc, tuple(range(-16, 16)))
         w = th.window(F(1, 2), F(1, 8))
         assert w.indices == (6, 7, 8, 9, 10)
 
@@ -144,13 +125,6 @@ class TestGridFunction:
         assert int(f.values.sum()) == 4
         assert f.cell_value(0, 0) == 1.0 and f.cell_value(-1, -1) == 1.0
 
-    def test_algebra(self):
-        sc = DyadicScale(3)
-        rng = np.random.default_rng(0)
-        f, g = random_function(sc, rng), random_function(sc, rng)
-        h = f + 2.0 * g
-        assert np.allclose(h.values, f.values + 2 * g.values)
-
 
 class TestNikodymApply:
     def test_constant_one_maps_to_one(self):
@@ -161,7 +135,7 @@ class TestNikodymApply:
 
     def test_zero_maps_to_zero(self):
         sc = DyadicScale(5)
-        th = DirectionSet.net_of_arc(sc, 0, F(1, 2))
+        th = DirectionSet(sc, tuple(range(16)))
         out = nikodym_apply(GridFunction.constant(0.0, sc), th)
         assert (out.values == 0.0).all()
 
@@ -193,7 +167,7 @@ class TestNikodymApply:
         for trial in range(20):
             f = random_function(sc, rng)
             t = int(rng.integers(-64, 64))
-            fast = direction_average_grid(f, t)
+            fast = nikodym_apply(f, DirectionSet(sc, (t,))).values
             for _ in range(5):
                 m, n = int(rng.integers(0, 64)), int(rng.integers(0, 64))
                 want = naive_tube_average(f, t, m, n)
@@ -214,15 +188,15 @@ class TestNikodymApply:
                 tuple(map(int, rng.integers(0, n, 2))) for _ in range(40)
             ]
         for t in (-n, n - 1):
-            fast = direction_average_grid(f, t)
+            fast = nikodym_apply(f, DirectionSet(sc, (t,))).values
             for m, j in cells:
                 assert fast[m, j] == naive_tube_average(f, t, m, j)
 
     def test_slope_outside_range_rejected(self):
-        f = GridFunction.constant(1.0, DyadicScale(4))
+        # a one-direction pass takes its slope through a DirectionSet
         for t in (-17, 16):
-            with pytest.raises(ValueError, match="outside"):
-                direction_average_grid(f, t)
+            with pytest.raises(ValueError, match=r"\[-1, 1\)"):
+                DirectionSet(DyadicScale(4), (t,))
 
     def test_linf_contraction(self):
         sc = DyadicScale(6)
@@ -237,16 +211,17 @@ class TestNikodymApply:
         rng = np.random.default_rng(4)
         f, g = random_function(sc, rng), random_function(sc, rng)
         th = DirectionSet.cantor(0.5, sc)
-        of, og, ofg = nikodym_apply(f, th), nikodym_apply(g, th), nikodym_apply(f + g, th)
+        fg, f4 = GridFunction(sc, f.box, f.values + g.values), GridFunction(sc, f.box, 4.0 * f.values)
+        of, og, ofg = nikodym_apply(f, th), nikodym_apply(g, th), nikodym_apply(fg, th)
         assert (ofg.values <= of.values + og.values + 1e-12).all()
         # exact for a power-of-two scalar: identical summation order
-        assert (nikodym_apply(4.0 * f, th).values == 4.0 * of.values).all()
+        assert (nikodym_apply(f4, th).values == 4.0 * of.values).all()
 
     def test_monotone_in_directions(self):
         sc = DyadicScale(5)
         rng = np.random.default_rng(5)
         f = random_function(sc, rng)
-        big = DirectionSet.net_of_arc(sc, 0, 1)
+        big = DirectionSet(sc, tuple(range(32)))
         small = DirectionSet(sc, big.indices[::4], "explicit")
         assert (nikodym_apply(f, small).values <= nikodym_apply(f, big).values).all()
 
@@ -255,7 +230,7 @@ class TestNikodymApply:
         rng = np.random.default_rng(6)
         f = random_function(sc, rng)
         th = DirectionSet.cantor(0.6, sc)
-        total = sum(direction_average_grid(f, t) for t in th.indices)
+        total = sum(nikodym_apply(f, DirectionSet(sc, (t,))).values for t in th.indices)
         assert (nikodym_apply(f, th).values <= total + 1e-12).all()
 
 
@@ -287,7 +262,7 @@ class TestBlockedPass:
         with pytest.MonkeyPatch.context() as mp:
             # a strip is 2^k to 2^(k+1) rows wide, so blocks of 1 to 3 columns
             mp.setattr(maximal, "_BLOCK_CELLS", block_cols << k)
-            fast = direction_average_grid(f, t)
+            fast = nikodym_apply(f, DirectionSet(f.scale, (t,))).values
         b = f.box
         hull = Box.of(min(b.x0, -2), min(b.y0, -2), max(b.x1, 2), max(b.y1, 2))
         g = padded(f, hull)
@@ -315,7 +290,7 @@ class TestBlockedPass:
 
         def outputs():
             return (nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th),
-                    [direction_average_grid(f, t).tobytes() for t in ts])
+                    [nikodym_apply(f, DirectionSet(f.scale, (t,))).values.tobytes() for t in ts])
 
         got = outputs()
         with pytest.MonkeyPatch.context() as mp:
@@ -361,7 +336,7 @@ class TestKakeyaApply:
     def test_ball_lower_bound_every_direction(self):
         sc = DyadicScale(6)
         d = float(sc.delta)
-        th = DirectionSet.net_of_arc(sc, -1, 1)
+        th = DirectionSet(sc, tuple(range(-64, 64)))
         f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
         vals = kakeya_apply(f, th)
         assert min(vals.values()) >= d / 8
@@ -431,7 +406,7 @@ def _bush_windows(draw):
 class TestBushConstruction:
     def test_preconditions(self):
         sc = DyadicScale(6)
-        th = DirectionSet.net_of_arc(sc, 0, 1)
+        th = DirectionSet(sc, tuple(range(64)))
         with pytest.raises(ValueError, match="rho"):
             bush_construction(th, F(1, 2), F(1, 128))
         with pytest.raises(ValueError, match="empty"):
@@ -443,14 +418,13 @@ class TestBushConstruction:
     )
     def test_core_inside_every_tube_and_certified(self, omega, rho):
         sc = DyadicScale(6)
-        th = DirectionSet.net_of_arc(sc, 0, 1)
+        th = DirectionSet(sc, tuple(range(64)))
         b = bush_construction(th, omega, rho)
         core = b.core
         for fx in (-1, -F(1, 2), 0, F(1, 2), 1):
             for fy in (-1, 0, 1):
                 x = fx * core.x_half
                 y = core.slope * x + core.y_center + fy * core.y_half
-                assert core.contains(x, y)
                 assert all(t.contains(x, y) for t in _window_tubes(b))
         assert b.meta["rect_certified"]
         assert b.meta["c0_core"] >= 1 / 8
@@ -461,9 +435,9 @@ class TestBushConstruction:
             pytest.param(("cantor", 0.7, 5), F(1, 4), F(1, 4), id="cantor-k5"),
             pytest.param(("cantor", S_LOG23, 7), F(1, 2), F(1, 2), id="cantor-k7"),
             pytest.param(("cantor", 0.5, 8), F(1, 4), F(1, 8), id="cantor-k8"),
-            pytest.param(("arc", -1, 1, 6), F(0), F(1), id="arc-k6-full"),
-            pytest.param(("arc", -F(1, 2), F(3, 4), 7), -F(1, 4), F(1, 8), id="arc-k7"),
-            pytest.param(("arc", -1, 1, 4), F(-1), F(1, 16), id="arc-k4-steepest"),
+            pytest.param(("arc", -64, 64, 6), F(0), F(1), id="arc-k6-full"),
+            pytest.param(("arc", -64, 96, 7), -F(1, 4), F(1, 8), id="arc-k7"),
+            pytest.param(("arc", -16, 16, 4), F(-1), F(1, 16), id="arc-k4-steepest"),
         ],
     )
     def test_union_is_raster_union(self, theta, omega, rho):
@@ -475,7 +449,7 @@ class TestBushConstruction:
             th = DirectionSet.cantor(theta[1], sc)
         else:
             sc = DyadicScale(theta[3])
-            th = DirectionSet.net_of_arc(sc, theta[1], theta[2])
+            th = DirectionSet(sc, tuple(range(theta[1], theta[2])))
         b = bush_construction(th, omega, rho)
         n = 1 << sc.k
         grid = tube_count_grid(b.window.indices, [0] * len(b.window), sc.k, (-2 * n, 2 * n))
@@ -488,10 +462,10 @@ class TestBushConstruction:
         [
             pytest.param(("cantor", S_LOG23, 7), F(1, 2), F(1, 2), id="cantor-k7"),
             pytest.param(("cantor", 0.5, 8), F(1, 4), F(1, 8), id="cantor-k8"),
-            pytest.param(("arc", -F(1, 2), F(3, 4), 7), -F(1, 4), F(1, 8), id="arc-k7"),
-            pytest.param(("arc", -1, 1, 6), F(0), F(1), id="arc-k6-full"),
-            pytest.param(("arc", 0, 1, 9), F(1, 2), F(1, 2), id="arc-k9-512-slopes"),
-            pytest.param(("arc", -1, -F(5, 8), 5), -F(53, 64), F(11, 64), id="arc-k5-narrowed"),
+            pytest.param(("arc", -64, 96, 7), -F(1, 4), F(1, 8), id="arc-k7"),
+            pytest.param(("arc", -64, 64, 6), F(0), F(1), id="arc-k6-full"),
+            pytest.param(("arc", 0, 512, 9), F(1, 2), F(1, 2), id="arc-k9-512-slopes"),
+            pytest.param(("arc", -32, -20, 5), -F(53, 64), F(11, 64), id="arc-k5-narrowed"),
         ],
     )
     def test_end_tubes_certify_like_all_tubes(self, theta, omega, rho):
@@ -500,7 +474,7 @@ class TestBushConstruction:
             th = DirectionSet.cantor(theta[1], sc)
         else:
             sc = DyadicScale(theta[3])
-            th = DirectionSet.net_of_arc(sc, theta[1], theta[2])
+            th = DirectionSet(sc, tuple(range(theta[1], theta[2])))
         b = bush_construction(th, omega, rho)
         # the candidate cores and the choice rule, each candidate certified
         # against every window tube
@@ -530,7 +504,7 @@ class TestBushConstruction:
         # core (x_half = 6/8 delta / (spread + delta)) is certified but its
         # inscribed rectangle is not, so the next candidate, 5/8, is kept
         sc = DyadicScale(5)
-        th = DirectionSet.net_of_arc(sc, -1, -F(5, 8))
+        th = DirectionSet(sc, tuple(range(-32, -20)))
         b = bush_construction(th, -F(53, 64), F(11, 64))
         assert len(b.window) == 12 and b.meta["rect_certified"]
         assert b.core == BushCore(-F(13, 16), F(1, 64), F(5, 96), F(161, 24576))
@@ -552,7 +526,7 @@ class TestBushConstruction:
 
     def test_single_slope_window(self):
         sc = DyadicScale(6)
-        th = DirectionSet.explicit(sc, [F(5, 64)])
+        th = DirectionSet(sc, (5,))
         b = bush_construction(th, F(5, 64), sc.delta)
         assert b.window.indices == (5,)
         (tube,) = _window_tubes(b)
@@ -568,7 +542,7 @@ class TestBushConstruction:
     def test_core_average_on_central_cells(self, omega, rho):
         """Output >= |R| / |T'| on every central union cell, |T'| = 4 delta."""
         sc = DyadicScale(7)
-        th = DirectionSet.net_of_arc(sc, 0, 1)
+        th = DirectionSet(sc, tuple(range(128)))
         b = bush_construction(th, omega, rho)
         out = nikodym_apply(b.core.indicator(sc), th)
         thr = float(b.core.area()) / (4 * float(sc.delta))
@@ -624,7 +598,7 @@ class TestNormRatio:
 
     def test_kakeya_untagged_uses_counting_measure(self):
         sc = DyadicScale(5)
-        th = DirectionSet.explicit(sc, [0, F(1, 2)])
+        th = DirectionSet(sc, (0, 16))
         f = GridFunction.constant(1.0, sc)
         # K == 1 per direction, mu total 1 -> numerator 1
         assert norm_ratio(f, th, 2.0, "kakeya") == pytest.approx(1 / f.lp_norm(2), rel=1e-12)
@@ -725,7 +699,7 @@ class TestAimAtOrigin:
         rng = np.random.default_rng(k)
         return {
             "cantor": DirectionSet.cantor(S_LOG23, sc),
-            "net-of-arc": DirectionSet.net_of_arc(sc, F(-1, 4), F(3, 4)),
+            "arc": DirectionSet(sc, tuple(range(-n // 4, 3 * n // 4))),
             "single": DirectionSet(sc, (n // 3,), "explicit"),
             "random": DirectionSet(
                 sc, tuple(sorted({int(x) for x in rng.integers(-n, n, 12)})), "explicit"
