@@ -172,9 +172,9 @@ def _c05_sharp_family():
         size_ratio = len(ex.family) / (r * d ** -0.5)
         rp = rich_points(ex.family, r)
         c0, c1, r0, r1 = ex.rect.grid_range(sc.k)
-        all_rich = all(
-            rp.multiplicity((i, j)) >= r for i in range(c0, c1) for j in range(r0, r1)
-        )
+        i, j = rp.cells.idx.T  # distinct cells, each r-rich: count those in the rect
+        inside = int(((c0 <= i) & (i < c1) & (r0 <= j) & (j < r1)).sum())
+        all_rich = inside == (c1 - c0) * (r1 - r0)
         rho = float(verify_incidence_bound(ex.family, 0.5, r))
         good = 0.25 <= size_ratio <= 4 and all_rich and rho >= 1 / 64
         ok = ok and good

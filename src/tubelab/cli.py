@@ -63,7 +63,6 @@ PRESETS = {
     "doubling": lambda: doubling_branch_spec(3),
 }
 S_LOG23 = math.log(2) / math.log(3)
-DEFAULT_MAX_CELLS = 1 << 26
 
 
 class UsageError(ValueError):
@@ -88,7 +87,6 @@ class ExperimentConfig:
     eta: float = 0.05
     preset: str = "middle-thirds"
     depth: int = 4
-    max_cells: int = DEFAULT_MAX_CELLS
     moran_text: str = ""
 
     def validate(self):
@@ -274,13 +272,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, "\n".join(",".join(line) for line in [header, *cells]) + "\n")
 
 
-def _scale(cfg: ExperimentConfig, delta: F, side: int) -> DyadicScale:
-    """delta = 2^-k as a DyadicScale, refused past max_cells cells in a (side 2^k)^2 grid."""
-    sc = DyadicScale(delta.denominator.bit_length() - 1)
-    cells = (side << sc.k) ** 2
-    if cells > cfg.max_cells:
-        raise ValueError(f"delta {delta}: grid needs {cells} cells > max_cells {cfg.max_cells}")
-    return sc
+def _scale(delta: F) -> DyadicScale:
+    """delta = 2^-k as a DyadicScale."""
+    return DyadicScale(delta.denominator.bit_length() - 1)
 
 
 def _fit_beta(rows: list, col: int) -> list:
@@ -299,7 +293,7 @@ def _fit_beta(rows: list, col: int) -> list:
 def _run_incidence(cfg: ExperimentConfig):
     rows = []
     for delta in cfg.deltas:
-        sc = _scale(cfg, delta, 1)  # multiplicity grids cover [0, 1)^2
+        sc = _scale(delta)
         for r in cfg.r:
             ex = sharp_example(cfg.s, sc, r)
             rho = verify_incidence_bound(ex.family, cfg.s, r)
@@ -314,7 +308,7 @@ def _run_incidence(cfg: ExperimentConfig):
 def _run_maximal(operator: str, cfg: ExperimentConfig):
     rows = []
     for delta in cfg.deltas:
-        sc = _scale(cfg, delta, 4)  # operator grids cover [-2, 2]^2
+        sc = _scale(delta)
         th = DirectionSet.cantor(cfg.s, sc)
         # one operator pass per scale, reduced at every p as norm_ratio does
         if operator == "nikodym":
@@ -371,7 +365,7 @@ def _run_dualsum(cfg: ExperimentConfig):
     pprime = cfg.p[0] if cfg.p else 1 + 1 / cfg.s
     rows = []
     for delta in cfg.deltas:
-        th = DirectionSet.cantor(cfg.s, _scale(cfg, delta, 4))
+        th = DirectionSet.cantor(cfg.s, _scale(delta))
         norm = dual_sum_norm(aim_at_origin_assignment(th), pprime)
         rows.append([delta, cfg.s, pprime, float(norm)])
     plots = {"dualsum": (_fit_beta(rows, 3), "adversarial dual sum norm", "log2(norm)")}
@@ -385,13 +379,13 @@ class Kind(NamedTuple):
 
 _CONSTRUCTION = frozenset({"preset", "depth"})
 KINDS = {
-    "incidence": Kind(_run_incidence, frozenset({"s", "r", "max_cells"})),
-    "nikodym": Kind(partial(_run_maximal, "nikodym"), frozenset({"s", "p", "max_cells"})),
-    "kakeya": Kind(partial(_run_maximal, "kakeya"), frozenset({"s", "p", "max_cells"})),
+    "incidence": Kind(_run_incidence, frozenset({"s", "r"})),
+    "nikodym": Kind(partial(_run_maximal, "nikodym"), frozenset({"s", "p"})),
+    "kakeya": Kind(partial(_run_maximal, "kakeya"), frozenset({"s", "p"})),
     "dims": Kind(_run_dims, _CONSTRUCTION | {"gamma"}),
     "domain": Kind(_run_domain, _CONSTRUCTION | {"eta"}),
     "energy": Kind(_run_energy, _CONSTRUCTION | {"m", "eta"}),
-    "dualsum": Kind(_run_dualsum, frozenset({"s", "p", "max_cells"})),
+    "dualsum": Kind(_run_dualsum, frozenset({"s", "p"})),
 }
 
 

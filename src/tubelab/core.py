@@ -154,13 +154,6 @@ class CellSet:
     def __len__(self):
         return len(self.idx)
 
-    def index(self, cell) -> int:
-        """Row of cell in idx, or -1 when the cell is not in the set."""
-        i, j = int(cell[0]), int(cell[1])
-        lo, hi = np.searchsorted(self.idx[:, 0], (i, i + 1))
-        p = int(lo + np.searchsorted(self.idx[lo:hi, 1], j))
-        return p if p < hi and self.idx[p, 1] == j else -1
-
     def __repr__(self):
         return f"CellSet(k={self.k}, n={len(self)})"
 

@@ -57,10 +57,6 @@ class RichPointSet:
         self.cells = cells
         self.counts = np.asarray(counts, dtype=np.int64)
 
-    def multiplicity(self, cell) -> int:
-        p = self.cells.index(cell)
-        return int(self.counts[p]) if p >= 0 else 0
-
 
 def rich_points(family: TubeFamily, r: int) -> RichPointSet:
     """Cells of [0,1)^2 at scale delta covered by at least r tubes."""

@@ -13,7 +13,9 @@ block: the 4-sums are written only where f's box meets the columns and rows
 the outputs read, and the gather and prefix sum run a block of columns at a
 time. For small integer-valued f, such as bush and ball indicators, the sums
 are int32 and the only float operation is the final division by the tube's
-cell count; both dtypes give bit-identical averages.
+cell count; both dtypes give bit-identical averages. A pass, like the
+aim-at-origin assignment, refuses a scale before it allocates a (2^k)^2
+grid of more than _MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -166,6 +168,7 @@ def _check_operator_input(f: GridFunction, scale: DyadicScale):
 
 
 _BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pass
+_MAX_GRID_CELLS = 1 << 24  # most cells of one (2^k)^2 grid a pass may hold: k <= 12
 
 
 def _small_integers(a: np.ndarray, k: int) -> bool:
@@ -199,6 +202,8 @@ def _vertical_4sums(f: GridFunction) -> np.ndarray:
     """
     k = f.scale.k
     n = 1 << k
+    if n * n > _MAX_GRID_CELLS:
+        raise ValueError(f"delta 1/{n}: a {n}x{n} grid would exceed {_MAX_GRID_CELLS} cells")
     K = n >> 1
     pad = _shear_pad(k)
     y0, y1 = -pad, n + pad
@@ -554,6 +559,8 @@ def aim_at_origin_assignment(theta: DirectionSet) -> Assignment:
     idx = np.asarray(theta.indices, dtype=np.int64)
     if not len(idx):
         raise ValueError("empty direction set")
+    if n * n > _MAX_GRID_CELLS:
+        raise ValueError(f"delta 1/{n}: a {n}x{n} grid would exceed {_MAX_GRID_CELLS} cells")
     u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
     v = n * (2 * np.arange(n, dtype=np.int64)[None, :] + 1)
     # theta[pos - 1] <= floor(v/u) < theta[pos]: the nearest is one of the two

@@ -22,7 +22,7 @@ from tubelab.cli import (
     run,
     split_sections,
 )
-from tubelab import setgen
+from tubelab import maximal, setgen
 from tubelab.domains import affine_dim_estimate, gcs_domain
 from tubelab.setgen import build_moran, doubling_branch_spec
 from tubelab.svg import svg_loglog
@@ -159,28 +159,29 @@ KIND_NAMES = ["incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dua
 # the [experiment] keys each kind reads besides the sweep, and a non-default
 # value for every key
 READS = {
-    "incidence": {"s", "r", "max_cells"},
-    "nikodym": {"s", "p", "max_cells"},
-    "kakeya": {"s", "p", "max_cells"},
+    "incidence": {"s", "r"},
+    "nikodym": {"s", "p"},
+    "kakeya": {"s", "p"},
     "dims": {"preset", "depth", "gamma"},
     "domain": {"preset", "depth", "eta"},
     "energy": {"preset", "depth", "m", "eta"},
-    "dualsum": {"s", "p", "max_cells"},
+    "dualsum": {"s", "p"},
 }
 VALUES = {"p": "1.5", "r": "16", "s": "0.6", "m": "2", "gamma": "0.3", "eta": "0.1",
-          "preset": "doubling", "depth": "3", "max_cells": "1000000"}
+          "preset": "doubling", "depth": "3"}
+RETIRED = {"max_cells": "1000000"}  # removed keys, unknown to every kind
 MORAN_BLOCK = "n = 2\nc = 1/4\noffsets = 0, 3/4"
 CONSTRUCTION_KINDS = ("dims", "domain", "energy")
 
 
 def _kind_config(kind, key=None):
-    """A minimal valid config of kind, plus the line 'key = VALUES[key]'."""
+    """A minimal valid config of kind, plus a 'key = value' line from VALUES or RETIRED."""
     required = {"nikodym": "p", "kakeya": "p", "incidence": "r"}.get(kind)
     lines = [f"kind = {kind}", "deltas = 1/32"]
     if required and required != key:
         lines.append(f"{required} = 2")
     if key:
-        lines.append(f"{key} = {VALUES[key]}")
+        lines.append(f"{key} = {(VALUES | RETIRED)[key]}")
     return "[experiment]\n" + "\n".join(lines) + "\n"
 
 
@@ -188,10 +189,14 @@ class TestKindKeys:
     """Each kind reads only its own keys: the rest are rejected, and the
     canonical text carries exactly the ones it reads."""
 
-    @pytest.mark.parametrize("key", sorted(VALUES))
+    @pytest.mark.parametrize("key", sorted(VALUES) + sorted(RETIRED))
     @pytest.mark.parametrize("kind", KIND_NAMES)
     def test_key_read_or_rejected(self, kind, key):
         text = _kind_config(kind, key)
+        if key in RETIRED:
+            with pytest.raises(UsageError, match=rf"^unknown \[experiment\] key\(s\): {key}$"):
+                parse_config(text)
+            return
         if key not in READS[kind]:
             with pytest.raises(
                 UsageError, match=rf"^kind '{kind}' does not read \[experiment\] key\(s\): {key}$"
@@ -443,24 +448,39 @@ class TestRun:
         assert len(rows) == 9  # 2^-10..2^-12 times r = 4, 16, 64
 
     def test_grid_cap_failure_row(self, tmp_path, capsys):
-        (tmp_path / "c.cfg").write_text(
-            "[experiment]\nkind = kakeya\ndeltas = 1/8192\np = 2\nmax_cells = 1000000\n"
-        )
-        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert out.startswith("FAIL,kakeya,delta 1/8192")
-        assert "1073741824" in out and "1000000" in out
-
-    def test_dualsum_grid_cap_failure_row(self, tmp_path, capsys):
-        (tmp_path / "c.cfg").write_text(
-            "[experiment]\nkind = dualsum\ndeltas = 1/32, 1/64\ns = 0.5\nmax_cells = 20000\n"
-        )
+        # the operator pass refuses 2^-13 before it allocates a (2^13)^2 grid
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = kakeya\ndeltas = 1/8192\np = 2\n")
         rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().out == (
-            "FAIL,dualsum,delta 1/64: grid needs 65536 cells > max_cells 20000\n"
+            "FAIL,kakeya,delta 1/8192: a 8192x8192 grid would exceed 16777216 cells\n"
         )
+
+    def test_nikodym_grid_cap_failure_row(self, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = nikodym\ndeltas = 1/8192\np = 2\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "FAIL,nikodym,delta 1/8192: a 8192x8192 grid would exceed 16777216 cells\n"
+        )
+
+    def test_dualsum_grid_cap_failure_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_GRID_CELLS", 1024)  # read at call time
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = dualsum\ndeltas = 1/32, 1/64\ns = 0.5\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "FAIL,dualsum,delta 1/64: a 64x64 grid would exceed 1024 cells\n"
+        )
+
+    def test_domain_depth_failure_row(self, tmp_path, capsys):
+        # K(2^-18) = 2 for the doubling preset, one level past the built depth
+        (tmp_path / "c.cfg").write_text(
+            "[experiment]\nkind = domain\ndeltas = 1/262144\npreset = doubling\ndepth = 1\n"
+        )
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == "FAIL,domain,built depth 1 is insufficient: K(delta) = 2\n"
 
     def test_moran_child_count_failure_row(self, tmp_path, capsys):
         # n_k is checked before the 'even' layout divides by n_k - 1
@@ -483,15 +503,12 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("FAIL,energy,") and out.endswith("per-level product bound\n")
 
-    def test_incidence_grid_cap_failure_row(self, tmp_path, capsys):
-        (tmp_path / "c.cfg").write_text(
-            "[experiment]\nkind = incidence\ndeltas = 1/32, 1/64\nr = 4\nmax_cells = 2000\n"
-        )
+    def test_incidence_threshold_failure_row(self, tmp_path, capsys):
+        # incidence has no scale guard: its counts stream in blocks
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = incidence\ndeltas = 1/32\nr = 64\n")
         rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().out == (
-            "FAIL,incidence,delta 1/64: grid needs 4096 cells > max_cells 2000\n"
-        )
+        assert capsys.readouterr().out == "FAIL,incidence,r = 64 exceeds 2 * delta^-s = 11.3\n"
 
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         rc = main(["run", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
@@ -560,7 +577,7 @@ class TestConfigValidation:
 
     def test_removed_and_unknown_keys_rejected(self, tmp_path, capsys):
         base = "[experiment]\nkind = dims\ndeltas = 1/4\n"
-        for line in ("seeds = 0, 1", "threads = 2", "sede = 3"):
+        for line in ("seeds = 0, 1", "threads = 2", "max_cells = 1000000", "sede = 3"):
             key = line.split(" =")[0]
             with pytest.raises(UsageError, match=f"unknown \\[experiment\\] key.*{key}"):
                 parse_config(base + line + "\n")

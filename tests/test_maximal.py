@@ -324,6 +324,30 @@ class TestBlockedPass:
         assert out.max_value() > 0
         assert peak <= 80 << 20
 
+    def test_grid_cap_refuses_before_allocating(self, monkeypatch):
+        passes = (nikodym_apply, kakeya_apply, lambda f, th: aim_at_origin_assignment(th))
+
+        def inputs(k):
+            sc = DyadicScale(k)
+            return GridFunction.ball_indicator(sc, (0, 0), sc.delta), DirectionSet(sc, (0, 5))
+
+        # 2^-13 is past the cap: refused with no (2^13)^2 array made
+        for call in passes:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^delta 1/8192: a 8192x8192 grid would exceed 16777216 cells$"):
+                    call(*inputs(13))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        # the cap is read at call time: at 2^8 cells, k = 4 runs and k = 5 does not
+        monkeypatch.setattr(maximal, "_MAX_GRID_CELLS", 1 << 8)
+        for call in passes:
+            call(*inputs(4))
+            with pytest.raises(ValueError, match="^delta 1/32: a 32x32 grid would exceed 256 cells$"):
+                call(*inputs(5))
+
 
 class TestKakeyaApply:
     def test_constant_one(self):
