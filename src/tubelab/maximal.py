@@ -8,18 +8,19 @@ All tubes then hold the same cell count, so tube averages are plain sums, and
 a per-direction pass reduces to a vertical 4-window sum, a shear gather, a
 prefix sum along columns, and an endpoint gather.
 
+Both operators reduce one pass, _tube_sums: Nikodym by the max over
+directions at each cell, Kakeya by the max over cells in each direction.
 A pass costs memory in proportion to its input's support plus one column
-block: the 4-sums are written only where f's box meets the columns and rows
-the outputs read, and the gather and prefix sum run a block of columns at a
-time. For small integer-valued f, such as bush and ball indicators, the sums
-are int32 and the only float operation is the final division by the tube's
-cell count; both dtypes give bit-identical averages. A pass, like the
+block. f's dtype picks the sums': integer-typed f with small values, such
+as the int8 indicators, sums in int32 and everything else in float64; an
+integer f and its float copy give bit-identical averages. A pass, like the
 aim-at-origin assignment, refuses a scale before it allocates a (2^k)^2
 grid of more than _MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -72,9 +73,11 @@ class DirectionSet:
         return DirectionSet(scale, idx, "cantor", s)
 
     def window(self, omega, rho) -> "DirectionSet":
+        """The indices t with |t delta - omega| <= rho, by two bisections."""
         omega, rho, d = F(omega), F(rho), self.scale.delta
-        idx = tuple(t for t in self.indices if abs(t * d - omega) <= rho)
-        return DirectionSet(self.scale, idx, self.tag, self.s)
+        a = bisect.bisect_left(self.indices, math.ceil((omega - rho) / d))
+        b = bisect.bisect_right(self.indices, math.floor((omega + rho) / d))
+        return DirectionSet(self.scale, tuple(self.indices[a:b]), self.tag, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +89,15 @@ class GridFunction:
 
     The operators read f only where their tubes meet its box, so a function
     is stored on its support's box: indicators default to the bounding box
-    of their cells.
+    of their cells. Integer-typed values are kept as they are (indicators
+    are int8), so the operators can sum them in int32; any other values are
+    held as float64.
     """
 
     def __init__(self, scale: DyadicScale, box: Box, values: np.ndarray):
         c0, c1, r0, r1 = box.grid_range(scale.k)
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        values = values if values.dtype.kind in "iu" else values.astype(np.float64, copy=False)
         if values.shape != (c1 - c0, r1 - r0):
             raise ValueError(
                 f"values shape {values.shape} does not match box grid {(c1 - c0, r1 - r0)}"
@@ -117,10 +123,10 @@ class GridFunction:
         lo, hi = (idx.min(axis=0), idx.max(axis=0) + 1) if len(idx) else ((0, 0), (1, 1))
         d = scale.delta
         box = Box.of(int(lo[0]) * d, int(lo[1]) * d, int(hi[0]) * d, int(hi[1]) * d)
-        f = GridFunction.constant(0.0, scale, box)
+        vals = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=np.int8)
         if len(idx):
-            f.values[idx[:, 0] - f._col0, idx[:, 1] - f._row0] = 1.0
-        return f
+            vals[idx[:, 0] - lo[0], idx[:, 1] - lo[1]] = 1
+        return GridFunction(scale, box, vals)
 
     @staticmethod
     def ball_indicator(scale: DyadicScale, center, radius) -> "GridFunction":
@@ -147,7 +153,8 @@ class GridFunction:
         # one block of rows at a time, so values**p is never held whole
         v = self.values
         step = max(1, _BLOCK_CELLS // max(1, v.shape[1]))
-        total = sum(float((v[a:a + step] ** p).sum()) for a in range(0, len(v), step))
+        blocks = (v[a:a + step].astype(np.float64, copy=False) for a in range(0, len(v), step))
+        total = sum(float((b**p).sum()) for b in blocks)
         return (total * d2) ** (1.0 / p)
 
     def max_value(self) -> float:
@@ -162,28 +169,8 @@ def _sigma(t: int, ix: np.ndarray, k: int) -> np.ndarray:
     return (t * ix + (1 << (k - 1))) >> k
 
 
-def _check_operator_input(f: GridFunction, scale: DyadicScale):
-    if f.scale != scale:
-        raise ValueError("scale mismatch between function and direction set")
-
-
 _BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pass
 _MAX_GRID_CELLS = 1 << 24  # most cells of one (2^k)^2 grid a pass may hold: k <= 12
-
-
-def _small_integers(a: np.ndarray, k: int) -> bool:
-    """Whether every value of a is an integer small enough that the prefix
-    sums of _tube_sums_from_v4, each over fewer than 8 * 2^k cells of f,
-    fit int32. Read a block of rows at a time, so no full-size temporary."""
-    if not a.size:
-        return True
-    top = np.iinfo(np.int32).max // (8 << k)
-    step = max(1, _BLOCK_CELLS // a.shape[1])
-    for i in range(0, len(a), step):
-        b = a[i : i + step]
-        if b.max() > top or (np.floor(b) != b).any():
-            return False
-    return True
 
 
 def _vertical_4sums(f: GridFunction) -> np.ndarray:
@@ -197,8 +184,8 @@ def _vertical_4sums(f: GridFunction) -> np.ndarray:
     V4 starts as np.zeros, and the part of f inside this read window is
     added into it in place, one row shift at a time in the order above, so
     the pass writes memory only where f's box meets the window. V4 is int32
-    when that part holds small integers (_small_integers), as indicators
-    do, and float64 otherwise; both dtypes give the same sums exactly.
+    when that part is integer-typed with values of at most (2^31 - 1) // (8 * 2^k),
+    so the prefix sums of _tube_sums_from_v4, each over < 8 * 2^k cells, fit.
     """
     k = f.scale.k
     n = 1 << k
@@ -213,7 +200,8 @@ def _vertical_4sums(f: GridFunction) -> np.ndarray:
     r_lo = max(y0 - 2, r0)
     r_hi = max(r_lo, min(y1 + 1, r0 + f.values.shape[1]))
     part = f.values[c_lo - c0 : c_hi - c0, r_lo - r0 : r_hi - r0]
-    v4 = np.zeros((2 * n, y1 - y0), dtype=np.int32 if _small_integers(part, k) else np.float64)
+    small = part.dtype.kind in "iu" and part.max(initial=0) <= np.iinfo(np.int32).max // (8 << k)
+    v4 = np.zeros((2 * n, y1 - y0), dtype=np.int32 if small else np.float64)
     cols = v4[c_lo + K : c_hi + K]
     for s in (-2, -1, 0, 1):  # V4 row y adds f row y + s
         a, b = max(y0, r_lo - s), min(y1, r_hi - s)
@@ -272,35 +260,36 @@ def _tube_sums_from_v4(v4: np.ndarray, k: int, t: int, out: np.ndarray) -> None:
             np.subtract(rows[np.arange(a, b) + n - c0 - 1, start[a:b]], dst, out=dst)
 
 
+def _tube_sums(f: GridFunction, theta: DirectionSet):
+    """For each slope index of theta in order, the tube sums of f centered
+    at every cell of [0,1)^2, as in _tube_sums_from_v4: one (2^k, 2^k)
+    buffer of V4's dtype, refilled for each direction."""
+    if f.scale != theta.scale:
+        raise ValueError("scale mismatch between function and direction set")
+    k = theta.scale.k
+    v4 = _vertical_4sums(f)
+    out = np.empty((1 << k, 1 << k), dtype=v4.dtype)
+    for t in theta.indices:
+        _tube_sums_from_v4(v4, k, t, out)
+        yield out
+
+
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
-    _check_operator_input(f, theta.scale)
     if not theta.indices:
         raise ValueError("empty direction set")
-    k = theta.scale.k
-    n = 1 << k
-    v4 = _vertical_4sums(f)
-    best, cur = np.empty((n, n), dtype=v4.dtype), np.empty((n, n), dtype=v4.dtype)
-    _tube_sums_from_v4(v4, k, theta.indices[0], best)
-    for t in theta.indices[1:]:
-        _tube_sums_from_v4(v4, k, t, cur)
+    sums = _tube_sums(f, theta)
+    best = next(sums).copy()
+    for cur in sums:
         np.maximum(best, cur, out=best)
     # dividing by a positive constant is monotone, so it commutes with the max
-    avg = best / (4 << k)
-    return GridFunction(theta.scale, BOX_UNIT, np.maximum(avg, 0.0, out=avg))
+    return GridFunction(theta.scale, BOX_UNIT, best / (4 << theta.scale.k))
 
 
-def kakeya_apply(f: GridFunction, theta: DirectionSet) -> dict:
-    """Best tube average per direction, positions swept over [0,1)^2 centers."""
-    _check_operator_input(f, theta.scale)
-    k, d = theta.scale.k, theta.scale.delta
-    v4 = _vertical_4sums(f)
-    sums = np.empty((1 << k, 1 << k), dtype=v4.dtype)
-    out = {}
-    for t in theta.indices:
-        _tube_sums_from_v4(v4, k, t, sums)
-        out[t * d] = float(sums.max()) / (4 << k)
-    return out
+def kakeya_apply(f: GridFunction, theta: DirectionSet) -> np.ndarray:
+    """Best tube average over [0,1)^2 centers per direction, in theta's order."""
+    cells = 4 << theta.scale.k
+    return np.array([float(s.max()) / cells for s in _tube_sums(f, theta)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +422,6 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) ->
     direction by mu: delta^s for tagged direction sets (Frostman
     normalization), else 1/|Theta|.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     fnorm = f.lp_norm(p)
     if fnorm == 0:
         raise ValueError("f is identically zero")
@@ -445,11 +432,11 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) ->
     raise ValueError(f"unknown operator: {operator!r}")
 
 
-def kakeya_norm(values: dict, theta: DirectionSet, p: float) -> float:
+def kakeya_norm(values: np.ndarray, theta: DirectionSet, p: float) -> float:
     """L^p(mu) norm over directions of kakeya_apply's per-direction values,
     with mu as in norm_ratio."""
     w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
-    total = sum(values[a] ** p * w for a in values)
+    total = sum(v ** p * w for v in values.tolist())
     return total ** (1.0 / p)
 
 
@@ -504,12 +491,14 @@ def dual_sum_norm(asg: Assignment, pprime: float) -> Measurement:
     k = asg.k
     n = 1 << k
     # exact vertical distance from each cell center to its tube, in units of
-    # delta^2/2: center = ((2i+1)/2, (2j+1)/2) * delta
+    # delta^2/2: center = ((2i+1)/2, (2j+1)/2) * delta. With u = 2i+1 > 0 the section
+    # is [lo, lo + u + 2^(k+1)], lo = t u + 2^(k+1) b, and e = lo - cy
     u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
-    lo = np.minimum(asg.t * u, (asg.t + 1) * u) + asg.b * (2 << k)
-    up = np.maximum(asg.t * u, (asg.t + 1) * u) + (asg.b + 1) * (2 << k)
-    cy = u.T << k
-    a_max = max(0, int((lo - cy).max()), int((cy - up).max()))
+    e = asg.t * u
+    e += asg.b * (2 << k)
+    e -= u.T << k
+    # cy - (lo + u + 2^(k+1)) is largest where e is least among a column's centers
+    a_max = max(0, int(e.max()), -int((e.min(axis=1) + u[:, 0]).min()) - (2 << k))
     hist = tube_count_histogram(asg.t, asg.b, k)
     value = _hist_lp(hist, pprime, float(F(1, n)))
     return Measurement(
@@ -567,7 +556,8 @@ def aim_at_origin_assignment(theta: DirectionSet) -> Assignment:
     pos = np.searchsorted(idx, v // u, side="right")
     below = idx[np.maximum(pos - 1, 0)]
     above = idx[np.minimum(pos, len(idx) - 1)]
-    t = np.where(np.abs(above * u - v) < np.abs(below * u - v), above, below)
+    # below * u <= v < above * u unless clamped (then above == below)
+    t = np.where((above + below) * u < 2 * v, above, below)
     return Assignment(k, t, (v - t * u) // (2 * n))
 
 

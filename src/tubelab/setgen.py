@@ -900,7 +900,8 @@ def _seed_blind(n: int, m: int, budget: int) -> bool:
 
 
 def _repair_slots(ts: Sequence[int], n: int, gap: int, last: int) -> tuple[int, ...]:
-    """Round a slot pattern to a valid one: sorted, gapped, endpoints pinned."""
+    """Round an n-slot pattern to a valid one: sorted, gapped, endpoints pinned.
+    Given (n - 1) * gap <= last, each slot kept is at most its bound, so all gaps hold."""
     ts = sorted(ts)
     out = [0]
     for t in ts[1:-1]:
@@ -908,9 +909,6 @@ def _repair_slots(ts: Sequence[int], n: int, gap: int, last: int) -> tuple[int, 
         bound = last - gap * (n - 1 - len(out))
         out.append(max(out[-1] + gap, min(t, bound)))
     out.append(last)
-    if len(out) != n or any(b - a < gap for a, b in zip(out, out[1:])):
-        # spread evenly as a last resort
-        out = [0] + [gap * i for i in range(1, n - 1)] + [last]
     return tuple(out)
 
 

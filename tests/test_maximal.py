@@ -78,6 +78,24 @@ class TestDirectionSet:
         w = th.window(F(1, 2), F(1, 8))
         assert w.indices == (6, 7, 8, 9, 10)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_window_matches_fraction_filter(self, k, data):
+        # omega - rho and omega + rho drawn on the slope lattice, often at a
+        # slope of the set, hit its ties; a third of delta off the lattice
+        # either way, and rho < 0 (an empty window), are drawn too
+        n = 1 << k
+        d = F(1, n)
+        idx = data.draw(st.lists(st.integers(-n, n - 1), max_size=40, unique=True))
+        th = DirectionSet(DyadicScale(k), tuple(sorted(idx)), "cantor", 0.5)
+        lattice = st.integers(-n - 2, n + 2) | (st.sampled_from(idx) if idx else st.nothing())
+        ends = st.builds(lambda a, e: (a + e) * d, lattice, st.sampled_from([0, F(1, 3), F(-1, 3)]))
+        lo, hi = data.draw(ends), data.draw(ends)
+        omega, rho = (lo + hi) / 2, (hi - lo) / 2
+        w = th.window(omega, rho)
+        assert w.indices == tuple(t for t in th.indices if abs(t * d - omega) <= rho)
+        assert (w.scale, w.tag, w.s) == (th.scale, th.tag, th.s)
+
 
 class TestGridFunction:
     def test_shape_validation(self):
@@ -158,7 +176,7 @@ class TestNikodymApply:
         th = DirectionSet(sc, (-32, -9, 0, 14, 31), "explicit")
         out = nikodym_apply(f, th).values
         assert out.tobytes() == nikodym_apply(g, th).values.tobytes()
-        assert kakeya_apply(f, th) == kakeya_apply(g, th)
+        assert kakeya_apply(f, th).tobytes() == kakeya_apply(g, th).tobytes()
         assert out.any() == (box.x1 > F(-1, 2))
 
     def test_matches_naive_oracle(self):
@@ -279,35 +297,66 @@ class TestBlockedPass:
         st.integers(0, 2**32 - 1),
     )
     def test_int_pass_matches_float_pass(self, k, kind, seed):
+        # an integer-typed f takes the int32 pass and its float copy the
+        # float64 pass, up to the largest value the int32 pass takes
         n = 1 << k
-        top = np.iinfo(np.int32).max // (8 << k)  # the largest value the int32 pass takes
+        top = np.iinfo(np.int32).max // (8 << k)
         lo, hi = {"0/1": (0, 1), "small": (0, 9), "int32 limit": (top - 1, top)}[kind]
         rng = np.random.default_rng(seed)
         f = GridFunction(DyadicScale(k), BOX_DEFAULT, rng.integers(lo, hi + 1, (4 * n, 4 * n)))
-        assert _vertical_4sums(f).dtype == np.int32
+        g = GridFunction(f.scale, f.box, f.values.astype(np.float64))
+        assert (_vertical_4sums(f).dtype, _vertical_4sums(g).dtype) == (np.int32, np.float64)
         ts = sorted({-n, n - 1, *map(int, rng.integers(-n, n, 4))})
         th = DirectionSet(f.scale, tuple(ts), "explicit")
 
-        def outputs():
-            return (nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th),
-                    [nikodym_apply(f, DirectionSet(f.scale, (t,))).values.tobytes() for t in ts])
+        def outputs(h):
+            return (nikodym_apply(h, th).values.tobytes(), kakeya_apply(h, th).tobytes(),
+                    [nikodym_apply(h, DirectionSet(h.scale, (t,))).values.tobytes() for t in ts])
 
-        got = outputs()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(maximal, "_small_integers", lambda a, k: False)
-            assert _vertical_4sums(f).dtype == np.float64
-            assert outputs() == got
+        assert outputs(f) == outputs(g)
 
     def test_pass_dtype_follows_values(self):
+        # an integer dtype up to top sums in int32; above top, or any float
+        # dtype, in float64
         sc = DyadicScale(4)
         top = np.iinfo(np.int32).max // (8 << 4)
-        for value, dtype in ((1.0, np.int32), (top, np.int32), (top + 1, np.float64), (0.5, np.float64)):
-            f = GridFunction.constant(value, sc)
-            assert _vertical_4sums(f).dtype == dtype, value
-        # only the part of f the pass reads decides: 0.5 outside it keeps int32
-        f = GridFunction.constant(1.0, sc)
-        f.values[0, 0] = 0.5
-        assert _vertical_4sums(f).dtype == np.int32
+        shape = (64, 64)  # BOX_DEFAULT at k = 4
+        for values, dtype in (
+            (np.ones(shape, np.int8), np.int32),
+            (np.full(shape, top, np.int64), np.int32),
+            (np.full(shape, top, np.uint32), np.int32),
+            (np.full(shape, top + 1, np.int64), np.float64),
+            (np.ones(shape, np.float64), np.float64),
+            (np.ones(shape, np.float32), np.float64),
+        ):
+            f = GridFunction(sc, BOX_DEFAULT, values)
+            assert _vertical_4sums(f).dtype == dtype, values.dtype
+        # only the part of f the pass reads counts: top + 1 outside it keeps int32
+        vals = np.ones(shape, np.int64)
+        vals[0, 0] = top + 1
+        assert _vertical_4sums(GridFunction(sc, BOX_DEFAULT, vals)).dtype == np.int32
+        far = GridFunction(sc, Box.of(-2, -2, F(-3, 4), 2), np.full((20, 64), top + 1))
+        assert _vertical_4sums(far).dtype == np.int32  # reads none of f
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.integers(3, 6), st.data())
+    def test_both_operators_reduce_one_pass(self, k, data):
+        # Kakeya at direction q is the max of the one-direction Nikodym output,
+        # for an int8 and a float f, and an int8 f equals its float copy
+        n = 1 << k
+        sc = DyadicScale(k)
+        ts = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=6, unique=True))
+        th = DirectionSet(sc, tuple(sorted(ts)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ind = GridFunction(sc, BOX_DEFAULT, (rng.random((4 * n, 4 * n)) < 0.3).astype(np.int8))
+        for f in (ind, random_function(sc, rng)):
+            kak = kakeya_apply(f, th)
+            assert kak.dtype == np.float64 and kak.shape == (len(th),)
+            for q, t in enumerate(th.indices):
+                assert kak[q] == nikodym_apply(f, DirectionSet(sc, (t,))).values.max()
+        copy = GridFunction(sc, BOX_DEFAULT, ind.values.astype(np.float64))
+        assert nikodym_apply(ind, th).values.tobytes() == nikodym_apply(copy, th).values.tobytes()
+        assert kakeya_apply(ind, th).tobytes() == kakeya_apply(copy, th).tobytes()
 
     def test_bush_pass_memory_at_k10(self):
         # the int32 V4 (32 MiB) is the blocked pass's largest array; holding
@@ -354,8 +403,8 @@ class TestKakeyaApply:
         sc = DyadicScale(5)
         th = DirectionSet.cantor(0.5, sc)
         vals = kakeya_apply(GridFunction.constant(1.0, sc), th)
-        assert set(vals) == {t * sc.delta for t in th.indices}
-        assert all(v == 1.0 for v in vals.values())
+        assert vals.dtype == np.float64 and vals.shape == (len(th),)
+        assert (vals == 1.0).all()
 
     def test_ball_lower_bound_every_direction(self):
         sc = DyadicScale(6)
@@ -363,8 +412,8 @@ class TestKakeyaApply:
         th = DirectionSet(sc, tuple(range(-64, 64)))
         f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
         vals = kakeya_apply(f, th)
-        assert min(vals.values()) >= d / 8
-        assert min(vals.values()) >= d  # measured: the 4 ball cells always fit
+        assert vals.min() >= d / 8
+        assert vals.min() >= d  # measured: the 4 ball cells always fit
 
     def test_digital_tube_self_recovery(self):
         sc = DyadicScale(6)
@@ -373,7 +422,7 @@ class TestKakeyaApply:
             assert len(cells) == 4 * 64
             f = GridFunction.indicator_cells(sc, cells)
             vals = kakeya_apply(f, DirectionSet(sc, (t,), "explicit"))
-            assert vals[F(t, 64)] == 1.0  # >= 1/2 required; exact recovery holds
+            assert vals.tolist() == [1.0]  # >= 1/2 required; exact recovery holds
 
     def test_dyadic_raster_self_recovery(self):
         sc = DyadicScale(6)
@@ -381,7 +430,7 @@ class TestKakeyaApply:
             tube = DyadicTube(6, t, j)
             f = GridFunction.indicator_cells(sc, rasterize_tube(tube, sc, BOX_DEFAULT))
             vals = kakeya_apply(f, DirectionSet(sc, (t,), "explicit"))
-            assert vals[tube.slope] >= 0.5
+            assert vals.shape == (1,) and vals[0] >= 0.5
 
     def test_single_direction_consistency_with_nikodym(self):
         sc = DyadicScale(5)
@@ -389,7 +438,7 @@ class TestKakeyaApply:
         f = random_function(sc, rng)
         for t in (-17, 0, 30):
             th = DirectionSet(sc, (t,), "explicit")
-            assert nikodym_apply(f, th).max_value() == kakeya_apply(f, th)[F(t, 32)]
+            assert [nikodym_apply(f, th).max_value()] == kakeya_apply(f, th).tolist()
 
 
 def _window_tubes(b):
@@ -617,7 +666,7 @@ class TestNormRatio:
         w = float(sc.delta) ** S_LOG23
         p = 1 + S_LOG23
         # the L^p(mu) norm with mu = delta^s on every direction, written out
-        explicit = sum(v**p * w for v in kakeya_apply(f, th).values()) ** (1 / p)
+        explicit = sum(v**p * w for v in kakeya_apply(f, th).tolist()) ** (1 / p)
         assert norm_ratio(f, th, p, "kakeya") == explicit / f.lp_norm(p)
 
     def test_kakeya_untagged_uses_counting_measure(self):
@@ -655,6 +704,23 @@ class TestDualSumNorm:
         b[0, 0] = 4  # section [4/16, 6/16) over column 0
         v = dual_sum_norm(Assignment(4, np.zeros((16, 16), dtype=np.int64), b), 2.0)
         assert v.details["A"] == 3.5  # (4/16 - 1/32) / (1/16)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(1, 4), st.integers(-8, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_distance_report_matches_sections(self, k, shift, width, seed):
+        # A against each center's distance to its tube's exact section; the
+        # offsets sit in one narrow band, so either side of a section can bind
+        n = 1 << k
+        rng = np.random.default_rng(seed)
+        t = rng.integers(-n, n, (n, n))
+        b = np.arange(n)[None, :] + shift * n // 4 + rng.integers(0, width, (n, n))
+        asg = Assignment(k, t, b)
+        d = F(1, n)
+        want = F(0)
+        for (i, j), tube in asg.items():
+            lo, up = tube.section((2 * i + 1) * d / 2)
+            want = max(want, lo - (2 * j + 1) * d / 2, (2 * j + 1) * d / 2 - up)
+        assert dual_sum_norm(asg, 2.0).details["A"] == float(want / d)
 
     def test_matches_raster_accumulation(self):
         sc = DyadicScale(4)

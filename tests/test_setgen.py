@@ -803,6 +803,20 @@ class TestFamilySearch:
         with pytest.raises(ValueError):
             search_interval_family(4, 1)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 5), st.integers(0, 40), st.data())
+    def test_repair_slots_gives_valid_pattern(self, n, gap, slack, data):
+        # any n slots, inside [0, last] or not, repair to a valid pattern when
+        # (n - 1) * gap <= last, as search_interval_family requires; a valid
+        # pattern is kept as it is
+        last = (n - 1) * gap + slack
+        ts = sorted(data.draw(st.lists(st.integers(-10, last + 10), min_size=n, max_size=n)))
+        out = _repair_slots(ts, n, gap, last)
+        assert len(out) == n and out[0] == 0 and out[-1] == last
+        assert all(b - a >= gap for a, b in zip(out, out[1:]))
+        if ts[0] == 0 and ts[-1] == last and all(b - a >= gap for a, b in zip(ts, ts[1:])):
+            assert out == tuple(ts)
+
 
 # (n, m, budget, seed) -> (meta["g"], meta["slots"]) of the walk that evaluates
 # every trial exactly; skipping trials must not move any of them
