@@ -193,9 +193,9 @@ def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
 _COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries plus difference cells
 
 
-def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None):
+def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights=None):
     """tube_count_grid one block of consecutive columns at a time, on the
-    band of rows that the block's tubes reach.
+    band of rows that the block's tubes reach; tube q counts weights[q] >= 1 times.
 
     Returns ((r0, r1), blocks): the grid's rows (by default every row a tube
     reaches) and an iterator of (m0, j0, block). block[m - m0, j - j0] is
@@ -212,7 +212,8 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None):
     # distinct tubes with their counts, sorted by slope, then offset
     b0 = int(b.min())
     span = int(b.max()) - b0 + 1
-    keys, cnt = np.unique((t + n) * span + (b - b0), return_counts=True)
+    keys, inv = np.unique((t + n) * span + (b - b0), return_inverse=True)
+    cnt = np.bincount(inv, weights)
     t, b = keys // span - n, keys % span + b0
     slopes, per_slope = np.unique(t, return_counts=True)
     last = np.cumsum(per_slope) - 1

@@ -69,12 +69,12 @@ def rich_points(family: TubeFamily, r: int) -> RichPointSet:
     return RichPointSet(r, CellSet(k, np.argwhere(mask)), grid[mask])
 
 
-def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None) -> np.ndarray:
-    """np.bincount(tube_count_grid(t, b, k, rows).ravel()), reduced one
-    column block at a time, so the grid is never held: hist[c] cells meet
-    exactly c of the tubes, and hist[-1] counts the top multiplicity (a
-    window of no cells gives [0], not the empty bincount)."""
-    (r0, r1), blocks = tube_count_blocks(t, b, k, rows)
+def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None, weights=None) -> np.ndarray:
+    """np.bincount(tube_count_grid(t, b, k, rows).ravel()), tube q repeated
+    weights[q] times, reduced one column block at a time, so the grid is
+    never held: hist[c] cells meet exactly c of the tubes, and hist[-1] counts
+    the top multiplicity (a window of no cells gives [0], not the empty bincount)."""
+    (r0, r1), blocks = tube_count_blocks(t, b, k, rows, weights)
     hist = np.zeros(1, dtype=np.int64)
     # the zero cells outside the bands, less the spare rows counted below
     zeros = (1 << k) * (r1 - r0)

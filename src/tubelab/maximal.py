@@ -13,9 +13,9 @@ directions at each cell, Kakeya by the max over cells in each direction.
 A pass costs memory in proportion to its input's support plus one column
 block. f's dtype picks the sums': integer-typed f with small values, such
 as the int8 indicators, sums in int32 and everything else in float64; an
-integer f and its float copy give bit-identical averages. A pass, like the
-aim-at-origin assignment, refuses a scale before it allocates a (2^k)^2
-grid of more than _MAX_GRID_CELLS cells.
+integer f and its float copy give bit-identical averages. A pass refuses a
+scale before it allocates a (2^k)^2 grid of more than _MAX_GRID_CELLS
+cells, and the dual sum one whose multiplicity histogram could be longer.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _sigma(t: int, ix: np.ndarray, k: int) -> np.ndarray:
 
 
 _BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pass
-_MAX_GRID_CELLS = 1 << 24  # most cells of one (2^k)^2 grid a pass may hold: k <= 12
+_MAX_GRID_CELLS = 1 << 24  # most cells of a (2^k)^2 grid (k <= 12) or histogram a pass holds
 
 
 def _vertical_4sums(f: GridFunction) -> np.ndarray:
@@ -448,63 +448,82 @@ def _hist_lp(counts: np.ndarray, pprime: float, delta: float) -> float:
 
 
 class Assignment(Mapping):
-    """One tube per cell of the unit-square grid, held as two (n, n) arrays.
+    """The aim-at-origin assignment, held by theta's indices idx and its rule.
 
-    Cell (i, j) takes DyadicTube(k, t[i, j], b[i, j]). As a Mapping from
-    (i, j) it builds that tube on access, so len, iteration and lookup
-    behave like the equivalent dict.
+    With n = 2^k, cell (i, j) of the unit square takes the tube through its
+    center with the t in theta minimizing |t(2i+1) - n(2j+1)| (no ties: u = 2i+1
+    is odd, so (t+t')u = 2n(2j+1) would make t+t' a nonzero multiple of 2n in
+    (-2n, 2n)) and offset b = floor((n(2j+1) - t(2i+1)) / (2n)). As a Mapping
+    from (i, j) it builds that tube on access, like the equal dict.
     """
 
-    __slots__ = ("k", "t", "b")
+    __slots__ = ("k", "idx")
 
-    def __init__(self, k: int, t: np.ndarray, b: np.ndarray):
-        n = 1 << k
-        if t.shape != (n, n) or b.shape != (n, n):
-            raise ValueError(f"assignment arrays must have shape {(n, n)}")
-        if t.min() < -n or t.max() >= n:
-            raise ValueError(f"slope indices outside [-2^k, 2^k) at k={k}")
-        self.k, self.t, self.b = k, t, b
+    def __init__(self, theta: DirectionSet):
+        if not theta.indices:
+            raise ValueError("empty direction set")
+        self.k, self.idx = theta.scale.k, np.asarray(theta.indices, dtype=np.int64)
+
+    def _runs(self, cols):
+        """(lo, hi, c), each (len(idx), len(cols)): in column i, idx[q] takes rows
+        [lo, hi), cut where 2n(2j+1) passes (idx[q-1] + idx[q])(2i+1), at offsets row + c."""
+        n, t = 1 << self.k, self.idx[:, None]
+        u = 2 * np.asarray(cols, dtype=np.int64)[None, :] + 1
+        cuts = np.minimum(np.maximum(((t[:-1] + t[1:]) * u - 2 * n) // (4 * n) + 1, 0), n)
+        return np.concatenate([0 * u, cuts]), np.concatenate([cuts, 0 * u + n]), (n - t * u) // (2 * n)
 
     def __getitem__(self, cell) -> DyadicTube:
         i, j = cell
-        if not (0 <= i < self.t.shape[0] and 0 <= j < self.t.shape[1]):
+        if not (0 <= i < 1 << self.k and 0 <= j < 1 << self.k):
             raise KeyError(cell)
-        return DyadicTube(self.k, int(self.t[i, j]), int(self.b[i, j]))
+        _, hi, c = self._runs([i])
+        q = int(np.searchsorted(hi[:, 0], j, side="right"))  # the run holding row j
+        return DyadicTube(self.k, int(self.idx[q]), j + int(c[q, 0]))
 
     def __iter__(self):
-        n = self.t.shape[0]
-        return ((i, j) for i in range(n) for j in range(n))
+        return ((i, j) for i in range(1 << self.k) for j in range(1 << self.k))
 
     def __len__(self) -> int:
-        return self.t.size
+        return 1 << (2 * self.k)
 
 
 def dual_sum_norm(asg: Assignment, pprime: float) -> Measurement:
-    """L^p' norm of the summed tube indicators of a cell-to-tube assignment.
-
-    The Assignment gives one tube for every cell of [0,1)^2 at its scale.
-    The norm integrates over the slab x in [0,1), all rows. Reports in
-    .details the largest (vertical) cell-to-tube distance in units of delta.
-    """
+    """L^p' norm of the assignment's summed tube indicators over the slab
+    x in [0,1), with the largest (vertical) cell-to-tube distance in units of
+    delta as details["A"]. Each distinct tube counts once, weighted by its cells:
+    a run of rows [lo, hi) of idx[q] adds 1 to offsets [lo + c, hi + c), in a
+    difference array keyed by q 4n + offset + n (offsets lie in [-n, 2n))."""
     if pprime < 1:
         raise ValueError("p' must be >= 1")
-    k = asg.k
-    n = 1 << k
-    # exact vertical distance from each cell center to its tube, in units of
-    # delta^2/2: center = ((2i+1)/2, (2j+1)/2) * delta. With u = 2i+1 > 0 the section
-    # is [lo, lo + u + 2^(k+1)], lo = t u + 2^(k+1) b, and e = lo - cy
-    u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
-    e = asg.t * u
-    e += asg.b * (2 << k)
-    e -= u.T << k
-    # cy - (lo + u + 2^(k+1)) is largest where e is least among a column's centers
-    a_max = max(0, int(e.max()), -int((e.min(axis=1) + u[:, 0]).min()) - (2 << k))
-    hist = tube_count_histogram(asg.t, asg.b, k)
-    value = _hist_lp(hist, pprime, float(F(1, n)))
-    return Measurement(
-        value,
-        {"A": a_max / float(2 << k), "max_multiplicity": len(hist) - 1, "pprime": pprime},
-    )
+    k, idx, n = asg.k, asg.idx, 1 << asg.k
+    base = (np.arange(len(idx), dtype=np.int64) * (4 * n) + n)[:, None]
+    keys, steps, a_max = np.zeros(0, dtype=np.int64), np.zeros(0), 0
+    step = max(1, _BLOCK_CELLS // len(idx))
+    for i0 in range(0, n, step):
+        cols = np.arange(i0, min(i0 + step, n))
+        lo, hi, c = asg._runs(cols)
+        run, u = lo < hi, 2 * cols + 1
+        # the section's low end less the center's y, in units of delta^2/2, is
+        # t u + 2n (b - j) - n, constant along a run; the section is u + 2n tall
+        e = idx[:, None] * u + (2 * n) * c - n
+        a_max = max(a_max, int(e[run].max()), int((-e - u)[run].max()) - 2 * n)
+        edges = np.concatenate([keys, (base + lo + c)[run], (base + hi + c)[run]])
+        keys, inv = np.unique(edges, return_inverse=True)
+        steps = np.bincount(inv, np.concatenate([steps, np.repeat([1.0, -1.0], run.sum())]))
+    depth = np.cumsum(steps)[:-1].astype(np.int64)  # cells of each offset in [keys[s], keys[s+1])
+    start, length, w = (a[depth > 0] for a in (keys[:-1], np.diff(keys), depth))
+    q = start // (4 * n)
+    # a tube's hull over a column is under 3 rows tall, so a cell meets at
+    # most 4 offsets of a slope: 4 sum_q max w bounds the top multiplicity
+    top = 4 * int(np.maximum.reduceat(w, np.flatnonzero(np.diff(q, prepend=-1))).sum())
+    if top >= _MAX_GRID_CELLS:
+        raise ValueError(f"delta 1/{n}: a multiplicity histogram of up to {top + 1} "
+                         f"entries would exceed {_MAX_GRID_CELLS}")
+    # each stretch [start, start + length) of equal depth w expands to its tubes' keys
+    tube = np.repeat(start - np.cumsum(length) + length, length) + np.arange(int(length.sum()))
+    hist = tube_count_histogram(idx[tube // (4 * n)], tube % (4 * n) - n, k, weights=np.repeat(w, length))
+    details = {"A": a_max / float(2 << k), "max_multiplicity": len(hist) - 1, "pprime": pprime}
+    return Measurement(_hist_lp(hist, pprime, float(F(1, n))), details)
 
 
 def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
@@ -535,30 +554,8 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
 
 
 def aim_at_origin_assignment(theta: DirectionSet) -> Assignment:
-    """Adversarial assignment: each unit-square cell takes the tube through
-    its center whose direction points closest back at the origin.
-
-    Exact integer rule: with n = 2^k, cell (i, j) takes the slope index t in
-    theta minimizing |t(2i+1) - n(2j+1)| (no ties: they would need
-    t + t' = 2n(2j+1)/(2i+1) >= 2n) and the offset
-    b = floor((n(2j+1) - t(2i+1)) / (2n)), the row of the center's line.
-    """
-    k = theta.scale.k
-    n = 1 << k
-    idx = np.asarray(theta.indices, dtype=np.int64)
-    if not len(idx):
-        raise ValueError("empty direction set")
-    if n * n > _MAX_GRID_CELLS:
-        raise ValueError(f"delta 1/{n}: a {n}x{n} grid would exceed {_MAX_GRID_CELLS} cells")
-    u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
-    v = n * (2 * np.arange(n, dtype=np.int64)[None, :] + 1)
-    # theta[pos - 1] <= floor(v/u) < theta[pos]: the nearest is one of the two
-    pos = np.searchsorted(idx, v // u, side="right")
-    below = idx[np.maximum(pos - 1, 0)]
-    above = idx[np.minimum(pos, len(idx) - 1)]
-    # below * u <= v < above * u unless clamped (then above == below)
-    t = np.where((above + below) * u < 2 * v, above, below)
-    return Assignment(k, t, (v - t * u) // (2 * n))
+    """Adversarial assignment of theta, held by its rule: see Assignment."""
+    return Assignment(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -104,20 +104,19 @@ def brute_planar_ball_counts(pts, k: int) -> tuple[list[int], int]:
     return counts, tot
 
 
-def brute_aim_assignment(theta) -> dict:
-    """Per-cell Fraction rule: each cell of [0,1)^2 takes the slope of theta
-    nearest the slope of the line from the origin to its center, and the
-    offset row of that line at the tube's scale."""
+def brute_aim_assignment(theta, cells=None) -> dict:
+    """Per-cell Fraction rule: each of the cells (by default every cell of
+    [0,1)^2) takes the slope of theta nearest the slope of the line from the
+    origin to its center, and the offset row of that line at the tube's scale."""
     k = theta.scale.k
     n = 1 << k
-    centers = [F(2 * i + 1, 2 * n) for i in range(n)]
     out = {}
-    for i, cx in enumerate(centers):
-        for j, cy in enumerate(centers):
-            target = cy / cx * n  # in units of delta
-            p = bisect.bisect_left(theta.indices, target)
-            t = min(theta.indices[max(p - 1, 0) : p + 1], key=lambda a: abs(a - target))
-            out[(i, j)] = DyadicTube(k, t, math.floor((cy - F(t, n) * cx) * n))
+    for i, j in itertools.product(range(n), repeat=2) if cells is None else cells:
+        cx, cy = F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)
+        target = cy / cx * n  # in units of delta
+        p = bisect.bisect_left(theta.indices, target)
+        t = min(theta.indices[max(p - 1, 0) : p + 1], key=lambda a: abs(a - target))
+        out[(i, j)] = DyadicTube(k, t, math.floor((cy - F(t, n) * cx) * n))
     return out
 
 

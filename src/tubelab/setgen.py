@@ -593,10 +593,12 @@ def sum_multiplicity(intervals, m: int, closed: bool = True) -> int:
         raise MultiplicityOverflow("denominators too large for exact integer sums")
     lo0, hi0 = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     lo, hi, w = lo0, hi0, np.ones(len(lo0), dtype=np.int64)
+    # the last fold reads |(m-1)A| >= (m-1)(|A|-1)+1 rows, A the left ends (Cauchy-Davenport)
+    last = (m - 1) * (len(np.unique(lo0)) - 1) + 1
     for fold in range(1, m):
-        if len(lo) * len(lo0) > _FOLD_CAP:
+        if max(len(lo), last) * len(lo0) > _FOLD_CAP:
             raise MultiplicityOverflow(
-                f"{len(lo)} x {len(lo0)} sum intervals exceed the fold cap; "
+                f"{max(len(lo), last)} x {len(lo0)} sum intervals exceed the fold cap; "
                 "use moran_sum_multiplicity_bound for the per-level product bound"
             )
         if fold == m - 1:

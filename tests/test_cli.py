@@ -465,12 +465,14 @@ class TestRun:
         )
 
     def test_dualsum_grid_cap_failure_row(self, tmp_path, capsys, monkeypatch):
+        # the dual sum's guard bounds its multiplicity histogram: 409 entries
+        # at 2^-5, 1413 at 2^-6 for s = 1/2
         monkeypatch.setattr(maximal, "_MAX_GRID_CELLS", 1024)  # read at call time
         (tmp_path / "c.cfg").write_text("[experiment]\nkind = dualsum\ndeltas = 1/32, 1/64\ns = 0.5\n")
         rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().out == (
-            "FAIL,dualsum,delta 1/64: a 64x64 grid would exceed 1024 cells\n"
+            "FAIL,dualsum,delta 1/64: a multiplicity histogram of up to 1413 entries would exceed 1024\n"
         )
 
     def test_domain_depth_failure_row(self, tmp_path, capsys):

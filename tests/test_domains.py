@@ -6,6 +6,7 @@ kernel, and frozen exact counts from deterministic constructions.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -376,6 +377,21 @@ class TestAdditiveEnergy:
         assert got[40]["Xi_bound"] == 23224320
         exps = [got[j]["energy_exponent"] for j in (12, 20, 28, 40)]
         assert all(a > b for a, b in zip(exps, exps[1:]))
+
+    def test_last_fold_overflow_refused_before_first_fold(self):
+        # at 2^-52 the tangent class's last fold must pass the fold cap, so it
+        # falls back to the product bound before its 1984^2-sum first fold is
+        # built (that fold took ~212 MiB of traced memory)
+        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        tracemalloc.start()
+        try:
+            rec = additive_energy_estimate(dom, F(1, 1 << 52), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec["product_bound_classes"] == [0] and rec["M1"] == 4826142
+        assert rec["class_multiplicities"] == {0: 4826142, 1: 1, 2: 57, 3: 2070}
+        assert peak <= 32 << 20
 
     def test_chord_class_matches_direct_sum_sweep(self):
         dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))

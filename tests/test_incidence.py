@@ -344,6 +344,18 @@ class TestBandedCounts:
         assert np.array_equal(grid, want)
         assert np.array_equal(hist, np.bincount(grid.ravel()))  # hist[0] included
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_banded_counts(), st.sampled_from([7, 300, 1 << 19]), st.data())
+    def test_weighted_histogram_is_repeated_tubes(self, case, chunk, data):
+        # weights[q] counts tube q that many times, as np.repeat would
+        t, b, k, rows = case
+        w = data.draw(st.lists(st.integers(1, 5), min_size=len(t), max_size=len(t)))
+        want = tube_count_histogram(np.repeat(t, w), np.repeat(b, w), k, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_CHUNK", chunk)  # column-block boundaries
+            got = tube_count_histogram(t, b, k, rows, weights=w)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
 
 class TestSharpExample:
     DELTA = DyadicScale(10)

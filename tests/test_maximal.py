@@ -23,7 +23,7 @@ from tubelab.core import (
     rasterize_tube,
     tube_count_grid,
 )
-from tubelab.incidence import TubeFamily
+from tubelab.incidence import TubeFamily, tube_count_histogram
 from tubelab.maximal import (
     Assignment,
     BushCore,
@@ -47,6 +47,37 @@ S_LOG23 = math.log(2) / math.log(3)
 def random_function(scale, rng, box=BOX_DEFAULT):
     c0, c1, r0, r1 = box.grid_range(scale.k)
     return GridFunction(scale, box, rng.random((c1 - c0, r1 - r0)))
+
+
+def reference_table(theta):
+    """The aim-at-origin rule as two (2^k, 2^k) arrays t, b, by the
+    vectorized nearest-slope search: the reference for the rule-held Assignment."""
+    n = 1 << theta.scale.k
+    idx = np.asarray(theta.indices, dtype=np.int64)
+    u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
+    v = n * (2 * np.arange(n, dtype=np.int64)[None, :] + 1)
+    # theta[pos - 1] <= floor(v/u) < theta[pos]: the nearest is one of the two
+    pos = np.searchsorted(idx, v // u, side="right")
+    below = idx[np.maximum(pos - 1, 0)]
+    above = idx[np.minimum(pos, len(idx) - 1)]
+    # below * u <= v < above * u unless clamped (then above == below)
+    t = np.where((above + below) * u < 2 * v, above, below)
+    return t, (v - t * u) // (2 * n)
+
+
+def lp_from_counts(counts, pprime, d):
+    """L^p' norm of a multiplicity grid from its bincount, cell area d^2."""
+    vals = np.arange(len(counts), dtype=np.float64)
+    return (float((counts[1:] * vals[1:] ** pprime).sum()) * d * d) ** (1 / pprime)
+
+
+def sample_cells(k, count, seed, edges=True):
+    """The corners of the 2^k grid, its other edge cells when edges is set,
+    and count seeded random cells."""
+    n = 1 << k
+    rim = {c for a in (range(n) if edges else (0, n - 1)) for b in (0, n - 1) for c in ((a, b), (b, a))}
+    rng = np.random.default_rng(seed)
+    return sorted(rim | {(int(i), int(j)) for i, j in rng.integers(0, n, (count, 2))})
 
 
 def padded(f, box):
@@ -374,7 +405,7 @@ class TestBlockedPass:
         assert peak <= 80 << 20
 
     def test_grid_cap_refuses_before_allocating(self, monkeypatch):
-        passes = (nikodym_apply, kakeya_apply, lambda f, th: aim_at_origin_assignment(th))
+        passes = (nikodym_apply, kakeya_apply)
 
         def inputs(k):
             sc = DyadicScale(k)
@@ -677,65 +708,87 @@ class TestNormRatio:
         assert norm_ratio(f, th, 2.0, "kakeya") == pytest.approx(1 / f.lp_norm(2), rel=1e-12)
 
 
+@st.composite
+def _index_sets(draw, top_k=6):
+    """(k, indices): k = 2..top_k and a sorted, distinct, nonempty slope
+    index set in [-2^k, 2^k), negative-only in about half the draws."""
+    k = draw(st.integers(2, top_k))
+    n = 1 << k
+    top = draw(st.sampled_from([n, 0]))
+    return k, tuple(sorted(draw(st.sets(st.integers(-n, top - 1), min_size=1, max_size=min(2 * n, 128)))))
+
+
 class TestDualSumNorm:
     def test_single_tube_everywhere_identity(self):
+        # one tube held by every cell: the weighted count puts n^2 on its raster
         sc = DyadicScale(5)
         n, d = 32, float(F(1, 32))
-        tube = DyadicTube(5, 13, -7)
-        v = dual_sum_norm(Assignment(5, np.full((n, n), 13), np.full((n, n), -7)), 2.0)
-        count = len(rasterize_tube(tube, sc, Box.of(0, -4, 1, 4)))
-        assert float(v) == pytest.approx(n * n * (count * d * d) ** 0.5, rel=1e-12)
+        hist = tube_count_histogram([13], [-7], 5, weights=[n * n])
+        count = len(rasterize_tube(DyadicTube(5, 13, -7), sc, Box.of(0, -4, 1, 4)))
+        assert len(hist) == n * n + 1 and hist[-1] == count
+        v = maximal._hist_lp(hist, 2.0, d)
+        assert v == pytest.approx(n * n * (count * d * d) ** 0.5, rel=1e-12)
 
     def test_row_tiling_multiplicity(self):
         # raster hulls make horizontal tubes two rows wide, so the tiling
         # multiplicity is 2/delta rather than the idealized 1/delta
         for k in (4, 5):
-            sc, n = DyadicScale(k), 1 << k
-            # each cell takes the horizontal tube at its own row
-            rows = np.broadcast_to(np.arange(n), (n, n))
-            v = dual_sum_norm(Assignment(k, np.zeros((n, n), dtype=np.int64), rows), 2.0)
-            d = float(sc.delta)
-            assert v.details["A"] == 0.0
-            assert 2 == v.details["max_multiplicity"] * d
-            assert 1.0 <= float(v) * d <= 2.0
+            n, d = 1 << k, float(F(1, 1 << k))
+            # the horizontal tube at each row, held by that row's n cells
+            hist = tube_count_histogram(np.zeros(n, dtype=np.int64), np.arange(n), k, weights=[n] * n)
+            assert 2 == (len(hist) - 1) * d
+            assert 1.0 <= maximal._hist_lp(hist, 2.0, d) * d <= 2.0
 
-    def test_distance_report_exact(self):
-        b = np.tile(np.arange(16), (16, 1))  # row tiling
-        b[0, 0] = 4  # section [4/16, 6/16) over column 0
-        v = dual_sum_norm(Assignment(4, np.zeros((16, 16), dtype=np.int64), b), 2.0)
-        assert v.details["A"] == 3.5  # (4/16 - 1/32) / (1/16)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_index_sets(9), st.integers(0, 2**32 - 1))
+    @example((2, (-4,)), 0)
+    def test_distance_report_matches_sections(self, case, seed):
+        # every center lies in its tube's exact section, so A is 0; past
+        # k = 4 on the corners and a seeded sample
+        k, indices = case
+        asg = aim_at_origin_assignment(DirectionSet(DyadicScale(k), indices))
+        d = F(1, 1 << k)
+        for i, j in list(asg) if k <= 4 else sample_cells(k, 64, seed, edges=False):
+            lo, up = asg[(i, j)].section((2 * i + 1) * d / 2)
+            assert lo <= (2 * j + 1) * d / 2 <= up
+        assert dual_sum_norm(asg, 2.0).details["A"] == 0.0
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(st.integers(1, 4), st.integers(-8, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_distance_report_matches_sections(self, k, shift, width, seed):
-        # A against each center's distance to its tube's exact section; the
-        # offsets sit in one narrow band, so either side of a section can bind
+    @given(_index_sets(9), st.sampled_from([1.0, 1.5, 2.0, 1 + 1 / S_LOG23]))
+    @example((3, (-8, -3)), 2.0)
+    def test_matches_reference_table(self, case, pprime):
+        # the one-pass norm over distinct weighted tubes against the table
+        # of every cell's tube: value, top multiplicity and A, bit for bit
+        k, indices = case
         n = 1 << k
-        rng = np.random.default_rng(seed)
-        t = rng.integers(-n, n, (n, n))
-        b = np.arange(n)[None, :] + shift * n // 4 + rng.integers(0, width, (n, n))
-        asg = Assignment(k, t, b)
-        d = F(1, n)
-        want = F(0)
-        for (i, j), tube in asg.items():
-            lo, up = tube.section((2 * i + 1) * d / 2)
-            want = max(want, lo - (2 * j + 1) * d / 2, (2 * j + 1) * d / 2 - up)
-        assert dual_sum_norm(asg, 2.0).details["A"] == float(want / d)
+        th = DirectionSet(DyadicScale(k), indices)
+        t, b = reference_table(th)
+        hist = tube_count_histogram(t, b, k)
+        u = 2 * np.arange(n, dtype=np.int64)[:, None] + 1
+        e = t * u + b * (2 * n) - u.T * n  # section's low end less the center's y, in delta^2/2
+        a_max = max(0, int(e.max()), int((-e - u).max()) - 2 * n)
+        v = dual_sum_norm(aim_at_origin_assignment(th), pprime)
+        assert float(v) == lp_from_counts(hist, pprime, float(F(1, n)))
+        assert v.details == {"A": a_max / (2 * n), "max_multiplicity": len(hist) - 1, "pprime": pprime}
 
     def test_matches_raster_accumulation(self):
-        sc = DyadicScale(4)
-        rng = np.random.default_rng(11)
-        asg = Assignment(4, rng.integers(-16, 16, (16, 16)), rng.integers(-8, 24, (16, 16)))
-        v = dual_sum_norm(asg, 3.0)
+        # aim assignments against rasterizing every cell's tube and counting
         from collections import Counter
 
-        grid = Counter()
-        for tube in asg.values():
-            for c in map(tuple, rasterize_tube(tube, sc, Box.of(0, -8, 1, 8)).idx):
-                grid[c] += 1
-        want = (sum(m**3 for m in grid.values()) * float(sc.delta) ** 2) ** (1 / 3)
-        assert float(v) == pytest.approx(want, rel=1e-12)
-        assert v.details["max_multiplicity"] == max(grid.values())
+        rng = np.random.default_rng(11)
+        for k in (4, 5):
+            sc, n = DyadicScale(k), 1 << k
+            rand = DirectionSet(sc, tuple(sorted({int(x) for x in rng.integers(-n, n, 9)})))
+            for th in (DirectionSet.cantor(S_LOG23, sc), rand):
+                asg = aim_at_origin_assignment(th)
+                v = dual_sum_norm(asg, 3.0)
+                grid = Counter()
+                for tube, cells in Counter(asg.values()).items():
+                    for c in map(tuple, rasterize_tube(tube, sc, Box.of(0, -8, 1, 8)).idx):
+                        grid[c] += cells
+                want = (sum(m**3 for m in grid.values()) * float(sc.delta) ** 2) ** (1 / 3)
+                assert float(v) == pytest.approx(want, rel=1e-12)
+                assert v.details["max_multiplicity"] == max(grid.values())
 
     def test_aim_at_origin_zero_distance(self):
         sc = DyadicScale(5)
@@ -747,7 +800,6 @@ class TestDualSumNorm:
         allowed = set(th.indices)
         assert all(t.i in allowed for t in asg.values())
 
-
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
     def test_streamed_norms_match_dense_grid(self, k):
         # dual_sum_norm and tube_sum_norm reduce tube_count_blocks without
@@ -755,30 +807,51 @@ class TestDualSumNorm:
         sc = DyadicScale(k)
         th = DirectionSet.cantor(S_LOG23, sc)
         pprime, d = 1 + 1 / S_LOG23, float(sc.delta)
-
-        def dense_lp(grid):
-            counts = np.bincount(grid.ravel())
-            vals = np.arange(len(counts), dtype=np.float64)
-            return (float((counts[1:] * vals[1:] ** pprime).sum()) * d * d) ** (1 / pprime)
-
-        asg = aim_at_origin_assignment(th)
-        v, grid = dual_sum_norm(asg, pprime), tube_count_grid(asg.t, asg.b, k)
-        assert float(v) == dense_lp(grid)
+        v, grid = dual_sum_norm(aim_at_origin_assignment(th), pprime), tube_count_grid(*reference_table(th), k)
+        assert float(v) == lp_from_counts(np.bincount(grid.ravel()), pprime, d)
         assert v.details["max_multiplicity"] == grid.max()
         fam = TubeFamily(sc, th.indices, [0] * len(th))
         r, grid = tube_sum_norm(fam, pprime), tube_count_grid(list(th.indices), [0] * len(th), k)
-        assert float(r) == dense_lp(grid)
+        assert float(r) == lp_from_counts(np.bincount(grid.ravel()), pprime, d)
         assert r.details["ratio"] == float(r) / r.details["bound"]
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_index_sets(9), st.integers(4, 1 << 12))
+    def test_histogram_guard(self, case, cap):
+        # with the cap lowered, a returned norm's top multiplicity stays under
+        # it, and a refusal names delta before any histogram is built
+        k, indices = case
+        asg = aim_at_origin_assignment(DirectionSet(DyadicScale(k), indices))
+        calls = []
 
-@st.composite
-def _index_sets(draw):
-    """(k, indices): k = 2..6 and a sorted, distinct, nonempty slope index
-    set in [-2^k, 2^k), negative-only in about half the draws."""
-    k = draw(st.integers(2, 6))
-    n = 1 << k
-    top = draw(st.sampled_from([n, 0]))
-    return k, tuple(sorted(draw(st.sets(st.integers(-n, top - 1), min_size=1, max_size=2 * n))))
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return tube_count_histogram(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_MAX_GRID_CELLS", cap)
+            mp.setattr(maximal, "tube_count_histogram", spy)
+            try:
+                v = dual_sum_norm(asg, 2.0)
+            except ValueError as err:
+                assert str(err).startswith(f"delta 1/{1 << k}: a multiplicity histogram of up to ")
+                assert str(err).endswith(f" entries would exceed {cap}") and calls == []
+            else:
+                assert v.details["max_multiplicity"] < cap and calls == [1]
+
+    def test_memory_at_k12(self):
+        # the pass holds the distinct tubes, one column block and the
+        # histogram (35 MiB here): no (2^12)^2 array of 4- or 8-byte cells,
+        # where the two assignment tables alone took 256 MiB
+        th = DirectionSet.cantor(S_LOG23, DyadicScale(12))
+        tracemalloc.start()
+        try:
+            v = dual_sum_norm(aim_at_origin_assignment(th), 1 + 1 / S_LOG23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.details["A"] == 0.0 and v.details["max_multiplicity"] == 568343
+        assert peak <= 48 << 20
 
 
 class TestAimAtOrigin:
@@ -799,14 +872,20 @@ class TestAimAtOrigin:
             ),
         }
 
-    # the Fraction oracle costs ~25 us a cell, so k = 8 runs on Cantor only
+    # the Fraction oracle and a lookup of the rule-held assignment each cost
+    # tens of us a cell, so k = 7, 8 compare the edge cells and 256 seeded
+    # random cells, and k = 8 runs on Cantor only
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     def test_matches_fraction_oracle(self, k):
         for name, th in self._direction_sets(k).items():
             if k == 8 and name != "cantor":
                 continue
             asg = aim_at_origin_assignment(th)
-            assert dict(asg) == brute_aim_assignment(th), name
+            if k <= 6:
+                assert dict(asg) == brute_aim_assignment(th), name
+            else:
+                cells = sample_cells(k, 256, k)
+                assert {c: asg[c] for c in cells} == brute_aim_assignment(th, cells), name
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(_index_sets())
@@ -822,21 +901,17 @@ class TestAimAtOrigin:
         asg = aim_at_origin_assignment(th)
         assert len(asg) == 256 and next(iter(asg)) == (0, 0)
         assert next(iter(asg.values())).k == 4
-        assert asg[(3, 5)] == DyadicTube(4, int(asg.t[3, 5]), int(asg.b[3, 5]))
-        assert (3, 5) in asg and (16, 0) not in asg and (0, -1) not in asg
-        with pytest.raises(KeyError):
-            asg[(-1, 0)]
-
-    def test_array_validation(self):
-        z = np.zeros((4, 4), dtype=np.int64)
-        with pytest.raises(ValueError, match="shape"):
-            Assignment(3, z, z)
-        with pytest.raises(ValueError, match="outside"):
-            Assignment(2, z + 4, z)
+        t, b = reference_table(th)
+        assert asg[(3, 5)] == DyadicTube(4, int(t[3, 5]), int(b[3, 5]))
+        assert (3, 5) in asg and (16, 0) not in asg and (0, -1) not in asg and (0, 16) not in asg
+        for cell in ((-1, 0), (0, 16), (16, 16)):
+            with pytest.raises(KeyError):
+                asg[cell]
 
     def test_empty_direction_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            aim_at_origin_assignment(DirectionSet(DyadicScale(3), (), "explicit"))
+        for make in (aim_at_origin_assignment, Assignment):
+            with pytest.raises(ValueError, match="empty"):
+                make(DirectionSet(DyadicScale(3), (), "explicit"))
 
 
 class TestTubeSumNorm:

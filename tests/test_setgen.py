@@ -677,6 +677,26 @@ class TestSumMultiplicityOracle:
             assert sum_multiplicity(IntervalFamily(ivs), m) == want
 
     @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_interval_lists(), st.booleans(), st.integers(1, 300))
+    def test_fold_cap_refuses_exactly_past_the_cap(self, case, closed, cap):
+        # fold 1 reads the family itself and each later fold no fewer rows
+        # than the one before, so some fold passes the cap exactly when the
+        # family or the distinct (m-1)-fold sums, times the family, do; the
+        # refusal may come early, but only then, and a returned value is exact
+        ivs, m = case
+        sums = itertools.product(ivs, repeat=m - 1)
+        rows = len({(sum(a for a, _ in t), sum(b for _, b in t)) for t in sums})
+        over = m > 1 and max(len(ivs), rows) * len(ivs) > cap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setgen, "_FOLD_CAP", cap)
+            try:
+                got = sum_multiplicity(ivs, m, closed=closed)
+            except MultiplicityOverflow:
+                assert over
+            else:
+                assert not over and got == brute_sum_multiplicity(ivs, m, closed)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.sets(st.integers(0, 30), min_size=1, max_size=6), st.integers(1, 4))
     def test_slot_kernel_matches_enumeration(self, slots, m):
         slots = sorted(slots)[: 4 if m == 4 else 6]
