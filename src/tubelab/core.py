@@ -29,6 +29,15 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def sorted_distinct(x) -> np.ndarray:
+    """np.unique(x) for NaN-free x: its distinct values, sorted. A bare
+    np.unique asks np.ma.is_masked, which imports numpy.ma on first use."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 class Measurement(float):
     """A measured value with its ingredients kept in .details."""
 

@@ -2,7 +2,7 @@
 
 A cell of the delta-grid in [0,1]^2 is r-rich for a family when at least r
 tubes rasterize onto it. Multiplicities are exact 64-bit counts from
-core.tube_count_grid, which reproduces per-tube rasterization cell for cell.
+core.tube_count_blocks, which reproduces per-tube rasterization cell for cell.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     Measurement,
+    sorted_distinct,
     tube_count_blocks,
-    tube_count_grid,
 )
 from tubelab.setgen import katz_tao_constant, regularity_constant
 
@@ -63,10 +63,15 @@ def rich_points(family: TubeFamily, r: int) -> RichPointSet:
     if r < 1:
         raise ValueError("threshold r must be >= 1")
     k = family.scale.k
-    grid = tube_count_grid(family.t, family.b, k, (0, 1 << k))  # exact counts
-    mask = grid >= r
-    # argwhere and the mask both list cells in row-major, i.e. CellSet, order
-    return RichPointSet(r, CellSet(k, np.argwhere(mask)), grid[mask])
+    _, blocks = tube_count_blocks(family.t, family.b, k, (0, 1 << k))  # exact counts
+    cells, counts = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for m0, j0, block in blocks:  # a block's spare last row is 0 < r
+        mask = block >= r
+        cells.append(np.argwhere(mask) + (m0, j0))
+        counts.append(block[mask])
+    # blocks come in column order and argwhere and the mask list each one's
+    # cells in row-major order, so the cells are in CellSet order
+    return RichPointSet(r, CellSet(k, np.concatenate(cells)), np.concatenate(counts))
 
 
 def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None, weights=None) -> np.ndarray:
@@ -102,7 +107,7 @@ def _incidence_ratios(family: TubeFamily, s: float, rs) -> list[Measurement]:
     # without a Fraction per tube
     pts = list(zip((family.t / n).tolist(), (family.b / n).tolist()))
     c_kt = float(katz_tao_constant(pts, 1.0, family.scale))
-    c_reg = float(regularity_constant(np.unique(family.t) / n, s, family.scale))
+    c_reg = float(regularity_constant(sorted_distinct(family.t) / n, s, family.scale))
     hist = tube_count_histogram(family.t, family.b, k, (0, n))
     if rs is None:
         rs = [1 << e for e in range(max(len(hist) - 1, 1).bit_length())]

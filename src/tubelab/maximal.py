@@ -10,9 +10,12 @@ prefix sum along columns, and an endpoint gather.
 
 Both operators reduce one pass, _tube_sums: Nikodym by the max over
 directions at each cell, Kakeya by the max over cells in each direction.
-A pass costs memory in proportion to its input's support plus one column
-block. f's dtype picks the sums': integer-typed f with small values, such
-as the int8 indicators, sums in int32 and everything else in float64; an
+A pass works only where f's box reaches, the columns it fills and the
+band of centers their sheared rows reach: a direction costs time in
+proportion to f's box plus that band (2^k times its height), not to
+(2^k)^2, and memory to f's box, one column block and the band. f's
+dtype picks the sums': integer-typed f with small values, such as the
+int8 indicators, sums in int32 and everything else in float64; an
 integer f and its float copy give bit-identical averages. A pass refuses a
 scale before it allocates a (2^k)^2 grid of more than _MAX_GRID_CELLS
 cells, and the dual sum one whose multiplicity histogram could be longer.
@@ -37,6 +40,7 @@ from tubelab.core import (
     DyadicScale,
     DyadicTube,
     Measurement,
+    sorted_distinct,
 )
 from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
 from tubelab.setgen import frostman_constant
@@ -173,19 +177,32 @@ _BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pa
 _MAX_GRID_CELLS = 1 << 24  # most cells of a (2^k)^2 grid (k <= 12) or histogram a pass holds
 
 
-def _vertical_4sums(f: GridFunction) -> np.ndarray:
+class _Sums4(NamedTuple):
+    """V4 on the part of the read window that f's box reaches, as
+    v4[c - c0, y - y0]; V4 is 0 off the rows [rows[0], rows[1])."""
+
+    v4: np.ndarray
+    c0: int
+    y0: int
+    rows: tuple
+
+
+def _vertical_4sums(f: GridFunction) -> _Sums4:
     """V4[c, y] = f[ix, y-2] + f[ix, y-1] + f[ix, y] + f[ix, y+1], f = 0 off its box.
 
-    Only the 2^(k+1) columns ix = c - 2^(k-1) in [-2^(k-1), 2^k + 2^(k-1))
-    are kept, the ones the [0,1)^2 outputs read. Row y lives at index
-    y + _shear_pad(k): a sheared read for |t| <= 2^k moves a row by at
-    most that pad, so every read of _tube_sums_from_v4 stays in range.
+    The [0,1)^2 outputs read the columns ix = c - 2^(k-1) in
+    [-2^(k-1), 2^k + 2^(k-1)) and the rows y in [-_shear_pad(k), 2^k +
+    _shear_pad(k)): a sheared read for |t| <= 2^k moves a row by at most
+    that pad. Of this read window v4 holds only the columns f's box fills,
+    and the rows where V4 can be nonzero with a margin of zero rows on
+    each side, which the windows of _tube_sums_from_v4 may read: 2 w + h
+    rows for w columns and h such rows. Reads outside v4 are all 0.
 
-    V4 starts as np.zeros, and the part of f inside this read window is
-    added into it in place, one row shift at a time in the order above, so
-    the pass writes memory only where f's box meets the window. V4 is int32
-    when that part is integer-typed with values of at most (2^31 - 1) // (8 * 2^k),
-    so the prefix sums of _tube_sums_from_v4, each over < 8 * 2^k cells, fit.
+    v4 starts as np.zeros, and the part of f inside the read window is
+    added into it in place, one row shift at a time in the order above. v4
+    is int32 when that part is integer-typed with values of at most
+    (2^31 - 1) // (8 * 2^k), so the prefix sums of _tube_sums_from_v4, each
+    over < 8 * 2^k cells, fit.
     """
     k = f.scale.k
     n = 1 << k
@@ -201,87 +218,135 @@ def _vertical_4sums(f: GridFunction) -> np.ndarray:
     r_hi = max(r_lo, min(y1 + 1, r0 + f.values.shape[1]))
     part = f.values[c_lo - c0 : c_hi - c0, r_lo - r0 : r_hi - r0]
     small = part.dtype.kind in "iu" and part.max(initial=0) <= np.iinfo(np.int32).max // (8 << k)
-    v4 = np.zeros((2 * n, y1 - y0), dtype=np.int32 if small else np.float64)
-    cols = v4[c_lo + K : c_hi + K]
+    dtype = np.int32 if small else np.float64
+    if not part.size:
+        return _Sums4(np.zeros((0, 0), dtype), c_lo + K, 0, (0, 0))
+    ya, yb = max(y0, r_lo - 1), min(y1, r_hi + 2)  # V4 row y adds f rows y - 2 .. y + 1
+    margin = 2 * (c_hi - c_lo) + yb - ya
+    v0, v1 = max(y0, ya - margin), min(y1, yb + margin)
+    v4 = np.zeros((c_hi - c_lo, v1 - v0), dtype=dtype)
     for s in (-2, -1, 0, 1):  # V4 row y adds f row y + s
-        a, b = max(y0, r_lo - s), min(y1, r_hi - s)
+        a, b = max(ya, r_lo - s), min(yb, r_hi - s)
         if a < b:
-            dst = cols[:, a - y0 : b - y0]
+            dst = v4[:, a - v0 : b - v0]
             np.add(dst, part[:, a + s - r_lo : b + s - r_lo], out=dst, casting="unsafe")
-    return v4
+    return _Sums4(v4, c_lo + K, v0, (ya, yb))
 
 
 def _shear_pad(k: int) -> int:
-    # |sigma(t, ix) - sigma(t, m)| <= 2^k + 2^(k-1) for |t| <= 2^k, ix in
-    # the kept columns and m in [0, 2^k)
+    """The most a sheared read moves a row: |sigma(t, ix) - sigma(t, m)| <=
+    2^k + 2^(k-1) for |t| <= 2^k, ix in the read columns and m in [0, 2^k)."""
     return (1 << k) + (1 << (k - 1))
 
 
-def _tube_sums_from_v4(v4: np.ndarray, k: int, t: int, out: np.ndarray) -> None:
-    """out[m, j] = sum of f over the tube in direction t centered at (m, j),
-    for every center of [0,1)^2; the tube average is that over 4 * 2^k.
+def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray):
+    """(m0, j0, out): out[i, h] is the sum of f over the tube in direction t
+    centered at (m0 + i, j0[i] + h); the tube average is that over 4 * 2^k.
+    Every center of [0,1)^2 outside these windows has tube sum 0. out is a
+    view of buf.
 
     W[c, r] is V4 at column ix = c - 2^(k-1) and row r + lo + sigma(ix), so
     with Q[c] = W[0] + ... + W[c - 1] down the columns, the tube centered at
     (m, j) sums to Q[m + 2^k] - Q[m] at row j - sigma(m) - lo.
+
+    Only the columns [ca, cb) that v4 holds add to Q, so Q[c] is 0 for c <=
+    ca and Q[cb] for c >= cb: a left fold that adds exact zeros elsewhere
+    gives these bit for bit. W is 0 off the band of rows [ra, rb) that v4's
+    nonzero rows shear to. So the live centers are the m whose tube columns
+    [m, m + 2^k) meet [ca, cb) and whose rows [0, 2^k) meet the band; at
+    every other center Q[m + 2^k] and Q[m] are equal and the sum is x - x
+    = 0. Each live center gets a window of L = min(rb - ra, 2^k) rows inside
+    [0, 2^k) that holds all its band rows; for a function on the whole read
+    window that is every row of every center.
 
     W and Q are made one block of columns at a time, about _BLOCK_CELLS
     cells, in v4's dtype. The last Q row of a block is carried into the next
     by adding it to that block's first W row before the prefix sum: the same
     sequential additions as one prefix sum of the whole strip. Q[m] is
     written into out[m] as its block passes, and Q[m + 2^k] - out[m] into
-    out[m] when that row's block passes.
+    out[m] when that row's block passes, or after the last block.
     """
     n = 1 << k
     K = n >> 1
-    cols = np.arange(2 * n)
-    sig = _sigma(t, cols - K, k)
+    v4, ca, (ya, yb) = s4.v4, s4.c0, s4.rows
+    cb = min(ca + len(v4), 2 * n - 1)  # the last column feeds only Q[2n], never read
+    sig = _sigma(t, np.arange(2 * n) - K, k)
     sig_c = sig[K : K + n]  # centers m in [0, n)
     lo, hi = -int(sig_c.max()), n - int(sig_c.min())
-    strips = np.lib.stride_tricks.sliding_window_view(v4, hi - lo, axis=1)
-    start = -sig_c - lo
-    step = max(1, _BLOCK_CELLS // (hi - lo))
-    out[0] = 0  # Q[0]
+    start = -sig_c - lo  # the Q row of center (m, 0)
+    none = 0, np.zeros(0, dtype=np.int64), buf[:0].reshape(0, 0)
+    if ca >= cb:
+        return none
+    ra = max(0, ya - lo - int(sig[ca:cb].max()))
+    rb = min(hi - lo, yb - lo - int(sig[ca:cb].min()))
+    # start is monotone in m, so the live centers are one run
+    m = np.arange(max(0, ca - n + 1), min(n, cb))
+    live = m[(start[m] < rb) & (start[m] + n > ra)]
+    if not live.size:
+        return none
+    m0, m1, L = int(live[0]), int(live[-1]) + 1, min(rb - ra, n)
+    win = np.minimum(np.maximum(start[m0:m1], ra), start[m0:m1] + n - L)  # each window's first Q row
+    Ra, Rb = int(win.min()), int(win.max()) + L
+    win -= Ra
+    strips = np.lib.stride_tricks.sliding_window_view(v4, Rb - Ra, axis=1)
+    step = max(1, _BLOCK_CELLS // (Rb - Ra))
+    out = buf[: (m1 - m0) * L].reshape(m1 - m0, L)
+    out[: max(0, ca + 1 - m0)] = 0  # Q[m] for m <= ca
     carry = None
-    for c0 in range(0, 2 * n - 1, step):  # the last column feeds only Q[2n], never read
-        c1 = min(c0 + step, 2 * n - 1)
-        q = strips[cols[c0:c1], sig[c0:c1] + lo + _shear_pad(k)]  # W[c0:c1]
+    for c0 in range(ca, cb, step):
+        c1 = min(c0 + step, cb)
+        q = strips[np.arange(c0 - ca, c1 - ca), sig[c0:c1] + lo + Ra - s4.y0]  # W[c0:c1], rows [Ra, Rb)
         if carry is not None:
             q[0] += carry
         np.cumsum(q, axis=0, dtype=q.dtype, out=q)  # q[i] = Q[c0 + 1 + i]
         carry = q[-1]
-        rows = np.lib.stride_tricks.sliding_window_view(q, n, axis=1)
-        a, b = c0 + 1, min(c1 + 1, n)  # Q[m] for m in [a, b)
+        rows = np.lib.stride_tricks.sliding_window_view(q, L, axis=1)
+        a, b = max(c0 + 1, m0), min(c1 + 1, m1)  # Q[m] for m in [a, b)
         if a < b:
-            out[a:b] = rows[np.arange(a, b) - c0 - 1, start[a:b]]
-        a, b = max(c0 + 1, n) - n, c1 + 1 - n  # Q[m + n] for m in [a, b)
+            out[a - m0 : b - m0] = rows[np.arange(a, b) - c0 - 1, win[a - m0 : b - m0]]
+        a, b = max(c0 + 1 - n, m0), min(c1 + 1 - n, m1)  # Q[m + n] for m in [a, b)
         if a < b:
-            dst = out[a:b]
-            np.subtract(rows[np.arange(a, b) + n - c0 - 1, start[a:b]], dst, out=dst)
+            dst = out[a - m0 : b - m0]
+            np.subtract(rows[np.arange(a, b) + n - c0 - 1, win[a - m0 : b - m0]], dst, out=dst)
+    a = max(cb + 1 - n, m0)  # Q[m + n] = Q[cb] for m + n > cb
+    if a < m1:
+        dst = out[a - m0 :]
+        np.subtract(np.lib.stride_tricks.sliding_window_view(carry, L)[win[a - m0 :]], dst, out=dst)
+    return m0, win + Ra - start[m0:m1], out
 
 
 def _tube_sums(f: GridFunction, theta: DirectionSet):
-    """For each slope index of theta in order, the tube sums of f centered
-    at every cell of [0,1)^2, as in _tube_sums_from_v4: one (2^k, 2^k)
-    buffer of V4's dtype, refilled for each direction."""
+    """For each slope index of theta in order, the live windows of f's tube
+    sums over the centers of [0,1)^2, as _tube_sums_from_v4 gives them, in
+    one buffer of V4's dtype refilled for each direction. The windows of a
+    direction are at most 2^k centers by L rows, and L, the band's height
+    capped at 2^k, is less than v4's nonzero rows plus its columns."""
     if f.scale != theta.scale:
         raise ValueError("scale mismatch between function and direction set")
-    k = theta.scale.k
-    v4 = _vertical_4sums(f)
-    out = np.empty((1 << k, 1 << k), dtype=v4.dtype)
+    n = 1 << theta.scale.k
+    s4 = _vertical_4sums(f)
+    buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)), dtype=s4.v4.dtype)
     for t in theta.indices:
-        _tube_sums_from_v4(v4, k, t, out)
-        yield out
+        yield _tube_sums_from_v4(s4, theta.scale.k, t, buf)
 
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
     if not theta.indices:
         raise ValueError("empty direction set")
-    sums = _tube_sums(f, theta)
-    best = next(sums).copy()
-    for cur in sums:
-        np.maximum(best, cur, out=best)
+    n = 1 << theta.scale.k
+    best = None
+    for m0, j0, cur in _tube_sums(f, theta):
+        if best is None:
+            best = np.zeros((n, n), dtype=cur.dtype)
+        # the running max over each direction's windows
+        if cur.shape[1] == n:  # whole rows, so j0 is 0
+            dst = best[m0 : m0 + len(cur)]
+            np.maximum(dst, cur, out=dst)
+        elif cur.size:
+            rows = np.lib.stride_tricks.sliding_window_view(best, cur.shape[1], axis=1, writeable=True)
+            at = np.arange(m0, m0 + len(cur)), j0
+            rows[at] = np.maximum(rows[at], cur, out=cur)
     # dividing by a positive constant is monotone, so it commutes with the max
     return GridFunction(theta.scale, BOX_UNIT, best / (4 << theta.scale.k))
 
@@ -289,7 +354,7 @@ def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
 def kakeya_apply(f: GridFunction, theta: DirectionSet) -> np.ndarray:
     """Best tube average over [0,1)^2 centers per direction, in theta's order."""
     cells = 4 << theta.scale.k
-    return np.array([float(s.max()) / cells for s in _tube_sums(f, theta)], dtype=np.float64)
+    return np.array([float(s.max(initial=0)) / cells for *_, s in _tube_sums(f, theta)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +601,7 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
     """
     if pprime <= 1:
         raise ValueError("p' must exceed 1")
-    slopes = np.unique(family.t)
+    slopes = sorted_distinct(family.t)
     if len(slopes) != len(family):
         raise ValueError("duplicate directions in the family")
     k = family.scale.k

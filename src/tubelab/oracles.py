@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from tubelab.core import BOX_UNIT, CellSet, DyadicScale, DyadicTube, rasterize_tube
+from tubelab.core import BOX_UNIT, CellSet, DyadicScale, DyadicTube, rasterize_tube, sorted_distinct
 
 
 def brute_cell_counts(family) -> Counter:
@@ -88,7 +88,7 @@ def brute_planar_ball_counts(pts, k: int) -> tuple[list[int], int]:
     xs = p[:, 0]
     cells = np.floor(p * float(1 << k)).astype(np.int64)
     keys = (cells[:, 0] << 32) + (cells[:, 1] + (np.int64(1) << 30))
-    tot = len(np.unique(keys))
+    tot = len(sorted_distinct(keys))
     counts = []
     for a in range(k + 1):
         r = 2.0 ** -a
@@ -99,7 +99,7 @@ def brute_planar_ball_counts(pts, k: int) -> tuple[list[int], int]:
             lo, hi = los[i], his[i]
             seg = p[lo:hi]
             mask = (seg[:, 0] - p[i, 0]) ** 2 + (seg[:, 1] - p[i, 1]) ** 2 <= r * r
-            best = max(best, len(np.unique(keys[lo:hi][mask])))
+            best = max(best, len(sorted_distinct(keys[lo:hi][mask])))
         counts.append(best)
     return counts, tot
 

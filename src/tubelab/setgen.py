@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from tubelab.core import DyadicScale
+from tubelab.core import DyadicScale, sorted_distinct
 
 F = Fraction
 
@@ -345,7 +345,7 @@ def _delta_value(delta) -> float:
 
 def _nonempty_windows(xs: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     """The index runs [pos, end) of xs in its nonempty dyadic windows of length width."""
-    lo = np.unique(np.floor(xs / width)) * width
+    lo = sorted_distinct(np.floor(xs / width)) * width
     return np.searchsorted(xs, lo), np.searchsorted(xs, lo + width)
 
 
@@ -594,7 +594,7 @@ def sum_multiplicity(intervals, m: int, closed: bool = True) -> int:
     lo0, hi0 = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     lo, hi, w = lo0, hi0, np.ones(len(lo0), dtype=np.int64)
     # the last fold reads |(m-1)A| >= (m-1)(|A|-1)+1 rows, A the left ends (Cauchy-Davenport)
-    last = (m - 1) * (len(np.unique(lo0)) - 1) + 1
+    last = (m - 1) * (len(sorted_distinct(lo0)) - 1) + 1
     for fold in range(1, m):
         if max(len(lo), last) * len(lo0) > _FOLD_CAP:
             raise MultiplicityOverflow(

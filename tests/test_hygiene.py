@@ -171,3 +171,29 @@ def test_every_benchmark_probe_resolves():
     want = {p.name for p in spans.PROBES if isinstance(p.name, str)}
     want.add("acceptance.inv-box-ratio-window")
     assert want - set(proc.stdout.split()) == set()
+
+
+_MA_SCRIPT = """
+import sys
+from fractions import Fraction as F
+sys.path.insert(0, sys.argv[1])
+from tubelab import core, incidence, maximal, setgen
+sc = core.DyadicScale(5)
+th = maximal.DirectionSet.cantor(0.5, sc)
+maximal.tube_sum_norm(incidence.TubeFamily(sc, th.indices, [0] * len(th)), 2.0)
+incidence.incidence_profile(incidence.cantor_slope_family(0.5, sc, seed=1), 0.5)
+ms = setgen.build_moran(setgen.middle_thirds_spec(), 8)
+setgen.qa_profile(ms.endpoint_values(3), 0.25, F(1, 27))
+setgen.sum_multiplicity([(0, F(1, 3)), (F(2, 3), 1)], 3)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_library_does_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma on first use (14-18 ms a process)
+    root = SRC.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_SCRIPT, str(root / "src")], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

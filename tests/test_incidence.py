@@ -305,6 +305,20 @@ class TestMultiplicityHistogram:
             int((grid >= r).sum()) for r in range(1, int(grid.max()) + 2)
         ]
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_families_with_repeats(), st.sampled_from([7, 300, 1 << 19]), st.integers(1, 6))
+    def test_rich_points_stream_matches_dense_mask(self, fam, chunk, r):
+        # rich_points reads tube_count_blocks one block at a time: its cells
+        # and counts, in order, are the dense grid's mask and masked counts
+        k = fam.scale.k
+        grid = tube_count_grid(fam.t, fam.b, k, (0, 1 << k))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_CHUNK", chunk)  # column-block boundaries
+            rp = rich_points(fam, r)
+        mask = grid >= r
+        assert np.array_equal(rp.cells.idx, np.argwhere(mask))
+        assert rp.counts.dtype == np.int64 and np.array_equal(rp.counts, grid[mask])
+
 
 @st.composite
 def _banded_counts(draw):
