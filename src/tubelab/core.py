@@ -212,7 +212,10 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
     band [j0, j0 + block.shape[1] - 1); its last column, one spare row past
     the band, is 0. block is an int64 array of at most about _COUNT_CHUNK
     cells, and every grid cell outside the bands is 0. Callers that reduce
-    the grid never hold all of it.
+    the grid never hold all of it. A block is a view of one band buffer
+    that the next block overwrites, so a caller copies what it keeps: the
+    iterator holds that buffer and one event buffer, two parts of one
+    scratch array of about _COUNT_CHUNK cells, and allocates neither again.
     """
     n = 1 << k
     t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
@@ -239,14 +242,20 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
     if rows is None:
         rows = top0, top1
     r0, r1 = max(rows[0], top0), min(rows[1], top1)  # window rows a tube reaches
-    # without weights bincount counts in int64; weighted, it sums the tube
-    # counts as exact doubles, which the int64 prefix sum casts
-    wts = None if cnt.max() == 1 else cnt
+    counts = cnt.astype(np.int64)  # exact integers; each 1 without repeats or weights
+    unit = counts.max() == 1
 
     def blocks():
         if r0 >= r1:
             return
-        step = max(1, _COUNT_CHUNK // (len(t) + r1 - r0 + 1))
+        step = max(1, min(n, _COUNT_CHUNK // (len(t) + r1 - r0 + 1)))
+        # one allocation for both buffers: glibc's malloc raises its mmap
+        # threshold to the largest block freed, so freeing one ~_COUNT_CHUNK
+        # block, rather than two whose split depends on the family, leaves
+        # the same threshold for the caller's later temporaries every time
+        scratch = np.empty(step * (len(t) + r1 - r0 + 1), dtype=np.int64)
+        events, band = scratch[: step * len(t)], scratch[step * len(t) :]
+        tube_slope = np.repeat(np.arange(len(slopes)), per_slope)
         for m0 in range(0, n, step):
             cols = np.arange(m0, min(m0 + step, n))
             lo, hi, j0, j1 = reach(cols)
@@ -258,16 +267,20 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
             # clipped to one row, where its count is added and removed; one
             # spare row absorbs the exits at j1.
             w = j1 - j0 + 1
-            base, size = (cols - m0) * w - j0, len(cols) * w
-            lo, hi = (np.repeat(e, per_slope, axis=0) for e in (lo, hi))
-            for e in (lo, hi):  # in place: shift by the offset, clip, index the band
-                e += b[:, None]
-                np.clip(e, j0, j1, out=e)
-                e += base
-            reps = None if wts is None else np.repeat(wts, len(cols))
-            diff = np.bincount(lo.ravel(), reps, size)
-            diff -= np.bincount(hi.ravel(), reps, size)
-            yield m0, j0 - rows[0], diff.reshape(len(cols), w).cumsum(axis=1, dtype=np.int64)
+            diff = band[: len(cols) * w]
+            diff.fill(0)
+            ev = events[: len(t) * len(cols)].reshape(len(t), len(cols))
+            wts = 1 if unit else np.repeat(counts, len(cols))
+            for end, at in ((lo, np.add.at), (hi, np.subtract.at)):
+                # each tube's slope rows; mode="clip" (the indices are valid)
+                # spares the buffered copy that out= makes under mode="raise"
+                np.take(end, tube_slope, axis=0, out=ev, mode="clip")
+                ev += b[:, None]  # shift by the offset, clip, index the band
+                np.clip(ev, j0, j1, out=ev)
+                ev += (cols - m0) * w - j0
+                at(diff, ev.ravel(), wts)
+            diff = diff.reshape(len(cols), w)
+            yield m0, j0 - rows[0], np.cumsum(diff, axis=1, out=diff)
 
     return rows, blocks()
 

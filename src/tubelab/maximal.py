@@ -106,7 +106,8 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match box grid {(c1 - c0, r1 - r0)}"
             )
-        if not np.isfinite(values).all() or (values < 0).any():
+        # by reductions, not bool temporaries: a NaN fails the min's test
+        if not (values.min(initial=0) >= 0 and np.isfinite(values.max(initial=0))):
             raise ValueError("values must be finite and nonnegative")
         self.scale = scale
         self.box = box

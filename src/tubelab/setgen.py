@@ -443,8 +443,10 @@ def _planar_lattice(p: list, delta) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, k: int):
-    """(count, tot): count(a) is the max over centers c in P of the
-    delta-cell count of P ∩ B(c, 2^-a), tot the delta-cell count of P.
+    """(count, bound, tot): count(a) is the max over centers c in P of the
+    delta-cell count of P ∩ B(c, 2^-a), bound(a) >= count(a) the max over c
+    of the fewer points of P in c's closed strips |X - Xc| <= R and
+    |Y - Yc| <= R (the ball lies in both), tot the delta-cell count of P.
 
     P is the distinct points (X, Y) / 2^k sorted by (X, Y), delta = 2^-k,
     so each point is its own delta-cell and counts are point counts. The
@@ -478,7 +480,15 @@ def _planar_ball_counter(X: np.ndarray, Y: np.ndarray, k: int):
             best = max(best, int(np.add.reduceat(e - s, start).max()))  # points per ball
         return best
 
-    return count, len(X)
+    Ys = np.sort(Y)
+
+    def bound(a: int) -> int:
+        R = 1 << (k - a)
+        sx = np.searchsorted(X, X + R, side="right") - np.searchsorted(X, X - R, side="left")
+        sy = np.searchsorted(Ys, Y + R, side="right") - np.searchsorted(Ys, Y - R, side="left")
+        return int(np.minimum(sx, sy).max())
+
+    return count, bound, len(X)
 
 
 def _is_planar(p) -> bool:
@@ -502,14 +512,26 @@ def frostman_constant(p, s: float, delta) -> float:
 
 
 def _line_ball_counter(xs: np.ndarray, dv: float):
-    """(count, tot) on the line: count(a) is the max over centers x in xs of
-    the dv-ball count of xs ∩ [x - 2^-a, x + 2^-a], tot that of all of xs."""
+    """(count, bound, tot) on the line: count(a) is the max over centers x in
+    xs of the dv-ball count of xs ∩ [x - 2^-a, x + 2^-a], bound(a) >= count(a)
+    the most points of xs in one such window, capped by tot, the dv-ball
+    count of all of xs: a greedy cover of a run of the sorted points needs
+    no more balls than it has points, nor than the cover of them all."""
     counter = BallCounter1D(xs, dv)
+    tot = int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
+
+    def windows(a: int) -> tuple[np.ndarray, np.ndarray]:
+        r = 2.0 ** -a
+        return np.searchsorted(xs, xs - r, side="left"), np.searchsorted(xs, xs + r, side="right")
 
     def count(a: int) -> int:
-        return int(counter.counts(xs - 2.0 ** -a, xs + 2.0 ** -a, closed_right=True).max())
+        return int(counter.runs(*windows(a)).max())
 
-    return count, int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
+    def bound(a: int) -> int:
+        pos, end = windows(a)
+        return min(int((end - pos).max()), tot)
+
+    return count, bound, tot
 
 
 def _ball_ratio_constant(p, delta, ratio) -> float:
@@ -519,15 +541,14 @@ def _ball_ratio_constant(p, delta, ratio) -> float:
     amax = _scale_floor_exponent(delta)
     dv = _delta_value(delta)
     if _is_planar(p):
-        count, tot = _planar_ball_counter(*_planar_lattice(p, delta))
+        count, bound, tot = _planar_ball_counter(*_planar_lattice(p, delta))
     else:
-        count, tot = _line_ball_counter(_sorted_floats(p), dv)
-    # count(a) <= tot (on the line, a greedy cover of a run of the sorted
-    # points never needs more balls than the cover of them all) and ratio is
-    # nondecreasing in the count, so a radius whose bound ratio(tot, ...) is
-    # at most the best ratio so far cannot raise it: visit the radii by
-    # descending bound, stop at the first such
-    bounds = {a: ratio(tot, 2.0 ** -a, dv, tot) for a in range(amax + 1)}
+        count, bound, tot = _line_ball_counter(_sorted_floats(p), dv)
+    # count(a) <= bound(a) and ratio is nondecreasing in the count, so a
+    # radius whose bound ratio(bound(a), ...) is at most the best ratio so
+    # far cannot raise it: visit the radii by descending bound, stop at the
+    # first such
+    bounds = {a: ratio(bound(a), 2.0 ** -a, dv, tot) for a in range(amax + 1)}
     best = 0.0
     for a in sorted(bounds, key=bounds.get, reverse=True):
         if bounds[a] <= best:

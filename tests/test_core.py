@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import core
 from tubelab.core import (
@@ -14,9 +16,12 @@ from tubelab.core import (
     DyadicTube,
     _tube_column_rows,
     rasterize_tube,
+    tube_count_blocks,
     tube_count_grid,
     tube_rows,
 )
+from tubelab.incidence import TubeFamily
+from tubelab.oracles import brute_cell_counts
 
 F = Fraction
 
@@ -181,6 +186,70 @@ class TestTubeRowKernel:
     def test_count_grid_without_tubes(self):
         assert not tube_count_grid([], [], 3, (0, 8)).any()
         assert tube_count_grid([], [], 3, (0, 8)).shape == (8, 8)
+
+
+@st.composite
+def _count_cases(draw):
+    """(k, t, b, weights, rows): tubes over every slope index, both ends
+    included, offsets reaching past the unit square, repeated tubes, integer
+    weights or none, and row windows that are the unit square, the default,
+    or any window, cutting tubes or missing them all."""
+    k = draw(st.integers(0, 7))
+    n = 1 << k
+    tube = st.tuples(st.integers(-n, n - 1), st.integers(-3 * n, 3 * n))
+    tubes = draw(st.lists(tube, min_size=1, max_size=30))
+    tubes += draw(st.lists(st.sampled_from(tubes), max_size=6))
+    t, b = (np.array(v, dtype=np.int64) for v in zip(*tubes))
+    weights = draw(st.none() | st.lists(st.integers(1, 5), min_size=len(t), max_size=len(t)))
+    r0 = draw(st.integers(-4 * n, 4 * n))
+    rows = draw(st.sampled_from([(0, n), None, (r0, r0 + draw(st.integers(0, 4 * n)))]))
+    return k, t, b, weights, rows
+
+
+def _reference_block(t, b, k, weights, m0, ncols, j0, w):
+    """The count block of columns [m0, m0 + ncols) on the rows [j0, j0 + w):
+    every tube's row range clipped to the rows, both event arrays built at
+    once and bincounted, their difference prefix-summed along the rows."""
+    cols = np.arange(m0, m0 + ncols)
+    lo, hi = tube_rows(t, b, k, cols)
+    base = (cols - m0) * w - j0
+    lo, hi = (np.clip(e, j0, j0 + w - 1) + base for e in (lo, hi))
+    reps = None if weights is None else np.repeat(np.asarray(weights, dtype=np.float64), ncols)
+    diff = np.bincount(lo.ravel(), reps, ncols * w) - np.bincount(hi.ravel(), reps, ncols * w)
+    return diff.reshape(ncols, w).cumsum(axis=1, dtype=np.int64)
+
+
+class TestCountBlocks:
+    """tube_count_blocks against the rule of building both event arrays at
+    once, and against per-tube rasters."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_count_cases(), st.sampled_from([7, 300, 1 << 19]))
+    def test_blocks_match_reference_and_rasters(self, case, chunk):
+        k, t, b, weights, rows = case
+        n = 1 << k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_CHUNK", chunk)
+            (r0, r1), blocks = tube_count_blocks(t, b, k, rows, weights)
+            grid = np.zeros((n, max(r1 - r0, 0)), dtype=np.int64)
+            m_next = 0
+            for m0, j0, block in blocks:  # each block is checked before the next overwrites it
+                ncols, w = block.shape
+                assert m0 >= m_next and 0 <= j0 and j0 + w - 1 <= r1 - r0  # column order, band in the window
+                m_next = m0 + ncols
+                want = _reference_block(t, b, k, weights, m0, ncols, j0 + r0, w)
+                assert block.dtype == np.int64 and block.tobytes() == want.tobytes()
+                assert not block[:, -1].any()  # the spare row, which rich_points reads as 0 < r
+                grid[m0 : m0 + ncols, j0 : j0 + w - 1] = block[:, :-1]
+        # every cell outside the bands is 0: the whole window, one block
+        assert grid.tobytes() == _reference_block(t, b, k, weights, 0, n, r0, r1 - r0 + 1)[:, :-1].tobytes()
+        if k <= 6 and rows == (0, n):
+            reps = np.ones(len(t), dtype=np.int64) if weights is None else np.array(weights)
+            fam = TubeFamily(DyadicScale(k), np.repeat(t, reps), np.repeat(b, reps))
+            want = np.zeros((n, n), dtype=np.int64)
+            for (m, j), c in brute_cell_counts(fam).items():
+                want[m, j] = c
+            assert np.array_equal(grid, want)
 
 
 class TestCellSet:

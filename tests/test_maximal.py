@@ -141,6 +141,30 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="nonnegative"):
             GridFunction(sc, BOX_DEFAULT, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_nonfinite_or_negative_value_rejected(self, bad):
+        vals = np.ones((32, 32))
+        vals[5, 7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GridFunction(DyadicScale(3), BOX_DEFAULT, vals)
+
+    def test_negative_integer_rejected(self):
+        vals = np.zeros((32, 32), dtype=np.int8)
+        vals[31, 31] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            GridFunction(DyadicScale(3), BOX_DEFAULT, vals)
+
+    def test_negative_zero_int8_and_empty_box_accepted(self):
+        sc = DyadicScale(3)
+        vals = np.full((32, 32), -0.0)
+        assert GridFunction(sc, BOX_DEFAULT, vals).values is vals
+        ind = np.ones((32, 32), dtype=np.int8)
+        assert GridFunction(sc, BOX_DEFAULT, ind).values.dtype == np.int8
+        # a zero-width box, built without Box.of's check, holds no cells
+        flat = Box(F(0), F(0), F(0), F(1))
+        assert GridFunction(sc, flat, np.zeros((0, 8))).values.shape == (0, 8)
+        assert GridFunction(sc, flat, np.zeros((0, 8), dtype=np.int8)).values.size == 0
+
     def test_lp_norm_of_constant(self):
         f = GridFunction.constant(1.0, DyadicScale(5))
         # area of [-2,2]^2 is 16

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tubelab import setgen
 from tubelab.core import DyadicScale
 from tubelab.domains import cap_cover, gcs_domain
-from tubelab.incidence import cantor_slope_family
+from tubelab.incidence import cantor_slope_family, incidence_profile
 from tubelab.oracles import (
     brute_frostman,
     brute_katz_tao,
@@ -470,8 +470,21 @@ def _planar_sets(draw):
 
 def _planar_counts(k, pts):
     """_planar_ball_counter's count(a) at every radius a = 0..k, and tot."""
-    count, tot = setgen._planar_ball_counter(*setgen._planar_lattice(pts, DyadicScale(k)))
+    count, _, tot = setgen._planar_ball_counter(*setgen._planar_lattice(pts, DyadicScale(k)))
     return [count(a) for a in range(k + 1)], tot
+
+
+def _spy_visits(monkeypatch, name):
+    """Replace setgen's ball counter `name` by one that records in the
+    returned list each radius whose balls it counts."""
+    counter, visited = getattr(setgen, name), []
+
+    def spy(*args):
+        count, bound, tot = counter(*args)
+        return (lambda a: visited.append(a) or count(a)), bound, tot
+
+    monkeypatch.setattr(setgen, name, spy)
+    return visited
 
 
 class TestPlanarLattice:
@@ -561,15 +574,21 @@ def _line_sets(draw):
 
 
 class TestPrunedConstants:
-    """The line and planar constants skip radii whose bound cannot beat the best ratio."""
+    """The line and planar constants skip radii whose strip or window count
+    cannot beat the best ratio."""
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(_planar_sets() | _clustered_sets(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    # two points one radius apart along an axis: the ball and both strips are closed
+    @example((2, [(F(0), F(0)), (F(1, 4), F(0))]), 1.0)
+    @example((2, [(F(0), F(0)), (F(0), F(-1, 4))]), 1.0)
     def test_pruned_max_equals_max_over_every_radius(self, case, t):
         k, pts = case
-        counts, tot = _planar_counts(k, pts)
+        count, bound, tot = setgen._planar_ball_counter(*setgen._planar_lattice(pts, DyadicScale(k)))
+        counts = [count(a) for a in range(k + 1)]
         if k <= 4:
             assert (counts, tot) == brute_planar_ball_counts(pts, k)
+        assert all(counts[a] <= bound(a) <= tot for a in range(k + 1))
         dv = 2.0**-k
         kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
         fr = max(c / ((2.0**-a) ** min(t, 1.0) * tot) for a, c in enumerate(counts))
@@ -577,50 +596,66 @@ class TestPrunedConstants:
         assert frostman_constant(pts, min(t, 1.0), DyadicScale(k)) == fr
 
     def test_coarse_radii_skipped(self, monkeypatch):
-        # the dual points of a k = 8 Cantor-slope family: Katz-Tao never
-        # counts balls of radius 1 or 1/2, and still finds the same max
+        # the dual points of a k = 8 Cantor-slope family: once the fine radii
+        # reach the max, the strip counts of radii 2^-3 and coarser cannot
+        # beat it, and Katz-Tao still finds the same max
         fam = cantor_slope_family(math.log(2) / math.log(3), DyadicScale(8), seed=1)
         pts = [(F(t, 256), F(b, 256)) for t, b in zip(fam.t.tolist(), fam.b.tolist())]
-        counter, visited = setgen._planar_ball_counter, []
-
-        def spy(*lattice):
-            count, tot = counter(*lattice)
-            return (lambda a: visited.append(a) or count(a)), tot
-
-        monkeypatch.setattr(setgen, "_planar_ball_counter", spy)
+        visited = _spy_visits(monkeypatch, "_planar_ball_counter")
         got = katz_tao_constant(pts, 1.0, DyadicScale(8))
-        assert visited[0] == 8 and 0 not in visited and 1 not in visited
+        assert visited == [8, 7, 6, 5, 4]
         monkeypatch.undo()
         counts, _ = _planar_counts(8, pts)
         assert got == max(c * 2.0 ** (a - 8) for a, c in enumerate(counts))
 
+    def test_cantor_dual_points_count_few_radii(self, monkeypatch):
+        # 2^-10: the strip counts leave at most 6 of the 11 radii to count
+        fam = cantor_slope_family(math.log(2) / math.log(3), DyadicScale(10), seed=16)
+        pts = list(zip((fam.t / 1024).tolist(), (fam.b / 1024).tolist()))
+        visited = _spy_visits(monkeypatch, "_planar_ball_counter")
+        got = katz_tao_constant(pts, 1.0, DyadicScale(10))
+        assert len(visited) <= 6
+        monkeypatch.undo()
+        counts, _ = _planar_counts(10, pts)
+        assert got == max(c * 2.0 ** (a - 10) for a, c in enumerate(counts))
+
+    def test_incidence_profile_memory_at_k12(self):
+        # the coarse radii's pair blocks and a block's second event array
+        # are never held: the parent peaked at 19.2 MiB here
+        s = math.log(2) / math.log(3)
+        fam = cantor_slope_family(s, DyadicScale(12), seed=16)
+        tracemalloc.start()
+        try:
+            incidence_profile(fam, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20
+
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(_line_sets(), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    @example((2, [F(0), F(1, 4)]), 1.0)  # the window is closed at both ends
     def test_line_pruned_max_equals_every_radius_and_oracle(self, case, t):
         k, pts = case
         xs, dv, s = sorted(float(x) for x in pts), 2.0**-k, min(t, 1.0)
-        count, tot = setgen._line_ball_counter(np.array(xs), dv)
+        count, bound, tot = setgen._line_ball_counter(np.array(xs), dv)
         counts = [count(a) for a in range(k + 1)]
+        assert all(counts[a] <= bound(a) <= tot for a in range(k + 1))
         kt = max(c * (dv / 2.0**-a) ** t for a, c in enumerate(counts))
         fr = max(c / ((2.0**-a) ** s * tot) for a, c in enumerate(counts))
         assert katz_tao_constant(pts, t, DyadicScale(k)) == kt == brute_katz_tao(xs, t, k, dv)
         assert frostman_constant(pts, s, DyadicScale(k)) == fr == brute_frostman(xs, s, k, dv)
 
     def test_line_coarse_radii_skipped(self, monkeypatch):
-        # 16 points a delta apart, k = 8: Katz-Tao's bound tot * 2^(a-8) at
-        # a coarse radius falls below the ratio the fine radii already found
+        # 16 points a delta apart, k = 8: Katz-Tao's bound at a coarse radius,
+        # at most 16 points times 2^(a-8), falls below the ratio the fine
+        # radii already found
         pts = [F(i, 256) for i in range(16)]
-        counter, visited = setgen._line_ball_counter, []
-
-        def spy(*args):
-            count, tot = counter(*args)
-            return (lambda a: visited.append(a) or count(a)), tot
-
-        monkeypatch.setattr(setgen, "_line_ball_counter", spy)
+        visited = _spy_visits(monkeypatch, "_line_ball_counter")
         got = katz_tao_constant(pts, 1.0, DyadicScale(8))
         assert visited == [8, 7, 6]
         monkeypatch.undo()
-        count, _ = setgen._line_ball_counter(np.array([float(x) for x in pts]), 2.0**-8)
+        count, _, _ = setgen._line_ball_counter(np.array([float(x) for x in pts]), 2.0**-8)
         assert got == max(count(a) * 2.0 ** (a - 8) for a in range(9)) == 1.0
 
 
