@@ -30,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from tubelab.core import sorted_distinct
 from tubelab.maximal import DirectionSet, ExponentFit, exponent_fit
 from tubelab.setgen import (
     MoranSet,
@@ -106,6 +107,12 @@ def gcs_domain(m: MoranSet) -> GcsDomain:
 # ------------------------------------------------------------ direction sets
 
 
+def _slope_numerators(domain: GcsDomain) -> tuple[np.ndarray, int]:
+    """(nums, den): slope_set's slopes are the sorted distinct nums over den."""
+    ends, den = domain._lattice
+    return sorted_distinct(np.concatenate([2 * ends, ends[1:-1:2] + ends[2::2], [0]])), den
+
+
 def slope_set(domain: GcsDomain) -> tuple[Fraction, ...]:
     """Exact sorted set of one-sided boundary slopes, plus the flat top.
 
@@ -113,21 +120,28 @@ def slope_set(domain: GcsDomain) -> tuple[Fraction, ...]:
     twice every generation-K endpoint e_j from the parabola arcs, the slope
     e_{2i+1} + e_{2i+2} of each chord, and 0 from the ceiling segment.
     """
-    ends, den = domain._lattice
-    nums = np.concatenate([2 * ends, ends[1:-1:2] + ends[2::2]])
-    return tuple(sorted({F(v, den) for v in nums.tolist()} | {F(0)}))
+    nums, den = _slope_numerators(domain)
+    return tuple(F(v, den) for v in nums.tolist())
 
 
 def direction_set(domain: GcsDomain, scale) -> DirectionSet:
     """Slope set snapped to the nearest grid slopes at the given scale.
 
     The exact slopes fill [-1, 1]; the grid admits [-1, 1), so +1 snaps to
-    the largest representable slope. Intended for feeding the maximal
-    operators; use slope_set for exact identities.
+    the largest representable slope. Each v/den rounds half to even in
+    Python ints, as Fraction's round does; rounding is monotone, so the
+    sorted numerators give sorted indices. Intended for feeding the
+    maximal operators; use slope_set for exact identities.
     """
+    nums, den = _slope_numerators(domain)
     n = 1 << scale.k
-    idx = sorted({min(round(a * n), n - 1) for a in slope_set(domain)})
-    return DirectionSet(scale, tuple(int(i) for i in idx), tag="explicit")
+    idx = []
+    for v in nums.tolist():
+        q, r = divmod(v * n, den)
+        q = min(q + (2 * r > den or (2 * r == den and q & 1)), n - 1)
+        if not idx or q != idx[-1]:
+            idx.append(q)
+    return DirectionSet(scale, idx, tag="explicit")
 
 
 # -------------------------------------------------------------------- caps

@@ -217,21 +217,27 @@ def _offset_range(i: int, k: int, x1, y1) -> range:
     return range(-math.ceil(max(0, (i + 1) * x1)), math.ceil(y1 * (1 << k) - min(0, i * x1)))
 
 
-def cantor_slope_indices(s: float, k: int) -> list[int]:
+def cantor_slope_indices(s: float, k: int) -> np.ndarray:
     """Digit-restricted (Cantor-like) slope indices at scale 2^-k.
 
     Binary digits are free exactly at positions i <= k where floor(i*s)
     increments, giving 2^floor(k*s) indices in [0, 2^k) that form a
-    (delta, s, O(1))-regular set of slopes.
+    (delta, s, O(1))-regular set of slopes, as one sorted int64 array. More
+    than maximal._MAX_GRID_CELLS of them are refused before any is made.
     """
+    from tubelab import maximal  # its caps, read at call time; maximal imports this module
     if not (0 < s <= 1):
         raise ValueError("s must lie in (0, 1]")
     free = [i for i in range(1, k + 1) if math.floor(i * s) > math.floor((i - 1) * s)]
-    slopes = [0]
-    for i in free:
-        bit = 1 << (k - i)
-        slopes = slopes + [v + bit for v in slopes]
-    return sorted(slopes)
+    if k > maximal._MAX_SLOPE_K:
+        raise ValueError(f"delta 1/{1 << k}: slope indices fit int64 only up to k = {maximal._MAX_SLOPE_K}")
+    count, cap = 1 << len(free), maximal._MAX_GRID_CELLS
+    if count > cap:
+        raise ValueError(f"delta 1/{1 << k}: {count} Cantor slopes would exceed {cap}")
+    slopes = np.zeros(1, dtype=np.int64)
+    for i in reversed(free):  # smallest bit first: each tops every earlier sum, so slopes stay sorted
+        slopes = np.concatenate([slopes, slopes + (1 << (k - i))])
+    return slopes
 
 
 def cantor_slope_family(
@@ -248,7 +254,7 @@ def cantor_slope_family(
         per_slope = max(1, round(2.0 ** (k * (1.0 - s))))
     rng = random.Random(seed)
     t, b = [], []
-    for i in slopes:
+    for i in slopes.tolist():
         valid = _offset_range(i, k, 1, 1)
         chosen = rng.sample(valid, min(per_slope, len(valid)))
         t += [i] * len(chosen)

@@ -23,7 +23,6 @@ cells, and the dual sum one whose multiplicity histogram could be longer.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -52,36 +51,50 @@ F = Fraction
 # direction sets
 
 
-@dataclass(frozen=True)
+_MAX_SLOPE_K = 62  # slope indices t in [-2^k, 2^k) fit int64 up to here
+
+
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
-    """Sorted distinct slope indices at one scale, with provenance."""
+    """Sorted distinct slope indices at one scale, with provenance. indices
+    is one read-only int64 array, copied from any integer sequence."""
 
     scale: DyadicScale
-    indices: tuple
+    indices: np.ndarray
     tag: str = "explicit"
     s: float | None = None
 
     def __post_init__(self):
-        n = 1 << self.scale.k
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("slope indices must be sorted and distinct")
-        if self.indices and (self.indices[0] < -n or self.indices[-1] >= n):
+        k = self.scale.k
+        if k > _MAX_SLOPE_K:
+            raise ValueError(f"delta 1/{1 << k}: slope indices fit int64 only up to k = {_MAX_SLOPE_K}")
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError(f"slope indices must be integers, got a {idx.ndim}-d {idx.dtype} array")
+        n = 1 << k
+        if idx.size and (idx.min() < -n or idx.max() >= n):
             raise ValueError("slopes must lie in [-1, 1)")
+        idx = idx.astype(np.int64)
+        if not np.all(np.diff(idx) > 0):
+            raise ValueError("slope indices must be sorted and distinct")
+        idx.flags.writeable = False
+        object.__setattr__(self, "indices", idx)
 
     def __len__(self):
         return len(self.indices)
 
     @staticmethod
     def cantor(s: float, scale: DyadicScale) -> "DirectionSet":
-        idx = tuple(sorted(cantor_slope_indices(s, scale.k)))
-        return DirectionSet(scale, idx, "cantor", s)
+        return DirectionSet(scale, cantor_slope_indices(s, scale.k), "cantor", s)
 
     def window(self, omega, rho) -> "DirectionSet":
-        """The indices t with |t delta - omega| <= rho, by two bisections."""
-        omega, rho, d = F(omega), F(rho), self.scale.delta
-        a = bisect.bisect_left(self.indices, math.ceil((omega - rho) / d))
-        b = bisect.bisect_right(self.indices, math.floor((omega + rho) / d))
-        return DirectionSet(self.scale, tuple(self.indices[a:b]), self.tag, self.s)
+        """The indices t with |t delta - omega| <= rho, by two binary searches."""
+        omega, rho, d, n = F(omega), F(rho), self.scale.delta, 1 << self.scale.k
+        # clamped into [-n, n], which keeps the searches in int64 and changes neither
+        lo, hi = (min(max(v, -n), n) for v in (math.ceil((omega - rho) / d), math.floor((omega + rho) / d)))
+        a = np.searchsorted(self.indices, lo, side="left")
+        b = np.searchsorted(self.indices, hi, side="right")
+        return DirectionSet(self.scale, self.indices[a:b], self.tag, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,7 @@ def _tube_sums(f: GridFunction, theta: DirectionSet):
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
-    if not theta.indices:
+    if not len(theta):
         raise ValueError("empty direction set")
     n = 1 << theta.scale.k
     best = None
@@ -431,9 +444,10 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     if rho < d:
         raise ValueError("rho must be at least delta")
     win = theta.window(omega, rho)
-    if not win.indices:
+    if not len(win):
         raise ValueError("empty direction window")
-    a_min, a_max = win.indices[0] * d, win.indices[-1] * d
+    t0, t1 = int(win.indices[0]), int(win.indices[-1])  # Python ints for the exact Fraction code
+    a_min, a_max = t0 * d, t1 * d
     spread = a_max - a_min  # slope spread of the window
     mid = (a_min + a_max + d) / 2
     # sqrt(1+mid^2) bounded above by 1 + mid^2/2, its reciprocal below by
@@ -446,7 +460,7 @@ def bush_construction(theta: DirectionSet, omega, rho) -> BushPair:
     # monotone in the slope a: [a x, (a+d)x + d) for x > 0, ((a+d)x, a x + d)
     # for x < 0, and [0, d) at x = 0. A point in the first and the last
     # window tube is therefore in every tube between them.
-    ends = (DyadicTube(scale.k, win.indices[0], 0), DyadicTube(scale.k, win.indices[-1], 0))
+    ends = (DyadicTube(scale.k, t0, 0), DyadicTube(scale.k, t1, 0))
     candidates = []
     for num in range(6, 0, -1):
         x_half = min(F(num, 8) * d / (spread + d), F(1, 4))
@@ -526,9 +540,9 @@ class Assignment(Mapping):
     __slots__ = ("k", "idx")
 
     def __init__(self, theta: DirectionSet):
-        if not theta.indices:
+        if not len(theta):
             raise ValueError("empty direction set")
-        self.k, self.idx = theta.scale.k, np.asarray(theta.indices, dtype=np.int64)
+        self.k, self.idx = theta.scale.k, theta.indices
 
     def _runs(self, cols):
         """(lo, hi, c), each (len(idx), len(cols)): in column i, idx[q] takes rows

@@ -110,12 +110,13 @@ def brute_aim_assignment(theta, cells=None) -> dict:
     origin to its center, and the offset row of that line at the tube's scale."""
     k = theta.scale.k
     n = 1 << k
+    idx = theta.indices.tolist()  # Python ints, compared exactly with Fractions
     out = {}
     for i, j in itertools.product(range(n), repeat=2) if cells is None else cells:
         cx, cy = F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)
         target = cy / cx * n  # in units of delta
-        p = bisect.bisect_left(theta.indices, target)
-        t = min(theta.indices[max(p - 1, 0) : p + 1], key=lambda a: abs(a - target))
+        p = bisect.bisect_left(idx, target)
+        t = min(idx[max(p - 1, 0) : p + 1], key=lambda a: abs(a - target))
         out[(i, j)] = DyadicTube(k, t, math.floor((cy - F(t, n) * cx) * n))
     return out
 

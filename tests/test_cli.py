@@ -464,6 +464,16 @@ class TestRun:
             "FAIL,nikodym,delta 1/8192: a 8192x8192 grid would exceed 16777216 cells\n"
         )
 
+    @pytest.mark.parametrize("kind", ["nikodym", "kakeya", "dualsum"])
+    def test_cantor_slope_cap_failure_row(self, tmp_path, capsys, monkeypatch, kind):
+        # the Cantor set is refused before it is built, and before the
+        # operator's own guard: 2^9 slopes at s = 1, 2^-9 exceed a 2^8 cap
+        monkeypatch.setattr(maximal, "_MAX_GRID_CELLS", 1 << 8)  # read at call time
+        (tmp_path / "c.cfg").write_text(f"[experiment]\nkind = {kind}\ndeltas = 1/512\np = 2\ns = 1\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == f"FAIL,{kind},delta 1/512: 512 Cantor slopes would exceed 256\n"
+
     def test_dualsum_grid_cap_failure_row(self, tmp_path, capsys, monkeypatch):
         # the dual sum's guard bounds its multiplicity histogram: 409 entries
         # at 2^-5, 1413 at 2^-6 for s = 1/2

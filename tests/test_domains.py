@@ -5,6 +5,7 @@ point), closed-form chord/tangent identities, setgen's multiset slot
 kernel, and frozen exact counts from deterministic constructions.
 """
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -180,6 +181,66 @@ class TestSlopeSet:
         assert ds.indices[-1] == 63  # slope 1 clips into the grid range
         assert ds.indices[0] == -64
         assert len(ds.indices) == len(set(ds.indices))
+
+
+@functools.lru_cache(maxsize=None)
+def _rounding_domain(kind: str, depth: int, layout: tuple = ()) -> GcsDomain:
+    if kind == "middle-thirds":
+        return mt_domain(depth)
+    if kind == "doubling":
+        return gcs_domain(build_moran(doubling_branch_spec(3), depth))
+    (n1, c1), (n2, c2) = layout
+    return gcs_domain(build_moran(setgen.moran_spec_from_config(
+        f"n = {n1}, {n2}\nc = {c1}, {c2}\noffsets = even\n"), 2))
+
+
+@st.composite
+def _rounding_domains(draw):
+    """Flush domains: middle-thirds (den 2 * 3^K), the doubling preset (a
+    dyadic den, so v 2^k / den meets exact half-way ties) and random
+    two-level [moran] specs with evenly spaced children, whose lattice
+    outgrows int64 (an object array) when both levels draw den 2^40."""
+    kind = draw(st.sampled_from(["middle-thirds", "doubling", "two-level"]))
+    if kind != "two-level":
+        return _rounding_domain(kind, draw(st.integers(1, 4 if kind == "doubling" else 8)))
+    layout = []
+    for _ in range(2):
+        n = draw(st.integers(2, 4))
+        den = draw(st.sampled_from([d for d in (4, 5, 6, 8, 9, 16, 32, 1 << 40) if d > n]))
+        layout.append((n, F(draw(st.integers(1, (den - 1) // n)), den)))
+    return _rounding_domain(kind, 2, tuple(layout))
+
+
+class TestDirectionSetRounding:
+    """direction_set against the Fraction rule it replaced, kept here."""
+
+    @staticmethod
+    def reference(d, k):
+        n = 1 << k
+        return sorted({min(round(a * n), n - 1) for a in slope_set(d)})
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_rounding_domains(), st.data())
+    def test_matches_fraction_round(self, d, data):
+        # k up to log2(den) puts v 2^k / den on half-way points
+        bits = d._lattice[1].bit_length()
+        k = data.draw(st.integers(1, min(62, bits)) | st.integers(1, 62))
+        got = direction_set(d, DyadicScale(k))
+        assert got.indices.tolist() == self.reference(d, k)
+        assert got.tag == "explicit"
+
+    def test_half_way_ties_are_met(self):
+        # the doubling preset's dyadic den gives exact ties, which round to even
+        d = _rounding_domain("doubling", 2)
+        ties = sorted({k for k in range(1, 63) for a in slope_set(d) if (a * (1 << k)).denominator == 2})
+        assert ties
+        for k in ties:
+            assert direction_set(d, DyadicScale(k)).indices.tolist() == self.reference(d, k)
+
+    @pytest.mark.parametrize("k", [63, 64])
+    def test_scale_past_int64_refused(self, k):
+        with pytest.raises(ValueError, match="fit int64 only up to k = 62"):
+            direction_set(mt_domain(2), DyadicScale(k))
 
 
 class TestCapCover:

@@ -4,6 +4,7 @@ Oracles: naive per-cell tube averaging, brute-force raster accumulation,
 and exact closed-form identities on degenerate inputs.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -23,7 +24,7 @@ from tubelab.core import (
     rasterize_tube,
     tube_count_grid,
 )
-from tubelab.incidence import TubeFamily, tube_count_histogram
+from tubelab.incidence import TubeFamily, cantor_slope_indices, tube_count_histogram
 from tubelab.maximal import (
     Assignment,
     BushCore,
@@ -103,11 +104,69 @@ class TestDirectionSet:
             assert len(th) == 1 << math.floor(k * S_LOG23)
             assert th.tag == "cantor" and th.s == S_LOG23
 
+    @pytest.mark.parametrize("indices", [(0.5,), (1.0, 2.0), (True,), np.array([0.0]), [np.float64(3)], ("1",)])
+    def test_non_integer_indices_refused(self, indices):
+        # a fractional index once reached dual_sum_norm, which read (0.5,) as t = 0
+        with pytest.raises(ValueError, match="must be integers"):
+            DirectionSet(DyadicScale(4), indices)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(0, 62), st.data())
+    def test_accepts_exactly_sorted_distinct_in_range_integers(self, k, data):
+        n = 1 << k
+        near = st.integers(-n - 2, n + 1) | st.sampled_from([-n, n - 1])
+        vals = data.draw(st.lists(near | st.integers(-(1 << 70), 1 << 70), max_size=8)
+                         | st.lists(near, max_size=8).map(sorted)
+                         | st.lists(near, max_size=8, unique=True).map(sorted))
+        forms = [tuple, list, lambda v: tuple(np.int64(x) for x in v), lambda v: np.array(v, dtype=np.int64)]
+        if all(-n <= x < n for x in vals):
+            forms.append(lambda v: np.array(v, dtype=np.int64 if k > 30 else np.int32))
+        form = data.draw(st.sampled_from(forms if all(-(1 << 63) <= x < 1 << 63 for x in vals) else forms[:2]))
+        given_ = form(vals)
+        ok = all(-n <= x < n for x in vals) and all(a < b for a, b in zip(vals, vals[1:]))
+        if not ok:
+            with pytest.raises(ValueError):
+                DirectionSet(DyadicScale(k), given_)
+            return
+        th = DirectionSet(DyadicScale(k), given_)
+        assert th.indices.dtype == np.int64 and th.indices.ndim == 1
+        assert not th.indices.flags.writeable
+        assert th.indices.tolist() == vals and len(th) == len(vals)
+        if isinstance(given_, np.ndarray):  # copied, so the caller's array stays writeable
+            assert given_.flags.writeable and not np.shares_memory(given_, th.indices)
+
+    @pytest.mark.parametrize("k", [63, 64, 80])
+    def test_scale_past_int64_refused(self, k):
+        # a few Cantor slopes at s = 0.1 would pass the count guard, but not
+        # fit int64 at k = 80
+        for make in (lambda: DirectionSet(DyadicScale(k), (0,)), lambda: DirectionSet.cantor(0.1, DyadicScale(k))):
+            with pytest.raises(ValueError, match=f"^delta 1/{1 << k}: slope indices fit int64 only up to k = 62$"):
+                make()
+
+    def test_two_dimensional_indices_refused(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            DirectionSet(DyadicScale(4), np.array([[0, 1]]))
+
+    def test_cantor_indices_double_over_free_bits(self):
+        for s, k in ((S_LOG23, 9), (0.5, 12), (1.0, 8), (0.3, 1)):
+            free = [i for i in range(1, k + 1) if math.floor(i * s) > math.floor((i - 1) * s)]
+            want = sorted(sum(c) for c in itertools.product(*[(0, 1 << (k - i)) for i in free]))
+            idx = cantor_slope_indices(s, k)
+            assert idx.dtype == np.int64 and idx.tolist() == want
+
+    def test_cantor_count_guard(self, monkeypatch):
+        # refused before any index is made, with the cap read at call time:
+        # at 2^8, k = 8 builds 2^8 slopes and k = 9 would build 2^9
+        monkeypatch.setattr(maximal, "_MAX_GRID_CELLS", 1 << 8)
+        assert len(DirectionSet.cantor(1.0, DyadicScale(8))) == 256
+        with pytest.raises(ValueError, match=r"^delta 1/512: 512 Cantor slopes would exceed 256$"):
+            cantor_slope_indices(1.0, 9)
+
     def test_window(self):
         sc = DyadicScale(4)
         th = DirectionSet(sc, tuple(range(-16, 16)))
         w = th.window(F(1, 2), F(1, 8))
-        assert w.indices == (6, 7, 8, 9, 10)
+        assert w.indices.tolist() == [6, 7, 8, 9, 10]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.integers(1, 8), st.data())
@@ -124,7 +183,7 @@ class TestDirectionSet:
         lo, hi = data.draw(ends), data.draw(ends)
         omega, rho = (lo + hi) / 2, (hi - lo) / 2
         w = th.window(omega, rho)
-        assert w.indices == tuple(t for t in th.indices if abs(t * d - omega) <= rho)
+        assert w.indices.tolist() == [t for t in th.indices.tolist() if abs(t * d - omega) <= rho]
         assert (w.scale, w.tag, w.s) == (th.scale, th.tag, th.s)
 
 
@@ -679,7 +738,7 @@ class TestBushConstruction:
         sc = DyadicScale(6)
         th = DirectionSet(sc, (5,))
         b = bush_construction(th, F(5, 64), sc.delta)
-        assert b.window.indices == (5,)
+        assert b.window.indices.tolist() == [5]
         (tube,) = _window_tubes(b)
         assert all(tube.contains(x, y) for x, y in b.core.vertices())
 
@@ -687,7 +746,7 @@ class TestBushConstruction:
         sc = DyadicScale(6)
         th = DirectionSet.cantor(S_LOG23, sc)
         b = bush_construction(th, F(1, 2), F(1, 4))
-        assert b.window.indices == tuple(t for t in th.indices if abs(t * sc.delta - F(1, 2)) <= F(1, 4))
+        assert b.window.indices.tolist() == [t for t in th.indices.tolist() if abs(t * sc.delta - F(1, 2)) <= F(1, 4)]
 
     @pytest.mark.parametrize("omega,rho", [(F(1, 4), F(1, 16)), (F(5, 8), F(1, 8))])
     def test_core_average_on_central_cells(self, omega, rho):
