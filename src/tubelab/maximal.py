@@ -576,6 +576,11 @@ def dual_sum_norm(asg: Assignment, pprime: float) -> Measurement:
     if pprime < 1:
         raise ValueError("p' must be >= 1")
     k, idx, n = asg.k, asg.idx, 1 << asg.k
+    # the n^2 cells each add 1 to one of the 3n offsets of their slope, so
+    # sum_q max w >= n/3 and the guard below refuses this n after its walk
+    if 4 * n >= 3 * _MAX_GRID_CELLS:
+        raise ValueError(f"delta 1/{n}: a multiplicity histogram of at least {4 * -(-n // 3) + 1} "
+                         f"entries would exceed {_MAX_GRID_CELLS}")
     base = (np.arange(len(idx), dtype=np.int64) * (4 * n) + n)[:, None]
     keys, steps, a_max = np.zeros(0, dtype=np.int64), np.zeros(0), 0
     step = max(1, _BLOCK_CELLS // len(idx))

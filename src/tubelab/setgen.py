@@ -273,8 +273,11 @@ def box_dim_ratio(m: MoranSet, k_lo: int, K: int) -> float:
 
 def _sorted_floats(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
-        return np.sort(points.astype(np.float64))
-    arr = np.asarray([float(p) for p in points], dtype=np.float64)
+        if points.dtype == np.float64 and points.ndim == 1 and (points[1:] >= points[:-1]).all():
+            return points
+        arr = points.astype(np.float64)
+    else:
+        arr = np.asarray([float(p) for p in points], dtype=np.float64)
     arr.sort()
     return arr
 
@@ -285,12 +288,15 @@ class BallCounter1D:
     A ball of radius r placed at the leftmost uncovered point x covers
     [x, x + 2r]. The jump to the next uncovered index is binary-lifted in
     int32 tables, table b holding 2^b jumps, kept while 2^b jumps from the
-    first point stop short of the end. Jumps are monotone in the start,
-    float rounding included, so no run of the sorted points needs more
-    balls than all of them, and a table whose first entry is the end holds
-    only the end: the L = (tot - 1).bit_length() tables kept, O(log tot)
-    for a whole-set cover of tot balls, count up to 2^L balls and answer
-    every query in L vector operations.
+    first point stop short of the end and b <= h = ceil(bit_length(n) / 2).
+    Jumps are monotone in the start, float rounding included, so no run of
+    the sorted points needs more balls than all of them, and a table whose
+    first entry is the end holds only the end. The min(L, h + 1) tables
+    kept, L = (tot - 1).bit_length() for a whole-set cover of tot balls,
+    count up to 2^L balls by descent. When the cover outgrows 2^(h + 1)
+    balls, a run first strides by table h while it lands before its end,
+    at most n / 2^h < 2^floor(bit_length(n) / 2) steps, and then descends
+    tables h - 1..0 for the fewer than 2^h balls left.
     """
 
     def __init__(self, xs: np.ndarray, r: float):
@@ -299,18 +305,38 @@ class BallCounter1D:
             raise ValueError(f"{n} points: int32 jump tables hold fewer than 2^31")
         self.xs = xs
         self.n = n
-        t = np.append(np.searchsorted(xs, xs + 2.0 * r, side="right"), n).astype(np.int32)
+        h = (n.bit_length() + 1) // 2
+        t = np.empty(n + 1, dtype=np.int32)
+        t[n] = n
+        for i in range(0, n, 1 << 15):
+            x = xs[i : i + (1 << 15)]
+            t[i : i + len(x)] = np.searchsorted(xs, x + 2.0 * r, side="right")
         self.tables = []
         while t[0] < n:
             self.tables.append(t)
+            if len(self.tables) > h:
+                break
             t = t[t]
+        # runs stride by table h when the whole cover outgrows 2^(h + 1) balls
+        self.stride = len(self.tables) > h and bool(t[t[0]] < n)
 
     def runs(self, pos: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Ball counts for the index runs [pos, end) of the sorted points."""
         inside = pos < end
         cnt = inside.astype(np.int64)
         pos = np.where(inside, pos, self.n)
-        for b in range(len(self.tables) - 1, -1, -1):
+        bits = len(self.tables)
+        if self.stride:
+            bits -= 1
+            top, live = self.tables[bits], np.flatnonzero(inside)
+            end = np.broadcast_to(end, pos.shape)
+            while len(live):
+                cand = top[pos[live]]
+                ok = cand < end[live]
+                live = live[ok]
+                pos[live] = cand[ok]
+                cnt[live] += 1 << bits
+        for b in range(bits - 1, -1, -1):
             cand = self.tables[b][pos]
             ok = cand < end
             pos = np.where(ok, cand, pos)

@@ -485,6 +485,16 @@ class TestRun:
             "FAIL,dualsum,delta 1/64: a multiplicity histogram of up to 1413 entries would exceed 1024\n"
         )
 
+    def test_dualsum_refused_before_column_walk(self, tmp_path, capsys):
+        # 8 Cantor slopes at s = 0.1, 2^-30: refused by n alone, at once
+        (tmp_path / "c.cfg").write_text("[experiment]\nkind = dualsum\ndeltas = 1/1073741824\ns = 0.1\n")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "FAIL,dualsum,delta 1/1073741824: a multiplicity histogram of at least 1431655769 "
+            "entries would exceed 16777216\n"
+        )
+
     def test_domain_depth_failure_row(self, tmp_path, capsys):
         # K(2^-18) = 2 for the doubling preset, one level past the built depth
         (tmp_path / "c.cfg").write_text(

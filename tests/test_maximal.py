@@ -6,6 +6,7 @@ and exact closed-form identities on degenerate inputs.
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -940,10 +941,41 @@ class TestDualSumNorm:
             try:
                 v = dual_sum_norm(asg, 2.0)
             except ValueError as err:
-                assert str(err).startswith(f"delta 1/{1 << k}: a multiplicity histogram of up to ")
+                # from 4n >= 3 cap the refusal comes before the column walk,
+                # with its lower bound 4 ceil(n/3) + 1
+                n = 1 << k
+                size = f"at least {4 * -(-n // 3) + 1}" if 4 * n >= 3 * cap else "up to "
+                assert str(err).startswith(f"delta 1/{n}: a multiplicity histogram of {size}")
                 assert str(err).endswith(f" entries would exceed {cap}") and calls == []
             else:
                 assert v.details["max_multiplicity"] < cap and calls == [1]
+
+    @pytest.mark.parametrize("k", [24, 30])
+    def test_refuses_before_column_walk(self, k, monkeypatch):
+        # 4 and 8 Cantor slopes at s = 0.1: each of the n^2 cells adds 1 to
+        # one of its slope's 3n offsets, so the top multiplicity is at least
+        # 4n/3, over the cap from k = 24 on, and no column is walked
+        asg = aim_at_origin_assignment(DirectionSet.cantor(0.1, DyadicScale(k)))
+        monkeypatch.setattr(type(asg), "_runs", None)  # a walk would call it
+        n = 1 << k
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            dual_sum_norm(asg, 2.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(err.value) == (
+            f"delta 1/{n}: a multiplicity histogram of at least {4 * -(-n // 3) + 1} "
+            f"entries would exceed {maximal._MAX_GRID_CELLS}"
+        )
+
+    def test_fine_refusal_keeps_message(self):
+        # at 2^-15 the bound 4n/3 is under the cap: the guard after the
+        # column walk refuses it, as before
+        asg = aim_at_origin_assignment(DirectionSet.cantor(S_LOG23, DyadicScale(15)))
+        with pytest.raises(ValueError) as err:
+            dual_sum_norm(asg, 1 + 1 / S_LOG23)
+        assert str(err.value) == (
+            "delta 1/32768: a multiplicity histogram of up to 49687765 entries would exceed 16777216"
+        )
 
     def test_memory_at_k12(self):
         # the pass holds the distinct tubes, one column block and the

@@ -1118,10 +1118,48 @@ def test_ball_counter_matches_brute_windows(case, closed_right):
     counter = setgen.BallCounter1D(np.array(xs), r)
     lo, hi = zip(*windows)
     assert counter.counts(lo, hi, closed_right).tolist() == brute_window_counts(xs, r, windows, closed_right)
-    # a table is kept while its jumps from the first point stop short of the end
+    # a table b is kept while its jumps from the first point stop short of
+    # the end and b <= h
     tot = brute_window_counts(xs, r, [(xs[0], xs[-1])], closed_right=True)[0]
-    assert len(counter.tables) == (tot - 1).bit_length()
+    h = (len(xs).bit_length() + 1) // 2
+    assert len(counter.tables) == min((tot - 1).bit_length(), h + 1)
+    assert counter.stride == (tot > 1 << (h + 1))
     assert all(t.dtype == np.int32 and len(t) == len(xs) + 1 for t in counter.tables)
+
+
+@st.composite
+def _stride_cases(draw):
+    """(sorted xs, r, windows) whose whole-set cover outgrows 2^(h + 1)
+    balls, h = ceil(bit_length(n) / 2): 2^(h + 1) steps of 3r, each of which
+    opens a ball, shuffled among steps of 0 (repeats), exactly 2r (covered
+    by the ball before) and more than 2r. Windows take the whole set, empty
+    runs, and ends at, between or outside the points."""
+    r = draw(st.sampled_from([2.0 ** -a for a in range(2, 9)]) | st.floats(1e-4, 0.5))
+    n = draw(st.integers(17, 300))  # 16 points cover in at most 2^(h + 1) = 16 balls
+    h = (n.bit_length() + 1) // 2
+    free = n - 1 - (1 << (h + 1))
+    steps = draw(st.lists(st.sampled_from([0.0, 2 * r, 3 * r, 5 * r]), min_size=free, max_size=free))
+    steps = draw(st.permutations(steps + [3 * r] * (1 << (h + 1))))
+    xs = np.cumsum([draw(st.floats(-1, 1))] + steps).tolist()
+    end = st.sampled_from(xs) | st.floats(xs[0] - 1, xs[-1] + 1)
+    windows = draw(st.lists(st.tuples(end, end).map(sorted), min_size=1, max_size=8))
+    gap = xs[0] - 1
+    windows += [(xs[0], xs[-1]), (gap, xs[-1] + 1), (gap, gap), (xs[-1] + 1, xs[-1] + 2)]
+    return xs, r, windows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_stride_cases(), st.booleans())
+def test_ball_counter_stride_matches_brute_windows(case, closed_right):
+    xs, r, windows = case
+    counter = setgen.BallCounter1D(np.array(xs), r)
+    lo, hi = zip(*windows)
+    assert counter.counts(lo, hi, closed_right).tolist() == brute_window_counts(xs, r, windows, closed_right)
+    # the stride ran: h + 1 tables kept, the whole cover above 2^(h + 1)
+    tot = brute_window_counts(xs, r, [(xs[0], xs[-1])], closed_right=True)[0]
+    h = (len(xs).bit_length() + 1) // 2
+    assert tot > 1 << (h + 1)
+    assert counter.stride and len(counter.tables) == h + 1
 
 
 def test_ball_counter_refuses_int32_overflow():
@@ -1134,25 +1172,27 @@ def test_ball_counter_refuses_int32_overflow():
 
 
 def test_qa_profile_holds_one_table_set():
-    # depth-14 middle-thirds endpoints, n = 2^15, at delta = 3^-14: radii
-    # 2^-a for a <= 22, windows of width 2^-b for b <= floor(0.75 a) <= 16.
-    # The largest counter keeps L = (n - 1).bit_length() = 15 int32 tables
-    # of n + 1 entries (the whole-set cover has at most n balls) and builds
-    # one more that it drops, 16 at its peak;
-    # the window runs are two int64 arrays per width; the transients are
-    # at most four n-float arrays (the sorted copy of the input, x + 2r, and
-    # the int64 jump index with its sentinel before the int32 cast). Two
-    # int64 table sets alive at once, 2 * 16 * 8 * (n + 1) bytes, exceed it.
-    xs = build_moran(middle_thirds_spec(), 14).endpoint_values(14)
-    n, delta = len(xs), F(3) ** -14
+    # check 02's input, the depth-16 middle-thirds endpoints, n = 2^17, at
+    # delta = 3^-16: radii 2^-a for a <= 25, windows of width 2^-b for
+    # b <= floor(0.75 a) <= 18. A counter keeps at most h + 1 int32 tables
+    # of n + 1 entries, h = ceil(bit_length(n) / 2) = 9, and builds no more;
+    # the window runs are two int64 arrays per width; the sorted input is
+    # read in place, and the first table is filled from chunks of 2^15
+    # points, each with its x + 2r and int64 search result. The parent's
+    # (n - 1).bit_length() + 1 = 18 tables of one counter exceed it, and so
+    # would two n-long transients of 8 bytes.
+    xs = build_moran(middle_thirds_spec(), 16).endpoint_values(16)
+    n, delta = len(xs), F(3) ** -16
+    h = (n.bit_length() + 1) // 2
     qa_profile(xs[:64], 0.25, delta)  # first-call allocations outside the trace
-    windows = sum(len(np.unique(np.floor(xs * 2.0 ** b))) for b in range(17))
-    bound = ((n - 1).bit_length() + 1) * (n + 1) * 4 + windows * 2 * 8 + 4 * 8 * n
+    windows = sum(len(np.unique(np.floor(xs * 2.0 ** b))) for b in range(19))
+    bound = (h + 1) * (n + 1) * 4 + windows * 2 * 8 + 2 * 8 * (1 << 15)
     tracemalloc.start()
     try:
         qa_profile(xs, 0.25, delta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * 16 * 8 * (n + 1) > bound
+    assert ((n - 1).bit_length() + 1) * (n + 1) * 4 > bound
+    assert (h + 1) * (n + 1) * 4 + windows * 2 * 8 + 2 * 8 * n > bound
     assert peak <= bound
