@@ -154,9 +154,12 @@ class CellSet:
 
     def __init__(self, k: int, idx):
         arr = np.asarray(idx, dtype=np.int64).reshape(-1, 2)
-        if len(arr):
+        (c1, r1), (c0, r0) = arr[1:].T, arr[:-1].T
+        if not ((c1 > c0) | ((c1 == c0) & (r1 > r0))).all():  # sort and dedup unless in order
             arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
             arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
+        elif isinstance(idx, np.ndarray) and np.may_share_memory(arr, idx):
+            arr = arr.copy()  # idx is the set's own, not a view of the caller's array
         self.k = k
         self.idx = arr
 
@@ -182,6 +185,15 @@ def _tube_column_rows(tube: DyadicTube, kg: int, m: int) -> tuple[int, int]:
     return lo_u >> k, ceil_div(up_u, 1 << k)
 
 
+def _slope_hull(a, m, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row ranges [lo, hi) of the tubes DyadicTube(k, a, 0) over the grid
+    columns m at the tube scale, for int64 arrays a and m that broadcast."""
+    vals = (a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1))
+    lo = np.minimum(np.minimum(vals[0], vals[1]), np.minimum(vals[2], vals[3])) >> k
+    up = np.maximum(np.maximum(vals[0], vals[1]), np.maximum(vals[2], vals[3]))
+    return lo, 1 - ((-up) >> k)
+
+
 def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
     """Row ranges [lo, hi) of the tubes DyadicTube(k, t[q], b[q]) (or one b
     for all) over the grid columns cols at the tube scale: two
@@ -191,15 +203,12 @@ def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
     offset only shifts rows, so the hull is computed once per distinct slope.
     """
     slopes, inv = np.unique(np.ravel(t).astype(np.int64), return_inverse=True)
-    a, m = slopes[:, None], np.asarray(cols, dtype=np.int64)[None, :]
-    vals = (a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1))
-    lo = np.minimum(np.minimum(vals[0], vals[1]), np.minimum(vals[2], vals[3])) >> k
-    up = np.maximum(np.maximum(vals[0], vals[1]), np.maximum(vals[2], vals[3]))
+    lo, hi = _slope_hull(slopes[:, None], np.asarray(cols, dtype=np.int64)[None, :], k)
     off = np.ravel(b).astype(np.int64)[:, None]
-    return lo[inv] + off, 1 - ((-up) >> k)[inv] + off
+    return lo[inv] + off, hi[inv] + off
 
 
-_COUNT_CHUNK = 1 << 19  # bound on a column block's tube entries plus difference cells
+_COUNT_CHUNK = 1 << 17  # bound on a column block's tube entries plus difference cells
 
 
 def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights=None):
@@ -215,7 +224,8 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
     the grid never hold all of it. A block is a view of one band buffer
     that the next block overwrites, so a caller copies what it keeps: the
     iterator holds that buffer and one event buffer, two parts of one
-    scratch array of about _COUNT_CHUNK cells, and allocates neither again.
+    scratch array of about _COUNT_CHUNK cells (1 MiB), and allocates
+    neither again.
     """
     n = 1 << k
     t, b = np.ravel(t).astype(np.int64), np.ravel(b).astype(np.int64)
@@ -232,13 +242,14 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
     b_lo, b_hi = b[last - per_slope + 1], b[last]  # each slope's offset range
 
     def reach(cols):
-        """Slope rows over cols and the rows [lo, hi) any tube reaches there."""
-        lo, hi = tube_rows(slopes, 0, k, cols)
-        return lo, hi, int((lo.min(axis=1) + b_lo).min()), int((hi.max(axis=1) + b_hi).max())
+        """Slope rows over cols, each (len(cols), len(slopes)), and the rows
+        [lo, hi) any tube reaches there."""
+        lo, hi = _slope_hull(slopes[None, :], cols[:, None], k)
+        return lo, hi, int((lo.min(axis=0) + b_lo).min()), int((hi.max(axis=0) + b_hi).max())
 
     # the lower hull is concave and the upper convex along x, so each
     # tube's extreme rows sit in the first or the last column
-    *_, top0, top1 = reach((0, n - 1))
+    *_, top0, top1 = reach(np.array([0, n - 1]))
     if rows is None:
         rows = top0, top1
     r0, r1 = max(rows[0], top0), min(rows[1], top1)  # window rows a tube reaches
@@ -249,13 +260,10 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
         if r0 >= r1:
             return
         step = max(1, min(n, _COUNT_CHUNK // (len(t) + r1 - r0 + 1)))
-        # one allocation for both buffers: glibc's malloc raises its mmap
-        # threshold to the largest block freed, so freeing one ~_COUNT_CHUNK
-        # block, rather than two whose split depends on the family, leaves
-        # the same threshold for the caller's later temporaries every time
         scratch = np.empty(step * (len(t) + r1 - r0 + 1), dtype=np.int64)
         events, band = scratch[: step * len(t)], scratch[step * len(t) :]
         tube_slope = np.repeat(np.arange(len(slopes)), per_slope)
+        wts = 1 if unit else counts[:0]  # tiled once per block width
         for m0 in range(0, n, step):
             cols = np.arange(m0, min(m0 + step, n))
             lo, hi, j0, j1 = reach(cols)
@@ -269,15 +277,18 @@ def tube_count_blocks(t, b, k: int, rows: tuple[int, int] | None = None, weights
             w = j1 - j0 + 1
             diff = band[: len(cols) * w]
             diff.fill(0)
-            ev = events[: len(t) * len(cols)].reshape(len(t), len(cols))
-            wts = 1 if unit else np.repeat(counts, len(cols))
+            # column-major events: each in-place pass runs over whole columns
+            ev = events[: len(cols) * len(t)].reshape(len(cols), len(t))
+            if not unit and len(wts) != ev.size:
+                wts = np.tile(counts, len(cols))
+            shift = ((cols - m0) * w - j0)[:, None]
             for end, at in ((lo, np.add.at), (hi, np.subtract.at)):
                 # each tube's slope rows; mode="clip" (the indices are valid)
                 # spares the buffered copy that out= makes under mode="raise"
-                np.take(end, tube_slope, axis=0, out=ev, mode="clip")
-                ev += b[:, None]  # shift by the offset, clip, index the band
+                np.take(end, tube_slope, axis=1, out=ev, mode="clip")
+                ev += b  # shift by the offset, clip, index the band
                 np.clip(ev, j0, j1, out=ev)
-                ev += (cols - m0) * w - j0
+                ev += shift
                 at(diff, ev.ravel(), wts)
             diff = diff.reshape(len(cols), w)
             yield m0, j0 - rows[0], np.cumsum(diff, axis=1, out=diff)

@@ -70,8 +70,11 @@ def rich_points(family: TubeFamily, r: int) -> RichPointSet:
         cells.append(np.argwhere(mask) + (m0, j0))
         counts.append(block[mask])
     # blocks come in column order and argwhere and the mask list each one's
-    # cells in row-major order, so the cells are in CellSet order
-    return RichPointSet(r, CellSet(k, np.concatenate(cells)), np.concatenate(counts))
+    # cells in row-major order, so the cells are in CellSet order, which
+    # CellSet checks and keeps; each list is freed as it is joined
+    counts = np.concatenate(counts)
+    cells = np.concatenate(cells)
+    return RichPointSet(r, CellSet(k, cells), counts)
 
 
 def tube_count_histogram(t, b, k: int, rows: tuple[int, int] | None = None, weights=None) -> np.ndarray:

@@ -5,15 +5,16 @@ tubes: for slope index t, the tube centered at cell (m, n) occupies, in each
 of the 2^k columns ix in [m - 2^(k-1), m + 2^(k-1)), the four rows
 n + sigma(ix) - sigma(m) + {-2, -1, 0, 1} with sigma(ix) = (t*ix + 2^(k-1)) >> k.
 All tubes then hold the same cell count, so tube averages are plain sums, and
-a per-direction pass reduces to a vertical 4-window sum, a shear gather, a
-prefix sum along columns, and an endpoint gather.
+a per-direction pass reduces to a vertical 4-window sum and one running row
+of prefix sums along the columns, into which each column's sheared rows are
+added in place and out of which each center's endpoints are read.
 
 Both operators reduce one pass, _tube_sums: Nikodym by the max over
 directions at each cell, Kakeya by the max over cells in each direction.
 A pass works only where f's box reaches, the columns it fills and the
 band of centers their sheared rows reach: a direction costs time in
 proportion to f's box plus that band (2^k times its height), not to
-(2^k)^2, and memory to f's box, one column block and the band. f's
+(2^k)^2, and memory to f's box, one running row and the band. f's
 dtype picks the sums': integer-typed f with small values, such as the
 int8 indicators, sums in int32 and everything else in float64; an
 integer f and its float copy give bit-identical averages. A pass refuses a
@@ -23,6 +24,7 @@ cells, and the dual sum one whose multiplicity histogram could be longer.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -187,7 +189,7 @@ def _sigma(t: int, ix: np.ndarray, k: int) -> np.ndarray:
     return (t * ix + (1 << (k - 1))) >> k
 
 
-_BLOCK_CELLS = 1 << 18  # bound on the cells of one column block of the shear pass
+_BLOCK_CELLS = 1 << 18  # bound on the cells of one block of lp_norm and dual_sum_norm
 _MAX_GRID_CELLS = 1 << 24  # most cells of a (2^k)^2 grid (k <= 12) or histogram a pass holds
 
 
@@ -253,7 +255,15 @@ def _shear_pad(k: int) -> int:
     return (1 << k) + (1 << (k - 1))
 
 
-def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray):
+def _windows(a: np.ndarray, L: int) -> np.ndarray:
+    """The view w of a with w[..., j, :] = a[..., j : j + L], which writes
+    through to a: sliding_window_view along the last axis, without its
+    per-call checks."""
+    shape = a.shape[:-1] + (a.shape[-1] - L + 1, L)
+    return np.lib.stride_tricks.as_strided(a, shape, a.strides + a.strides[-1:])
+
+
+def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray, row: np.ndarray):
     """(m0, j0, out): out[i, h] is the sum of f over the tube in direction t
     centered at (m0 + i, j0[i] + h); the tube average is that over 4 * 2^k.
     Every center of [0,1)^2 outside these windows has tube sum 0. out is a
@@ -271,77 +281,85 @@ def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray):
     every other center Q[m + 2^k] and Q[m] are equal and the sum is x - x
     = 0. Each live center gets a window of L = min(rb - ra, 2^k) rows inside
     [0, 2^k) that holds all its band rows; for a function on the whole read
-    window that is every row of every center.
+    window that is every row of every center. sigma is monotone in ix, so
+    these bounds come from sigma at the ends of f's columns and of the
+    centers, and the live centers are one run, found by bisection.
 
-    W and Q are made one block of columns at a time, about _BLOCK_CELLS
-    cells, in v4's dtype. The last Q row of a block is carried into the next
-    by adding it to that block's first W row before the prefix sum: the same
-    sequential additions as one prefix sum of the whole strip. Q[m] is
-    written into out[m] as its block passes, and Q[m + 2^k] - out[m] into
-    out[m] when that row's block passes, or after the last block.
+    Q is one running row of the rows [Ra, Rb) that the windows cover, held
+    in row (v4's dtype): adding W[c] into it in place, column by column,
+    makes the same sequential additions as a prefix sum down the columns.
+    When it holds Q[m], its window is copied into out[m], and when it holds
+    Q[m + 2^k], out[m] is subtracted from it in place; after the last
+    column it holds Q[cb], which the centers with m + 2^k > cb take.
     """
     n = 1 << k
     K = n >> 1
+    t = int(t)
     v4, ca, (ya, yb) = s4.v4, s4.c0, s4.rows
     cb = min(ca + len(v4), 2 * n - 1)  # the last column feeds only Q[2n], never read
-    sig = _sigma(t, np.arange(2 * n) - K, k)
-    sig_c = sig[K : K + n]  # centers m in [0, n)
-    lo, hi = -int(sig_c.max()), n - int(sig_c.min())
-    start = -sig_c - lo  # the Q row of center (m, 0)
+
+    def sig(c):  # sigma at column c
+        return _sigma(t, c - K, k)
+
     none = 0, np.zeros(0, dtype=np.int64), buf[:0].reshape(0, 0)
     if ca >= cb:
         return none
-    ra = max(0, ya - lo - int(sig[ca:cb].max()))
-    rb = min(hi - lo, yb - lo - int(sig[ca:cb].min()))
-    # start is monotone in m, so the live centers are one run
-    m = np.arange(max(0, ca - n + 1), min(n, cb))
-    live = m[(start[m] < rb) & (start[m] + n > ra)]
-    if not live.size:
+    lo, hi = -max(sig(K), sig(K + n - 1)), n - min(sig(K), sig(K + n - 1))  # centers m in [0, n)
+    ra = max(0, ya - lo - max(sig(ca), sig(cb - 1)))
+    rb = min(hi - lo, yb - lo - min(sig(ca), sig(cb - 1)))
+    if ra >= rb:
         return none
-    m0, m1, L = int(live[0]), int(live[-1]) + 1, min(rb - ra, n)
-    win = np.minimum(np.maximum(start[m0:m1], ra), start[m0:m1] + n - L)  # each window's first Q row
+    # start(m) = -sig(m + K) - lo, the Q row of center (m, 0), lies in
+    # (ra - n, rb) for the live m; d * sig is nondecreasing in m
+    d = 1 if t >= 0 else -1
+    below, above = sorted((d * (-lo - rb), d * (n - lo - ra)))
+    cand = range(max(0, ca - n + 1), min(n, cb))
+    m0 = cand.start + bisect.bisect_right(cand, below, key=lambda m: d * sig(m + K))
+    m1 = cand.start + bisect.bisect_left(cand, above, key=lambda m: d * sig(m + K))
+    if m0 >= m1:
+        return none
+    L = min(rb - ra, n)
+    start = -_sigma(t, np.arange(m0, m1), k) - lo
+    win = np.minimum(np.maximum(start, ra), start + n - L)  # each window's first Q row
     Ra, Rb = int(win.min()), int(win.max()) + L
-    win -= Ra
-    strips = np.lib.stride_tricks.sliding_window_view(v4, Rb - Ra, axis=1)
-    step = max(1, _BLOCK_CELLS // (Rb - Ra))
+    q = row[: Rb - Ra]  # Q[c] on the rows [Ra, Rb)
+    q.fill(0)
+    at = win - Ra
     out = buf[: (m1 - m0) * L].reshape(m1 - m0, L)
     out[: max(0, ca + 1 - m0)] = 0  # Q[m] for m <= ca
-    carry = None
-    for c0 in range(ca, cb, step):
-        c1 = min(c0 + step, cb)
-        q = strips[np.arange(c0 - ca, c1 - ca), sig[c0:c1] + lo + Ra - s4.y0]  # W[c0:c1], rows [Ra, Rb)
-        if carry is not None:
-            q[0] += carry
-        np.cumsum(q, axis=0, dtype=q.dtype, out=q)  # q[i] = Q[c0 + 1 + i]
-        carry = q[-1]
-        rows = np.lib.stride_tricks.sliding_window_view(q, L, axis=1)
-        a, b = max(c0 + 1, m0), min(c1 + 1, m1)  # Q[m] for m in [a, b)
-        if a < b:
-            out[a - m0 : b - m0] = rows[np.arange(a, b) - c0 - 1, win[a - m0 : b - m0]]
-        a, b = max(c0 + 1 - n, m0), min(c1 + 1 - n, m1)  # Q[m + n] for m in [a, b)
-        if a < b:
-            dst = out[a - m0 : b - m0]
-            np.subtract(rows[np.arange(a, b) + n - c0 - 1, win[a - m0 : b - m0]], dst, out=dst)
-    a = max(cb + 1 - n, m0)  # Q[m + n] = Q[cb] for m + n > cb
-    if a < m1:
-        dst = out[a - m0 :]
-        np.subtract(np.lib.stride_tricks.sliding_window_view(carry, L)[win[a - m0 :]], dst, out=dst)
-    return m0, win + Ra - start[m0:m1], out
+    # the first v4 row that W[c] reads, for c in [ca, cb)
+    first = (_sigma(t, np.arange(ca - K, cb - K), k) + (lo + Ra - s4.y0)).tolist()
+    w, R, live = at.tolist(), Rb - Ra, m1 - m0
+    for i, y in enumerate(first):
+        q += v4[i, y : y + R]  # q = Q[ca + i + 1]
+        m = ca + i + 1 - m0
+        if 0 <= m < live:
+            out[m] = q[w[m] : w[m] + L]
+        m -= n
+        if 0 <= m < live:
+            r = out[m]
+            np.subtract(q[w[m] : w[m] + L], r, out=r)
+    a = max(cb + 1 - n, m0) - m0  # Q[m + n] = Q[cb] for m + n > cb
+    if a < m1 - m0:
+        np.subtract(_windows(q, L)[at[a:]], out[a:], out=out[a:])
+    return m0, win - start, out
 
 
 def _tube_sums(f: GridFunction, theta: DirectionSet):
     """For each slope index of theta in order, the live windows of f's tube
     sums over the centers of [0,1)^2, as _tube_sums_from_v4 gives them, in
-    one buffer of V4's dtype refilled for each direction. The windows of a
-    direction are at most 2^k centers by L rows, and L, the band's height
-    capped at 2^k, is less than v4's nonzero rows plus its columns."""
+    one buffer of V4's dtype refilled for each direction, beside one running
+    row as long as v4's rows. The windows of a direction are at most 2^k
+    centers by L rows, and L, the band's height capped at 2^k, is less than
+    v4's nonzero rows plus its columns."""
     if f.scale != theta.scale:
         raise ValueError("scale mismatch between function and direction set")
     n = 1 << theta.scale.k
     s4 = _vertical_4sums(f)
     buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)), dtype=s4.v4.dtype)
+    row = np.empty(s4.v4.shape[1], dtype=s4.v4.dtype)
     for t in theta.indices:
-        yield _tube_sums_from_v4(s4, theta.scale.k, t, buf)
+        yield _tube_sums_from_v4(s4, theta.scale.k, t, buf, row)
 
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
@@ -358,7 +376,7 @@ def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
             dst = best[m0 : m0 + len(cur)]
             np.maximum(dst, cur, out=dst)
         elif cur.size:
-            rows = np.lib.stride_tricks.sliding_window_view(best, cur.shape[1], axis=1, writeable=True)
+            rows = _windows(best, cur.shape[1])
             at = np.arange(m0, m0 + len(cur)), j0
             rows[at] = np.maximum(rows[at], cur, out=cur)
     # dividing by a positive constant is monotone, so it commutes with the max

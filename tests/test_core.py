@@ -265,6 +265,36 @@ class TestCellSet:
         assert len(cs) == 4
         assert cs.idx.tolist() == [[-1, 7], [0, 1], [0, 5], [2, -1]]
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=30),
+        st.sampled_from(["sorted", "shuffled", "sorted with repeats", "shuffled with repeats"]),
+        st.sampled_from([list, np.int64, np.int32]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_lexsort_dedup(self, cells, order, kind, rnd):
+        # cells already in order are kept as they are and any others sorted
+        # and deduplicated: both give the lexsort-and-dedup reference, in an
+        # array of the set's own that later writes to the input do not reach
+        cells = sorted(set(cells))
+        if "repeats" in order and cells:
+            cells += rnd.choices(cells, k=rnd.randrange(1, 5))
+        if order.startswith("sorted"):
+            cells.sort()
+        else:
+            rnd.shuffle(cells)
+        ref = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        if len(ref):
+            ref = ref[np.lexsort((ref[:, 1], ref[:, 0]))]
+            ref = ref[np.r_[True, (ref[1:] != ref[:-1]).any(axis=1)]]
+        given_idx = cells if kind is list else np.array(cells, dtype=kind).reshape(-1, 2)
+        cs = CellSet(3, given_idx)
+        assert cs.idx.dtype == np.int64 and cs.idx.shape == ref.shape
+        assert cs.idx.tobytes() == ref.tobytes()
+        if kind is not list:
+            given_idx += 1
+        assert cs.idx.tobytes() == ref.tobytes()
+
 
 def test_box_grid_range_handles_negatives():
     assert Box.of(-1, -1, 1, 1).grid_range(1) == (-2, 2, -2, 2)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -304,6 +305,19 @@ class TestMultiplicityHistogram:
         assert [v.details["rich_cells"] for v in prof] == [
             int((grid >= r).sum()) for r in range(1, int(grid.max()) + 2)
         ]
+
+    def test_count_scratch_is_bounded(self):
+        # the count blocks reuse one scratch array of about _COUNT_CHUNK int64
+        # cells (1 MiB), and the histogram adds only small per-block counts
+        fam = cantor_slope_family(LOG2_3, DyadicScale(12), seed=4)
+        tracemalloc.start()
+        try:
+            hist = tube_count_histogram(fam.t, fam.b, 12, (0, 1 << 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.sum() == 1 << 24 and len(hist) > 2
+        assert peak < 1.5 * 2**20
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_families_with_repeats(), st.sampled_from([7, 300, 1 << 19]), st.integers(1, 6))

@@ -370,11 +370,16 @@ class TestNikodymApply:
 @st.composite
 def _boxed_functions(draw):
     """(f, t): f random on a random grid-aligned box at k = 1..4, floats or
-    small int8 integers, and t random or at either extreme."""
+    small int8 integers, and t random or at either extreme. A box is any
+    size up to 3 * 2^k square, or wide and flat: up to 4 * 2^k columns, the
+    whole read window's width, by 1 to 3 rows."""
     k = draw(st.integers(1, 4))
     n = 1 << k
     c0, r0 = draw(st.integers(-3 * n, 2 * n)), draw(st.integers(-3 * n, 3 * n))
-    w, h = draw(st.integers(1, 3 * n)), draw(st.integers(1, 3 * n))
+    if draw(st.booleans()):
+        w, h = draw(st.integers(1, 3 * n)), draw(st.integers(1, 3 * n))
+    else:
+        w, h = draw(st.integers(1, 4 * n)), draw(st.integers(1, 3))
     d = F(1, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = rng.random((w, h)) if draw(st.booleans()) else rng.integers(0, 4, (w, h), dtype=np.int8)
@@ -382,20 +387,18 @@ def _boxed_functions(draw):
     return f, draw(st.sampled_from([-n, n - 1]) | st.integers(-n, n - 1))
 
 
-class TestBlockedPass:
-    """The column-blocked shear pass against the per-cell oracle, and its
-    int32 pass against the float pass."""
+class TestRunningRowPass:
+    """The shear pass, one running row of prefix sums added column by
+    column, against the per-cell oracle and against f zero-padded to the
+    whole read window, and its memory on the whole window."""
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(_boxed_functions(), st.integers(1, 3))
-    def test_matches_naive_oracle_across_block_edges(self, case, block_cols):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_boxed_functions())
+    def test_matches_naive_oracle(self, case):
         f, t = case
         k = f.scale.k
         n = 1 << k
-        with pytest.MonkeyPatch.context() as mp:
-            # a strip is 2^k to 2^(k+1) rows wide, so blocks of 1 to 3 columns
-            mp.setattr(maximal, "_BLOCK_CELLS", block_cols << k)
-            fast = nikodym_apply(f, DirectionSet(f.scale, (t,))).values
+        fast = nikodym_apply(f, DirectionSet(f.scale, (t,))).values
         b = f.box
         hull = Box.of(min(b.x0, -2), min(b.y0, -2), max(b.x1, 2), max(b.y1, 2))
         g = padded(f, hull)
@@ -419,11 +422,34 @@ class TestBlockedPass:
         b = f.box
         g = padded(f, Box.of(min(b.x0, -1), min(b.y0, -3), max(b.x1, 2), max(b.y1, 3)))
         want = nikodym_apply(g, th).values.tobytes(), kakeya_apply(g, th).tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            # blocks of a few columns put block edges inside f's columns
-            mp.setattr(maximal, "_BLOCK_CELLS", data.draw(st.integers(1, 4 * n)))
-            got = nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th).tobytes()
+        got = nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th).tobytes()
         assert got == want
+
+    def test_whole_window_pass_memory(self):
+        # a float f on the whole read window: the pass holds v4, the
+        # windows' buffer and one running row, and Nikodym adds its running
+        # max and output, each (2^k)^2 float64 cells; no per-column temporaries
+        k = 8
+        n = 1 << k
+        sc = DyadicScale(k)
+        rng = np.random.default_rng(11)
+        f = GridFunction(sc, BOX_DEFAULT, rng.random((4 * n, 4 * n)))
+        th = DirectionSet(sc, np.sort(rng.choice(np.arange(-n, n), 16, replace=False)))
+        v4 = _vertical_4sums(f).v4.nbytes
+        tracemalloc.start()
+        try:
+            out = nikodym_apply(f, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.max() > 0
+        assert peak <= v4 + 3 * (n * n * 8) + (256 << 10)
+
+
+class TestBlockedPass:
+    """The per-direction pass: int32 sums against float64 sums, the one
+    pass both operators reduce, its memory on a bush core, and the grid
+    guard."""
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(
