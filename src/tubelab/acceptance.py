@@ -113,7 +113,7 @@ def _c01_slope_identity():
 def _c02_dimension_formulas():
     ms = build_moran(middle_thirds_spec(), 16)
     errs = [abs(box_dim_ratio(ms, lo, K) - S_LOG23) for lo in (1, 2, 3) for K in (8, 12, 16)]
-    mb = build_moran(doubling_branch_spec(3), 5)
+    mb = build_moran(doubling_branch_spec(), 5)
     errs += [abs(box_dim_ratio(mb, lo, 5) - 1 / 3) for lo in (1, 2, 3)]
     exact_ok = max(errs) < 1e-12
     e = ms.endpoint_values(16)
@@ -131,8 +131,8 @@ def _c02_dimension_formulas():
 def _c03_affine_dimension():
     deltas = [F(1, 1 << j) for j in range(8, 25, 2)]
     cases = [
-        ("doubling-branch", gcs_domain(build_moran(doubling_branch_spec(3), 4)), 1 / 6),
-        ("constant-branch-8", gcs_domain(build_moran(constant_branch_spec(8, 3), 3)), 1 / 6),
+        ("doubling-branch", gcs_domain(build_moran(doubling_branch_spec(), 4)), 1 / 6),
+        ("constant-branch-8", gcs_domain(build_moran(constant_branch_spec(8), 3)), 1 / 6),
         ("middle-thirds", _mt_domain(10), 0.5 * S_LOG23),
     ]
     parts, extras, ok = [], {}, True
@@ -146,7 +146,7 @@ def _c03_affine_dimension():
 
 
 def _c04_additive_energy():
-    dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+    dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
     exps = [
         additive_energy_estimate(dom, F(1, 1 << j), 3)["energy_exponent"]
         for j in (12, 20, 28, 40)
@@ -239,7 +239,7 @@ def _c08_weighted_maximal():
         sc = DyadicScale(k)
         d = float(sc.delta)
         th = DirectionSet.cantor(s, sc)
-        ratio = norm_ratio(GridFunction.ball_indicator(sc, (0, 0), sc.delta), th, p, "kakeya")
+        ratio = norm_ratio(GridFunction.ball_indicator(sc), th, p, "kakeya")
         worst_ball = min(worst_ball, ratio / ((1 / 8) * d ** (1 - 2 / p)))
         fam = TubeFamily(sc, th.indices, [0] * len(th))
         rr = tube_sum_norm(fam, 1 + 1 / s).details["ratio"] / (k * math.log(2)) ** 3
@@ -368,8 +368,8 @@ def _inv_profile_consistency():
     # are held to the measured 0.09 rather than the asymptotic 0.08
     cases = [
         (_mt_domain(10), 0.08),
-        (gcs_domain(build_moran(doubling_branch_spec(3), 4)), 0.09),
-        (gcs_domain(build_moran(constant_branch_spec(8, 3), 3)), 0.09),
+        (gcs_domain(build_moran(doubling_branch_spec(), 4)), 0.09),
+        (gcs_domain(build_moran(constant_branch_spec(8), 3)), 0.09),
     ]
     worst = 0.0
     for dom, tol in cases:

@@ -59,8 +59,8 @@ from tubelab.svg import svg_loglog
 
 PRESETS = {
     "middle-thirds": middle_thirds_spec,
-    "constant-branch-8": lambda: constant_branch_spec(8, 3),
-    "doubling": lambda: doubling_branch_spec(3),
+    "constant-branch-8": lambda: constant_branch_spec(8),
+    "doubling": doubling_branch_spec,
 }
 S_LOG23 = math.log(2) / math.log(3)
 
@@ -316,7 +316,7 @@ def _run_maximal(operator: str, cfg: ExperimentConfig):
             out = nikodym_apply(f, th)
             ratios = [out.lp_norm(p) / f.lp_norm(p) for p in cfg.p]
         else:
-            f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
+            f = GridFunction.ball_indicator(sc)
             values = kakeya_apply(f, th)
             ratios = [kakeya_norm(values, th, p) / f.lp_norm(p) for p in cfg.p]
         rows += [[delta, cfg.s, p, float(r)] for p, r in zip(cfg.p, ratios)]

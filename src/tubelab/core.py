@@ -187,25 +187,12 @@ def _tube_column_rows(tube: DyadicTube, kg: int, m: int) -> tuple[int, int]:
 
 def _slope_hull(a, m, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row ranges [lo, hi) of the tubes DyadicTube(k, a, 0) over the grid
-    columns m at the tube scale, for int64 arrays a and m that broadcast."""
+    columns m at the tube scale, for int64 arrays a and m that broadcast:
+    the vectorised _tube_column_rows at kg = k. An offset b shifts both by b."""
     vals = (a * m, (a + 1) * m, a * (m + 1), (a + 1) * (m + 1))
     lo = np.minimum(np.minimum(vals[0], vals[1]), np.minimum(vals[2], vals[3])) >> k
     up = np.maximum(np.maximum(vals[0], vals[1]), np.maximum(vals[2], vals[3]))
     return lo, 1 - ((-up) >> k)
-
-
-def tube_rows(t, b, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Row ranges [lo, hi) of the tubes DyadicTube(k, t[q], b[q]) (or one b
-    for all) over the grid columns cols at the tube scale: two
-    (len(t), len(cols)) int64 arrays.
-
-    The vectorised _tube_column_rows (its scalar oracle) at kg = k. The
-    offset only shifts rows, so the hull is computed once per distinct slope.
-    """
-    slopes, inv = np.unique(np.ravel(t).astype(np.int64), return_inverse=True)
-    lo, hi = _slope_hull(slopes[:, None], np.asarray(cols, dtype=np.int64)[None, :], k)
-    off = np.ravel(b).astype(np.int64)[:, None]
-    return lo[inv] + off, hi[inv] + off
 
 
 _COUNT_CHUNK = 1 << 17  # bound on a column block's tube entries plus difference cells
@@ -300,7 +287,7 @@ def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.nda
     """Exact tube multiplicities on the slab of columns [0, 2^k), int64.
 
     grid[m, j - r0] counts the tubes DyadicTube(k, t[q], b[q]), repeats
-    included, whose raster (tube_rows) meets cell (m, j), for rows j in
+    included, whose raster meets cell (m, j), for rows j in
     [r0, r1) = rows; by default every row a tube reaches, r0 the lowest.
     """
     (r0, r1), blocks = tube_count_blocks(t, b, k, rows)
@@ -313,7 +300,7 @@ def tube_count_grid(t, b, k: int, rows: tuple[int, int] | None = None) -> np.nda
 def rasterize_tube(tube: DyadicTube, grid: DyadicScale, box: Box = BOX_UNIT) -> CellSet:
     """Cells of the grid meeting the tube inside box, one column at a time.
 
-    The scalar oracle of tube_rows and tube_count_grid.
+    The scalar oracle of _slope_hull and tube_count_grid.
     """
     if not isinstance(tube, DyadicTube):
         raise TypeError(f"not a dyadic tube: {tube!r}")

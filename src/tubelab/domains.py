@@ -141,7 +141,7 @@ def direction_set(domain: GcsDomain, scale) -> DirectionSet:
         q = min(q + (2 * r > den or (2 * r == den and q & 1)), n - 1)
         if not idx or q != idx[-1]:
             idx.append(q)
-    return DirectionSet(scale, idx, tag="explicit")
+    return DirectionSet(scale, idx)
 
 
 # -------------------------------------------------------------------- caps

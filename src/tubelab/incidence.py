@@ -134,14 +134,11 @@ def verify_incidence_bound(family: TubeFamily, s: float, r: int) -> Measurement:
     return _incidence_ratios(family, s, [r])[0]
 
 
-def incidence_profile(family: TubeFamily, s: float, rs=None) -> list[Measurement]:
-    """verify_incidence_bound at each threshold r in rs, one ratio per r.
-
-    By default rs is every power of two up to the top cell multiplicity
-    (just r = 1 when no cell is covered). The multiplicity histogram and
-    the two constants are computed once for the whole sweep.
-    """
-    return _incidence_ratios(family, s, None if rs is None else list(rs))
+def incidence_profile(family: TubeFamily, s: float) -> list[Measurement]:
+    """verify_incidence_bound at every power of two r up to the top cell
+    multiplicity (just r = 1 when no cell is covered), with the multiplicity
+    histogram and the two constants computed once for the whole sweep."""
+    return _incidence_ratios(family, s, None)
 
 
 @dataclass(frozen=True)
@@ -243,18 +240,16 @@ def cantor_slope_indices(s: float, k: int) -> np.ndarray:
     return slopes
 
 
-def cantor_slope_family(
-    s: float, delta: DyadicScale, per_slope: int | None = None, seed: int = 0
-) -> TubeFamily:
+def cantor_slope_family(s: float, delta: DyadicScale, seed: int = 0) -> TubeFamily:
     """Random family whose slopes form a digit-restricted (Cantor-like) set.
 
-    Slopes come from cantor_slope_indices; each receives per_slope random
-    offsets (default keeps the family near the Katz-Tao density delta^-1).
+    Slopes come from cantor_slope_indices; each receives max(1,
+    round(2^(k(1 - s)))) random offsets, which keeps the family near the
+    Katz-Tao density delta^-1.
     """
     k = delta.k
     slopes = cantor_slope_indices(s, k)
-    if per_slope is None:
-        per_slope = max(1, round(2.0 ** (k * (1.0 - s))))
+    per_slope = max(1, round(2.0 ** (k * (1.0 - s))))
     rng = random.Random(seed)
     t, b = [], []
     for i in slopes.tolist():

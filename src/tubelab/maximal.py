@@ -131,9 +131,9 @@ class GridFunction:
         self._row0 = r0
 
     @staticmethod
-    def constant(value, scale: DyadicScale, box: Box = BOX_DEFAULT) -> "GridFunction":
-        c0, c1, r0, r1 = box.grid_range(scale.k)
-        return GridFunction(scale, box, np.full((c1 - c0, r1 - r0), float(value)))
+    def constant(value, scale: DyadicScale) -> "GridFunction":
+        c0, c1, r0, r1 = BOX_DEFAULT.grid_range(scale.k)
+        return GridFunction(scale, BOX_DEFAULT, np.full((c1 - c0, r1 - r0), float(value)))
 
     @staticmethod
     def indicator_cells(scale: DyadicScale, cells) -> "GridFunction":
@@ -149,19 +149,10 @@ class GridFunction:
         return GridFunction(scale, box, vals)
 
     @staticmethod
-    def ball_indicator(scale: DyadicScale, center, radius) -> "GridFunction":
-        """1 on cells whose center lies in the closed ball."""
-        cx, cy, r = F(center[0]), F(center[1]), F(radius)
-        d = scale.delta
-        cells = []
-        i_lo, i_hi = math.floor((cx - r) / d) - 1, math.ceil((cx + r) / d) + 1
-        j_lo, j_hi = math.floor((cy - r) / d) - 1, math.ceil((cy + r) / d) + 1
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                px, py = (F(2 * i + 1)) * d / 2, (F(2 * j + 1)) * d / 2
-                if (px - cx) ** 2 + (py - cy) ** 2 <= r * r:
-                    cells.append((i, j))
-        return GridFunction.indicator_cells(scale, cells)
+    def ball_indicator(scale: DyadicScale) -> "GridFunction":
+        """1 on the cells whose center ((2i + 1), (2j + 1)) delta/2 lies in the closed
+        delta-ball at the origin: (2i + 1)^2 + (2j + 1)^2 <= 4, so i and j are -1 or 0."""
+        return GridFunction.indicator_cells(scale, [(-1, -1), (-1, 0), (0, -1), (0, 0)])
 
     def cell_value(self, i: int, j: int) -> float:
         return float(self.values[i - self._col0, j - self._row0])
@@ -354,6 +345,8 @@ def _tube_sums(f: GridFunction, theta: DirectionSet):
     v4's nonzero rows plus its columns."""
     if f.scale != theta.scale:
         raise ValueError("scale mismatch between function and direction set")
+    if not len(theta):
+        raise ValueError("empty direction set")
     n = 1 << theta.scale.k
     s4 = _vertical_4sums(f)
     buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)), dtype=s4.v4.dtype)
@@ -364,13 +357,11 @@ def _tube_sums(f: GridFunction, theta: DirectionSet):
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
-    if not len(theta):
-        raise ValueError("empty direction set")
     n = 1 << theta.scale.k
-    best = None
+    best = None  # one float64 grid, made once the pass has checked the scale; int32 sums are exact in it
     for m0, j0, cur in _tube_sums(f, theta):
         if best is None:
-            best = np.zeros((n, n), dtype=cur.dtype)
+            best = np.zeros((n, n))
         # the running max over each direction's windows
         if cur.shape[1] == n:  # whole rows, so j0 is 0
             dst = best[m0 : m0 + len(cur)]
@@ -378,9 +369,10 @@ def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
         elif cur.size:
             rows = _windows(best, cur.shape[1])
             at = np.arange(m0, m0 + len(cur)), j0
-            rows[at] = np.maximum(rows[at], cur, out=cur)
+            rows[at] = np.maximum(rows[at], cur)
     # dividing by a positive constant is monotone, so it commutes with the max
-    return GridFunction(theta.scale, BOX_UNIT, best / (4 << theta.scale.k))
+    best /= 4 << theta.scale.k
+    return GridFunction(theta.scale, BOX_UNIT, best)
 
 
 def kakeya_apply(f: GridFunction, theta: DirectionSet) -> np.ndarray:

@@ -303,7 +303,6 @@ class BallCounter1D:
         n = len(xs)
         if n >= 1 << 31:
             raise ValueError(f"{n} points: int32 jump tables hold fewer than 2^31")
-        self.xs = xs
         self.n = n
         h = (n.bit_length() + 1) // 2
         t = np.empty(n + 1, dtype=np.int32)
@@ -342,14 +341,6 @@ class BallCounter1D:
             pos = np.where(ok, cand, pos)
             cnt += ok.astype(np.int64) << b
         return cnt
-
-    def counts(self, lo, hi, closed_right: bool = False) -> np.ndarray:
-        """Ball counts for windows [lo, hi) (or [lo, hi] when closed_right)."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        pos = np.searchsorted(self.xs, lo, side="left")
-        end = np.searchsorted(self.xs, hi, side="right" if closed_right else "left")
-        return self.runs(pos, end)
 
 
 def _scale_floor_exponent(delta) -> int:
@@ -544,7 +535,7 @@ def _line_ball_counter(xs: np.ndarray, dv: float):
     count of all of xs: a greedy cover of a run of the sorted points needs
     no more balls than it has points, nor than the cover of them all."""
     counter = BallCounter1D(xs, dv)
-    tot = int(counter.counts(xs[0], xs[-1], closed_right=True)[0])
+    tot = int(counter.runs(np.zeros(1, dtype=np.intp), len(xs))[0])
 
     def windows(a: int) -> tuple[np.ndarray, np.ndarray]:
         r = 2.0 ** -a
@@ -984,23 +975,25 @@ def middle_thirds_spec() -> MoranSpec:
     return MoranSpec(n=2, c=F(1, 3), offsets=[0, F(2, 3)])
 
 
-def constant_branch_spec(n: int, m: int = 3, budget: int = 4000, seed: int = 0) -> MoranSpec:
-    """n children per level, contraction n^-m, layout from the searched family."""
-    off = family_offsets(cached_family(n, m, budget, seed))
-    return MoranSpec(n=n, c=F(1, n ** m), offsets=off)
+def constant_branch_spec(n: int) -> MoranSpec:
+    """n children per level, contraction n^-3, layout from the family that
+    search_interval_family(n, 3) finds with its default budget and seed."""
+    off = family_offsets(cached_family(n, 3, 4000, 0))
+    return MoranSpec(n=n, c=F(1, n**3), offsets=off)
 
 
-def doubling_branch_spec(m: int = 3, budget: int = 4000, seed: int = 0) -> MoranSpec:
-    """2^k children at level k, contraction 2^-mk, per-level searched layouts."""
+def doubling_branch_spec() -> MoranSpec:
+    """2^k children at level k, contraction 2^-3k, per-level layouts searched
+    as constant_branch_spec's are."""
 
     def n_fn(k: int) -> int:
         return 1 << k
 
     def c_fn(k: int) -> Fraction:
-        return F(1, 1 << (m * k))
+        return F(1, 1 << (3 * k))
 
     def off_fn(k: int):
-        return family_offsets(cached_family(1 << k, m, budget, seed))
+        return family_offsets(cached_family(1 << k, 3, 4000, 0))
 
     return MoranSpec(n=n_fn, c=c_fn, offsets=off_fn)
 

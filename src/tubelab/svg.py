@@ -19,11 +19,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _ticks(lo: float, hi: float, want: int = 6) -> list[float]:
-    """Integer-ish tick positions covering [lo, hi]."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Integer-ish tick positions covering [lo, hi], about six of them."""
     if hi <= lo:
         hi = lo + 1.0
-    step = max(1, round((hi - lo) / want))
+    step = max(1, round((hi - lo) / 6))
     first = math.ceil(lo)
     return [t for t in range(first, math.floor(hi) + 1, step)]
 

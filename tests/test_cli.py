@@ -314,7 +314,7 @@ class TestRun:
         art = run(cfg, tmp_path / "out")
         lines = art.csv_path.read_text().strip().splitlines()
         beta_csv = float(lines[1].split(",")[-1])
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         want = affine_dim_estimate(dom, cfg.deltas).beta
         assert beta_csv == pytest.approx(want, rel=1e-10)
         svg = (tmp_path / "out" / "domain.svg").read_text()

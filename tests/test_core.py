@@ -14,16 +14,25 @@ from tubelab.core import (
     CellSet,
     DyadicScale,
     DyadicTube,
+    _slope_hull,
     _tube_column_rows,
     rasterize_tube,
     tube_count_blocks,
     tube_count_grid,
-    tube_rows,
 )
 from tubelab.incidence import TubeFamily
 from tubelab.oracles import brute_cell_counts
 
 F = Fraction
+
+
+def _tube_rows(t, b, k, cols):
+    """Row ranges [lo, hi) of the tubes DyadicTube(k, t[q], b[q]) over the
+    grid columns cols, (len(t), len(cols)) each: the slope hull, shifted by
+    the offset."""
+    lo, hi = _slope_hull(np.array(t, dtype=np.int64)[:, None], np.array(cols, dtype=np.int64)[None, :], k)
+    off = np.array(b, dtype=np.int64)[:, None]
+    return lo + off, hi + off
 
 
 class TestDyadicTubeMembership:
@@ -138,7 +147,7 @@ class TestRasterize:
 
 
 class TestTubeRowKernel:
-    """tube_rows and tube_count_grid against the scalar rule and per-tube rasters."""
+    """_slope_hull and tube_count_grid against the scalar rule and per-tube rasters."""
 
     @staticmethod
     def _random_tubes(rng, k):
@@ -156,7 +165,7 @@ class TestTubeRowKernel:
             n = 1 << k
             tubes = self._random_tubes(rng, k)
             cols = [rng.randrange(-3 * n, 3 * n) for _ in range(12)]
-            lo, hi = tube_rows([t for t, _ in tubes], [b for _, b in tubes], k, cols)
+            lo, hi = _tube_rows([t for t, _ in tubes], [b for _, b in tubes], k, cols)
             assert lo.shape == hi.shape == (len(tubes), len(cols))
             for q, (t, b) in enumerate(tubes):
                 for c, m in enumerate(cols):
@@ -172,7 +181,7 @@ class TestTubeRowKernel:
             n = 1 << k
             tubes = self._random_tubes(rng, k)
             t, b = [t for t, _ in tubes], [b for _, b in tubes]
-            lo, hi = tube_rows(t, b, k, range(n))
+            lo, hi = _tube_rows(t, b, k, range(n))
             for rows in ((0, n), None):
                 r0, r1 = rows or (int(lo.min()), int(hi.max()))
                 want = np.zeros((n, r1 - r0), dtype=np.int64)
@@ -211,7 +220,7 @@ def _reference_block(t, b, k, weights, m0, ncols, j0, w):
     every tube's row range clipped to the rows, both event arrays built at
     once and bincounted, their difference prefix-summed along the rows."""
     cols = np.arange(m0, m0 + ncols)
-    lo, hi = tube_rows(t, b, k, cols)
+    lo, hi = _tube_rows(t, b, k, cols)
     base = (cols - m0) * w - j0
     lo, hi = (np.clip(e, j0, j0 + w - 1) + base for e in (lo, hi))
     reps = None if weights is None else np.repeat(np.asarray(weights, dtype=np.float64), ncols)

@@ -82,7 +82,7 @@ class TestBoundary:
     def test_chord_slope_is_endpoint_sum(self):
         # over a removed gap (a, b) the boundary is the chord of t^2 - c, whose
         # slope is a + b, and it is affine there
-        d = gcs_domain(build_moran(doubling_branch_spec(3), 3))
+        d = gcs_domain(build_moran(doubling_branch_spec(), 3))
         for k in (1, 2, 3):
             for a, b in d.moran.removed_intervals(k):
                 mid = (a + b) / 2
@@ -171,7 +171,7 @@ class TestSlopeSet:
         assert set(slope_set(d)) == want
 
     def test_extremes_and_zero_for_every_construction(self):
-        for d in (mt_domain(2), gcs_domain(build_moran(doubling_branch_spec(3), 2))):
+        for d in (mt_domain(2), gcs_domain(build_moran(doubling_branch_spec(), 2))):
             s = slope_set(d)
             assert F(-1) == s[0] and F(1) == s[-1] and F(0) in s
 
@@ -188,7 +188,7 @@ def _rounding_domain(kind: str, depth: int, layout: tuple = ()) -> GcsDomain:
     if kind == "middle-thirds":
         return mt_domain(depth)
     if kind == "doubling":
-        return gcs_domain(build_moran(doubling_branch_spec(3), depth))
+        return gcs_domain(build_moran(doubling_branch_spec(), depth))
     (n1, c1), (n2, c2) = layout
     return gcs_domain(build_moran(setgen.moran_spec_from_config(
         f"n = {n1}, {n2}\nc = {c1}, {c2}\noffsets = even\n"), 2))
@@ -266,8 +266,8 @@ class TestCapCover:
     @pytest.mark.parametrize(
     "domain_fn,j",
         [(lambda: mt_domain(8), 12), (lambda: mt_domain(8), 17),
-         (lambda: gcs_domain(build_moran(doubling_branch_spec(3), 4)), 20),
-         (lambda: gcs_domain(build_moran(constant_branch_spec(8, 3), 3)), 10)],
+         (lambda: gcs_domain(build_moran(doubling_branch_spec(), 4)), 20),
+         (lambda: gcs_domain(build_moran(constant_branch_spec(8), 3)), 10)],
     )
     def test_cover_valid_and_tiling(self, domain_fn, j):
         dom = domain_fn()
@@ -297,7 +297,7 @@ class TestCapCover:
         # upper/lower <= 8 * K(delta) * delta^{-eta} whenever K(delta) >= 1;
         # the constant is frozen from the measured worst case (ratio 6 at
         # K(delta) = 1 on the doubling-branch construction)
-        for dom in (mt_domain(10), gcs_domain(build_moran(doubling_branch_spec(3), 4))):
+        for dom in (mt_domain(10), gcs_domain(build_moran(doubling_branch_spec(), 4))):
             for j in (10, 16, 24):
                 cc = cap_count(dom, F(1, 1 << j))
                 assert cc.lower <= cc.upper
@@ -319,7 +319,7 @@ class TestCapCover:
     def test_gap_wider_than_tangent_step_gets_chord_cap(self):
         # large delta on the Theorem A construction: K(delta) = 0 and the
         # level-1 gaps dwarf sqrt(delta), so class 0 mixes in chord caps
-        dom = gcs_domain(build_moran(constant_branch_spec(8, 3), 3))
+        dom = gcs_domain(build_moran(constant_branch_spec(8), 3))
         cover = cap_cover(dom, F(1, 1 << 8))
         assert cover.k_delta == 0
         kinds = {cap.slope == 2 * cap.t_lo for cap in cover.classes[0]}
@@ -419,13 +419,13 @@ class TestProjectionMultiplicity:
 
 class TestAdditiveEnergy:
     def test_single_caps_per_class_trivial(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 1)
         assert rec["M1"] == 1
         assert rec["Xi_bound"] == rec["M0"] ** 2
 
     def test_theorem_b_sequence_frozen(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         got = {}
         for j in (12, 20, 28, 40):
             rec = additive_energy_estimate(dom, F(1, 1 << j), 3)
@@ -443,7 +443,7 @@ class TestAdditiveEnergy:
         # at 2^-52 the tangent class's last fold must pass the fold cap, so it
         # falls back to the product bound before its 1984^2-sum first fold is
         # built (that fold took ~212 MiB of traced memory)
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         tracemalloc.start()
         try:
             rec = additive_energy_estimate(dom, F(1, 1 << 52), 3)
@@ -455,26 +455,26 @@ class TestAdditiveEnergy:
         assert peak <= 32 << 20
 
     def test_chord_class_matches_direct_sum_sweep(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 3)
         gaps = dom.moran.removed_intervals(2)
         assert rec["class_multiplicities"][2] == sum_multiplicity(gaps, 3)
 
     def test_product_bound_dominates_exact(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 3)
         for level in (1, 2):
             bound = _class_product_bound(dom, level, 3, rec["K_delta"], 0)
             assert bound >= rec["class_multiplicities"][level]
 
     def test_theorem_a_exponent_decreasing(self):
-        dom = gcs_domain(build_moran(constant_branch_spec(8, 3), 3))
+        dom = gcs_domain(build_moran(constant_branch_spec(8), 3))
         e24 = additive_energy_estimate(dom, F(1, 1 << 24), 3)["energy_exponent"]
         e36 = additive_energy_estimate(dom, F(1, 1 << 36), 3)["energy_exponent"]
         assert e24 > e36
 
     def test_tangent_split_count_matches_linear_scan(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         for j in (12, 20, 28, 40):
             cover = cap_cover(dom, F(1, 1 << j))
             # per tangent cap, the largest level-K(delta) left end at or below it
@@ -500,8 +500,8 @@ class TestCorollaryConsistency:
         # window by a point) -- tested at the honest measured bounds
         cases = [
             (mt_domain(10), 0.08),
-            (gcs_domain(build_moran(doubling_branch_spec(3), 4)), 0.09),
-            (gcs_domain(build_moran(constant_branch_spec(8, 3), 3)), 0.09),
+            (gcs_domain(build_moran(doubling_branch_spec(), 4)), 0.09),
+            (gcs_domain(build_moran(constant_branch_spec(8), 3)), 0.09),
         ]
         for dom, tol in cases:
             sl = [float(x) for x in slope_set(dom)]

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module of src/tubelab imports is used in it,
-every private module-level function or class is used by the library, no
-module imports a private name from another tubelab module, and every layer
-probe of the benchmark's tracer finds what it reads in the library."""
+every private module-level function or class is used by the library, every
+defaulted parameter is set by some library or benchmark call, no module
+imports a private name from another tubelab module, and every layer probe
+of the benchmark's tracer finds what it reads in the library."""
 
 import ast
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tubelab"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -84,6 +87,82 @@ def test_checker_finds_test_only_helpers():
                 "def _planted_for_tests():\n    return 2\n",
     }
     assert _unreferenced_private(sources) == ["a.py: _recursive", "b.py: _planted_for_tests"]
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(called name, position or None, parameter) for each defaulted
+    parameter of the functions in tree: the position counts from the first
+    parameter after self or cls (None for keyword-only ones), and an
+    __init__ is called by its class's name."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owner.get(id(node)) if node.name == "__init__" else node.name
+        args = node.args
+        pos = args.posonlyargs + args.args
+        skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
+        for i in range(len(pos) - len(args.defaults), len(pos)):
+            yield name, i - skip, pos[i].arg
+        yield from ((name, None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _unset_defaults(defining: dict[str, str], calling: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the defining sources that no call of the
+    calling sources passes, by position or keyword. Calls are matched by the
+    called name, and a *args or **kwargs call passes every parameter."""
+    calls = {}
+    for text in calling.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                passed = math.inf if star else len(node.args), {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(passed)
+    return sorted(
+        f"{module}: {name}({param})"
+        for module, text in defining.items()
+        for name, at, param in _defaulted_parameters(ast.parse(text))
+        if not any(param in kw or None in kw or (at is not None and n > at) for n, kw in calls.get(name, []))
+    )
+
+
+def _library_and_benchmark() -> tuple[dict[str, str], dict[str, str]]:
+    """The sources whose defaults are checked, and every caller's source.
+    The oracles' own defaults serve the tests, but their calls count."""
+    library = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = {f"perfbench/{p.name}": p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))}
+    return {name: text for name, text in library.items() if name != "oracles.py"}, {**library, **bench}
+
+
+def test_every_default_is_set_by_the_library():
+    # a default that only the tests set is a knob no check, run or benchmark turns
+    assert _unset_defaults(*_library_and_benchmark()) == []
+
+
+def test_checker_finds_unset_defaults():
+    defining = {
+        "a.py": "def f(x, y=1, *, z=2):\n    return x\n\n"
+                "class C:\n    def __init__(self, a, b=0):\n        self.a = a\n\n"
+                "    def m(self, p, q=None, r=3):\n        return p\n\n"
+                "def g(u=0, v=0):\n    return u\n\ndef h(w=0):\n    return w\n",
+    }
+    calling = {
+        **defining,
+        "b.py": "from a import C, f, g, h\nf(1, z=3)\nC(1, 2).m(1, r=4)\ng(*[1])\nh(**{})\n",
+    }
+    assert _unset_defaults(defining, calling) == ["a.py: f(y)", "a.py: m(q)"]
+    # a call outside the calling sources, such as a test's, sets nothing
+    assert _unset_defaults(defining, defining) == [
+        "a.py: C(b)", "a.py: f(y)", "a.py: f(z)", "a.py: g(u)",
+        "a.py: g(v)", "a.py: h(w)", "a.py: m(q)", "a.py: m(r)",
+    ]
+    # one default planted in the library, set by no call, is the one found
+    library, callers = _library_and_benchmark()
+    planted = library["maximal.py"] + "\n\ndef planted_knob(x, scale=2):\n    return x * scale\n"
+    assert _unset_defaults({**library, "maximal.py": planted}, {**callers, "maximal.py": planted}) == [
+        "maximal.py: planted_knob(scale)"
+    ]
 
 
 def _private_imports(sources: dict[str, str]) -> list[str]:

@@ -19,9 +19,9 @@ from tubelab.core import (
     DyadicScale,
     DyadicTube,
     Measurement,
+    _slope_hull,
     rasterize_tube,
     tube_count_grid,
-    tube_rows,
 )
 from tubelab.incidence import (
     RichPointSet,
@@ -228,11 +228,13 @@ class TestVerifyIncidenceBound:
         assert rs[-1] <= top < 2 * rs[-1]
 
     def test_profile_custom_thresholds(self):
+        # the profile sweeps powers of two; any other threshold is one
+        # verify_incidence_bound, which refuses r = 0
         fam = _family(4, [(0, 0)])
-        prof = incidence_profile(fam, 1.0, rs=[1, 3])
-        assert [v.details["r"] for v in prof] == [1, 3]
+        assert [v.details["r"] for v in incidence_profile(fam, 1.0)] == [1]
+        assert [verify_incidence_bound(fam, 1.0, r).details["r"] for r in (1, 3)] == [1, 3]
         with pytest.raises(ValueError, match="r must be"):
-            incidence_profile(fam, 1.0, rs=[0])
+            verify_incidence_bound(fam, 1.0, 0)
 
     def test_arguments_checked_before_any_counting(self, monkeypatch):
         # s and every r are refused before the constants or the histogram run
@@ -247,7 +249,6 @@ class TestVerifyIncidenceBound:
             lambda: verify_incidence_bound(fam, 0.3, 4),
             lambda: verify_incidence_bound(fam, 0.5, 0),
             lambda: incidence_profile(fam, 1.2),
-            lambda: incidence_profile(fam, 0.5, rs=[1, 4, 0]),
         ):
             with pytest.raises(ValueError, match="s must|r must"):
                 call()
@@ -264,12 +265,12 @@ class TestVerifyIncidenceBound:
         with pytest.raises(ValueError, match="r must be an integer"):
             verify_incidence_bound(fam, 0.5, 2.0)
         with pytest.raises(ValueError, match="r must be an integer"):
-            incidence_profile(fam, 0.5, [2.5])
+            verify_incidence_bound(fam, 0.5, 2.5)
 
     def test_numpy_integer_thresholds_accepted(self):
         fam = cantor_slope_family(0.5, DyadicScale(6), seed=0)
-        got = incidence_profile(fam, 0.5, np.array([1, 4]))
-        want = incidence_profile(fam, 0.5, [1, 4])
+        got = [verify_incidence_bound(fam, 0.5, r) for r in np.array([1, 4])]
+        want = [verify_incidence_bound(fam, 0.5, r) for r in (1, 4)]
         assert [(float(v), v.details) for v in got] == [(float(v), v.details) for v in want]
         assert [type(v.details["r"]) for v in got] == [int, int]
 
@@ -301,10 +302,10 @@ class TestMultiplicityHistogram:
         assert len(hist) - 1 == grid.max()
         for r in range(1, int(grid.max()) + 2):
             assert hist[r:].sum() == (grid >= r).sum()
-        prof = incidence_profile(fam, 1.0, rs=range(1, int(grid.max()) + 2))
-        assert [v.details["rich_cells"] for v in prof] == [
-            int((grid >= r).sum()) for r in range(1, int(grid.max()) + 2)
-        ]
+        # the ratios read the same counts: at the profile's powers of two,
+        # and past the top multiplicity
+        prof = incidence_profile(fam, 1.0) + [verify_incidence_bound(fam, 1.0, int(grid.max()) + 1)]
+        assert [v.details["rich_cells"] for v in prof] == [int((grid >= v.details["r"]).sum()) for v in prof]
 
     def test_count_scratch_is_bounded(self):
         # the count blocks reuse one scratch array of about _COUNT_CHUNK int64
@@ -360,7 +361,8 @@ class TestBandedCounts:
     @given(_banded_counts(), st.sampled_from([7, 300, 1 << 19]))
     def test_histogram_is_grid_bincount(self, case, chunk):
         t, b, k, rows = case
-        lo, hi = tube_rows(t, b, k, range(1 << k))
+        lo, hi = _slope_hull(np.array(t)[:, None], np.arange(1 << k)[None, :], k)
+        lo, hi = lo + np.array(b)[:, None], hi + np.array(b)[:, None]
         r0, r1 = rows or (int(lo.min()), int(hi.max()))
         j = np.arange(r0, r1)
         want = ((lo[:, :, None] <= j) & (j < hi[:, :, None])).sum(axis=0)
@@ -463,13 +465,12 @@ class TestSharpExample:
 class TestCantorSlopeFamily:
     def test_slope_count_follows_dimension(self):
         for k, s in [(6, 0.5), (8, 0.5), (8, LOG2_3), (6, 1.0)]:
-            fam = cantor_slope_family(s, DyadicScale(k), per_slope=1)
+            fam = cantor_slope_family(s, DyadicScale(k))
             assert len(np.unique(fam.t)) == 2 ** math.floor(k * s)
-            assert len(fam) == len(np.unique(fam.t))
 
     def test_slopes_use_only_allowed_binary_digits(self):
         k, s = 8, 0.5
-        fam = cantor_slope_family(s, DyadicScale(k), per_slope=2, seed=5)
+        fam = cantor_slope_family(s, DyadicScale(k), seed=5)
         mask = sum(
             1 << (k - i)
             for i in range(1, k + 1)
@@ -479,9 +480,10 @@ class TestCantorSlopeFamily:
         assert (fam.t & ~mask == 0).all()
 
     def test_per_slope_count_is_exact(self):
-        fam = cantor_slope_family(0.5, DyadicScale(6), per_slope=3, seed=1)
-        per = Counter(fam.t.tolist())
-        assert set(per.values()) == {3}
+        # round(2^(k (1 - s))) offsets a slope: 8 at k = 6, s = 1/2; 1 at s = 1
+        for s, want in ((0.5, 8), (LOG2_3, 5), (1.0, 1)):
+            per = Counter(cantor_slope_family(s, DyadicScale(6), seed=1).t.tolist())
+            assert set(per.values()) == {want}
 
     def test_deterministic_under_seed(self):
         a = cantor_slope_family(0.7, DyadicScale(7), seed=9)

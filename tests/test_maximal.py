@@ -253,10 +253,20 @@ class TestGridFunction:
             assert f.lp_norm(p) == pytest.approx(exact, rel=1e-14)
 
     def test_ball_indicator_at_origin(self):
-        sc = DyadicScale(6)
-        f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
-        assert int(f.values.sum()) == 4
-        assert f.cell_value(0, 0) == 1.0 and f.cell_value(-1, -1) == 1.0
+        # the cells whose center lies in the closed delta-ball at the origin,
+        # by the exact rule over every cell the ball can reach, on their
+        # bounding box, as int8
+        for k in range(1, 13):
+            sc = DyadicScale(k)
+            d = sc.delta
+            want = [
+                (i, j) for i in range(-3, 3) for j in range(-3, 3)
+                if (F(2 * i + 1) * d / 2) ** 2 + (F(2 * j + 1) * d / 2) ** 2 <= d * d
+            ]
+            f = GridFunction.ball_indicator(sc)
+            c0, _, r0, _ = f.box.grid_range(k)
+            assert f.values.dtype == np.int8 and f.values.all()
+            assert sorted((c0 + i, r0 + j) for i, j in np.argwhere(f.values).tolist()) == want
 
 
 class TestNikodymApply:
@@ -428,7 +438,8 @@ class TestRunningRowPass:
     def test_whole_window_pass_memory(self):
         # a float f on the whole read window: the pass holds v4, the
         # windows' buffer and one running row, and Nikodym adds its running
-        # max and output, each (2^k)^2 float64 cells; no per-column temporaries
+        # max, divided in place into its output, each (2^k)^2 float64 cells;
+        # no per-column temporaries
         k = 8
         n = 1 << k
         sc = DyadicScale(k)
@@ -443,7 +454,7 @@ class TestRunningRowPass:
         finally:
             tracemalloc.stop()
         assert out.values.max() > 0
-        assert peak <= v4 + 3 * (n * n * 8) + (256 << 10)
+        assert peak <= v4 + 2 * (n * n * 8) + (256 << 10)
 
 
 class TestBlockedPass:
@@ -521,8 +532,8 @@ class TestBlockedPass:
 
     def test_bush_pass_memory_at_k10(self):
         # the pass holds the core's 4 columns and one band of centers, so
-        # Kakeya stays under 1 MiB and Nikodym adds only its (2^10)^2 int32
-        # running max and float64 output (12 MiB); a V4 on the whole read
+        # Kakeya stays under 1 MiB and Nikodym adds only its (2^10)^2
+        # float64 running max and output (8 MiB); a V4 on the whole read
         # window would take 32 MiB alone
         sc = DyadicScale(10)
         th = DirectionSet.cantor(S_LOG23, sc)
@@ -537,12 +548,28 @@ class TestBlockedPass:
             assert np.max(getattr(out, "values", out)) > 0
             assert peak <= cap, op.__name__
 
+    def test_nikodym_holds_one_grid_at_k11(self):
+        # the int32 sums' running max is taken into the float64 output grid
+        # and divided in place: 32 MiB at k = 11, where an int32 max beside
+        # its float64 quotient took 48 MiB
+        sc = DyadicScale(11)
+        th = DirectionSet.cantor(S_LOG23, sc)
+        f = bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
+        tracemalloc.start()
+        try:
+            out = nikodym_apply(f, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.dtype == np.float64 and out.values.max() > 0
+        assert peak <= (8 << 22) + (1 << 20)
+
     def test_grid_cap_refuses_before_allocating(self, monkeypatch):
         passes = (nikodym_apply, kakeya_apply)
 
         def inputs(k):
             sc = DyadicScale(k)
-            return GridFunction.ball_indicator(sc, (0, 0), sc.delta), DirectionSet(sc, (0, 5))
+            return GridFunction.ball_indicator(sc), DirectionSet(sc, (0, 5))
 
         # 2^-13 is past the cap: refused with no (2^13)^2 array made
         for call in passes:
@@ -563,6 +590,18 @@ class TestBlockedPass:
 
 
 class TestKakeyaApply:
+    def test_empty_direction_set_refused_by_both_operators(self):
+        # the shared pass refuses an empty theta, so Kakeya's norm never
+        # divides by |theta| = 0
+        sc = DyadicScale(4)
+        f, empty = GridFunction.constant(1.0, sc), DirectionSet(sc, [])
+        for call in (nikodym_apply, kakeya_apply):
+            with pytest.raises(ValueError, match="^empty direction set$"):
+                call(f, empty)
+        for op in ("nikodym", "kakeya"):
+            with pytest.raises(ValueError, match="^empty direction set$"):
+                norm_ratio(f, empty, 2.0, op)
+
     def test_constant_one(self):
         sc = DyadicScale(5)
         th = DirectionSet.cantor(0.5, sc)
@@ -574,7 +613,7 @@ class TestKakeyaApply:
         sc = DyadicScale(6)
         d = float(sc.delta)
         th = DirectionSet(sc, tuple(range(-64, 64)))
-        f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
+        f = GridFunction.ball_indicator(sc)
         vals = kakeya_apply(f, th)
         assert vals.min() >= d / 8
         assert vals.min() >= d  # measured: the 4 ball cells always fit
@@ -826,7 +865,7 @@ class TestNormRatio:
     def test_kakeya_default_weights_match_explicit(self):
         sc = DyadicScale(6)
         th = DirectionSet.cantor(S_LOG23, sc)
-        f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
+        f = GridFunction.ball_indicator(sc)
         w = float(sc.delta) ** S_LOG23
         p = 1 + S_LOG23
         # the L^p(mu) norm with mu = delta^s on every direction, written out
@@ -1153,5 +1192,5 @@ class TestMeasuredBounds:
         d = float(sc.delta)
         th = DirectionSet.cantor(S_LOG23, sc)
         p = 1 + S_LOG23
-        f = GridFunction.ball_indicator(sc, (0, 0), sc.delta)
+        f = GridFunction.ball_indicator(sc)
         assert norm_ratio(f, th, p, "kakeya") >= (1 / 8) * d ** (1 - 2 / p)

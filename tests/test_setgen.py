@@ -767,7 +767,7 @@ class TestWindowedSweep:
 
     def test_energy_class_at_2_pow_40_stays_small(self):
         # check 04's tangent class at 2^-40: 256 abutting caps, 3 873 024 sums
-        dom = gcs_domain(build_moran(doubling_branch_spec(3), 4))
+        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
         ivs = [(c.t_lo, c.t_hi) for c in cap_cover(dom, F(1, 1 << 40)).classes[0]]
         assert len(ivs) == 256
         tracemalloc.start()
@@ -1086,7 +1086,7 @@ def test_ball_count_matches_core_greedy():
         r = F(rng.randrange(1, 20), 64)
         floats = np.array([float(x) for x in xs])
         counter = setgen.BallCounter1D(floats, float(r))
-        got = int(counter.counts(floats[0], floats[-1], closed_right=True)[0])
+        got = int(counter.runs(np.zeros(1, dtype=np.intp), len(floats))[0])
         assert got == greedy(xs, r)
 
 
@@ -1109,6 +1109,13 @@ def _ball_cases(draw):
     return xs, r, windows
 
 
+def _window_runs(xs, windows, closed_right):
+    """The index runs [pos, end) of the sorted xs in the windows [lo, hi)
+    (or [lo, hi] when closed_right)."""
+    lo, hi = zip(*windows)
+    return np.searchsorted(xs, lo, side="left"), np.searchsorted(xs, hi, side="right" if closed_right else "left")
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_ball_cases(), st.booleans())
 @example(([0.5], 0.25, [(0.5, 0.5), (0.0, 0.5), (0.6, 1.0)]), True)
@@ -1116,8 +1123,8 @@ def _ball_cases(draw):
 def test_ball_counter_matches_brute_windows(case, closed_right):
     xs, r, windows = case
     counter = setgen.BallCounter1D(np.array(xs), r)
-    lo, hi = zip(*windows)
-    assert counter.counts(lo, hi, closed_right).tolist() == brute_window_counts(xs, r, windows, closed_right)
+    runs = counter.runs(*_window_runs(xs, windows, closed_right))
+    assert runs.tolist() == brute_window_counts(xs, r, windows, closed_right)
     # a table b is kept while its jumps from the first point stop short of
     # the end and b <= h
     tot = brute_window_counts(xs, r, [(xs[0], xs[-1])], closed_right=True)[0]
@@ -1153,8 +1160,8 @@ def _stride_cases(draw):
 def test_ball_counter_stride_matches_brute_windows(case, closed_right):
     xs, r, windows = case
     counter = setgen.BallCounter1D(np.array(xs), r)
-    lo, hi = zip(*windows)
-    assert counter.counts(lo, hi, closed_right).tolist() == brute_window_counts(xs, r, windows, closed_right)
+    runs = counter.runs(*_window_runs(xs, windows, closed_right))
+    assert runs.tolist() == brute_window_counts(xs, r, windows, closed_right)
     # the stride ran: h + 1 tables kept, the whole cover above 2^(h + 1)
     tot = brute_window_counts(xs, r, [(xs[0], xs[-1])], closed_right=True)[0]
     h = (len(xs).bit_length() + 1) // 2
