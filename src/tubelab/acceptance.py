@@ -53,14 +53,13 @@ from tubelab.maximal import (
     tube_sum_norm,
 )
 from tubelab.setgen import (
+    PRESETS,
     build_moran,
     box_dim_ratio,
     cached_family,
-    constant_branch_spec,
-    doubling_branch_spec,
     frostman_constant,
     katz_tao_constant,
-    middle_thirds_spec,
+    moran_spec_from_config,
     qa_profile,
     regularity_constant,
     search_interval_family,
@@ -88,8 +87,12 @@ class CriterionResult:
 # --------------------------------------------------------------- helpers
 
 
+def _preset(name: str, K: int):
+    return build_moran(moran_spec_from_config(PRESETS[name]), K)
+
+
 def _mt_domain(K: int):
-    return gcs_domain(build_moran(middle_thirds_spec(), K))
+    return gcs_domain(_preset("middle-thirds", K))
 
 
 # -------------------------------------------------------------- criteria
@@ -111,9 +114,9 @@ def _c01_slope_identity():
 
 
 def _c02_dimension_formulas():
-    ms = build_moran(middle_thirds_spec(), 16)
+    ms = _preset("middle-thirds", 16)
     errs = [abs(box_dim_ratio(ms, lo, K) - S_LOG23) for lo in (1, 2, 3) for K in (8, 12, 16)]
-    mb = build_moran(doubling_branch_spec(), 5)
+    mb = _preset("doubling", 5)
     errs += [abs(box_dim_ratio(mb, lo, 5) - 1 / 3) for lo in (1, 2, 3)]
     exact_ok = max(errs) < 1e-12
     e = ms.endpoint_values(16)
@@ -131,8 +134,8 @@ def _c02_dimension_formulas():
 def _c03_affine_dimension():
     deltas = [F(1, 1 << j) for j in range(8, 25, 2)]
     cases = [
-        ("doubling-branch", gcs_domain(build_moran(doubling_branch_spec(), 4)), 1 / 6),
-        ("constant-branch-8", gcs_domain(build_moran(constant_branch_spec(8), 3)), 1 / 6),
+        ("doubling-branch", gcs_domain(_preset("doubling", 4)), 1 / 6),
+        ("constant-branch-8", gcs_domain(_preset("constant-branch-8", 3)), 1 / 6),
         ("middle-thirds", _mt_domain(10), 0.5 * S_LOG23),
     ]
     parts, extras, ok = [], {}, True
@@ -146,7 +149,7 @@ def _c03_affine_dimension():
 
 
 def _c04_additive_energy():
-    dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+    dom = gcs_domain(_preset("doubling", 4))
     exps = [
         additive_energy_estimate(dom, F(1, 1 << j), 3)["energy_exponent"]
         for j in (12, 20, 28, 40)
@@ -368,8 +371,8 @@ def _inv_profile_consistency():
     # are held to the measured 0.09 rather than the asymptotic 0.08
     cases = [
         (_mt_domain(10), 0.08),
-        (gcs_domain(build_moran(doubling_branch_spec(), 4)), 0.09),
-        (gcs_domain(build_moran(constant_branch_spec(8), 3)), 0.09),
+        (gcs_domain(_preset("doubling", 4)), 0.09),
+        (gcs_domain(_preset("constant-branch-8", 3)), 0.09),
     ]
     worst = 0.0
     for dom, tol in cases:
@@ -397,7 +400,7 @@ def _inv_count_histogram():
 
 
 def _inv_box_ratio_window():
-    ms = build_moran(middle_thirds_spec(), 8)
+    ms = _preset("middle-thirds", 8)
     vals = [box_dim_ratio(ms, lo, 8) for lo in (1, 3, 5)]
     ok = max(vals) - min(vals) < 1e-12
     return ok, "ratio formula independent of the starting level", {}

@@ -46,22 +46,15 @@ from tubelab.maximal import (
     nikodym_apply,
 )
 from tubelab.setgen import (
+    PRESETS,
     build_moran,
     box_dim_ratio,
-    constant_branch_spec,
-    doubling_branch_spec,
-    middle_thirds_spec,
     moran_spec_from_config,
     parse_keyvals,
     qa_profile,
 )
 from tubelab.svg import svg_loglog
 
-PRESETS = {
-    "middle-thirds": middle_thirds_spec,
-    "constant-branch-8": lambda: constant_branch_spec(8),
-    "doubling": doubling_branch_spec,
-}
 S_LOG23 = math.log(2) / math.log(3)
 
 
@@ -78,7 +71,7 @@ class ExperimentConfig:
     [experiment] keys; a kind reads only the settings KINDS lists for it."""
 
     kind: str
-    deltas: list  # Fractions, strictly dyadic 2^-j, sorted by increasing j
+    deltas: list[F]  # strictly dyadic 2^-j, in the order the config gives them
     p: list[float] = field(default_factory=list)
     r: list[int] = field(default_factory=list)
     s: float = 0.5
@@ -105,22 +98,27 @@ class ExperimentConfig:
             raise UsageError(f"kind 'dualsum' reads one p (its p'), got {len(self.p)}")
         if self.kind == "incidence" and not self.r:
             raise UsageError("kind 'incidence' needs a nonempty r list")
-        for key in ("p", "r"):  # a repeated value would repeat its CSV rows
+        for key in ("deltas", "p", "r"):  # a repeated value would repeat its CSV rows
             values = getattr(self, key)
             if len(set(values)) < len(values):
                 raise UsageError(f"{key} lists a value more than once: {_setting_text(key, values)}")
         if not self.moran_text and self.preset not in PRESETS:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
+        try:  # key and value errors; those of a level show when it is built
+            self._spec()
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(str(e)) from e
         if self.depth < 1:
             raise UsageError("depth must be >= 1")
         if self.eta <= 0:
             raise UsageError("eta must be positive")
         return self
 
+    def _spec(self):
+        return moran_spec_from_config(self.moran_text or PRESETS[self.preset])
+
     def moran(self):
-        text = self.moran_text
-        spec = moran_spec_from_config(text) if text else PRESETS[self.preset]()
-        return build_moran(spec, self.depth)
+        return build_moran(self._spec(), self.depth)
 
 
 _DEFAULT = ExperimentConfig("", [])
@@ -191,7 +189,7 @@ def _keyvals(section: str, text: str) -> dict[str, str]:
 def parse_config(text: str) -> ExperimentConfig:
     sections = split_sections(text)
     kv = _keyvals("experiment", sections.get("experiment", "") or sections.get("", ""))
-    _keyvals("moran", sections.get("moran", ""))  # read at run time, refused now if malformed
+    _keyvals("moran", sections.get("moran", ""))  # its line errors name the section
     unknown = sorted(kv.keys() - _SWEEP_KEYS - set(_SETTINGS))
     if unknown:
         raise UsageError(f"unknown [experiment] key(s): {', '.join(unknown)}")
@@ -230,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization of the kind's keys; parsing it back reproduces the config."""
     lines = ["[experiment]", f"kind = {cfg.kind}"]
-    lines.append("deltas = " + ", ".join(str(d) for d in cfg.deltas))
+    lines.append(f"deltas = {_setting_text('deltas', cfg.deltas)}")
     for key in _SETTINGS:
         value = getattr(cfg, key)
         if key in KINDS[cfg.kind].keys and value != []:
@@ -444,7 +442,7 @@ def generate_config(kind: str, args) -> str:
         lines += [f"delta_min_exp = {lo}", f"delta_max_exp = {hi}", f"delta_step = {step}"]
     lines += d["extra"]
     for key, value in (("preset", args.preset), ("depth", args.depth)):
-        if value:  # an override replaces the default line, or comes last
+        if value is not None:  # an override replaces the default line, or comes last
             lines = [ln for ln in lines if not ln.startswith(f"{key} = ")] + [f"{key} = {value}"]
     text = "\n".join(lines) + "\n"
     parse_config(text)  # self-check before handing it out
@@ -484,8 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write a config file for an experiment kind")
     g.add_argument("kind", choices=KINDS)
     g.add_argument("--out", required=True, help="config file to write")
-    g.add_argument("--preset", default="", help=f"construction preset ({', '.join(PRESETS)})")
-    g.add_argument("--depth", type=int, default=0, help="construction depth override")
+    g.add_argument("--preset", default=None, help=f"construction preset ({', '.join(PRESETS)})")
+    g.add_argument("--depth", type=int, default=None, help="construction depth override")
     g.add_argument("--delta-min-exp", type=int, default=None)
     g.add_argument("--delta-max-exp", type=int, default=None)
 

@@ -221,11 +221,11 @@ def k_delta(domain: GcsDomain, delta) -> int:
     d = F(delta)
     if not (0 < d < 1):
         raise ValueError("delta must lie in (0, 1)")
-    c = domain.moran.spec.c
+    spec = domain.moran.spec
     prod = F(1)
     k = 0
-    while k != c.levels:
-        nxt = prod * c(k + 1)
+    while k != spec.levels:
+        nxt = prod * spec.c(k + 1)
         if nxt * nxt < d:
             return k
         prod = nxt

@@ -41,14 +41,17 @@ class MoranSpec:
     n(k), c(k), offsets(k) give, for level k >= 1, the child count, the
     contraction ratio, and the child placement. offsets(k) is one sorted
     layout of positions in [0, 1 - c_k], as fractions of the parent length,
-    shared by every parent of the level; it is given as a callable of k or
-    as one flat list for every level.
+    shared by every parent of the level. levels is the number of levels the
+    contractions are listed for, or None when every level has one.
+    moran_spec_from_config builds a spec from [moran] text.
     """
 
-    def __init__(self, n, c, offsets):
-        self.n = _as_level_fn(n, int)
-        self.c = _as_level_fn(c, F)
-        self.offsets = _offsets_fn(offsets)
+    def __init__(self, n: Callable[[int], int], c: Callable[[int], Fraction],
+                 offsets: Callable[[int], Sequence[Fraction]], levels: int | None = None):
+        self.n = n
+        self.c = c
+        self.offsets = offsets
+        self.levels = levels
 
     def level(self, k: int) -> tuple[int, Fraction, tuple[Fraction, ...]]:
         """(n_k, c_k, offsets_k), validated; the layout is read only once
@@ -60,7 +63,7 @@ class MoranSpec:
             raise ValueError(f"level {k}: contraction {c_k} outside (0,1)")
         if n_k * c_k >= 1:
             raise ValueError(f"level {k}: n_k * c_k = {n_k * c_k} >= 1")
-        off = self.offsets(k)
+        off = tuple(self.offsets(k))
         if len(off) != n_k:
             raise ValueError(f"level {k}: {len(off)} offsets for n_k = {n_k}")
         if any(b <= a for a, b in zip(off, off[1:])):
@@ -71,44 +74,6 @@ class MoranSpec:
             if b - a <= c_k:
                 raise ValueError(f"level {k}: children overlap (offset gap {b - a} <= c_k = {c_k})")
         return n_k, c_k, off
-
-
-def _as_level_fn(value, conv) -> Callable[[int], object]:
-    """Level k -> conv(value at k). A list of several values defines levels
-    1..len only, and the function's `levels` is that length; it is None when
-    every level has a value, and a callable keeps the levels of its value."""
-    if callable(value):
-        fn = lambda k: conv(value(k))  # noqa: E731
-        fn.levels = getattr(value, "levels", None)
-        return fn
-    seq = list(value) if isinstance(value, (list, tuple)) else [value]
-    items = [conv(v) for v in seq]
-
-    def fn(k: int):
-        if len(items) == 1:
-            return items[0]
-        if k > len(items):
-            raise ValueError(f"spec defines {len(items)} levels, asked for {k}")
-        return items[k - 1]
-
-    fn.levels = len(items) if len(items) > 1 else None
-    return fn
-
-
-def _offsets_fn(offsets) -> Callable[[int], tuple[Fraction, ...]]:
-    """Offsets argument: a callable k -> layout, or one flat layout for every level."""
-    if callable(offsets):
-        return lambda k: _flat_layout(offsets(k), k)
-    layout = _flat_layout(offsets, 1)  # level 1 is the first to read it
-    return lambda k: layout
-
-
-def _flat_layout(offsets, k: int) -> tuple[Fraction, ...]:
-    """The layout of level k as Fractions."""
-    offsets = tuple(offsets)
-    if any(isinstance(x, (list, tuple, np.ndarray)) for x in offsets):
-        raise ValueError(f"level {k}: a level layout is one flat list of offsets, not a nested list")
-    return tuple(F(x) for x in offsets)
 
 
 # ---------------------------------------------------------------- moran sets
@@ -957,7 +922,7 @@ def family_offsets(fam: IntervalFamily) -> list[Fraction]:
     return [a - BASE_LEFT for a, _ in fam.intervals]
 
 
-# ------------------------------------------------------------------ factories
+# ----------------------------------------------------------- searched layouts
 
 def cached_family(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
     """search_interval_family, cached; a search that never reads its seed
@@ -969,33 +934,6 @@ def cached_family(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
 def _cached_search(n: int, m: int, budget: int, seed: int, /) -> IntervalFamily:
     # positional-only: lru_cache keys keyword spellings of one call apart
     return search_interval_family(n, m, budget=budget, seed=seed)
-
-
-def middle_thirds_spec() -> MoranSpec:
-    return MoranSpec(n=2, c=F(1, 3), offsets=[0, F(2, 3)])
-
-
-def constant_branch_spec(n: int) -> MoranSpec:
-    """n children per level, contraction n^-3, layout from the family that
-    search_interval_family(n, 3) finds with its default budget and seed."""
-    off = family_offsets(cached_family(n, 3, 4000, 0))
-    return MoranSpec(n=n, c=F(1, n**3), offsets=off)
-
-
-def doubling_branch_spec() -> MoranSpec:
-    """2^k children at level k, contraction 2^-3k, per-level layouts searched
-    as constant_branch_spec's are."""
-
-    def n_fn(k: int) -> int:
-        return 1 << k
-
-    def c_fn(k: int) -> Fraction:
-        return F(1, 1 << (3 * k))
-
-    def off_fn(k: int):
-        return family_offsets(cached_family(1 << k, 3, 4000, 0))
-
-    return MoranSpec(n=n_fn, c=c_fn, offsets=off_fn)
 
 
 # ------------------------------------------------------------------- config
@@ -1022,27 +960,39 @@ _POWER_RULE = re.compile(r"^(\d+)\^(-?)(\d*)k$")
 _CONST_POWER = re.compile(r"^(\d+)\^(-?\d+)$")
 
 
-def _rule_fn(expr: str):
+def _rule_fn(expr: str) -> tuple[Callable[[int], Fraction], int | None]:
     """Closed-form sequence rule: '2', '1/3', '2^k', '2^-3k', '8^-3', or a
-    comma list of values indexed by level."""
+    comma list of values indexed by level; and the number of levels it
+    defines, the list's length, or None when it defines every level."""
     expr = expr.strip()
     mt = _POWER_RULE.match(expr)
     if mt:
         base = int(mt.group(1))
         coef = int(mt.group(3) or 1) * (-1 if mt.group(2) else 1)
-        return lambda k: F(base) ** (coef * k)
-    mt = _CONST_POWER.match(expr)
-    if mt:
-        val = F(int(mt.group(1))) ** int(mt.group(2))
-        return lambda k: val
+        return (lambda k: F(base) ** (coef * k)), None
     if "," in expr:
         items = [F(part.strip()) for part in expr.split(",")]
-        return _as_level_fn(items, F)
-    val = F(expr)
-    return lambda k: val
+
+        def listed(k: int) -> Fraction:
+            if k > len(items):
+                raise ValueError(f"spec defines {len(items)} levels, asked for {k}")
+            return items[k - 1]
+
+        return listed, len(items)
+    mt = _CONST_POWER.match(expr)
+    val = F(int(mt.group(1))) ** int(mt.group(2)) if mt else F(expr)
+    return (lambda k: val), None
 
 
 MORAN_KEYS = frozenset("n c offsets m budget seed".split())
+
+# the named constructions as [moran] text; the searched layouts are the
+# families search_interval_family(n, 3) finds at its default budget and seed
+PRESETS = {
+    "middle-thirds": "n = 2\nc = 1/3\noffsets = 0, 2/3\n",
+    "constant-branch-8": "n = 8\nc = 8^-3\noffsets = searched\n",
+    "doubling": "n = 2^k\nc = 2^-3k\noffsets = searched\n",
+}
 
 
 def moran_spec_from_config(text: str) -> MoranSpec:
@@ -1059,8 +1009,8 @@ def moran_spec_from_config(text: str) -> MoranSpec:
     for key in ("n", "c"):
         if key not in kv:
             raise ValueError(f"config missing '{key}'")
-    n_rule = _rule_fn(kv["n"])
-    c_rule = _rule_fn(kv["c"])
+    n_rule, _ = _rule_fn(kv["n"])
+    c_rule, levels = _rule_fn(kv["c"])
 
     def n_fn(k: int) -> int:
         val = n_rule(k)
@@ -1071,7 +1021,7 @@ def moran_spec_from_config(text: str) -> MoranSpec:
     mode = kv.get("offsets", "even").strip()
     if mode == "even":
         def off_fn(k: int):
-            n_k, c_k = n_fn(k), F(c_rule(k))
+            n_k, c_k = n_fn(k), c_rule(k)
             step = (1 - c_k) / (n_k - 1)
             return [i * step for i in range(n_k)]
     elif mode == "searched":
@@ -1087,4 +1037,4 @@ def moran_spec_from_config(text: str) -> MoranSpec:
         def off_fn(k: int):
             return fixed
 
-    return MoranSpec(n=n_fn, c=c_rule, offsets=off_fn)
+    return MoranSpec(n=n_fn, c=c_rule, offsets=off_fn, levels=levels)

@@ -24,7 +24,7 @@ from tubelab.cli import (
 )
 from tubelab import maximal, setgen
 from tubelab.domains import affine_dim_estimate, gcs_domain
-from tubelab.setgen import build_moran, doubling_branch_spec
+from tubelab.setgen import PRESETS, build_moran, moran_spec_from_config
 from tubelab.svg import svg_loglog
 
 S_LOG23 = math.log(2) / math.log(3)
@@ -99,6 +99,8 @@ class TestConfigParsing:
         assert cfg.deltas == [F(1, 256), F(1, 1024), F(1, 4096)]
         cfg = parse_config("[experiment]\nkind = energy\ndelta_exps = 12, 20\n")
         assert cfg.deltas == [F(1, 1 << 12), F(1, 1 << 20)]
+        cfg = parse_config("[experiment]\nkind = energy\ndelta_exps = 20, 12\n")
+        assert cfg.deltas == [F(1, 1 << 20), F(1, 1 << 12)]  # in the order given
         with pytest.raises(UsageError, match="delta_step"):
             parse_config(
                 "[experiment]\nkind = domain\ndelta_min_exp = 12\ndelta_max_exp = 8\n"
@@ -139,20 +141,41 @@ class TestConfigParsing:
         assert ms.interval_count(2) == 4
         assert ms.length(2) == F(1, 16)
 
-    def test_unknown_moran_key_rejected(self):
-        cfg = parse_config(
-            "[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n"
-            "[moran]\nn = 2^k\nc = 2^-3k\noffsets = searched\nsede = 5\nlabl = x\n"
-        )
-        with pytest.raises(ValueError, match=r"unknown \[moran\] key\(s\): labl, sede"):
-            cfg.moran()
-        # [moran] has no label key either: naming one is an error, not a silent no-op
-        cfg = parse_config(
-            "[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n"
-            "[moran]\nn = 2\nc = 1/4\noffsets = 0, 3/4\nlabel = x\n"
-        )
-        with pytest.raises(ValueError, match=r"unknown \[moran\] key\(s\): label$"):
-            cfg.moran()
+    def test_unknown_moran_key_rejected(self, tmp_path, capsys):
+        cases = [
+            ("n = 2^k\nc = 2^-3k\noffsets = searched\nsede = 5\nlabl = x\n", "labl, sede"),
+            # [moran] has no label key either: naming one is an error, not a silent no-op
+            ("n = 2\nc = 1/4\noffsets = 0, 3/4\nlabel = x\n", "label"),
+        ]
+        for block, keys in cases:
+            text = f"[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 2\n[moran]\n{block}"
+            with pytest.raises(UsageError, match=rf"^unknown \[moran\] key\(s\): {keys}$"):
+                parse_config(text)
+            (tmp_path / "c.cfg").write_text(text)
+            assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr() == ("", f"error: unknown [moran] key(s): {keys}\n")
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block, msg", [
+        ("n = 2\noffsets = 0, 3/4\n", "config missing 'c'"),
+        ("c = 1/4\n", "config missing 'n'"),
+        ("n = 2\nc = x\n", "Invalid literal for Fraction: 'x'"),
+        ("n = 2\nc = 1/0\n", "Fraction(1, 0)"),
+        ("n = 2\nc = 1/4\noffsets = 0, y\n", "Invalid literal for Fraction: 'y'"),
+        ("n = 8\nc = 8^-3\noffsets = searched\nbudget = lots\n", "invalid literal for int() with base 10: 'lots'"),
+    ])
+    def test_moran_value_errors_are_usage_errors(self, block, msg, tmp_path, capsys):
+        # the [moran] block is built when the config is read, for each kind
+        # that reads one; only a level's errors wait for the run
+        for kind in CONSTRUCTION_KINDS:
+            text = f"[experiment]\nkind = {kind}\ndeltas = 1/4\n\n[moran]\n{block}"
+            with pytest.raises(UsageError, match=re.escape(msg)):
+                parse_config(text)
+            (tmp_path / "c.cfg").write_text(text)
+            assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and msg in err
+            assert not (tmp_path / "o").exists()
 
 
 KIND_NAMES = ["incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dualsum"]
@@ -284,6 +307,18 @@ class TestGen:
         assert f"error: kind '{kind}' does not read [experiment] key(s): {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, msg", [
+        (["--depth", "0"], "depth must be >= 1"),
+        (["--preset", ""], "unknown preset ''; known: middle-thirds, constant-branch-8, doubling"),
+    ])
+    def test_given_construction_flag_is_checked(self, flags, msg, tmp_path, capsys):
+        # a flag given as 0 or '' replaces the default line like any other
+        # value, and the self-check refuses it
+        out = tmp_path / "c.cfg"
+        assert main(["gen", "domain", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--delta-min-exp", "6", "--delta-max-exp", "7"],
                                        ["--delta-max-exp", "30"]])
     def test_energy_range_flags_rejected(self, flags, tmp_path, capsys):
@@ -314,7 +349,7 @@ class TestRun:
         art = run(cfg, tmp_path / "out")
         lines = art.csv_path.read_text().strip().splitlines()
         beta_csv = float(lines[1].split(",")[-1])
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = gcs_domain(build_moran(moran_spec_from_config(PRESETS["doubling"]), 4))
         want = affine_dim_estimate(dom, cfg.deltas).beta
         assert beta_csv == pytest.approx(want, rel=1e-10)
         svg = (tmp_path / "out" / "domain.svg").read_text()
@@ -639,6 +674,18 @@ class TestConfigValidation:
         (tmp_path / "c.cfg").write_text(text)
         assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
         assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sweep, values", [("deltas = 1/256, 1/256, 1/1024", "1/256, 1/256, 1/1024"),
+                                               ("delta_exps = 10, 8, 10", "1/1024, 1/256, 1/1024")])
+    def test_repeated_delta_rejected(self, sweep, values, tmp_path, capsys):
+        # a repeated delta would write its row twice and fit beta_hat over it twice
+        text = f"[experiment]\nkind = domain\n{sweep}\n"
+        with pytest.raises(UsageError, match=f"^deltas lists a value more than once: {values}$"):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: deltas lists a value more than once: {values}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep,key,value", [

@@ -34,9 +34,7 @@ from tubelab.setgen import (
     MoranSpec,
     MultiplicityOverflow,
     build_moran,
-    constant_branch_spec,
-    doubling_branch_spec,
-    middle_thirds_spec,
+    moran_spec_from_config,
     qa_profile,
     sum_multiplicity,
     _slot_sum_multiplicity,
@@ -45,8 +43,12 @@ from tubelab.setgen import (
 S_LOG23 = math.log(2) / math.log(3)
 
 
+def preset_domain(name, K):
+    return gcs_domain(build_moran(moran_spec_from_config(setgen.PRESETS[name]), K))
+
+
 def mt_domain(K):
-    return gcs_domain(build_moran(middle_thirds_spec(), K))
+    return preset_domain("middle-thirds", K)
 
 
 def boundary_oracle(moran, t):
@@ -82,7 +84,7 @@ class TestBoundary:
     def test_chord_slope_is_endpoint_sum(self):
         # over a removed gap (a, b) the boundary is the chord of t^2 - c, whose
         # slope is a + b, and it is affine there
-        d = gcs_domain(build_moran(doubling_branch_spec(), 3))
+        d = preset_domain("doubling", 3)
         for k in (1, 2, 3):
             for a, b in d.moran.removed_intervals(k):
                 mid = (a + b) / 2
@@ -102,7 +104,7 @@ class TestBoundary:
             d.gamma(F(3, 4))
 
     def test_endpoint_condition_required(self):
-        spec = MoranSpec(n=2, c=F(1, 4), offsets=[F(1, 8), F(5, 8)])
+        spec = moran_spec_from_config("n = 2\nc = 1/4\noffsets = 1/8, 5/8\n")
         with pytest.raises(ValueError, match="end-point condition"):
             gcs_domain(build_moran(spec, 2))
         # a domain built directly is held to the same condition
@@ -135,7 +137,9 @@ def _flush_specs(draw):
         ns.append(n)
         cs.append(c)
         layouts.append(off)
-    return MoranSpec(n=ns, c=cs, offsets=lambda k: layouts[k - 1]), depth
+    spec = MoranSpec(n=lambda k: ns[k - 1], c=lambda k: cs[k - 1], offsets=lambda k: layouts[k - 1],
+                     levels=depth)
+    return spec, depth
 
 
 class TestLatticeBoundary:
@@ -171,7 +175,7 @@ class TestSlopeSet:
         assert set(slope_set(d)) == want
 
     def test_extremes_and_zero_for_every_construction(self):
-        for d in (mt_domain(2), gcs_domain(build_moran(doubling_branch_spec(), 2))):
+        for d in (mt_domain(2), preset_domain("doubling", 2)):
             s = slope_set(d)
             assert F(-1) == s[0] and F(1) == s[-1] and F(0) in s
 
@@ -188,9 +192,9 @@ def _rounding_domain(kind: str, depth: int, layout: tuple = ()) -> GcsDomain:
     if kind == "middle-thirds":
         return mt_domain(depth)
     if kind == "doubling":
-        return gcs_domain(build_moran(doubling_branch_spec(), depth))
+        return preset_domain("doubling", depth)
     (n1, c1), (n2, c2) = layout
-    return gcs_domain(build_moran(setgen.moran_spec_from_config(
+    return gcs_domain(build_moran(moran_spec_from_config(
         f"n = {n1}, {n2}\nc = {c1}, {c2}\noffsets = even\n"), 2))
 
 
@@ -252,10 +256,10 @@ class TestCapCover:
 
     def test_k_delta_stops_at_listed_levels(self):
         # c is listed for two levels only: K(delta) never reads a third
-        spec = setgen.MoranSpec(n=[2, 2], c=[F(1, 4), F(1, 4)], offsets=[0, F(3, 4)])
+        spec = MoranSpec(n=lambda k: 2, c=lambda k: F(1, 4), offsets=lambda k: [0, F(3, 4)], levels=2)
         dom = gcs_domain(build_moran(spec, 2))
         assert [k_delta(dom, F(1, 1 << j)) for j in (3, 4, 7, 8, 9, 30)] == [0, 1, 1, 2, 2, 2]
-        cfg = setgen.moran_spec_from_config("n = 2, 2\nc = 1/4, 1/4\noffsets = 0, 3/4\n")
+        cfg = moran_spec_from_config("n = 2, 2\nc = 1/4, 1/4\noffsets = 0, 3/4\n")
         assert k_delta(gcs_domain(build_moran(cfg, 2)), F(1, 256)) == 2
         assert len(cap_cover(dom, F(1, 256))) == 8
 
@@ -266,8 +270,8 @@ class TestCapCover:
     @pytest.mark.parametrize(
     "domain_fn,j",
         [(lambda: mt_domain(8), 12), (lambda: mt_domain(8), 17),
-         (lambda: gcs_domain(build_moran(doubling_branch_spec(), 4)), 20),
-         (lambda: gcs_domain(build_moran(constant_branch_spec(8), 3)), 10)],
+         (lambda: preset_domain("doubling", 4), 20),
+         (lambda: preset_domain("constant-branch-8", 3), 10)],
     )
     def test_cover_valid_and_tiling(self, domain_fn, j):
         dom = domain_fn()
@@ -297,7 +301,7 @@ class TestCapCover:
         # upper/lower <= 8 * K(delta) * delta^{-eta} whenever K(delta) >= 1;
         # the constant is frozen from the measured worst case (ratio 6 at
         # K(delta) = 1 on the doubling-branch construction)
-        for dom in (mt_domain(10), gcs_domain(build_moran(doubling_branch_spec(), 4))):
+        for dom in (mt_domain(10), preset_domain("doubling", 4)):
             for j in (10, 16, 24):
                 cc = cap_count(dom, F(1, 1 << j))
                 assert cc.lower <= cc.upper
@@ -308,7 +312,7 @@ class TestCapCover:
         # from u = 0 the end of its level-1 interval [0, 1/5] sits (1/5)^2 =
         # delta above the tangent, so a cap to it is invalid: the step stops
         # at the last generation-3 endpoint before it
-        spec = MoranSpec(n=3, c=F(1, 5), offsets=[F(0), F(1, 2), F(4, 5)])
+        spec = moran_spec_from_config("n = 3\nc = 1/5\noffsets = 0, 1/2, 4/5\n")
         dom = gcs_domain(build_moran(spec, 3))
         cover = cap_cover(dom, F(1, 25))
         assert cover.k_delta == 1
@@ -319,7 +323,7 @@ class TestCapCover:
     def test_gap_wider_than_tangent_step_gets_chord_cap(self):
         # large delta on the Theorem A construction: K(delta) = 0 and the
         # level-1 gaps dwarf sqrt(delta), so class 0 mixes in chord caps
-        dom = gcs_domain(build_moran(constant_branch_spec(8), 3))
+        dom = preset_domain("constant-branch-8", 3)
         cover = cap_cover(dom, F(1, 1 << 8))
         assert cover.k_delta == 0
         kinds = {cap.slope == 2 * cap.t_lo for cap in cover.classes[0]}
@@ -419,13 +423,13 @@ class TestProjectionMultiplicity:
 
 class TestAdditiveEnergy:
     def test_single_caps_per_class_trivial(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 1)
         assert rec["M1"] == 1
         assert rec["Xi_bound"] == rec["M0"] ** 2
 
     def test_theorem_b_sequence_frozen(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         got = {}
         for j in (12, 20, 28, 40):
             rec = additive_energy_estimate(dom, F(1, 1 << j), 3)
@@ -443,7 +447,7 @@ class TestAdditiveEnergy:
         # at 2^-52 the tangent class's last fold must pass the fold cap, so it
         # falls back to the product bound before its 1984^2-sum first fold is
         # built (that fold took ~212 MiB of traced memory)
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         tracemalloc.start()
         try:
             rec = additive_energy_estimate(dom, F(1, 1 << 52), 3)
@@ -455,26 +459,26 @@ class TestAdditiveEnergy:
         assert peak <= 32 << 20
 
     def test_chord_class_matches_direct_sum_sweep(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 3)
         gaps = dom.moran.removed_intervals(2)
         assert rec["class_multiplicities"][2] == sum_multiplicity(gaps, 3)
 
     def test_product_bound_dominates_exact(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         rec = additive_energy_estimate(dom, F(1, 1 << 20), 3)
         for level in (1, 2):
             bound = _class_product_bound(dom, level, 3, rec["K_delta"], 0)
             assert bound >= rec["class_multiplicities"][level]
 
     def test_theorem_a_exponent_decreasing(self):
-        dom = gcs_domain(build_moran(constant_branch_spec(8), 3))
+        dom = preset_domain("constant-branch-8", 3)
         e24 = additive_energy_estimate(dom, F(1, 1 << 24), 3)["energy_exponent"]
         e36 = additive_energy_estimate(dom, F(1, 1 << 36), 3)["energy_exponent"]
         assert e24 > e36
 
     def test_tangent_split_count_matches_linear_scan(self):
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = preset_domain("doubling", 4)
         for j in (12, 20, 28, 40):
             cover = cap_cover(dom, F(1, 1 << j))
             # per tangent cap, the largest level-K(delta) left end at or below it
@@ -500,8 +504,8 @@ class TestCorollaryConsistency:
         # window by a point) -- tested at the honest measured bounds
         cases = [
             (mt_domain(10), 0.08),
-            (gcs_domain(build_moran(doubling_branch_spec(), 4)), 0.09),
-            (gcs_domain(build_moran(constant_branch_spec(8), 3)), 0.09),
+            (preset_domain("doubling", 4), 0.09),
+            (preset_domain("constant-branch-8", 3), 0.09),
         ]
         for dom, tol in cases:
             sl = [float(x) for x in slope_set(dom)]

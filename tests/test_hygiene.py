@@ -205,7 +205,7 @@ import spans
 tracer = spans.Tracer()
 spans.install(tracer)
 sc = core.DyadicScale(5)
-ms = setgen.build_moran(setgen.middle_thirds_spec(), 8)
+ms = setgen.build_moran(setgen.moran_spec_from_config(setgen.PRESETS["middle-thirds"]), 8)
 ms.endpoints(3)
 setgen.search_interval_family(4, 3, budget=20, seed=1)
 setgen.qa_profile(ms.endpoint_values(3), 0.25, F(1, 27))
@@ -261,7 +261,7 @@ sc = core.DyadicScale(5)
 th = maximal.DirectionSet.cantor(0.5, sc)
 maximal.tube_sum_norm(incidence.TubeFamily(sc, th.indices, [0] * len(th)), 2.0)
 incidence.incidence_profile(incidence.cantor_slope_family(0.5, sc, seed=1), 0.5)
-ms = setgen.build_moran(setgen.middle_thirds_spec(), 8)
+ms = setgen.build_moran(setgen.moran_spec_from_config(setgen.PRESETS["middle-thirds"]), 8)
 setgen.qa_profile(ms.endpoint_values(3), 0.25, F(1, 27))
 setgen.sum_multiplicity([(0, F(1, 3)), (F(2, 3), 1)], 3)
 print("numpy.ma" in sys.modules)

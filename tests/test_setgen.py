@@ -32,12 +32,9 @@ from tubelab.setgen import (
     build_moran,
     cached_family,
     check_gcs,
-    constant_branch_spec,
-    doubling_branch_spec,
     family_offsets,
     frostman_constant,
     katz_tao_constant,
-    middle_thirds_spec,
     moran_spec_from_config,
     moran_sum_multiplicity_bound,
     parse_keyvals,
@@ -53,6 +50,16 @@ from tubelab.setgen import (
 
 F = Fraction
 LOG2_3 = math.log(2) / math.log(3)
+
+
+def _preset(name: str, K: int):
+    return build_moran(moran_spec_from_config(setgen.PRESETS[name]), K)
+
+
+def _listed_spec(ns: list, cs: list, offs: list) -> MoranSpec:
+    """The spec whose level k reads entry k - 1 of each list."""
+    return MoranSpec(n=lambda k: ns[k - 1], c=lambda k: cs[k - 1], offsets=lambda k: offs[k - 1],
+                     levels=len(cs))
 
 
 def _random_valid_spec(rng: random.Random, levels: int = 4) -> MoranSpec:
@@ -80,21 +87,21 @@ def _random_valid_spec(rng: random.Random, levels: int = 4) -> MoranSpec:
         offs.append([F(p, d) for p in sorted(set(positions))[:n]])
         if len(offs[-1]) != n:
             offs[-1] = [F(2 * i, d) for i in range(n - 1)] + [F(d - 1, d)]
-    return MoranSpec(n=ns, c=cs, offsets=lambda k: offs[k - 1])
+    return _listed_spec(ns, cs, offs)
 
 
 class TestBuildMoran:
     def test_middle_thirds_first_generation(self):
-        ms = build_moran(middle_thirds_spec(), 1)
+        ms = _preset("middle-thirds", 1)
         assert ms.endpoints(1) == [F(-1, 2), F(-1, 6), F(1, 6), F(1, 2)]
 
     def test_constant_branch_first_generation(self):
-        ms = build_moran(constant_branch_spec(3), 1)
+        ms = build_moran(moran_spec_from_config("n = 3\nc = 3^-3\noffsets = searched\n"), 1)
         assert ms.interval_count(1) == 3
         assert ms.length(1) == F(1, 27)
 
     def test_doubling_counts_telescope(self):
-        ms = build_moran(doubling_branch_spec(), 4)
+        ms = _preset("doubling", 4)
         assert [ms.interval_count(k) for k in range(5)] == [1, 2, 8, 64, 1024]
         assert ms.length(4) == F(1, 1 << 30)
 
@@ -113,7 +120,7 @@ class TestBuildMoran:
                     assert any(pa <= a and a + expected <= pa + ln_par for pa in parents)
 
     def test_removed_gaps_partition_parent(self):
-        ms = build_moran(middle_thirds_spec(), 3)
+        ms = _preset("middle-thirds", 3)
         for k in range(1, 4):
             removed = ms.removed_intervals(k)
             kept = ms.interval_count(k) * ms.length(k)
@@ -121,7 +128,7 @@ class TestBuildMoran:
             assert kept + gaps == ms.interval_count(k - 1) * ms.length(k - 1)
 
     def test_midpoints_exact_and_on_generation_endpoints(self):
-        ms = build_moran(middle_thirds_spec(), 6)
+        ms = _preset("middle-thirds", 6)
         mids = []
         for k in range(1, 7):
             eps = set(ms.endpoints(k))
@@ -131,27 +138,18 @@ class TestBuildMoran:
         assert ms.all_midpoints() == sorted(mids)
 
     def test_endpoint_condition_persists_gap_endpoints(self):
-        ms = build_moran(middle_thirds_spec(), 6)
+        ms = _preset("middle-thirds", 6)
         deep = set(ms.endpoints(6))
         for a, b in ms.removed_intervals(2):
             assert a in deep and b in deep
 
     def test_overlapping_offsets_error_names_level(self):
-        spec = MoranSpec(n=2, c=F(1, 3), offsets=[0, F(1, 4)])
+        spec = moran_spec_from_config("n = 2\nc = 1/3\noffsets = 0, 1/4\n")
         with pytest.raises(ValueError, match="level 1"):
             build_moran(spec, 1)
 
-    def test_nested_layout_rejected_with_level(self):
-        with pytest.raises(ValueError, match="^level 1: a level layout is one flat list"):
-            MoranSpec(n=2, c=F(1, 3), offsets=[[0, F(2, 3)], [0, F(2, 3)]])
-        with pytest.raises(ValueError, match="^level 1: a level layout is one flat list"):
-            MoranSpec(n=2, c=F(1, 3), offsets=[0, [F(2, 3)]])
-        spec = MoranSpec(n=2, c=F(1, 3), offsets=lambda k: [0, F(2, 3)] if k < 2 else [[0], [F(2, 3)]])
-        with pytest.raises(ValueError, match="^level 2: a level layout is one flat list"):
-            build_moran(spec, 2)
-
     def test_expansion_ratio_must_leave_room(self):
-        spec = MoranSpec(n=3, c=F(1, 3), offsets=[0, F(1, 3), F(2, 3)])
+        spec = moran_spec_from_config("n = 3\nc = 1/3\noffsets = 0, 1/3, 2/3\n")
         with pytest.raises(ValueError, match="n_k \\* c_k"):
             build_moran(spec, 1)
 
@@ -164,7 +162,7 @@ class TestBuildMoran:
     def test_interval_cap_guard(self, monkeypatch):
         monkeypatch.setattr(setgen, "_MAX_INTERVALS", 100)
         with pytest.raises(ValueError, match="^generation 7 would exceed 100 intervals$"):
-            build_moran(middle_thirds_spec(), 8)
+            _preset("middle-thirds", 8)
 
 
 def _reference_moran(spec: MoranSpec, K: int) -> list[dict]:
@@ -227,7 +225,7 @@ def _moran_specs(draw):
         ns.append(n)
         cs.append(F(a, d))
         offs.append([F(p, d) for p in itertools.accumulate([start, *steps])])
-    return MoranSpec(n=ns, c=cs, offsets=lambda k: offs[k - 1]), K
+    return _listed_spec(ns, cs, offs), K
 
 
 class TestIntegerLattice:
@@ -239,63 +237,63 @@ class TestIntegerLattice:
         _assert_matches_reference(*case)
 
     def test_non_flush_layout(self):
-        spec = MoranSpec(n=3, c=F(1, 9), offsets=[F(1, 18), F(4, 9), F(7, 9)])
+        spec = moran_spec_from_config("n = 3\nc = 1/9\noffsets = 1/18, 4/9, 7/9\n")
         _assert_matches_reference(spec, 4)
 
     def test_denominator_past_int64(self):
-        spec = MoranSpec(n=2, c=F(1, 1 << 20), offsets=[0, 1 - F(1, 1 << 20)])
+        spec = moran_spec_from_config("n = 2\nc = 2^-20\noffsets = 0, 1048575/1048576\n")
         ms = _assert_matches_reference(spec, 4)
         assert ms.length(4).denominator > 1 << 63
 
     def test_endpoint_values_round_each_endpoint_once(self):
         # denominators 2*3^(12k): below 2^53 at k <= 2, int64 at k = 3, Python ints at k = 4
         c = F(1, 3 ** 12)
-        ms = build_moran(MoranSpec(n=2, c=c, offsets=[0, 1 - c]), 4)
+        ms = build_moran(moran_spec_from_config(f"n = 2\nc = {c}\noffsets = 0, {1 - c}\n"), 4)
         for k in range(5):
             vals = ms.endpoint_values(k)
             assert vals.dtype == np.float64
             assert vals.tolist() == [float(x) for x in ms.endpoints(k)]
-        mt = build_moran(middle_thirds_spec(), 10)
+        mt = _preset("middle-thirds", 10)
         assert mt.endpoint_values(10).tolist() == [float(x) for x in mt.endpoints(10)]
 
 
 class TestCheckGcs:
     def test_middle_thirds_ratios(self):
-        rep = check_gcs(build_moran(middle_thirds_spec(), 5))
+        rep = check_gcs(_preset("middle-thirds", 5))
         assert rep["endpoint_ok"] is True
         for k, r in enumerate(rep["hrww_ratio"], 1):
             assert abs(r - 1 / k) < 1e-12
 
     def test_doubling_ratios(self):
-        rep = check_gcs(build_moran(doubling_branch_spec(), 5))
+        rep = check_gcs(_preset("doubling", 5))
         assert rep["endpoint_ok"] is True
         for k, r in enumerate(rep["hrww_ratio"], 1):
             assert abs(r - 2 / (k + 1)) < 1e-12
 
     def test_non_flush_right_child(self):
-        spec = MoranSpec(n=2, c=F(1, 3), offsets=[0, F(1, 2)])
+        spec = moran_spec_from_config("n = 2\nc = 1/3\noffsets = 0, 1/2\n")
         rep = check_gcs(build_moran(spec, 2))
         assert rep["endpoint_ok"] is False
 
 
 class TestBoxDimRatio:
     def test_middle_thirds(self):
-        ms = build_moran(middle_thirds_spec(), 6)
+        ms = _preset("middle-thirds", 6)
         assert abs(box_dim_ratio(ms, 1, 6) - LOG2_3) < 1e-12
         assert abs(box_dim_ratio(ms, 3, 5) - LOG2_3) < 1e-12
 
     def test_doubling_is_one_third(self):
-        ms = build_moran(doubling_branch_spec(), 5)
+        ms = _preset("doubling", 5)
         for k_lo in (1, 2, 3):
             assert abs(box_dim_ratio(ms, k_lo, 5) - 1 / 3) < 1e-12
 
     def test_half_dimension(self):
-        spec = MoranSpec(n=2, c=F(1, 4), offsets=[0, F(3, 4)])
+        spec = moran_spec_from_config("n = 2\nc = 1/4\noffsets = 0, 3/4\n")
         ms = build_moran(spec, 4)
         assert abs(box_dim_ratio(ms, 1, 4) - 0.5) < 1e-12
 
     def test_depth_errors(self):
-        ms = build_moran(middle_thirds_spec(), 3)
+        ms = _preset("middle-thirds", 3)
         with pytest.raises(ValueError):
             box_dim_ratio(ms, 1, 4)
         with pytest.raises(ValueError):
@@ -352,7 +350,7 @@ class TestQaProfile:
             qa_profile([0], 0.0, DyadicScale(4))
 
     def test_monotone_in_gamma(self):
-        ms = build_moran(middle_thirds_spec(), 8)
+        ms = _preset("middle-thirds", 8)
         e = ms.endpoints(8)
         delta = F(3) ** -8
         vals = [qa_profile(e, g, delta) for g in (0.2, 0.4, 0.6, 0.8)]
@@ -367,7 +365,7 @@ class TestQaProfile:
         assert abs(v - 0.91644) < 2e-3
 
     def test_middle_thirds_profile_near_box_dimension(self):
-        ms = build_moran(middle_thirds_spec(), 10)
+        ms = _preset("middle-thirds", 10)
         v = qa_profile(ms.endpoints(10), 0.25, F(3) ** -10)
         assert abs(v - LOG2_3) < 0.08
         assert qa_profile(ms.endpoint_values(10), 0.25, F(3) ** -10) == v
@@ -401,7 +399,7 @@ class TestRegularityConstant:
     def test_middle_thirds_constant_depth_independent(self):
         vals = []
         for K in (6, 8):
-            ms = build_moran(middle_thirds_spec(), K)
+            ms = _preset("middle-thirds", K)
             d = DyadicScale(math.ceil(K * math.log2(3)))
             vals.append(float(regularity_constant(ms.endpoints(K), LOG2_3, d)))
         assert vals[0] == pytest.approx(vals[1], abs=1e-9)
@@ -767,7 +765,7 @@ class TestWindowedSweep:
 
     def test_energy_class_at_2_pow_40_stays_small(self):
         # check 04's tangent class at 2^-40: 256 abutting caps, 3 873 024 sums
-        dom = gcs_domain(build_moran(doubling_branch_spec(), 4))
+        dom = gcs_domain(_preset("doubling", 4))
         ivs = [(c.t_lo, c.t_hi) for c in cap_cover(dom, F(1, 1 << 40)).classes[0]]
         assert len(ivs) == 256
         tracemalloc.start()
@@ -1013,16 +1011,16 @@ class TestSkippedEvaluations:
 
 class TestMoranSumBound:
     def test_middle_thirds_product(self):
-        ms = build_moran(middle_thirds_spec(), 3)
+        ms = _preset("middle-thirds", 3)
         assert moran_sum_multiplicity_bound(ms, 2, 3) == 27
 
     def test_bound_dominates_exact_value(self):
-        ms = build_moran(middle_thirds_spec(), 3)
+        ms = _preset("middle-thirds", 3)
         exact = sum_multiplicity([(a, a + ms.length(3)) for a in ms.lefts(3)], 2)
         assert exact <= moran_sum_multiplicity_bound(ms, 2, 3)
 
     def test_m1_is_one(self):
-        ms = build_moran(middle_thirds_spec(), 4)
+        ms = _preset("middle-thirds", 4)
         assert moran_sum_multiplicity_bound(ms, 1, 4) == 1
 
 
@@ -1043,6 +1041,31 @@ class TestConfig:
         spec = moran_spec_from_config("n = 8\nc = 8^-3\noffsets = searched\n")
         assert spec.c(1) == F(1, 512)
         assert len(spec.offsets(2)) == 8
+
+    @pytest.mark.parametrize("name, n, c, depth", [
+        ("doubling", lambda k: 1 << k, lambda k: F(1, 1 << (3 * k)), 5),
+        ("constant-branch-8", lambda k: 8, lambda k: F(1, 512), 3),
+    ])
+    def test_searched_preset_levels(self, name, n, c, depth):
+        # n_k children of contraction c_k, laid out by the family the search
+        # finds for n_k at m = 3, budget 4000 and seed 0
+        spec = moran_spec_from_config(setgen.PRESETS[name])
+        assert spec.levels is None
+        for k in range(1, depth + 1):
+            want = tuple(family_offsets(cached_family(n(k), 3, 4000, 0)))
+            assert spec.level(k) == (n(k), c(k), want)
+
+    def test_middle_thirds_preset_levels(self):
+        spec = moran_spec_from_config(setgen.PRESETS["middle-thirds"])
+        assert spec.levels is None
+        assert [spec.level(k) for k in (1, 2, 9)] == [(2, F(1, 3), (F(0), F(2, 3)))] * 3
+
+    def test_listed_contractions_set_levels(self):
+        spec = moran_spec_from_config("n = 2, 2\nc = 1/4, 1/4\noffsets = 0, 3/4\n")
+        assert spec.levels == 2
+        assert spec.level(2) == (2, F(1, 4), (F(0), F(3, 4)))
+        with pytest.raises(ValueError, match="^spec defines 2 levels, asked for 3$"):
+            spec.level(3)
 
     def test_comment_and_blank_lines(self):
         kv = parse_keyvals("# comment\n\nn = 2 # trailing\nc = 1/3\n")
@@ -1188,7 +1211,7 @@ def test_qa_profile_holds_one_table_set():
     # points, each with its x + 2r and int64 search result. The parent's
     # (n - 1).bit_length() + 1 = 18 tables of one counter exceed it, and so
     # would two n-long transients of 8 bytes.
-    xs = build_moran(middle_thirds_spec(), 16).endpoint_values(16)
+    xs = _preset("middle-thirds", 16).endpoint_values(16)
     n, delta = len(xs), F(3) ** -16
     h = (n.bit_length() + 1) // 2
     qa_profile(xs[:64], 0.25, delta)  # first-call allocations outside the trace
