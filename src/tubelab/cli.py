@@ -360,10 +360,10 @@ def _run_energy(cfg: ExperimentConfig):
 
 
 def _run_dualsum(cfg: ExperimentConfig):
-    pprime = cfg.p[0] if cfg.p else 1 + 1 / cfg.s
     rows = []
     for delta in cfg.deltas:
-        th = DirectionSet.cantor(cfg.s, _scale(delta))
+        th = DirectionSet.cantor(cfg.s, _scale(delta))  # refuses s outside (0, 1] first
+        pprime = cfg.p[0] if cfg.p else 1 + 1 / cfg.s
         norm = dual_sum_norm(aim_at_origin_assignment(th), pprime)
         rows.append([delta, cfg.s, pprime, float(norm)])
     plots = {"dualsum": (_fit_beta(rows, 3), "adversarial dual sum norm", "log2(norm)")}

@@ -525,6 +525,8 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) ->
 def kakeya_norm(values: np.ndarray, theta: DirectionSet, p: float) -> float:
     """L^p(mu) norm over directions of kakeya_apply's per-direction values,
     with mu as in norm_ratio."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
     w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
     total = sum(v ** p * w for v in values.tolist())
     return total ** (1.0 / p)

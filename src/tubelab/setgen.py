@@ -969,6 +969,8 @@ def _rule_fn(expr: str) -> tuple[Callable[[int], Fraction], int | None]:
     if mt:
         base = int(mt.group(1))
         coef = int(mt.group(3) or 1) * (-1 if mt.group(2) else 1)
+        if base == 0 and coef < 0:  # every level k >= 1 would divide by zero
+            raise ValueError(f"rule '{expr}' raises 0 to a negative power")
         return (lambda k: F(base) ** (coef * k)), None
     if "," in expr:
         items = [F(part.strip()) for part in expr.split(",")]
@@ -1000,7 +1002,7 @@ def moran_spec_from_config(text: str) -> MoranSpec:
 
     Keys: n, c (closed-form rules or comma lists), offsets (comma list of
     fractions, 'even', or 'searched'), optional m / budget / seed for the
-    searched layout. Any other key is rejected.
+    searched layout, refused with any other. Any other key is rejected.
     """
     kv = parse_keyvals(text)
     unknown = sorted(kv.keys() - MORAN_KEYS)
@@ -1019,6 +1021,9 @@ def moran_spec_from_config(text: str) -> MoranSpec:
         return int(val)
 
     mode = kv.get("offsets", "even").strip()
+    unread = sorted(kv.keys() & {"m", "budget", "seed"})
+    if unread and mode != "searched":
+        raise ValueError(f"[moran] key(s) read only by offsets = searched: {', '.join(unread)}")
     if mode == "even":
         def off_fn(k: int):
             n_k, c_k = n_fn(k), c_rule(k)

@@ -1,17 +1,24 @@
 """Runner tests: config parsing, artifacts, determinism, and the SVG renderer.
 
 Oracles: direct library calls compared against CSV contents, byte
-comparison of repeated runs, and exact error/exit-code contracts.
+comparison of repeated runs, and exact error/exit-code contracts, which
+generated configs with edge values must keep too.
 """
 
+import contextlib
+import io
 import math
 import re
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab.cli import (
+    KINDS,
     ExperimentConfig,
     UsageError,
     config_text,
@@ -176,6 +183,25 @@ class TestConfigParsing:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and msg in err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block, msg", [
+        ("n = 2\nc = 0^-k\n", "rule '0^-k' raises 0 to a negative power"),
+        ("n = 0^-2k\nc = 1/4\n", "rule '0^-2k' raises 0 to a negative power"),
+        ("n = 2\nc = 1/4\noffsets = even\nm = x\n", "[moran] key(s) read only by offsets = searched: m"),
+        ("n = 2\nc = 1/4\noffsets = 0, 3/4\nseed = 1\nbudget = 5\n",
+         "[moran] key(s) read only by offsets = searched: budget, seed"),
+        ("n = 2\nc = 1/4\nm = 2\n", "[moran] key(s) read only by offsets = searched: m"),
+    ])
+    def test_moran_rule_and_layout_key_refused(self, block, msg, tmp_path, capsys):
+        # 0^-k would divide by zero at every level, and m, budget and seed
+        # set only a searched layout: both are refused when the config is read
+        text = f"[experiment]\nkind = dims\ndeltas = 1/4\ndepth = 3\n\n[moran]\n{block}"
+        with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
+            parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+        assert not (tmp_path / "o").exists()
 
 
 KIND_NAMES = ["incidence", "nikodym", "kakeya", "dims", "domain", "energy", "dualsum"]
@@ -539,6 +565,14 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().out == "FAIL,domain,built depth 1 is insufficient: K(delta) = 2\n"
 
+    @pytest.mark.parametrize("kind, extra", [("dualsum", ""), ("dualsum", "p = 2\n"), ("nikodym", "p = 2\n")])
+    def test_zero_s_failure_row(self, tmp_path, capsys, kind, extra):
+        # the Cantor set refuses s before dualsum's default p' = 1 + 1/s divides by it
+        (tmp_path / "c.cfg").write_text(f"[experiment]\nkind = {kind}\ndeltas = 1/32\ns = 0\n{extra}")
+        rc = main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr() == (f"FAIL,{kind},s must lie in (0, 1]\n", "")
+
     def test_moran_child_count_failure_row(self, tmp_path, capsys):
         # n_k is checked before the 'even' layout divides by n_k - 1
         (tmp_path / "c.cfg").write_text(
@@ -717,3 +751,63 @@ class TestConfigValidation:
         argv = ["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
         assert main(argv + ["--delta-min-exp", "-2", "--delta-max-exp", "5"]) == 2
         assert "error: delta 4 is not dyadic" in capsys.readouterr().err
+
+
+# ------------------------------------------------- run outcome contract
+
+EDGE = ["0", "-1", "1/2", "0.5", "1", "2", "1, 2"]  # values for s, p, r, m and gamma
+RULE_N = ["2", "3", "0", "1", "1/2", "2^k", "0^k", "0^-k", "1^-k", "2^-k", "2, 3", "3, 2, 2"]
+RULE_C = ["1/3", "1/4", "0", "1", "-1/3", "2^-3k", "2^-k", "0^-k", "1^-2k", "0^-2", "8^-3", "1/3, 1/5"]
+OFFSETS = ["even", "searched", "0, 2/3", "0, 1/2", "0, 1/4, 3/4", "1"]
+LAYOUT = ["0", "-1", "1", "2", "3", "1/2", "20"]  # values for m, budget and seed
+
+
+def _optional(key, values):
+    return st.one_of(st.none(), st.sampled_from(values).map(lambda v: f"{key} = {v}"))
+
+
+@st.composite
+def run_configs(draw):
+    """A config text: a kind, one delta >= 2^-6, edge values for the keys
+    the kind reads (and now and then for one it does not), and for the
+    construction kinds a preset or a [moran] block of depth <= 3."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    lines = [f"kind = {kind}", f"deltas = 1/{2 ** draw(st.integers(1, 6))}"]
+    for key in ("s", "p", "r", "m", "gamma"):
+        if key in KINDS[kind].keys or draw(st.integers(0, 7)) == 0:
+            lines.append(draw(_optional(key, EDGE)))
+    moran = []
+    if "preset" in KINDS[kind].keys:
+        lines.append(f"depth = {draw(st.integers(0, 3))}")
+        lines.append(draw(_optional("preset", sorted(PRESETS))))
+        if draw(st.booleans()):
+            moran = [f"n = {draw(st.sampled_from(RULE_N))}", f"c = {draw(st.sampled_from(RULE_C))}",
+                     draw(_optional("offsets", OFFSETS)),
+                     *(draw(_optional(key, LAYOUT)) for key in ("m", "budget", "seed"))]
+    text = "[experiment]\n" + "".join(f"{ln}\n" for ln in lines if ln)
+    if moran:
+        text += "\n[moran]\n" + "".join(f"{ln}\n" for ln in moran if ln)
+    return kind, text
+
+
+@given(run_configs())
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_run_has_three_outcomes(drawn):
+    # tubelab run exits 0 with its artifacts, 1 with one FAIL row, or 2 with
+    # one error line and no output directory; no config raises past main
+    kind, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out_dir = Path(tmp) / "c.cfg", Path(tmp) / "out"
+        spec.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", "--spec", str(spec), "--out", str(out_dir)])
+        out, err = out.getvalue(), err.getvalue()
+        if rc == 0:
+            assert err == "" and (out_dir / f"{kind}.csv").exists() and (out_dir / "manifest.txt").exists()
+            assert all(line.startswith("wrote ") for line in out.splitlines())
+        elif rc == 1:
+            assert err == "" and out.startswith(f"FAIL,{kind},") and out.count("\n") == 1
+        else:
+            assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert not out_dir.exists()

@@ -1,11 +1,14 @@
 """Source hygiene: every name a module of src/tubelab imports is used in it,
 every private module-level function or class is used by the library, every
 defaulted parameter is set by some library or benchmark call, no module
-imports a private name from another tubelab module, and every layer probe
-of the benchmark's tracer finds what it reads in the library."""
+imports a private name from another tubelab module, every layer probe
+of the benchmark's tracer finds what it reads in the library, and the
+README's module and kind tables name what the code defines."""
 
 import ast
+import importlib
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from tubelab.cli import KINDS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "tubelab"
 PERFBENCH = SRC.parent.parent / "perfbench"
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -276,3 +282,165 @@ def test_library_does_not_import_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# ------------------------------------------------------ README contract
+
+_MODULE_ROW = re.compile(r"^\|\s*`(tubelab\.\w+)`\s*\|(.*)\|\s*$")
+# a backticked name: an identifier or dotted path, perhaps with a call's arguments
+_NAME = re.compile(r"^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?$")
+_TIMING = re.compile(r"\d+(?:\.\d+)?\s*(?:µs|ms|s|KiB|KB|MiB|MB|GB)\b|\bPR\s*#?\d+")
+
+
+def _module_rows(text: str) -> dict[str, str]:
+    """The module table of the README: each row's module, and its other cells."""
+    return {m.group(1): m.group(2) for m in map(_MODULE_ROW.match, text.splitlines()) if m}
+
+
+def _row_names(row: str) -> list[str]:
+    """The backticked names of a row, call arguments dropped; code that is
+    not a name (`2^24`, `[moran]`, `offsets = searched`) is skipped."""
+    return [m.group(1) for m in map(_NAME.match, re.findall(r"`([^`]+)`", row)) if m]
+
+
+def _has_path(obj, parts: list[str]) -> bool:
+    """Whether obj.a.b... exists; a last part may be a dataclass or annotated
+    field, which is no class attribute."""
+    for i, part in enumerate(parts):
+        if not hasattr(obj, part):
+            return i == len(parts) - 1 and part in getattr(obj, "__annotations__", {})
+        obj = getattr(obj, part)
+    return True
+
+
+def _resolves(module: str, name: str) -> bool:
+    """name as an attribute path on module, or a tubelab.x.y path, by import."""
+    parts = (name if name.startswith("tubelab.") else f"{module}.{name}").split(".")
+    for i in range(len(parts), 0, -1):  # the longest prefix that imports
+        try:
+            owner = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        return _has_path(owner, parts[i:])
+    return False
+
+
+def _unresolved_names(text: str) -> list[str]:
+    return [f"{module}: {name}" for module, row in _module_rows(text).items()
+            for name in _row_names(row) if not _resolves(module, name)]
+
+
+def _public_definitions(source: str) -> list[str]:
+    return [n.name for n in ast.parse(source).body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+
+
+def _unlisted_names(text: str, sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes of the sources (by module
+    path) that their module's row does not name."""
+    rows = _module_rows(text)
+    found = []
+    for module, source in sources.items():
+        listed = {name.split(".")[0] for name in _row_names(rows.get(module, ""))}
+        found += [f"{module}: {name}" for name in _public_definitions(source) if name not in listed]
+    return found
+
+
+def _kind_table(text: str) -> dict[str, set[str]]:
+    """The README's kind table: each kind's backticked keys ([moran] is no key)."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if re.match(r"^\|\s*kind\s*\|", line)), len(lines))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        kinds, keys = line.strip("|").split("|")
+        for kind in re.findall(r"`(\w+)`", kinds):
+            table[kind] = set(re.findall(r"`(\w+)`", keys))
+    return table
+
+
+def _kind_mismatches(text: str, kinds: dict[str, set[str]]) -> list[str]:
+    table = _kind_table(text)
+    return [f"{kind}: README {sorted(table.get(kind, ()))}, code {sorted(kinds.get(kind, ()))}"
+            for kind in sorted(table.keys() | kinds.keys()) if table.get(kind) != kinds.get(kind)]
+
+
+def _timings(text: str) -> list[str]:
+    """Timings, sizes and PR references in the module table's rows."""
+    return [f"{module}: {hit}" for module, row in _module_rows(text).items() for hit in _TIMING.findall(row)]
+
+
+def _readme() -> str:
+    return README.read_text(encoding="utf-8")
+
+
+def test_readme_names_resolve():
+    assert _unresolved_names(_readme()) == []
+
+
+def test_checker_finds_unresolved_names():
+    text = (
+        "| module | contract |\n| --- | --- |\n"
+        "| `tubelab.core` | `sorted_distinct(x)` sorts; `sorted_distinkt(x)`; `DyadicScale.delta`; "
+        "`DyadicScale.delt`; `CellSet.idx`; `Measurement.details`; `tubelab.maximal._MAX_GRID_CELLS` "
+        "= `2^24`; `tubelab.maximal._MAX_GRID_CELL`; `tubelab.nowhere.x`; `[moran]`; `n = 2` |\n"
+        "| `tubelab.nowhere` | `x` |\n"
+    )
+    assert _unresolved_names(text) == [
+        "tubelab.core: sorted_distinkt", "tubelab.core: DyadicScale.delt",
+        "tubelab.core: tubelab.maximal._MAX_GRID_CELL", "tubelab.core: tubelab.nowhere.x",
+        "tubelab.nowhere: x",
+    ]
+
+
+def test_readme_lists_every_public_definition():
+    sources = {f"tubelab.{p.stem}": p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unlisted_names(_readme(), sources) == []
+
+
+def test_checker_finds_unlisted_names():
+    text = "| `tubelab.a` | `f(x)` does; `C.method` acts |\n"
+    sources = {
+        "tubelab.a": "def f(x):\n    pass\n\ndef _g():\n    pass\n\nclass C:\n    pass\n\n"
+                     "class D:\n    pass\n\nX = 1\n",
+        "tubelab.b": "def h():\n    pass\n",
+    }
+    assert _unlisted_names(text, sources) == ["tubelab.a: D", "tubelab.b: h"]
+
+
+def test_readme_kind_table_matches_kinds():
+    assert _kind_mismatches(_readme(), {kind: set(k.keys) for kind, k in KINDS.items()}) == []
+
+
+def test_checker_finds_kind_key_mismatches():
+    text = (
+        "intro\n\n| kind | keys |\n|---|---|\n| `incidence` | `s`, `r` (list) |\n"
+        "| `nikodym`, `kakeya` | `s`, `q` |\n| `dims` | `depth`, or a `[moran]` block |\n\nafter `z`\n"
+    )
+    kinds = {"incidence": {"s", "r"}, "nikodym": {"s", "p"}, "kakeya": {"s", "q"},
+             "dims": {"depth"}, "energy": {"m"}}
+    assert _kind_mismatches(text, kinds) == [
+        "energy: README [], code ['m']", "nikodym: README ['q', 's'], code ['p', 's']",
+    ]
+
+
+def test_readme_module_table_holds_no_timing():
+    assert _timings(_readme()) == []
+
+
+def test_checker_finds_timings():
+    text = (
+        "| `tubelab.core` | `f(x)` takes 0.5 s and 212 MB; `g` 30 µs, since PR 27 |\n"
+        "| `tubelab.maximal` | `h(x)` refuses (2^k)² > 2^24 cells, k ≤ 12, 4 sums; 1 s-regular |\n"
+        "outside a row: 3 s\n"
+    )
+    assert _timings(text) == [
+        "tubelab.core: 0.5 s", "tubelab.core: 212 MB", "tubelab.core: 30 µs",
+        "tubelab.core: PR 27", "tubelab.maximal: 1 s",
+    ]
+
+
+def test_readme_stays_an_index():
+    # the long form of each contract lives in its module's docstrings
+    assert len(README.read_bytes()) <= 12 * 1024

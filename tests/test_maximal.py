@@ -36,6 +36,7 @@ from tubelab.maximal import (
     dual_sum_norm,
     exponent_fit,
     kakeya_apply,
+    kakeya_norm,
     nikodym_apply,
     norm_ratio,
     tube_sum_norm,
@@ -878,6 +879,14 @@ class TestNormRatio:
         f = GridFunction.constant(1.0, sc)
         # K == 1 per direction, mu total 1 -> numerator 1
         assert norm_ratio(f, th, 2.0, "kakeya") == pytest.approx(1 / f.lp_norm(2), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5])
+    def test_kakeya_norm_refuses_p_below_one(self, p):
+        # as lp_norm does; at p = 0 the root 1/p divided by zero
+        sc = DyadicScale(4)
+        th = DirectionSet.cantor(0.5, sc)
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            kakeya_norm(kakeya_apply(GridFunction.ball_indicator(sc), th), th, p)
 
 
 @st.composite
