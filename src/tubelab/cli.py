@@ -106,7 +106,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown preset '{self.preset}'; known: {', '.join(PRESETS)}")
         try:  # key and value errors; those of a level show when it is built
             self._spec()
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             raise UsageError(str(e)) from e
         if self.depth < 1:
             raise UsageError("depth must be >= 1")
@@ -390,9 +390,9 @@ KINDS = {
 def run(cfg: ExperimentConfig, out_dir) -> RunArtifact:
     """Execute a validated config and write CSV + SVG + manifest artifacts."""
     cfg.validate()
+    header, rows, plots = KINDS[cfg.kind].run(cfg)  # a run that fails makes no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows, plots = KINDS[cfg.kind].run(cfg)
 
     csv_path = out / f"{cfg.kind}.csv"
     _write_csv(csv_path, header, rows)

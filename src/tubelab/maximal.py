@@ -14,12 +14,10 @@ directions at each cell, Kakeya by the max over cells in each direction.
 A pass works only where f's box reaches, the columns it fills and the
 band of centers their sheared rows reach: a direction costs time in
 proportion to f's box plus that band (2^k times its height), not to
-(2^k)^2, and memory to f's box, one running row and the band. f's
-dtype picks the sums': integer-typed f with small values, such as the
-int8 indicators, sums in int32 and everything else in float64; an
-integer f and its float copy give bit-identical averages. A pass refuses a
-scale before it allocates a (2^k)^2 grid of more than _MAX_GRID_CELLS
-cells, and the dual sum one whose multiplicity histogram could be longer.
+(2^k)^2, and memory to f's box, one running row and the band. Values
+and sums are float64. A pass refuses a scale before it allocates a
+(2^k)^2 grid of more than _MAX_GRID_CELLS cells, and the dual sum one
+whose multiplicity histogram could be longer.
 """
 
 from __future__ import annotations
@@ -108,15 +106,12 @@ class GridFunction:
 
     The operators read f only where their tubes meet its box, so a function
     is stored on its support's box: indicators default to the bounding box
-    of their cells. Integer-typed values are kept as they are (indicators
-    are int8), so the operators can sum them in int32; any other values are
-    held as float64.
+    of their cells. Values are held as float64.
     """
 
     def __init__(self, scale: DyadicScale, box: Box, values: np.ndarray):
         c0, c1, r0, r1 = box.grid_range(scale.k)
-        values = np.asarray(values)
-        values = values if values.dtype.kind in "iu" else values.astype(np.float64, copy=False)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != (c1 - c0, r1 - r0):
             raise ValueError(
                 f"values shape {values.shape} does not match box grid {(c1 - c0, r1 - r0)}"
@@ -137,13 +132,13 @@ class GridFunction:
 
     @staticmethod
     def indicator_cells(scale: DyadicScale, cells) -> "GridFunction":
-        """1 on the cells, on the cells' bounding box (one zero cell at the
+        """1.0 on the cells, on the cells' bounding box (one zero cell at the
         origin for no cells)."""
         idx = cells.idx if isinstance(cells, CellSet) else np.asarray(list(cells), dtype=np.int64)
         lo, hi = (idx.min(axis=0), idx.max(axis=0) + 1) if len(idx) else ((0, 0), (1, 1))
         d = scale.delta
         box = Box.of(int(lo[0]) * d, int(lo[1]) * d, int(hi[0]) * d, int(hi[1]) * d)
-        vals = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=np.int8)
+        vals = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])))
         if len(idx):
             vals[idx[:, 0] - lo[0], idx[:, 1] - lo[1]] = 1
         return GridFunction(scale, box, vals)
@@ -164,7 +159,7 @@ class GridFunction:
         # one block of rows at a time, so values**p is never held whole
         v = self.values
         step = max(1, _BLOCK_CELLS // max(1, v.shape[1]))
-        blocks = (v[a:a + step].astype(np.float64, copy=False) for a in range(0, len(v), step))
+        blocks = (v[a:a + step] for a in range(0, len(v), step))
         total = sum(float((b**p).sum()) for b in blocks)
         return (total * d2) ** (1.0 / p)
 
@@ -206,10 +201,7 @@ def _vertical_4sums(f: GridFunction) -> _Sums4:
     rows for w columns and h such rows. Reads outside v4 are all 0.
 
     v4 starts as np.zeros, and the part of f inside the read window is
-    added into it in place, one row shift at a time in the order above. v4
-    is int32 when that part is integer-typed with values of at most
-    (2^31 - 1) // (8 * 2^k), so the prefix sums of _tube_sums_from_v4, each
-    over < 8 * 2^k cells, fit.
+    added into it in place, one row shift at a time in the order above.
     """
     k = f.scale.k
     n = 1 << k
@@ -224,19 +216,16 @@ def _vertical_4sums(f: GridFunction) -> _Sums4:
     r_lo = max(y0 - 2, r0)
     r_hi = max(r_lo, min(y1 + 1, r0 + f.values.shape[1]))
     part = f.values[c_lo - c0 : c_hi - c0, r_lo - r0 : r_hi - r0]
-    small = part.dtype.kind in "iu" and part.max(initial=0) <= np.iinfo(np.int32).max // (8 << k)
-    dtype = np.int32 if small else np.float64
     if not part.size:
-        return _Sums4(np.zeros((0, 0), dtype), c_lo + K, 0, (0, 0))
+        return _Sums4(np.zeros((0, 0)), c_lo + K, 0, (0, 0))
     ya, yb = max(y0, r_lo - 1), min(y1, r_hi + 2)  # V4 row y adds f rows y - 2 .. y + 1
     margin = 2 * (c_hi - c_lo) + yb - ya
     v0, v1 = max(y0, ya - margin), min(y1, yb + margin)
-    v4 = np.zeros((c_hi - c_lo, v1 - v0), dtype=dtype)
+    v4 = np.zeros((c_hi - c_lo, v1 - v0))
     for s in (-2, -1, 0, 1):  # V4 row y adds f row y + s
         a, b = max(ya, r_lo - s), min(yb, r_hi - s)
         if a < b:
-            dst = v4[:, a - v0 : b - v0]
-            np.add(dst, part[:, a + s - r_lo : b + s - r_lo], out=dst, casting="unsafe")
+            v4[:, a - v0 : b - v0] += part[:, a + s - r_lo : b + s - r_lo]
     return _Sums4(v4, c_lo + K, v0, (ya, yb))
 
 
@@ -277,8 +266,8 @@ def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray, row: np.ndar
     centers, and the live centers are one run, found by bisection.
 
     Q is one running row of the rows [Ra, Rb) that the windows cover, held
-    in row (v4's dtype): adding W[c] into it in place, column by column,
-    makes the same sequential additions as a prefix sum down the columns.
+    in row: adding W[c] into it in place, column by column, makes the same
+    sequential additions as a prefix sum down the columns.
     When it holds Q[m], its window is copied into out[m], and when it holds
     Q[m + 2^k], out[m] is subtracted from it in place; after the last
     column it holds Q[cb], which the centers with m + 2^k > cb take.
@@ -339,18 +328,18 @@ def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray, row: np.ndar
 def _tube_sums(f: GridFunction, theta: DirectionSet):
     """For each slope index of theta in order, the live windows of f's tube
     sums over the centers of [0,1)^2, as _tube_sums_from_v4 gives them, in
-    one buffer of V4's dtype refilled for each direction, beside one running
-    row as long as v4's rows. The windows of a direction are at most 2^k
-    centers by L rows, and L, the band's height capped at 2^k, is less than
-    v4's nonzero rows plus its columns."""
+    one buffer refilled for each direction, beside one running row as long
+    as v4's rows. The windows of a direction are at most 2^k centers by L
+    rows, and L, the band's height capped at 2^k, is less than v4's nonzero
+    rows plus its columns."""
     if f.scale != theta.scale:
         raise ValueError("scale mismatch between function and direction set")
     if not len(theta):
         raise ValueError("empty direction set")
     n = 1 << theta.scale.k
     s4 = _vertical_4sums(f)
-    buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)), dtype=s4.v4.dtype)
-    row = np.empty(s4.v4.shape[1], dtype=s4.v4.dtype)
+    buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)))
+    row = np.empty(s4.v4.shape[1])
     for t in theta.indices:
         yield _tube_sums_from_v4(s4, theta.scale.k, t, buf, row)
 
@@ -358,7 +347,7 @@ def _tube_sums(f: GridFunction, theta: DirectionSet):
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
     """Largest tube average over the direction set, at every cell of [0,1)^2."""
     n = 1 << theta.scale.k
-    best = None  # one float64 grid, made once the pass has checked the scale; int32 sums are exact in it
+    best = None  # one grid, made once the pass has checked the scale
     for m0, j0, cur in _tube_sums(f, theta):
         if best is None:
             best = np.zeros((n, n))

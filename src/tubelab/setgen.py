@@ -1011,8 +1011,15 @@ def moran_spec_from_config(text: str) -> MoranSpec:
     for key in ("n", "c"):
         if key not in kv:
             raise ValueError(f"config missing '{key}'")
-    n_rule, _ = _rule_fn(kv["n"])
-    c_rule, levels = _rule_fn(kv["c"])
+
+    def parsed(key: str, parse):
+        try:
+            return parse(kv[key])
+        except ZeroDivisionError:
+            raise ValueError(f"[moran] {key} = {kv[key]} divides by zero") from None
+
+    n_rule, _ = parsed("n", _rule_fn)
+    c_rule, levels = parsed("c", _rule_fn)
 
     def n_fn(k: int) -> int:
         val = n_rule(k)
@@ -1037,7 +1044,7 @@ def moran_spec_from_config(text: str) -> MoranSpec:
         def off_fn(k: int):
             return family_offsets(cached_family(n_fn(k), m, budget, seed))
     else:
-        fixed = [F(part.strip()) for part in mode.split(",")]
+        fixed = parsed("offsets", lambda text: [F(part.strip()) for part in text.split(",")])
 
         def off_fn(k: int):
             return fixed

@@ -167,7 +167,11 @@ class TestConfigParsing:
         ("n = 2\noffsets = 0, 3/4\n", "config missing 'c'"),
         ("c = 1/4\n", "config missing 'n'"),
         ("n = 2\nc = x\n", "Invalid literal for Fraction: 'x'"),
-        ("n = 2\nc = 1/0\n", "Fraction(1, 0)"),
+        ("n = 2\nc = 1/0\n", "[moran] c = 1/0 divides by zero"),
+        ("n = 2\nc = 0^-2\n", "[moran] c = 0^-2 divides by zero"),
+        ("n = 2\nc = 1/4, 1/0\n", "[moran] c = 1/4, 1/0 divides by zero"),
+        ("n = 1/0\nc = 1/4\n", "[moran] n = 1/0 divides by zero"),
+        ("n = 2\nc = 1/4\noffsets = 0, 1/0\n", "[moran] offsets = 0, 1/0 divides by zero"),
         ("n = 2\nc = 1/4\noffsets = 0, y\n", "Invalid literal for Fraction: 'y'"),
         ("n = 8\nc = 8^-3\noffsets = searched\nbudget = lots\n", "invalid literal for int() with base 10: 'lots'"),
     ])
@@ -181,7 +185,7 @@ class TestConfigParsing:
             (tmp_path / "c.cfg").write_text(text)
             assert main(["run", "--spec", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: ") and msg in err
+            assert out == "" and err.startswith("error: ") and msg in err and err.count("\n") == 1
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("block, msg", [
@@ -808,6 +812,7 @@ def test_run_has_three_outcomes(drawn):
             assert all(line.startswith("wrote ") for line in out.splitlines())
         elif rc == 1:
             assert err == "" and out.startswith(f"FAIL,{kind},") and out.count("\n") == 1
+            assert not out_dir.exists()
         else:
             assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
             assert not out_dir.exists()

@@ -220,11 +220,12 @@ class TestGridFunction:
         vals = np.full((32, 32), -0.0)
         assert GridFunction(sc, BOX_DEFAULT, vals).values is vals
         ind = np.ones((32, 32), dtype=np.int8)
-        assert GridFunction(sc, BOX_DEFAULT, ind).values.dtype == np.int8
+        assert GridFunction(sc, BOX_DEFAULT, ind).values.dtype == np.float64
         # a zero-width box, built without Box.of's check, holds no cells
         flat = Box(F(0), F(0), F(0), F(1))
         assert GridFunction(sc, flat, np.zeros((0, 8))).values.shape == (0, 8)
-        assert GridFunction(sc, flat, np.zeros((0, 8), dtype=np.int8)).values.size == 0
+        empty = GridFunction(sc, flat, np.zeros((0, 8), dtype=np.int8)).values
+        assert empty.size == 0 and empty.dtype == np.float64
 
     def test_lp_norm_of_constant(self):
         f = GridFunction.constant(1.0, DyadicScale(5))
@@ -256,7 +257,7 @@ class TestGridFunction:
     def test_ball_indicator_at_origin(self):
         # the cells whose center lies in the closed delta-ball at the origin,
         # by the exact rule over every cell the ball can reach, on their
-        # bounding box, as int8
+        # bounding box, as float64
         for k in range(1, 13):
             sc = DyadicScale(k)
             d = sc.delta
@@ -266,7 +267,7 @@ class TestGridFunction:
             ]
             f = GridFunction.ball_indicator(sc)
             c0, _, r0, _ = f.box.grid_range(k)
-            assert f.values.dtype == np.int8 and f.values.all()
+            assert f.values.dtype == np.float64 and f.values.all()
             assert sorted((c0 + i, r0 + j) for i, j in np.argwhere(f.values).tolist()) == want
 
 
@@ -381,9 +382,9 @@ class TestNikodymApply:
 @st.composite
 def _boxed_functions(draw):
     """(f, t): f random on a random grid-aligned box at k = 1..4, floats or
-    small int8 integers, and t random or at either extreme. A box is any
-    size up to 3 * 2^k square, or wide and flat: up to 4 * 2^k columns, the
-    whole read window's width, by 1 to 3 rows."""
+    small integers drawn as int8, and t random or at either extreme. A box
+    is any size up to 3 * 2^k square, or wide and flat: up to 4 * 2^k
+    columns, the whole read window's width, by 1 to 3 rows."""
     k = draw(st.integers(1, 4))
     n = 1 << k
     c0, r0 = draw(st.integers(-3 * n, 2 * n)), draw(st.integers(-3 * n, 3 * n))
@@ -459,28 +460,36 @@ class TestRunningRowPass:
 
 
 class TestBlockedPass:
-    """The per-direction pass: int32 sums against float64 sums, the one
-    pass both operators reduce, its memory on a bush core, and the grid
+    """The per-direction pass: one float64 pass for every value type, the
+    one pass both operators reduce, its memory on a bush core, and the grid
     guard."""
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(
         st.integers(1, 6),
-        st.sampled_from(["0/1", "small", "int32 limit"]),
+        st.sampled_from(["0/1", "small", "near 2^31 // (8 * 2^k)", "above it"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_int_pass_matches_float_pass(self, k, kind, seed):
-        # an integer-typed f takes the int32 pass and its float copy the
-        # float64 pass, up to the largest value the int32 pass takes
+    def test_values_held_as_float64(self, k, kind, seed):
+        # integer, bool and float32 values are converted once and float64
+        # values are held as given; an integer f, also past the sums' old
+        # int32 bound 2^31 // (8 * 2^k), gives its float64 copy's bytes
+        sc = DyadicScale(k)
         n = 1 << k
-        top = np.iinfo(np.int32).max // (8 << k)
-        lo, hi = {"0/1": (0, 1), "small": (0, 9), "int32 limit": (top - 1, top)}[kind]
+        shape = (4 * n, 4 * n)  # BOX_DEFAULT
+        for dtype in (np.int8, np.int64, np.bool_, np.float32):
+            assert GridFunction(sc, BOX_DEFAULT, np.ones(shape, dtype)).values.dtype == np.float64
+        vals = np.ones(shape)
+        assert GridFunction(sc, BOX_DEFAULT, vals).values is vals
+        top = 2**31 // (8 << k)
+        lo, hi = {"0/1": (0, 1), "small": (0, 9), "near 2^31 // (8 * 2^k)": (top - 2, top + 1),
+                  "above it": (top, 1 << 40)}[kind]
         rng = np.random.default_rng(seed)
-        f = GridFunction(DyadicScale(k), BOX_DEFAULT, rng.integers(lo, hi + 1, (4 * n, 4 * n)))
-        g = GridFunction(f.scale, f.box, f.values.astype(np.float64))
-        assert (_vertical_4sums(f).v4.dtype, _vertical_4sums(g).v4.dtype) == (np.int32, np.float64)
+        ints = rng.integers(lo, hi + 1, shape)
+        f = GridFunction(sc, BOX_DEFAULT, ints)
+        g = GridFunction(sc, BOX_DEFAULT, ints.astype(np.float64))
         ts = sorted({-n, n - 1, *map(int, rng.integers(-n, n, 4))})
-        th = DirectionSet(f.scale, tuple(ts), "explicit")
+        th = DirectionSet(sc, tuple(ts), "explicit")
 
         def outputs(h):
             return (nikodym_apply(h, th).values.tobytes(), kakeya_apply(h, th).tobytes(),
@@ -488,34 +497,12 @@ class TestBlockedPass:
 
         assert outputs(f) == outputs(g)
 
-    def test_pass_dtype_follows_values(self):
-        # an integer dtype up to top sums in int32; above top, or any float
-        # dtype, in float64
-        sc = DyadicScale(4)
-        top = np.iinfo(np.int32).max // (8 << 4)
-        shape = (64, 64)  # BOX_DEFAULT at k = 4
-        for values, dtype in (
-            (np.ones(shape, np.int8), np.int32),
-            (np.full(shape, top, np.int64), np.int32),
-            (np.full(shape, top, np.uint32), np.int32),
-            (np.full(shape, top + 1, np.int64), np.float64),
-            (np.ones(shape, np.float64), np.float64),
-            (np.ones(shape, np.float32), np.float64),
-        ):
-            f = GridFunction(sc, BOX_DEFAULT, values)
-            assert _vertical_4sums(f).v4.dtype == dtype, values.dtype
-        # only the part of f the pass reads counts: top + 1 outside it keeps int32
-        vals = np.ones(shape, np.int64)
-        vals[0, 0] = top + 1
-        assert _vertical_4sums(GridFunction(sc, BOX_DEFAULT, vals)).v4.dtype == np.int32
-        far = GridFunction(sc, Box.of(-2, -2, F(-3, 4), 2), np.full((20, 64), top + 1))
-        assert _vertical_4sums(far).v4.dtype == np.int32  # reads none of f
-
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(st.integers(3, 6), st.data())
     def test_both_operators_reduce_one_pass(self, k, data):
         # Kakeya at direction q is the max of the one-direction Nikodym output,
-        # for an int8 and a float f, and an int8 f equals its float copy
+        # for an indicator and a random f, and an int8 indicator, held as
+        # float64, equals its float copy
         n = 1 << k
         sc = DyadicScale(k)
         ts = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=6, unique=True))
@@ -527,7 +514,8 @@ class TestBlockedPass:
             assert kak.dtype == np.float64 and kak.shape == (len(th),)
             for q, t in enumerate(th.indices):
                 assert kak[q] == nikodym_apply(f, DirectionSet(sc, (t,))).values.max()
-        copy = GridFunction(sc, BOX_DEFAULT, ind.values.astype(np.float64))
+        assert ind.values.dtype == np.float64
+        copy = GridFunction(sc, BOX_DEFAULT, ind.values.copy())
         assert nikodym_apply(ind, th).values.tobytes() == nikodym_apply(copy, th).values.tobytes()
         assert kakeya_apply(ind, th).tobytes() == kakeya_apply(copy, th).tobytes()
 
@@ -550,9 +538,9 @@ class TestBlockedPass:
             assert peak <= cap, op.__name__
 
     def test_nikodym_holds_one_grid_at_k11(self):
-        # the int32 sums' running max is taken into the float64 output grid
-        # and divided in place: 32 MiB at k = 11, where an int32 max beside
-        # its float64 quotient took 48 MiB
+        # the sums' running max is taken into the float64 output grid and
+        # divided in place: 32 MiB at k = 11, where a second grid for the
+        # quotient would take 64 MiB
         sc = DyadicScale(11)
         th = DirectionSet.cantor(S_LOG23, sc)
         f = bush_construction(th, F(1, 2), F(1, 2)).core.indicator(sc)
