@@ -5,17 +5,20 @@ tubes: for slope index t, the tube centered at cell (m, n) occupies, in each
 of the 2^k columns ix in [m - 2^(k-1), m + 2^(k-1)), the four rows
 n + sigma(ix) - sigma(m) + {-2, -1, 0, 1} with sigma(ix) = (t*ix + 2^(k-1)) >> k.
 All tubes then hold the same cell count, so tube averages are plain sums, and
-a per-direction pass reduces to a vertical 4-window sum and one running row
-of prefix sums along the columns, into which each column's sheared rows are
-added in place and out of which each center's endpoints are read.
+a per-direction pass reduces to one running row of prefix sums along the
+columns, into which each column's sheared rows of f are added in place and
+out of which each center's endpoints are read, and one vertical 4-window
+sum over all of the direction's windows.
 
 Both operators reduce one pass, _tube_sums: Nikodym by the max over
 directions at each cell, Kakeya by the max over cells in each direction.
 A pass works only where f's box reaches, the columns it fills and the
 band of centers their sheared rows reach: a direction costs time in
 proportion to f's box plus that band (2^k times its height), not to
-(2^k)^2, and memory to f's box, one running row and the band. Values
-and sums are float64. A pass refuses a scale before it allocates a
+(2^k)^2. It holds f's part as a view, not a copy, one running row, a
+buffer of 2^k windows and a block of _PAIR_CELLS pair sums. Values and
+sums are float64: exact for integer-valued f, within rounding of the
+per-cell sum for float f. A pass refuses a scale before it allocates a
 (2^k)^2 grid of more than _MAX_GRID_CELLS cells, and the dual sum one
 whose multiplicity histogram could be longer.
 """
@@ -153,7 +156,7 @@ class GridFunction:
         return float(self.values[i - self._col0, j - self._row0])
 
     def lp_norm(self, p: float) -> float:
-        if p < 1:
+        if not 1 <= p < math.inf:  # NaN fails too
             raise ValueError("p must be >= 1")
         d2 = float(self.scale.delta) ** 2
         # one block of rows at a time, so values**p is never held whole
@@ -177,31 +180,19 @@ def _sigma(t: int, ix: np.ndarray, k: int) -> np.ndarray:
 
 _BLOCK_CELLS = 1 << 18  # bound on the cells of one block of lp_norm and dual_sum_norm
 _MAX_GRID_CELLS = 1 << 24  # most cells of a (2^k)^2 grid (k <= 12) or histogram a pass holds
+_PAIR_CELLS = 1 << 15  # cells of the pass's pair sums, a block that stays in cache
 
 
-class _Sums4(NamedTuple):
-    """V4 on the part of the read window that f's box reaches, as
-    v4[c - c0, y - y0]; V4 is 0 off the rows [rows[0], rows[1])."""
+def _read_part(f: GridFunction) -> tuple:
+    """(part, c0, y0, rows): f's part inside the read window, a view of
+    f.values, with part[c - c0, y - y0] f at column ix = c - 2^(k-1) and row y.
 
-    v4: np.ndarray
-    c0: int
-    y0: int
-    rows: tuple
-
-
-def _vertical_4sums(f: GridFunction) -> _Sums4:
-    """V4[c, y] = f[ix, y-2] + f[ix, y-1] + f[ix, y] + f[ix, y+1], f = 0 off its box.
-
-    The [0,1)^2 outputs read the columns ix = c - 2^(k-1) in
+    The outputs read V4[c, y] = f[ix, y-2] + f[ix, y-1] + f[ix, y] +
+    f[ix, y+1], f = 0 off its box, at the columns ix = c - 2^(k-1) in
     [-2^(k-1), 2^k + 2^(k-1)) and the rows y in [-_shear_pad(k), 2^k +
     _shear_pad(k)): a sheared read for |t| <= 2^k moves a row by at most
-    that pad. Of this read window v4 holds only the columns f's box fills,
-    and the rows where V4 can be nonzero with a margin of zero rows on
-    each side, which the windows of _tube_sums_from_v4 may read: 2 w + h
-    rows for w columns and h such rows. Reads outside v4 are all 0.
-
-    v4 starts as np.zeros, and the part of f inside the read window is
-    added into it in place, one row shift at a time in the order above.
+    that pad. So f's rows from 2 below to 1 above those are read; V4 is 0
+    off the rows [rows[0], rows[1]).
     """
     k = f.scale.k
     n = 1 << k
@@ -216,17 +207,8 @@ def _vertical_4sums(f: GridFunction) -> _Sums4:
     r_lo = max(y0 - 2, r0)
     r_hi = max(r_lo, min(y1 + 1, r0 + f.values.shape[1]))
     part = f.values[c_lo - c0 : c_hi - c0, r_lo - r0 : r_hi - r0]
-    if not part.size:
-        return _Sums4(np.zeros((0, 0)), c_lo + K, 0, (0, 0))
-    ya, yb = max(y0, r_lo - 1), min(y1, r_hi + 2)  # V4 row y adds f rows y - 2 .. y + 1
-    margin = 2 * (c_hi - c_lo) + yb - ya
-    v0, v1 = max(y0, ya - margin), min(y1, yb + margin)
-    v4 = np.zeros((c_hi - c_lo, v1 - v0))
-    for s in (-2, -1, 0, 1):  # V4 row y adds f row y + s
-        a, b = max(ya, r_lo - s), min(yb, r_hi - s)
-        if a < b:
-            v4[:, a - v0 : b - v0] += part[:, a + s - r_lo : b + s - r_lo]
-    return _Sums4(v4, c_lo + K, v0, (ya, yb))
+    rows = (max(y0, r_lo - 1), min(y1, r_hi + 2)) if part.size else (0, 0)
+    return part, c_lo + K, r_lo, rows
 
 
 def _shear_pad(k: int) -> int:
@@ -243,46 +225,49 @@ def _windows(a: np.ndarray, L: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(a, shape, a.strides + a.strides[-1:])
 
 
-def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray, row: np.ndarray):
+def _direction_sums(rp: tuple, k: int, t: int, buf: np.ndarray, pair: np.ndarray):
     """(m0, j0, out): out[i, h] is the sum of f over the tube in direction t
     centered at (m0 + i, j0[i] + h); the tube average is that over 4 * 2^k.
-    Every center of [0,1)^2 outside these windows has tube sum 0. out is a
-    view of buf.
+    Every center of [0,1)^2 outside these windows has tube sum 0. rp is
+    _read_part's; out is a view of buf, and pair is scratch.
 
     W[c, r] is V4 at column ix = c - 2^(k-1) and row r + lo + sigma(ix), so
     with Q[c] = W[0] + ... + W[c - 1] down the columns, the tube centered at
     (m, j) sums to Q[m + 2^k] - Q[m] at row j - sigma(m) - lo.
 
-    Only the columns [ca, cb) that v4 holds add to Q, so Q[c] is 0 for c <=
-    ca and Q[cb] for c >= cb: a left fold that adds exact zeros elsewhere
-    gives these bit for bit. W is 0 off the band of rows [ra, rb) that v4's
-    nonzero rows shear to. So the live centers are the m whose tube columns
-    [m, m + 2^k) meet [ca, cb) and whose rows [0, 2^k) meet the band; at
-    every other center Q[m + 2^k] and Q[m] are equal and the sum is x - x
-    = 0. Each live center gets a window of L = min(rb - ra, 2^k) rows inside
-    [0, 2^k) that holds all its band rows; for a function on the whole read
-    window that is every row of every center. sigma is monotone in ix, so
-    these bounds come from sigma at the ends of f's columns and of the
-    centers, and the live centers are one run, found by bisection.
+    Only the columns [ca, cb) that the part holds add to Q, so Q[c] is 0
+    for c <= ca and Q[cb] for c >= cb. W is 0 off the band of rows [ra, rb)
+    that the part's V4 rows shear to. So the live centers are the m whose
+    tube columns [m, m + 2^k) meet [ca, cb) and whose rows [0, 2^k) meet
+    the band; at every other center the sum is 0. Each live center gets a
+    window of L = min(rb - ra, 2^k) rows inside [0, 2^k) that holds all its
+    band rows; for a function on the whole read window that is every row of
+    every center. sigma is monotone in ix, so these bounds come from sigma
+    at the ends of f's columns and of the centers, and the live centers
+    are one run, found by bisection.
 
-    Q is one running row of the rows [Ra, Rb) that the windows cover, held
-    in row: adding W[c] into it in place, column by column, makes the same
-    sequential additions as a prefix sum down the columns.
-    When it holds Q[m], its window is copied into out[m], and when it holds
-    Q[m + 2^k], out[m] is subtracted from it in place; after the last
-    column it holds Q[cb], which the centers with m + 2^k > cb take.
+    Q is kept as Qf, the same prefix sum over f's rows: Q at row r is Qf at
+    rows r - 2 .. r + 1 summed. One running row holds Qf on the rows
+    [Ra - 2, Rb + 1) that the windows [Ra, Rb) read, and each column adds
+    its slice of the part into it in place. When it holds Qf[m], its window
+    of L + 3 rows is copied into out[m], and when it holds Qf[m + 2^k],
+    out[m] is subtracted from it in place; after the last column it holds
+    Qf[cb], which the centers with m + 2^k > cb take. The 4-sums of all
+    windows are then taken on the flat buffer, by pair sums into pair and
+    their pairs back into buf: exact for integer-valued f (partial sums are
+    integers below 2^53), and within rounding of the per-cell sum for float f.
     """
     n = 1 << k
     K = n >> 1
     t = int(t)
-    v4, ca, (ya, yb) = s4.v4, s4.c0, s4.rows
-    cb = min(ca + len(v4), 2 * n - 1)  # the last column feeds only Q[2n], never read
+    part, ca, y0, (ya, yb) = rp
+    cb = min(ca + len(part), 2 * n - 1)  # the last column feeds only Q[2n], never read
 
     def sig(c):  # sigma at column c
         return _sigma(t, c - K, k)
 
     none = 0, np.zeros(0, dtype=np.int64), buf[:0].reshape(0, 0)
-    if ca >= cb:
+    if ca >= cb or not part.size:
         return none
     lo, hi = -max(sig(K), sig(K + n - 1)), n - min(sig(K), sig(K + n - 1))  # centers m in [0, n)
     ra = max(0, ya - lo - max(sig(ca), sig(cb - 1)))
@@ -302,46 +287,55 @@ def _tube_sums_from_v4(s4: _Sums4, k: int, t: int, buf: np.ndarray, row: np.ndar
     start = -_sigma(t, np.arange(m0, m1), k) - lo
     win = np.minimum(np.maximum(start, ra), start + n - L)  # each window's first Q row
     Ra, Rb = int(win.min()), int(win.max()) + L
-    q = row[: Rb - Ra]  # Q[c] on the rows [Ra, Rb)
-    q.fill(0)
-    at = win - Ra
-    out = buf[: (m1 - m0) * L].reshape(m1 - m0, L)
+    q = np.zeros(Rb - Ra + 3)  # Qf on the rows [Ra - 2, Rb + 1)
+    at, W, live = win - Ra, L + 3, m1 - m0
+    o = buf[: live * W]
+    out = o.reshape(live, W)
     out[: max(0, ca + 1 - m0)] = 0  # Q[m] for m <= ca
-    # the first v4 row that W[c] reads, for c in [ca, cb)
-    first = (_sigma(t, np.arange(ca - K, cb - K), k) + (lo + Ra - s4.y0)).tolist()
-    w, R, live = at.tolist(), Rb - Ra, m1 - m0
-    for i, y in enumerate(first):
-        q += v4[i, y : y + R]  # q = Q[ca + i + 1]
+    # q[j] takes the part's row j + y in column ca + i, for j in [a, b)
+    first = _sigma(t, np.arange(ca - K, cb - K), k) + (lo + Ra - 2 - y0)
+    ja, jb = np.maximum(-first, 0), np.minimum(part.shape[1] - first, len(q))
+    w = at.tolist()
+    for i, (y, a, b) in enumerate(zip(first.tolist(), ja.tolist(), jb.tolist())):
+        if a < b:
+            r = q[a:b]
+            r += part[i, a + y : b + y]  # q = Qf[ca + i + 1]
         m = ca + i + 1 - m0
         if 0 <= m < live:
-            out[m] = q[w[m] : w[m] + L]
+            out[m] = q[w[m] : w[m] + W]
         m -= n
         if 0 <= m < live:
             r = out[m]
-            np.subtract(q[w[m] : w[m] + L], r, out=r)
-    a = max(cb + 1 - n, m0) - m0  # Q[m + n] = Q[cb] for m + n > cb
-    if a < m1 - m0:
-        np.subtract(_windows(q, L)[at[a:]], out[a:], out=out[a:])
-    return m0, win - start, out
+            np.subtract(q[w[m] : w[m] + W], r, out=r)
+    a = max(cb + 1 - n, m0) - m0  # Qf[m + n] = Qf[cb] for m + n > cb
+    if a < live:
+        np.subtract(_windows(q, W)[at[a:]], out[a:], out=out[a:])
+    # one block of the flat windows at a time, while it is in cache; a
+    # row's last 3 sums mix with the next row's and are never read
+    for j in range(0, len(o) - 3, len(pair) - 2):
+        s = pair[: min(len(pair), len(o) - 1 - j)]
+        np.add(o[j : j + len(s)], o[j + 1 : j + 1 + len(s)], out=s)
+        np.add(s[:-2], s[2:], out=o[j : j + len(s) - 2])
+    return m0, win - start, out[:, :L]
 
 
 def _tube_sums(f: GridFunction, theta: DirectionSet):
     """For each slope index of theta in order, the live windows of f's tube
-    sums over the centers of [0,1)^2, as _tube_sums_from_v4 gives them, in
-    one buffer refilled for each direction, beside one running row as long
-    as v4's rows. The windows of a direction are at most 2^k centers by L
-    rows, and L, the band's height capped at 2^k, is less than v4's nonzero
-    rows plus its columns."""
+    sums over the centers of [0,1)^2, as _direction_sums gives them, in a
+    buffer and a block of pair sums reused by every direction. The
+    windows of a direction are at most 2^k centers by L + 3 rows, and L, the
+    band's height capped at 2^k, is less than the part's V4 rows plus its
+    columns."""
     if f.scale != theta.scale:
         raise ValueError("scale mismatch between function and direction set")
     if not len(theta):
         raise ValueError("empty direction set")
     n = 1 << theta.scale.k
-    s4 = _vertical_4sums(f)
-    buf = np.empty(n * min(n, s4.rows[1] - s4.rows[0] + len(s4.v4)))
-    row = np.empty(s4.v4.shape[1])
+    part, _, _, (ya, yb) = rp = _read_part(f)
+    buf = np.empty(n * (min(n, yb - ya + len(part)) + 3))
+    pair = np.empty(min(len(buf), _PAIR_CELLS))
     for t in theta.indices:
-        yield _tube_sums_from_v4(s4, theta.scale.k, t, buf, row)
+        yield _direction_sums(rp, theta.scale.k, t, buf, pair)
 
 
 def nikodym_apply(f: GridFunction, theta: DirectionSet) -> GridFunction:
@@ -514,8 +508,12 @@ def norm_ratio(f: GridFunction, theta: DirectionSet, p: float, operator: str) ->
 def kakeya_norm(values: np.ndarray, theta: DirectionSet, p: float) -> float:
     """L^p(mu) norm over directions of kakeya_apply's per-direction values,
     with mu as in norm_ratio."""
-    if p < 1:
+    if not 1 <= p < math.inf:
         raise ValueError("p must be >= 1")
+    if not len(theta):
+        raise ValueError("empty direction set")
+    if len(values) != len(theta):
+        raise ValueError(f"{len(values)} values for {len(theta)} directions")
     w = float(theta.scale.delta) ** theta.s if theta.s is not None else 1.0 / len(theta)
     total = sum(v ** p * w for v in values.tolist())
     return total ** (1.0 / p)
@@ -574,7 +572,7 @@ def dual_sum_norm(asg: Assignment, pprime: float) -> Measurement:
     delta as details["A"]. Each distinct tube counts once, weighted by its cells:
     a run of rows [lo, hi) of idx[q] adds 1 to offsets [lo + c, hi + c), in a
     difference array keyed by q 4n + offset + n (offsets lie in [-n, 2n))."""
-    if pprime < 1:
+    if not 1 <= pprime < math.inf:
         raise ValueError("p' must be >= 1")
     k, idx, n = asg.k, asg.idx, 1 << asg.k
     # the n^2 cells each add 1 to one of the 3n offsets of their slope, so
@@ -620,7 +618,7 @@ def tube_sum_norm(family: TubeFamily, pprime: float) -> Measurement:
     the Frostman constant of the slope set at exponent s = 1/(p' - 1)
     (so p = 1 + s is the conjugate exponent).
     """
-    if pprime <= 1:
+    if not 1 < pprime < math.inf:
         raise ValueError("p' must exceed 1")
     slopes = sorted_distinct(family.t)
     if len(slopes) != len(family):

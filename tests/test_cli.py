@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubelab.cli import (
@@ -759,7 +759,7 @@ class TestConfigValidation:
 
 # ------------------------------------------------- run outcome contract
 
-EDGE = ["0", "-1", "1/2", "0.5", "1", "2", "1, 2"]  # values for s, p, r, m and gamma
+EDGE = ["0", "-1", "1/2", "0.5", "1", "2", "1, 2", "nan", "inf"]  # values for s, p, r, m and gamma
 RULE_N = ["2", "3", "0", "1", "1/2", "2^k", "0^k", "0^-k", "1^-k", "2^-k", "2, 3", "3, 2, 2"]
 RULE_C = ["1/3", "1/4", "0", "1", "-1/3", "2^-3k", "2^-k", "0^-k", "1^-2k", "0^-2", "8^-3", "1/3, 1/5"]
 OFFSETS = ["even", "searched", "0, 2/3", "0, 1/2", "0, 1/4, 3/4", "1"]
@@ -795,6 +795,7 @@ def run_configs(draw):
 
 
 @given(run_configs())
+@example(("nikodym", "[experiment]\nkind = nikodym\ndeltas = 1/32\np = nan\n"))  # wrote a 4-field row
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 def test_run_has_three_outcomes(drawn):
     # tubelab run exits 0 with its artifacts, 1 with one FAIL row, or 2 with
@@ -810,6 +811,8 @@ def test_run_has_three_outcomes(drawn):
         if rc == 0:
             assert err == "" and (out_dir / f"{kind}.csv").exists() and (out_dir / "manifest.txt").exists()
             assert all(line.startswith("wrote ") for line in out.splitlines())
+            header, *rows = (out_dir / f"{kind}.csv").read_text().splitlines()
+            assert all(row.count(",") == header.count(",") for row in rows)
         elif rc == 1:
             assert err == "" and out.startswith(f"FAIL,{kind},") and out.count("\n") == 1
             assert not out_dir.exists()

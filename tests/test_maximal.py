@@ -40,7 +40,6 @@ from tubelab.maximal import (
     nikodym_apply,
     norm_ratio,
     tube_sum_norm,
-    _vertical_4sums,
 )
 from tubelab.oracles import brute_aim_assignment, digital_tube_cells, naive_tube_average
 
@@ -381,8 +380,9 @@ class TestNikodymApply:
 
 @st.composite
 def _boxed_functions(draw):
-    """(f, t): f random on a random grid-aligned box at k = 1..4, floats or
-    small integers drawn as int8, and t random or at either extreme. A box
+    """(f, t): f random on a random grid-aligned box at k = 1..4, floats,
+    small integers drawn as int8 or integers up to 2^40 drawn as int64, whose
+    partial sums stay exact in float64, and t random or at either extreme. A box
     is any size up to 3 * 2^k square, or wide and flat: up to 4 * 2^k
     columns, the whole read window's width, by 1 to 3 rows."""
     k = draw(st.integers(1, 4))
@@ -394,7 +394,11 @@ def _boxed_functions(draw):
         w, h = draw(st.integers(1, 4 * n)), draw(st.integers(1, 3))
     d = F(1, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vals = rng.random((w, h)) if draw(st.booleans()) else rng.integers(0, 4, (w, h), dtype=np.int8)
+    vals = draw(st.sampled_from([
+        lambda: rng.random((w, h)),
+        lambda: rng.integers(0, 4, (w, h), dtype=np.int8),
+        lambda: rng.integers(0, 1 << 40, (w, h), dtype=np.int64, endpoint=True),
+    ]))()
     f = GridFunction(DyadicScale(k), Box.of(c0 * d, r0 * d, (c0 + w) * d, (r0 + h) * d), vals)
     return f, draw(st.sampled_from([-n, n - 1]) | st.integers(-n, n - 1))
 
@@ -437,18 +441,30 @@ class TestRunningRowPass:
         got = nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th).tobytes()
         assert got == want
 
+    @pytest.mark.parametrize("cells", [3, 4, 7, 50])
+    def test_pair_sum_blocks_change_no_byte(self, monkeypatch, cells):
+        # the 4-sums are taken one block of the flat windows at a time; a
+        # block may end anywhere in a window, and no output changes
+        sc = DyadicScale(4)
+        rng = np.random.default_rng(7)
+        th = DirectionSet(sc, np.arange(-16, 16))
+        fs = [random_function(sc, rng), GridFunction(sc, Box.of(F(-3, 16), F(1, 8), F(5, 16), F(3, 8)), rng.random((8, 4)))]
+        want = [(nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th).tobytes()) for f in fs]
+        monkeypatch.setattr(maximal, "_PAIR_CELLS", cells)
+        assert [(nikodym_apply(f, th).values.tobytes(), kakeya_apply(f, th).tobytes()) for f in fs] == want
+
     def test_whole_window_pass_memory(self):
-        # a float f on the whole read window: the pass holds v4, the
-        # windows' buffer and one running row, and Nikodym adds its running
-        # max, divided in place into its output, each (2^k)^2 float64 cells;
-        # no per-column temporaries
+        # a float f on the whole read window: the pass holds f's part as a
+        # view, the windows' buffer of 2^k by 2^k + 3 float64 cells, a block
+        # of pair sums and one running row, and Nikodym adds its running max
+        # of (2^k)^2 cells, divided in place into its output; nothing in
+        # proportion to the read window, no per-column temporaries
         k = 8
         n = 1 << k
         sc = DyadicScale(k)
         rng = np.random.default_rng(11)
         f = GridFunction(sc, BOX_DEFAULT, rng.random((4 * n, 4 * n)))
         th = DirectionSet(sc, np.sort(rng.choice(np.arange(-n, n), 16, replace=False)))
-        v4 = _vertical_4sums(f).v4.nbytes
         tracemalloc.start()
         try:
             out = nikodym_apply(f, th)
@@ -456,7 +472,27 @@ class TestRunningRowPass:
         finally:
             tracemalloc.stop()
         assert out.values.max() > 0
-        assert peak <= v4 + 2 * (n * n * 8) + (256 << 10)
+        assert peak <= n * n * 8 + n * (n + 3) * 8 + maximal._PAIR_CELLS * 8 + (256 << 10)
+
+    def test_seeded_ratio_memory(self):
+        # shaped like the benchmark's seeded step: k = 9, a random f on
+        # [-2, 2]^2 and 32 slopes in [0, 512); the pass holds f's part as a
+        # view, where a float64 copy of it, 2^(k+1) by 2^(k+2) cells, would
+        # be 16 MiB alone
+        k = 9
+        n = 1 << k
+        sc = DyadicScale(k)
+        rng = np.random.default_rng(5)
+        th = DirectionSet(sc, np.sort(rng.choice(n, 32, replace=False)))
+        f = GridFunction(sc, BOX_DEFAULT, rng.random((4 * n, 4 * n)))
+        tracemalloc.start()
+        try:
+            ratio = norm_ratio(f, th, 2.0, "nikodym")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < ratio < 1
+        assert peak <= 8 << 20
 
 
 class TestBlockedPass:
@@ -868,13 +904,30 @@ class TestNormRatio:
         # K == 1 per direction, mu total 1 -> numerator 1
         assert norm_ratio(f, th, 2.0, "kakeya") == pytest.approx(1 / f.lp_norm(2), rel=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5])
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan, math.inf])
     def test_kakeya_norm_refuses_p_below_one(self, p):
-        # as lp_norm does; at p = 0 the root 1/p divided by zero
+        # as lp_norm does; at p = 0 the root 1/p divided by zero, NaN passed
+        # a p < 1 test, and p = inf gave a norm of 1
         sc = DyadicScale(4)
         th = DirectionSet.cantor(0.5, sc)
+        f = GridFunction.ball_indicator(sc)
         with pytest.raises(ValueError, match="^p must be >= 1$"):
-            kakeya_norm(kakeya_apply(GridFunction.ball_indicator(sc), th), th, p)
+            kakeya_norm(kakeya_apply(f, th), th, p)
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            f.lp_norm(p)
+
+    def test_kakeya_norm_refuses_empty_direction_set(self):
+        # 1/|theta| divided by zero
+        sc = DyadicScale(4)
+        with pytest.raises(ValueError, match="^empty direction set$"):
+            kakeya_norm(np.zeros(0), DirectionSet(sc, []), 2.0)
+
+    def test_kakeya_norm_refuses_values_of_another_length(self):
+        # one value over two directions gave 0.3536
+        th = DirectionSet(DyadicScale(4), (0, 8))
+        for values in (np.ones(1), np.ones(3)):
+            with pytest.raises(ValueError, match=f"^{len(values)} values for 2 directions$"):
+                kakeya_norm(values, th, 2.0)
 
 
 @st.composite
@@ -1121,6 +1174,15 @@ class TestTubeSumNorm:
         count = len(rasterize_tube(DyadicTube(6, 40, 3), DyadicScale(6), Box.of(0, -4, 1, 4)))
         assert float(r) == pytest.approx((count / 4096) ** 0.5, rel=1e-12)
         assert r.details["ratio"] <= 2
+
+    @pytest.mark.parametrize("pprime", [math.nan, math.inf])
+    def test_pprime_nan_and_inf_refused(self, pprime):
+        # NaN passed the p' <= 1 and p' < 1 tests; each norm is finite p' only
+        sc = DyadicScale(5)
+        with pytest.raises(ValueError, match="^p' must exceed 1$"):
+            tube_sum_norm(TubeFamily(sc, [3], [0]), pprime)
+        with pytest.raises(ValueError, match="^p' must be >= 1$"):
+            dual_sum_norm(aim_at_origin_assignment(DirectionSet(sc, (3,))), pprime)
 
     def test_duplicate_direction_rejected(self):
         fam = TubeFamily(DyadicScale(5), [3, 3], [0, 7])
